@@ -78,7 +78,7 @@ fn main() {
             (i, w)
         })
         .collect();
-    by_clicks.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+    by_clicks.sort_by(|a, b| a.1.total_cmp(&b.1));
     let pool: Vec<u32> = by_clicks[..ds.num_items() / 3].iter().map(|&(i, _)| i).collect();
 
     let sessions = ((20_000.0 * args.scale) as usize).max(500);

@@ -131,7 +131,8 @@ EXIT CODES:
 FORMATS:
   edges  : text lines `left right [weight]` (tab/space/comma separated,
            `#` comments); vertex ids are compacted to dense ranges
-  MODEL  : binary hierarchy (hignn::io, CRC-checked v2; reads v1 too)
+  MODEL  : binary hierarchy (hignn::io, CRC-checked HGHI v2; any other
+           version is refused as corrupt, exit 4)
   .hgmx  : binary matrix (hignn_tensor::serialize)
 ";
 
@@ -324,7 +325,7 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
 
     if resume {
         let dir = spec.checkpoint_dir().expect("resume implies a checkpoint directory");
-        let meta = CheckpointStore::create(dir)?.read_meta()?;
+        let (meta, _) = CheckpointStore::create(dir)?.read_meta()?;
         emit(
             out,
             format!(

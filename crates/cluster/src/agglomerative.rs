@@ -151,15 +151,16 @@ pub fn average_linkage(data: &Matrix) -> Dendrogram {
         }
         loop {
             let current = *chain.last().unwrap();
-            // Nearest active neighbour of `current` (ties: smallest slot).
+            // Nearest active neighbour of `current` (ties: smallest slot;
+            // a NaN distance loses to any real one).
             let mut best = usize::MAX;
-            let mut best_d = f32::MAX;
+            let mut best_d = f32::NAN;
             for cand in 0..n {
                 if cand == current || !active[cand] {
                     continue;
                 }
                 let d = dist[current * n + cand];
-                if d < best_d {
+                if best == usize::MAX || d < best_d || (best_d.is_nan() && !d.is_nan()) {
                     best_d = d;
                     best = cand;
                 }
@@ -201,7 +202,11 @@ pub fn average_linkage(data: &Matrix) -> Dendrogram {
     // sort (stable) so dendrogram cuts behave monotonically. Labels refer
     // to merge order, so relabel after sorting.
     let mut order: Vec<usize> = (0..merges.len()).collect();
-    order.sort_by(|&x, &y| merges[x].distance.partial_cmp(&merges[y].distance).unwrap());
+    // NaN distances (NaN input rows) sort last.
+    order.sort_by(|&x, &y| {
+        let (dx, dy) = (merges[x].distance, merges[y].distance);
+        dx.is_nan().cmp(&dy.is_nan()).then(dx.total_cmp(&dy))
+    });
     let mut relabel = vec![0usize; merges.len()];
     for (new_idx, &old_idx) in order.iter().enumerate() {
         relabel[old_idx] = new_idx;
@@ -251,6 +256,17 @@ mod tests {
         let first = dend.merges()[0];
         assert!((first.distance - 1.0).abs() < 1e-6);
         assert_eq!(first.size, 2);
+    }
+
+    #[test]
+    fn nan_point_merges_last_instead_of_panicking() {
+        let dend = average_linkage(&points(&[0.0, 1.0, f32::NAN, 10.0]));
+        let d: Vec<f64> = dend.merges().iter().map(|m| m.distance).collect();
+        assert_eq!(d.len(), 3);
+        assert!(d[0] == 1.0 && d[1] == 9.5 && d[2].is_nan(), "{d:?}");
+        // Cutting before the NaN merge isolates the NaN point.
+        let c2 = dend.cut_k(2);
+        assert!(c2[1] == c2[0] && c2[3] == c2[0] && c2[2] != c2[0], "{c2:?}");
     }
 
     #[test]

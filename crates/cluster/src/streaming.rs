@@ -29,8 +29,7 @@ use rand::Rng;
 ///   rate is always finite; no refactor may reorder those two steps
 ///   (the `debug_assert!` guards it).
 /// * Dead clusters are a policy decision for the caller:
-///   [`Self::dead_clusters`] reports them, [`Self::reseed_dead`]
-///   relocates them onto real data. Nothing reseeds implicitly —
+///   [`Self::dead_clusters`] reports them and nothing reseeds them —
 ///   streaming ingestion needs stable cluster ids.
 /// * Non-finite points (any NaN/±inf feature) are routed
 ///   deterministically by the NaN-last [`nearest_centroid`] and **never
@@ -111,8 +110,7 @@ impl SequentialKMeans {
     }
 
     /// Ids of dead clusters — centres that never received a point and
-    /// therefore still sit at their seed position (the "report" half of
-    /// the reseed-or-report policy).
+    /// therefore still sit at their seed position.
     pub fn dead_clusters(&self) -> Vec<usize> {
         self.counts
             .iter()
@@ -120,35 +118,6 @@ impl SequentialKMeans {
             .filter(|(_, &n)| n == 0)
             .map(|(c, _)| c)
             .collect()
-    }
-
-    /// Relocates every dead cluster onto the data point farthest from
-    /// its nearest *live* centre (the "reseed" half of the policy),
-    /// deterministically: dead ids ascending, ties at equal distance
-    /// keep the lowest row index, non-finite rows never chosen.
-    /// Each reseeded centre starts with `counts == 1`. Returns the
-    /// reseeded ids.
-    pub fn reseed_dead(&mut self, data: &Matrix) -> Vec<usize> {
-        assert_eq!(data.cols(), self.centroids.cols(), "reseed_dead: dimension mismatch");
-        let mut reseeded = Vec::new();
-        for c in self.dead_clusters() {
-            let mut best: Option<(usize, f32)> = None;
-            for i in 0..data.rows() {
-                let (_, d) = nearest_centroid(&self.centroids, data.row(i));
-                if !d.is_finite() {
-                    continue;
-                }
-                if best.is_none_or(|(_, bd)| d > bd) {
-                    best = Some((i, d));
-                }
-            }
-            if let Some((i, _)) = best {
-                self.centroids.set_row(c, data.row(i));
-                self.counts[c] = 1;
-                reseeded.push(c);
-            }
-        }
-        reseeded
     }
 }
 
@@ -367,25 +336,6 @@ mod tests {
         assert_eq!(skm.counts()[2], 0);
         assert_eq!(skm.centroids().get(2, 0), 1000.0, "dead centre keeps its seed");
         assert_eq!(skm.dead_clusters(), vec![2]);
-
-        // Reseed policy: the dead centre relocates onto the data point
-        // farthest from its nearest centre and comes alive.
-        let reseeded = skm.reseed_dead(&data);
-        assert_eq!(reseeded, vec![2]);
-        assert_eq!(skm.counts()[2], 1);
-        let moved_to = skm.centroids().get(2, 0);
-        assert!(data.data().contains(&moved_to), "reseed lands on a real point");
-        assert!(skm.dead_clusters().is_empty());
-        // Deterministic: same state, same choice.
-        let mut again = SequentialKMeans::from_state(
-            Matrix::from_vec(3, 1, vec![0.0, 10.0, 1000.0]),
-            vec![0, 0, 0],
-        );
-        for i in 0..data.rows() {
-            again.observe(data.row(i));
-        }
-        again.reseed_dead(&data);
-        assert_eq!(again.centroids().data(), skm.centroids().data());
     }
 
     #[test]

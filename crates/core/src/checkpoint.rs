@@ -2,51 +2,27 @@
 //! deterministic fault-injection harness.
 //!
 //! A [`CheckpointStore`] is a directory holding one meta record and one
-//! record per completed hierarchy level:
+//! record per completed hierarchy level, both in the container layout
+//! of [`crate::io`] (magic, version word, CRC-framed sections):
 //!
 //! ```text
 //! <dir>/meta.hgck      := "HGCK" u32(version=5) section(meta)
 //! meta                 := u64(fingerprint) u64(seed)
 //!                         u64(levels_total) u64(levels_done)
-//!                         u64(threads)            -- v2+; v1 lacks it
-//!                         u64(objective)          -- v4+; see below
-//!                         u64(math)               -- v5+; see below
-//!                         metrics_snapshot        -- v3+; see below
+//!                         u64(threads) u64(objective) u64(math)
+//!                         metrics_snapshot
 //! <dir>/level_NN.hgcl  := "HGCL" u32(version=5) section(level)
-//! section              := u64(payload_len) payload u32(crc32)
 //! ```
 //!
-//! Version-1 records (no `threads` word) still load; `threads` reads
-//! back as 0 (= unrecorded). The thread count is provenance only — it
-//! never participates in the fingerprint, because a checkpoint written
-//! at N threads must resume byte-identically at any thread count.
-//!
-//! Version-3 records append a [`hignn_obs::MetricsSnapshot`] (the
-//! observability counters at checkpoint time, possibly empty) after the
-//! fixed words, so a resumed run continues its counters instead of
-//! restarting them at zero. The snapshot is provenance/diagnostics like
-//! `threads`: it never participates in the fingerprint and has no
-//! effect on the resumed model bytes (inertness, DESIGN.md §10).
-//! v1/v2 records still load, reading back an absent snapshot.
-//!
-//! Version-4 records insert the training objective's stable id
-//! ([`crate::objective::ObjectiveKind::id`]) between `threads` and the
-//! snapshot. Unlike `threads`, the objective is *load-bearing*:
-//! resuming a checkpoint under a different objective would splice two
-//! different losses into one hierarchy, so [`CheckpointStore::load_state`]
-//! refuses a mismatch with a structured config error (checked before
-//! the fingerprint so the message names the objective, not just "your
-//! inputs differ"). v1-v3 records read back objective id 0 — edge
-//! reconstruction, the only objective those builds had.
-//!
-//! Version-5 records insert the math tier's stable id
-//! ([`hignn_tensor::MathMode::id`]) between the objective and the
-//! snapshot. Like the objective, it is load-bearing: Bitwise and
-//! FastMath order float accumulation differently, so resuming a
-//! hierarchy under the other tier would splice two numeric contracts
-//! into one artifact and [`CheckpointStore::load_state`] refuses with a
-//! config error naming both tiers. v1-v4 records read back math id 0 —
-//! Bitwise, the only tier those builds had.
+//! `objective` and `math` are load-bearing: resuming under another loss
+//! or accumulation contract would splice two hierarchies into one, so
+//! [`CheckpointStore::load_state`] refuses either mismatch with a
+//! config error naming both sides. `threads` and the
+//! [`hignn_obs::MetricsSnapshot`] (the observability counters at
+//! checkpoint time, so a resumed run continues them) are provenance
+//! only: they never enter the fingerprint and cannot change the resumed
+//! model's bytes (inertness, DESIGN.md §10). Any other version word is
+//! corruption (exit 4); nothing in the directory is touched.
 //!
 //! Every write is atomic (temp file + fsync + rename), and the meta
 //! record is only advanced *after* its level record is durably on disk,
@@ -61,20 +37,22 @@
 //! hidden `--fault` CLI flag to prove the recovery story end to end.
 
 use crate::error::HignnError;
-use crate::io::{atomic_write, decode_level, encode_level, read_section, write_section};
+use crate::io::{atomic_write, decode_level, encode_level, write_section, Container};
 use crate::stack::{HignnConfig, Level};
 use hignn_graph::BipartiteGraph;
 use hignn_obs::MetricsSnapshot;
 use hignn_tensor::Matrix;
 use std::fs;
-use std::io::Read;
+use std::io;
 use std::path::{Path, PathBuf};
 
-const META_MAGIC: &[u8; 4] = b"HGCK";
-const LEVEL_MAGIC: &[u8; 4] = b"HGCL";
 const CKPT_VERSION: u32 = 5;
-/// Oldest checkpoint version this build still reads.
-const CKPT_MIN_VERSION: u32 = 1;
+const META: Container =
+    Container { magic: b"HGCK", version: CKPT_VERSION, name: "checkpoint meta" };
+const LEVEL: Container =
+    Container { magic: b"HGCL", version: CKPT_VERSION, name: "checkpoint level" };
+/// Bytes of the seven fixed `u64` words that open the meta payload.
+const META_FIXED_LEN: usize = 56;
 
 /// The meta record of a checkpoint directory: which run it belongs to
 /// and how far that run got.
@@ -91,20 +69,17 @@ pub struct CheckpointMeta {
     pub levels_done: u64,
     /// Worker threads of the run that wrote this record (provenance
     /// only — resuming at a different thread count is fully supported
-    /// and yields identical bytes). 0 = written by a version-1 build
-    /// that did not record it.
+    /// and yields identical bytes).
     pub threads: u64,
     /// Stable id of the training objective the run used
     /// ([`crate::objective::ObjectiveKind::id`]). Load-bearing:
     /// [`CheckpointStore::load_state`] refuses to resume under a
-    /// different objective. v1-v3 records read back 0 (edge
-    /// reconstruction, the only objective those builds had).
+    /// different objective.
     pub objective: u64,
     /// Stable id of the math tier the run used
     /// ([`hignn_tensor::MathMode::id`]). Load-bearing like `objective`:
     /// [`CheckpointStore::load_state`] refuses to resume under a
-    /// different tier. v1-v4 records read back 0 (Bitwise, the only
-    /// tier those builds had).
+    /// different tier.
     pub math: u64,
 }
 
@@ -141,97 +116,43 @@ impl CheckpointStore {
         self.meta_path().exists()
     }
 
-    /// Atomically writes the meta record, embedding the current
-    /// observability counters (empty when metrics are disabled) so a
-    /// resumed run continues them.
-    pub fn write_meta(&self, meta: &CheckpointMeta) -> Result<(), HignnError> {
-        let snapshot = if hignn_obs::enabled() {
-            hignn_obs::global().snapshot()
-        } else {
-            MetricsSnapshot::default()
-        };
-        self.write_meta_with_metrics(meta, &snapshot)
-    }
-
-    /// Atomically writes the meta record with an explicit metrics
-    /// snapshot (the non-global-state core of [`Self::write_meta`]).
-    pub fn write_meta_with_metrics(
+    /// Atomically writes the meta record. `snapshot` is the
+    /// observability counters to embed (empty when metrics are off) so
+    /// a resumed run continues them.
+    pub fn write_meta(
         &self,
         meta: &CheckpointMeta,
         snapshot: &MetricsSnapshot,
     ) -> Result<(), HignnError> {
-        let mut payload = Vec::with_capacity(60);
-        payload.extend_from_slice(&meta.fingerprint.to_le_bytes());
-        payload.extend_from_slice(&meta.seed.to_le_bytes());
-        payload.extend_from_slice(&meta.levels_total.to_le_bytes());
-        payload.extend_from_slice(&meta.levels_done.to_le_bytes());
-        payload.extend_from_slice(&meta.threads.to_le_bytes());
-        payload.extend_from_slice(&meta.objective.to_le_bytes());
-        payload.extend_from_slice(&meta.math.to_le_bytes());
+        let mut payload = Vec::with_capacity(META_FIXED_LEN + 4);
+        for word in [
+            meta.fingerprint,
+            meta.seed,
+            meta.levels_total,
+            meta.levels_done,
+            meta.threads,
+            meta.objective,
+            meta.math,
+        ] {
+            payload.extend_from_slice(&word.to_le_bytes());
+        }
         payload.extend_from_slice(&snapshot.encode());
-        let mut buf = Vec::new();
-        buf.extend_from_slice(META_MAGIC);
-        buf.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        write_section(&mut buf, &payload).expect("in-memory write cannot fail");
-        let path = self.meta_path();
-        atomic_write(&path, &buf).map_err(|e| HignnError::io_path(&path, e))
+        write_record(&self.meta_path(), &META, &payload)
     }
 
-    /// Reads and validates the meta record, discarding any embedded
-    /// metrics snapshot. See [`Self::read_meta_with_metrics`].
-    pub fn read_meta(&self) -> Result<CheckpointMeta, HignnError> {
-        self.read_meta_with_metrics().map(|(meta, _)| meta)
-    }
-
-    /// Reads and validates the meta record, returning the embedded
-    /// metrics snapshot when present (v3+; `None` for v1/v2 records).
-    ///
-    /// The file's bytes are read in full first, so every parse failure
-    /// after that — truncation included — is classified as
-    /// [`HignnError::Corrupt`] (exit 4), not generic I/O.
-    pub fn read_meta_with_metrics(
-        &self,
-    ) -> Result<(CheckpointMeta, Option<MetricsSnapshot>), HignnError> {
+    /// Reads and validates the meta record and its embedded metrics
+    /// snapshot.
+    pub fn read_meta(&self) -> Result<(CheckpointMeta, MetricsSnapshot), HignnError> {
         let path = self.meta_path();
         let bytes = fs::read(&path).map_err(|e| HignnError::io_path(&path, e))?;
-        let mut r = bytes.as_slice();
-        let mut magic = [0u8; 4];
-        let mut vbuf = [0u8; 4];
-        let ctx = path.display().to_string();
-        r.read_exact(&mut magic)
-            .map_err(|_| HignnError::corrupt(&ctx, "truncated before magic"))?;
-        if &magic != META_MAGIC {
-            return Err(HignnError::corrupt(&ctx, "bad magic (not a checkpoint meta file)"));
-        }
-        r.read_exact(&mut vbuf)
-            .map_err(|_| HignnError::corrupt(&ctx, "truncated before version"))?;
-        let version = u32::from_le_bytes(vbuf);
-        if !(CKPT_MIN_VERSION..=CKPT_VERSION).contains(&version) {
-            return Err(HignnError::corrupt(&ctx, format!("unsupported version {version}")));
-        }
-        let payload = read_section(&mut r, "checkpoint meta")
-            .map_err(|e| HignnError::corrupt(&ctx, e.to_string()))?;
-        let fixed_len = match version {
-            1 => 32,
-            2 | 3 => 40,
-            4 => 48,
-            _ => 56,
-        };
-        let len_ok = if version >= 3 {
-            // v3 appends a variable-length metrics snapshot.
-            payload.len() >= fixed_len + 4
-        } else {
-            payload.len() == fixed_len
-        };
-        if !len_ok {
-            return Err(HignnError::corrupt(
-                &ctx,
-                format!(
-                    "meta payload is {} bytes, expected {}{fixed_len} for version {version}",
-                    payload.len(),
-                    if version >= 3 { ">= 4 + " } else { "" },
-                ),
-            ));
+        let corrupt = |detail: String| HignnError::corrupt(path.display().to_string(), detail);
+        let payload = read_record(&META, &bytes, "checkpoint meta")
+            .map_err(|e| corrupt(e.to_string()))?;
+        if payload.len() < META_FIXED_LEN + 4 {
+            return Err(corrupt(format!(
+                "meta payload is {} bytes, expected >= 4 + {META_FIXED_LEN}",
+                payload.len()
+            )));
         }
         let word = |k: usize| {
             u64::from_le_bytes(payload[k * 8..(k + 1) * 8].try_into().expect("len checked"))
@@ -241,61 +162,34 @@ impl CheckpointStore {
             seed: word(1),
             levels_total: word(2),
             levels_done: word(3),
-            threads: if version >= 2 { word(4) } else { 0 },
-            objective: if version >= 4 { word(5) } else { 0 },
-            math: if version >= 5 { word(6) } else { 0 },
+            threads: word(4),
+            objective: word(5),
+            math: word(6),
         };
         if meta.levels_done > meta.levels_total {
-            return Err(HignnError::corrupt(
-                &ctx,
-                format!("levels_done {} > levels_total {}", meta.levels_done, meta.levels_total),
-            ));
+            return Err(corrupt(format!(
+                "levels_done {} > levels_total {}",
+                meta.levels_done, meta.levels_total
+            )));
         }
-        let snapshot = if version >= 3 {
-            Some(MetricsSnapshot::decode(&payload[fixed_len..]).map_err(|e| {
-                HignnError::corrupt(&ctx, format!("bad metrics snapshot: {e}"))
-            })?)
-        } else {
-            None
-        };
+        let snapshot = MetricsSnapshot::decode(&payload[META_FIXED_LEN..])
+            .map_err(|e| corrupt(format!("bad metrics snapshot: {e}")))?;
         Ok((meta, snapshot))
     }
 
     /// Atomically writes the record for 1-based level `idx`.
     pub fn save_level(&self, idx: usize, level: &Level) -> Result<(), HignnError> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(LEVEL_MAGIC);
-        buf.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        write_section(&mut buf, &encode_level(level)).expect("in-memory write cannot fail");
-        let path = self.level_path(idx);
-        atomic_write(&path, &buf).map_err(|e| HignnError::io_path(&path, e))
+        write_record(&self.level_path(idx), &LEVEL, &encode_level(level))
     }
 
     /// Reads and CRC-validates the record for 1-based level `idx`.
-    /// As with [`CheckpointStore::read_meta`], every failure after the
-    /// file's bytes are in memory is classified as corruption.
     pub fn load_level(&self, idx: usize) -> Result<Level, HignnError> {
         let path = self.level_path(idx);
         let bytes = fs::read(&path).map_err(|e| HignnError::io_path(&path, e))?;
-        let mut r = bytes.as_slice();
-        let mut magic = [0u8; 4];
-        let mut vbuf = [0u8; 4];
-        let ctx = path.display().to_string();
-        r.read_exact(&mut magic)
-            .map_err(|_| HignnError::corrupt(&ctx, "truncated before magic"))?;
-        if &magic != LEVEL_MAGIC {
-            return Err(HignnError::corrupt(&ctx, "bad magic (not a checkpoint level file)"));
-        }
-        r.read_exact(&mut vbuf)
-            .map_err(|_| HignnError::corrupt(&ctx, "truncated before version"))?;
-        let version = u32::from_le_bytes(vbuf);
-        if !(CKPT_MIN_VERSION..=CKPT_VERSION).contains(&version) {
-            return Err(HignnError::corrupt(&ctx, format!("unsupported version {version}")));
-        }
         let what = format!("checkpoint level {idx}");
-        let payload =
-            read_section(&mut r, &what).map_err(|e| HignnError::corrupt(&ctx, e.to_string()))?;
-        decode_level(&payload, &what).map_err(|e| HignnError::corrupt(&ctx, e.to_string()))
+        read_record(&LEVEL, &bytes, &what)
+            .and_then(|payload| decode_level(payload, &what))
+            .map_err(|e| HignnError::corrupt(path.display().to_string(), e.to_string()))
     }
 
     /// Loads the resumable state for a run with the given inputs:
@@ -310,10 +204,10 @@ impl CheckpointStore {
     /// separately yields errors that name the two objectives or tiers
     /// instead of a bare fingerprint diff.
     ///
-    /// When metrics are enabled and the meta record carries a snapshot
-    /// (v3+), the snapshot's counters are added into the global
-    /// registry so the resumed run's report continues from the original
-    /// run's totals instead of restarting at zero.
+    /// When metrics are enabled, the meta record's snapshot counters
+    /// are added into the global registry so the resumed run's report
+    /// continues from the original run's totals instead of restarting
+    /// at zero.
     pub fn load_state(
         &self,
         expected_fingerprint: u64,
@@ -321,7 +215,7 @@ impl CheckpointStore {
         expected_objective: u64,
         expected_math: u64,
     ) -> Result<(CheckpointMeta, Vec<Level>), HignnError> {
-        let (meta, snapshot) = self.read_meta_with_metrics()?;
+        let (meta, snapshot) = self.read_meta()?;
         if meta.objective != expected_objective {
             let describe = |id: u64| match crate::objective::ObjectiveKind::from_id(id) {
                 Some(kind) => format!("`{}`", kind.name()),
@@ -371,9 +265,7 @@ impl CheckpointStore {
             levels.push(self.load_level(idx)?);
         }
         if hignn_obs::enabled() {
-            if let Some(snapshot) = snapshot {
-                hignn_obs::global().restore(&snapshot);
-            }
+            hignn_obs::global().restore(&snapshot);
         }
         Ok((meta, levels))
     }
@@ -404,6 +296,24 @@ impl CheckpointStore {
         bytes[at] ^= if mask == 0 { 1 } else { mask };
         fs::write(&path, &bytes).map_err(|e| HignnError::io_path(&path, e))
     }
+}
+
+/// Atomically writes a one-section record of kind `container`.
+fn write_record(path: &Path, container: &Container, payload: &[u8]) -> Result<(), HignnError> {
+    let mut buf = Vec::with_capacity(payload.len() + 20);
+    container.preamble(&mut buf).expect("in-memory write cannot fail");
+    write_section(&mut buf, payload).expect("in-memory write cannot fail");
+    atomic_write(path, &buf).map_err(|e| HignnError::io_path(path, e))
+}
+
+/// The payload of a one-section record of kind `container`. The file's
+/// bytes are already in memory, so every failure — truncation and
+/// trailing bytes included — is corruption (exit 4), not generic I/O.
+fn read_record<'a>(container: &Container, bytes: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
+    let mut cursor = container.open(bytes)?;
+    let payload = cursor.next_section(what)?;
+    cursor.finish()?;
+    Ok(payload)
 }
 
 /// FNV-1a hash of a run's full inputs (graph, features, config).
@@ -650,9 +560,9 @@ mod tests {
             objective: 2,
             math: 1,
         };
-        store.write_meta(&meta).unwrap();
+        store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
         assert!(store.has_meta());
-        assert_eq!(store.read_meta().unwrap(), meta);
+        assert_eq!(store.read_meta().unwrap().0, meta);
         // Flip one byte inside the payload: must be detected as corrupt.
         let path = dir.join("meta.hgck");
         let mut bytes = std::fs::read(&path).unwrap();
@@ -661,26 +571,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = store.read_meta().unwrap_err();
         assert_eq!(err.exit_code(), 4, "expected corruption, got: {err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version1_meta_without_threads_still_loads() {
-        let dir = std::env::temp_dir().join(format!("hignn_ckpt_v1_{}", std::process::id()));
-        let store = CheckpointStore::create(&dir).unwrap();
-        // Hand-build a v1 record: 32-byte payload, version word 1.
-        let mut payload = Vec::with_capacity(32);
-        for w in [0xFEEDu64, 9, 2, 2] {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(META_MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        write_section(&mut buf, &payload).unwrap();
-        std::fs::write(dir.join("meta.hgck"), &buf).unwrap();
-        let meta = store.read_meta().unwrap();
-        assert_eq!(meta.fingerprint, 0xFEED);
-        assert_eq!(meta.threads, 0, "v1 records read back threads = 0");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -700,57 +590,8 @@ mod tests {
         let snap = MetricsSnapshot {
             counters: vec![("train.batches".into(), 120), ("train.epochs".into(), 6)],
         };
-        store.write_meta_with_metrics(&meta, &snap).unwrap();
-        let (got_meta, got_snap) = store.read_meta_with_metrics().unwrap();
-        assert_eq!(got_meta, meta);
-        assert_eq!(got_snap, Some(snap));
-        // The plain accessor still works and simply drops the snapshot.
-        assert_eq!(store.read_meta().unwrap(), meta);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version2_meta_without_snapshot_still_loads() {
-        let dir = std::env::temp_dir().join(format!("hignn_ckpt_v2_{}", std::process::id()));
-        let store = CheckpointStore::create(&dir).unwrap();
-        // Hand-build a v2 record: 40-byte payload, version word 2.
-        let mut payload = Vec::with_capacity(40);
-        for w in [0xBEEFu64, 11, 3, 1, 8] {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(META_MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        write_section(&mut buf, &payload).unwrap();
-        std::fs::write(dir.join("meta.hgck"), &buf).unwrap();
-        let (meta, snap) = store.read_meta_with_metrics().unwrap();
-        assert_eq!(meta.fingerprint, 0xBEEF);
-        assert_eq!(meta.threads, 8);
-        assert_eq!(meta.objective, 0, "v2 records read back objective 0 (edge)");
-        assert_eq!(snap, None, "v2 records carry no snapshot");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version3_meta_without_objective_still_loads() {
-        let dir = std::env::temp_dir().join(format!("hignn_ckpt_v3_{}", std::process::id()));
-        let store = CheckpointStore::create(&dir).unwrap();
-        // Hand-build a v3 record: 40 fixed bytes + empty snapshot,
-        // version word 3 — no objective word.
-        let mut payload = Vec::with_capacity(44);
-        for w in [0xF00Du64, 5, 2, 1, 2] {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        payload.extend_from_slice(&MetricsSnapshot::default().encode());
-        let mut buf = Vec::new();
-        buf.extend_from_slice(META_MAGIC);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        write_section(&mut buf, &payload).unwrap();
-        std::fs::write(dir.join("meta.hgck"), &buf).unwrap();
-        let meta = store.read_meta().unwrap();
-        assert_eq!(meta.fingerprint, 0xF00D);
-        assert_eq!(meta.threads, 2);
-        assert_eq!(meta.objective, 0, "v3 records read back objective 0 (edge)");
+        store.write_meta(&meta, &snap).unwrap();
+        assert_eq!(store.read_meta().unwrap(), (meta, snap));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -767,7 +608,7 @@ mod tests {
             objective: 0,
             math: 0,
         };
-        store.write_meta(&meta).unwrap();
+        store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
         // Wrong objective AND wrong fingerprint: the objective error
         // must win, naming both losses.
         let err = store.load_state(0x2222, 2, 1, 0).unwrap_err();
@@ -798,7 +639,7 @@ mod tests {
             objective: 0,
             math: 0,
         };
-        store.write_meta(&meta).unwrap();
+        store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
         // Matching objective, wrong math AND wrong fingerprint: the
         // math error must win, naming both tiers.
         let err = store.load_state(0x4444, 2, 0, 1).unwrap_err();
@@ -816,45 +657,18 @@ mod tests {
     }
 
     #[test]
-    fn version4_meta_without_math_still_loads() {
-        let dir = std::env::temp_dir().join(format!("hignn_ckpt_v4_{}", std::process::id()));
-        let store = CheckpointStore::create(&dir).unwrap();
-        // Hand-build a v4 record: 48 fixed bytes + empty snapshot,
-        // version word 4 — no math word.
-        let mut payload = Vec::with_capacity(52);
-        for w in [0xCAFEu64, 5, 2, 1, 2, 1] {
-            payload.extend_from_slice(&w.to_le_bytes());
-        }
-        payload.extend_from_slice(&MetricsSnapshot::default().encode());
-        let mut buf = Vec::new();
-        buf.extend_from_slice(META_MAGIC);
-        buf.extend_from_slice(&4u32.to_le_bytes());
-        write_section(&mut buf, &payload).unwrap();
-        std::fs::write(dir.join("meta.hgck"), &buf).unwrap();
-        let meta = store.read_meta().unwrap();
-        assert_eq!(meta.fingerprint, 0xCAFE);
-        assert_eq!(meta.objective, 1);
-        assert_eq!(meta.math, 0, "v4 records read back math 0 (bitwise)");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn v3_meta_with_undecodable_snapshot_is_corrupt() {
         let dir = std::env::temp_dir().join(format!("hignn_ckpt_badsnap_{}", std::process::id()));
         let store = CheckpointStore::create(&dir).unwrap();
         // Fixed words plus snapshot bytes that claim one entry but stop
         // short — CRC is valid, so only snapshot decoding can object.
-        let mut payload = Vec::with_capacity(48);
-        for w in [1u64, 2, 3, 1, 4] {
+        let mut payload = Vec::with_capacity(META_FIXED_LEN + 8);
+        for w in [1u64, 2, 3, 1, 4, 0, 0] {
             payload.extend_from_slice(&w.to_le_bytes());
         }
         payload.extend_from_slice(&1u32.to_le_bytes()); // entry_count = 1
         payload.extend_from_slice(&4u32.to_le_bytes()); // name_len = 4, then nothing
-        let mut buf = Vec::new();
-        buf.extend_from_slice(META_MAGIC);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        write_section(&mut buf, &payload).unwrap();
-        std::fs::write(dir.join("meta.hgck"), &buf).unwrap();
+        write_record(&dir.join("meta.hgck"), &META, &payload).unwrap();
         let err = store.read_meta().unwrap_err();
         assert_eq!(err.exit_code(), 4, "expected corruption, got: {err}");
         let _ = std::fs::remove_dir_all(&dir);

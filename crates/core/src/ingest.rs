@@ -29,8 +29,8 @@
 //!   re-assigned against the live centroids (cost `O(|members|·k·d)`,
 //!   never the full dataset) and the affected centroids are recommitted
 //!   to exact member means.
-//! * **A versioned delta format** (`HGHD`, CRC-framed sections with the
-//!   same corruption discipline as the v2 model format) so a serving
+//! * **A versioned delta format** (`HGHD`, the same
+//!   [`crate::io`] container and frame decoder as the model) so a serving
 //!   replica can catch up via [`apply_delta`] without a full reload.
 //!   Deltas carry base and patched hierarchy fingerprints: applying a
 //!   delta to the wrong base — or applying it twice — fails closed with
@@ -42,7 +42,7 @@
 //! link-prediction AUC gap.
 
 use crate::error::HignnError;
-use crate::io::{atomic_write, write_hierarchy, SectionCursor};
+use crate::io::{atomic_write, write_hierarchy, write_section, Container};
 use crate::stack::Hierarchy;
 use hignn_cluster::kmeans::mean_by_cluster;
 use hignn_cluster::streaming::SequentialKMeans;
@@ -52,9 +52,10 @@ use hignn_tensor::Matrix;
 use std::io::{self, Write};
 use std::path::Path;
 
-const DELTA_MAGIC: &[u8; 4] = b"HGHD";
 /// Current delta format version.
 pub const DELTA_FORMAT_VERSION: u32 = 1;
+const DELTA: Container =
+    Container { magic: b"HGHD", version: DELTA_FORMAT_VERSION, name: "delta" };
 
 fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -107,8 +108,8 @@ pub struct NodeArrival {
 /// A versioned, self-validating patch from one hierarchy state to the
 /// next — everything a replica needs to catch up without a full reload.
 ///
-/// On disk (`HGHD` v1) every section is CRC-framed exactly like the v2
-/// model format, so truncation and bit-flips fail closed:
+/// On disk (`HGHD` v1) it is the [`crate::io`] container, so truncation,
+/// bit-flips, trailing bytes and other versions fail closed:
 ///
 /// ```text
 /// delta   := "HGHD" u32(version=1) section(header) section(new_edges)
@@ -257,9 +258,7 @@ fn parse_edges(payload: &[u8], count: usize, what: &str) -> io::Result<Vec<(u32,
 
 /// Encodes a delta in the current (`HGHD` v1, CRC-framed) format.
 pub fn write_delta<W: Write>(w: &mut W, d: &HierarchyDelta) -> io::Result<()> {
-    use crate::io::write_section;
-    w.write_all(DELTA_MAGIC)?;
-    w.write_all(&DELTA_FORMAT_VERSION.to_le_bytes())?;
+    DELTA.preamble(w)?;
     let mut header = Vec::with_capacity(88);
     for v in [
         d.seq,
@@ -295,19 +294,7 @@ pub fn write_delta<W: Write>(w: &mut W, d: &HierarchyDelta) -> io::Result<()> {
 /// all surface as `InvalidData`, never a panic or a silently wrong
 /// patch.
 pub fn read_delta_bytes(bytes: &[u8]) -> io::Result<HierarchyDelta> {
-    if bytes.len() < 8 {
-        return Err(bad_data("delta: truncated before version word"));
-    }
-    if &bytes[..4] != DELTA_MAGIC {
-        return Err(bad_data("delta: bad magic"));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != DELTA_FORMAT_VERSION {
-        return Err(bad_data(&format!(
-            "delta: unsupported version {version} (this build reads v1)"
-        )));
-    }
-    let mut cursor = SectionCursor::new(&bytes[8..]);
+    let mut cursor = DELTA.open(bytes)?;
     let header = cursor.next_section("delta header")?;
     if header.len() != 88 {
         return Err(bad_data(&format!("delta header: expected 88 bytes, got {}", header.len())));
@@ -347,12 +334,7 @@ pub fn read_delta_bytes(bytes: &[u8]) -> io::Result<HierarchyDelta> {
         }
         coarsened.push(g);
     }
-    if !cursor.is_exhausted() {
-        return Err(bad_data(&format!(
-            "delta: {} trailing bytes after the last section",
-            cursor.remaining()
-        )));
-    }
+    cursor.finish()?;
     Ok(HierarchyDelta {
         seq,
         base_users,

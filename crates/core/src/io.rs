@@ -1,4 +1,5 @@
-//! Persistence for trained hierarchies.
+//! Persistence for trained hierarchies, and the one container codec
+//! every on-disk artifact shares.
 //!
 //! Training the HiGNN stack is the expensive step; serving only needs
 //! the per-level embeddings and cluster assignments. [`save_hierarchy`]
@@ -6,11 +7,19 @@
 //! binary format built from the substrate formats
 //! (`hignn_tensor::serialize`, `hignn_graph::serialize`).
 //!
-//! Format v2 (current; every payload is integrity-checked):
+//! All four artifacts — `HGHI` models (here), `HGCK`/`HGCL` checkpoint
+//! records ([`crate::checkpoint`]) and `HGHD` deltas
+//! ([`crate::ingest`]) — are one [`Container`] layout:
+//!
+//! ```text
+//! container := magic[4] u32(version) section*
+//! section   := u64(payload_len) payload u32(crc32 of payload)
+//! ```
+//!
+//! and the `HGHI` model (version 2) fills it with:
 //!
 //! ```text
 //! hierarchy := "HGHI" u32(version=2) section(header) section(level)*
-//! section   := u64(payload_len) payload u32(crc32 of payload)
 //! header    := u64(num_users) u64(num_items) u64(num_levels)
 //! level     := matrix(user_emb) matrix(item_emb)
 //!              assignment(user) assignment(item) graph(coarsened)
@@ -18,24 +27,20 @@
 //! assignment := u64(num_clusters) u64(len) u32*
 //! ```
 //!
-//! Format v1 (legacy; still readable, no checksums):
+//! Each container reads exactly the version it writes; any other
+//! version word is `InvalidData` naming both numbers. There is one
+//! frame decoder ([`SectionCursor`]) and it guarantees:
 //!
-//! ```text
-//! hierarchy := "HGHI" u32(version=1) u64(num_users) u64(num_items)
-//!              u64(num_levels) level*
-//! ```
+//! * a section's CRC32 is verified before its payload is parsed, so
+//!   random corruption surfaces as `InvalidData`, never as a silently
+//!   wrong hierarchy;
+//! * declared lengths are validated against the bytes actually present,
+//!   so a corrupt length cannot trigger a huge allocation;
+//! * truncation at any cut point and bytes after the last section are
+//!   both `InvalidData` (fuzzed in `tests/`).
 //!
-//! Robustness guarantees of the readers:
-//!
-//! * every section's CRC32 is verified before its payload is parsed
-//!   (v2), so random corruption surfaces as `InvalidData`, never as a
-//!   silently wrong hierarchy;
-//! * declared lengths are validated against the bytes actually present
-//!   — buffers grow incrementally while reading instead of trusting a
-//!   header-declared size, so a corrupt length cannot trigger a huge
-//!   up-front allocation;
-//! * truncated files fail with a clean `InvalidData`/`UnexpectedEof`
-//!   error at every cut point (fuzzed in `tests/`).
+//! `InvalidData` is what [`crate::error::HignnError::io`] promotes to
+//! `Corrupt` (exit code 4).
 
 use crate::crc32::crc32;
 use crate::stack::{Hierarchy, Level};
@@ -43,14 +48,13 @@ use hignn_graph::serialize::{read_graph, write_graph};
 use hignn_graph::Assignment;
 use hignn_tensor::serialize::{read_matrix, write_matrix};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
-const HIERARCHY_MAGIC: &[u8; 4] = b"HGHI";
-/// Current format version (CRC-checked sections).
+/// The `HGHI` format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 2;
-/// Legacy checksum-free version; still accepted by [`read_hierarchy`].
-pub const FORMAT_VERSION_V1: u32 = 1;
+const HIERARCHY: Container =
+    Container { magic: b"HGHI", version: FORMAT_VERSION, name: "hierarchy" };
 
 /// Hard cap on a single section's declared payload length (1 GiB).
 /// Catches corrupt headers long before address-space exhaustion.
@@ -71,7 +75,44 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 }
 
 // ---------------------------------------------------------------------
-// CRC-framed sections (shared with `crate::checkpoint`).
+// The container codec: preamble + CRC-framed sections.
+
+/// One on-disk container kind: its magic, the single version this build
+/// reads and writes, and the name its errors carry.
+pub(crate) struct Container {
+    pub(crate) magic: &'static [u8; 4],
+    pub(crate) version: u32,
+    pub(crate) name: &'static str,
+}
+
+impl Container {
+    /// Writes the magic and version word that precede the sections.
+    pub(crate) fn preamble<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(self.magic)?;
+        w.write_all(&self.version.to_le_bytes())
+    }
+
+    /// Checks the magic and version word of an in-memory image and
+    /// returns a cursor over its sections. Finish with
+    /// [`SectionCursor::finish`] to reject trailing bytes.
+    pub(crate) fn open<'a>(&self, bytes: &'a [u8]) -> io::Result<SectionCursor<'a>> {
+        let name = self.name;
+        if bytes.len() < 8 {
+            return Err(bad_data(&format!("{name}: truncated before version word")));
+        }
+        if &bytes[..4] != self.magic {
+            return Err(bad_data(&format!("{name}: bad magic")));
+        }
+        let found = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
+        if found != self.version {
+            return Err(bad_data(&format!(
+                "{name}: unsupported version {found} (this build reads version {})",
+                self.version
+            )));
+        }
+        Ok(SectionCursor { buf: bytes, pos: 8, name })
+    }
+}
 
 /// Writes one length-prefixed, CRC-trailed section.
 pub(crate) fn write_section<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
@@ -81,99 +122,23 @@ pub(crate) fn write_section<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<(
     Ok(())
 }
 
-/// Reads one section, verifying length plausibility and the CRC.
-///
-/// The payload buffer grows incrementally via `Read::take`, so a
-/// corrupt declared length fails at end-of-input instead of
-/// pre-allocating the declared size.
-pub(crate) fn read_section<R: Read>(r: &mut R, what: &str) -> io::Result<Vec<u8>> {
-    let len = read_u64(r)?;
-    if len > MAX_SECTION_LEN {
-        return Err(bad_data(&format!("{what}: implausible section length {len}")));
-    }
-    let mut payload = Vec::new();
-    let got = r.take(len).read_to_end(&mut payload)?;
-    if got as u64 != len {
-        return Err(bad_data(&format!(
-            "{what}: truncated section (declared {len} bytes, found {got})"
-        )));
-    }
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf).map_err(|_| {
-        bad_data(&format!("{what}: truncated section (checksum missing)"))
-    })?;
-    let expected = u32::from_le_bytes(crc_buf);
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(bad_data(&format!(
-            "{what}: checksum mismatch (stored {expected:#010x}, computed {actual:#010x})"
-        )));
-    }
-    Ok(payload)
-}
-
-// ---------------------------------------------------------------------
-// Zero-copy section access for read-only consumers (serving).
-
-/// A zero-copy reader over CRC-framed sections held in memory.
-///
-/// Where the streaming reader copies each payload out of a `Read`
-/// stream, the cursor walks a byte slice already in memory and hands
-/// back *borrowed* payload slices after verifying the frame: declared
-/// length within the 1 GiB plausibility cap and the buffer, and the trailing
-/// CRC32 matching the payload. Nothing is copied and nothing is
-/// mutated, which is what a serving process wants — validate once at
-/// load, then parse sections in place.
-///
-/// Corruption surfaces as `InvalidData`, which [`crate::error::HignnError::io`]
-/// promotes to `Corrupt` (exit code 4); a truncated or bit-flipped file
-/// can never panic the reader or silently yield wrong sections.
+/// The frame decoder: walks the CRC-framed sections of a container
+/// image held in memory and hands back *borrowed* payload slices after
+/// verifying each frame — declared length within the 1 GiB plausibility
+/// cap and the buffer, trailing CRC32 matching the payload. Nothing is
+/// copied and nothing is mutated; a truncated or bit-flipped image can
+/// never panic the reader or silently yield wrong sections.
 #[derive(Clone, Debug)]
-pub struct SectionCursor<'a> {
+pub(crate) struct SectionCursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    name: &'static str,
 }
 
 impl<'a> SectionCursor<'a> {
-    /// A cursor over raw section frames (no container magic/version).
-    pub fn new(buf: &'a [u8]) -> SectionCursor<'a> {
-        SectionCursor { buf, pos: 0 }
-    }
-
-    /// A cursor positioned after the `HGHI` magic and version word of a
-    /// v2 hierarchy image. Rejects bad magic, v1 (which has no section
-    /// framing — use [`read_hierarchy`]), and unknown versions.
-    pub fn over_hierarchy(bytes: &'a [u8]) -> io::Result<SectionCursor<'a>> {
-        if bytes.len() < 8 {
-            return Err(bad_data("hierarchy: truncated before version word"));
-        }
-        if &bytes[..4] != HIERARCHY_MAGIC {
-            return Err(bad_data("hierarchy: bad magic"));
-        }
-        match u32::from_le_bytes(bytes[4..8].try_into().unwrap()) {
-            FORMAT_VERSION => Ok(SectionCursor { buf: bytes, pos: 8 }),
-            FORMAT_VERSION_V1 => Err(bad_data(
-                "hierarchy: v1 files have no section framing (read with read_hierarchy)",
-            )),
-            other => Err(bad_data(&format!(
-                "hierarchy: unsupported version {other} (this build reads v1 and v2)"
-            ))),
-        }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Whether the cursor has consumed the whole buffer.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Verifies and returns the next section's payload as a borrowed
     /// slice, advancing past its frame.
-    pub fn next_section(&mut self, what: &str) -> io::Result<&'a [u8]> {
+    pub(crate) fn next_section(&mut self, what: &str) -> io::Result<&'a [u8]> {
         let rest = &self.buf[self.pos..];
         if rest.len() < 8 {
             return Err(bad_data(&format!("{what}: truncated section (length missing)")));
@@ -205,24 +170,24 @@ impl<'a> SectionCursor<'a> {
         self.pos += 8 + len + 4;
         Ok(payload)
     }
+
+    /// Ends the walk: every byte of the image must have been consumed.
+    pub(crate) fn finish(self) -> io::Result<()> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(bad_data(&format!(
+                "{}: {n} trailing bytes after the last section",
+                self.name
+            ))),
+        }
+    }
 }
 
-/// Reads a hierarchy from an in-memory byte image.
-///
-/// The v2 path walks the image with a [`SectionCursor`], so payload
-/// bytes are CRC-verified and parsed *in place* — no per-section copy —
-/// and each level is decoded exactly once. Legacy v1 images fall back
-/// to the streaming [`read_hierarchy`]. This is the loading path of the
-/// read-only serving view (`hignn-serve`).
+/// Reads a hierarchy from an in-memory byte image — the one `HGHI`
+/// reader, behind both [`load_hierarchy`] and the serving view
+/// (`hignn-serve`). Payloads are CRC-verified and parsed in place.
 pub fn read_hierarchy_bytes(bytes: &[u8]) -> io::Result<Hierarchy> {
-    // v1 has no section framing; delegate to the streaming reader.
-    if bytes.len() >= 8
-        && &bytes[..4] == HIERARCHY_MAGIC
-        && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) == FORMAT_VERSION_V1
-    {
-        return read_hierarchy(&mut &bytes[..]);
-    }
-    let mut cursor = SectionCursor::over_hierarchy(bytes)?;
+    let mut cursor = HIERARCHY.open(bytes)?;
     let header = cursor.next_section("hierarchy header")?;
     if header.len() != 24 {
         return Err(bad_data(&format!(
@@ -242,12 +207,7 @@ pub fn read_hierarchy_bytes(bytes: &[u8]) -> io::Result<Hierarchy> {
         let payload = cursor.next_section(&what)?;
         levels.push(decode_level(payload, &what)?);
     }
-    if !cursor.is_exhausted() {
-        return Err(bad_data(&format!(
-            "hierarchy: {} trailing bytes after the last level",
-            cursor.remaining()
-        )));
-    }
+    cursor.finish()?;
     Hierarchy::from_parts(levels, num_users, num_items)
         .map_err(|e| bad_data(&format!("hierarchy: {e}")))
 }
@@ -339,12 +299,9 @@ pub(crate) fn encode_level(level: &Level) -> Vec<u8> {
     buf
 }
 
-/// Decodes one level from a buffer, rejecting trailing garbage.
-///
-/// Public so read-only consumers (the serving engine) can decode level
-/// payloads handed out by a [`SectionCursor`] without re-reading the
-/// file through the copying [`read_hierarchy`] path.
-pub fn decode_level(bytes: &[u8], what: &str) -> io::Result<Level> {
+/// Decodes one level payload, rejecting trailing garbage (also used
+/// for per-level checkpoint records).
+pub(crate) fn decode_level(bytes: &[u8], what: &str) -> io::Result<Level> {
     let mut slice = bytes;
     let level = read_level(&mut slice)?;
     if !slice.is_empty() {
@@ -354,12 +311,11 @@ pub fn decode_level(bytes: &[u8], what: &str) -> io::Result<Level> {
 }
 
 // ---------------------------------------------------------------------
-// Whole-hierarchy readers/writers.
+// Whole-hierarchy writer and file entry points.
 
-/// Writes a hierarchy in the current (v2, CRC-checked) format.
+/// Writes a hierarchy in the `HGHI` format.
 pub fn write_hierarchy<W: Write>(w: &mut W, h: &Hierarchy) -> io::Result<()> {
-    w.write_all(HIERARCHY_MAGIC)?;
-    w.write_all(&FORMAT_VERSION.to_le_bytes())?;
+    HIERARCHY.preamble(w)?;
     let mut header = Vec::with_capacity(24);
     write_u64(&mut header, h.num_users() as u64)?;
     write_u64(&mut header, h.num_items() as u64)?;
@@ -369,79 +325,6 @@ pub fn write_hierarchy<W: Write>(w: &mut W, h: &Hierarchy) -> io::Result<()> {
         write_section(w, &encode_level(level))?;
     }
     Ok(())
-}
-
-/// Writes a hierarchy in the legacy v1 format (no checksums). Kept so
-/// compatibility with pre-v2 files stays testable; new code should use
-/// [`write_hierarchy`].
-pub fn write_hierarchy_v1<W: Write>(w: &mut W, h: &Hierarchy) -> io::Result<()> {
-    w.write_all(HIERARCHY_MAGIC)?;
-    w.write_all(&FORMAT_VERSION_V1.to_le_bytes())?;
-    write_u64(w, h.num_users() as u64)?;
-    write_u64(w, h.num_items() as u64)?;
-    write_u64(w, h.num_levels() as u64)?;
-    for level in h.levels() {
-        write_level(w, level)?;
-    }
-    Ok(())
-}
-
-/// Reads a hierarchy in either format version (v2 with per-section
-/// CRC verification, or legacy v1).
-pub fn read_hierarchy<R: Read>(r: &mut R) -> io::Result<Hierarchy> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != HIERARCHY_MAGIC {
-        return Err(bad_data("hierarchy: bad magic"));
-    }
-    let mut vbuf = [0u8; 4];
-    r.read_exact(&mut vbuf)?;
-    match u32::from_le_bytes(vbuf) {
-        FORMAT_VERSION => read_hierarchy_v2(r),
-        FORMAT_VERSION_V1 => read_hierarchy_v1(r),
-        other => Err(bad_data(&format!(
-            "hierarchy: unsupported version {other} (this build reads v1 and v2)"
-        ))),
-    }
-}
-
-fn read_hierarchy_v2<R: Read>(r: &mut R) -> io::Result<Hierarchy> {
-    let header = read_section(r, "hierarchy header")?;
-    if header.len() != 24 {
-        return Err(bad_data(&format!(
-            "hierarchy header: expected 24 bytes, got {}",
-            header.len()
-        )));
-    }
-    let mut hs = header.as_slice();
-    let num_users = read_u64(&mut hs)? as usize;
-    let num_items = read_u64(&mut hs)? as usize;
-    let num_levels = read_u64(&mut hs)? as usize;
-    if num_levels > 64 {
-        return Err(bad_data("hierarchy: implausible level count"));
-    }
-    let mut levels = Vec::with_capacity(num_levels);
-    for l in 0..num_levels {
-        let payload = read_section(r, &format!("hierarchy level {}", l + 1))?;
-        levels.push(decode_level(&payload, &format!("hierarchy level {}", l + 1))?);
-    }
-    Hierarchy::from_parts(levels, num_users, num_items)
-        .map_err(|e| bad_data(&format!("hierarchy: {e}")))
-}
-
-fn read_hierarchy_v1<R: Read>(r: &mut R) -> io::Result<Hierarchy> {
-    let num_users = read_u64(r)? as usize;
-    let num_items = read_u64(r)? as usize;
-    let num_levels = read_u64(r)? as usize;
-    if num_levels > 64 {
-        return Err(bad_data("hierarchy: implausible level count"));
-    }
-    let mut levels = Vec::with_capacity(num_levels);
-    for _ in 0..num_levels {
-        levels.push(read_level(r)?);
-    }
-    Hierarchy::from_parts(levels, num_users, num_items)
-        .map_err(|e| bad_data(&format!("hierarchy: {e}")))
 }
 
 /// Saves a hierarchy to a file **atomically**: the bytes are written to
@@ -457,17 +340,12 @@ pub fn save_hierarchy(path: impl AsRef<Path>, h: &Hierarchy) -> io::Result<()> {
     atomic_write(path.as_ref(), &bytes)
 }
 
-/// Loads a hierarchy from a file (either format version).
+/// Loads a hierarchy from a file: `fs::read` + [`read_hierarchy_bytes`].
 pub fn load_hierarchy(path: impl AsRef<Path>) -> io::Result<Hierarchy> {
     let _span = hignn_obs::span("io.load_hierarchy");
-    let path = path.as_ref();
-    if hignn_obs::enabled() {
-        if let Ok(meta) = std::fs::metadata(path) {
-            hignn_obs::counter_add("io.hierarchy_bytes_read", meta.len());
-        }
-    }
-    let mut r = BufReader::new(File::open(path)?);
-    read_hierarchy(&mut r)
+    let bytes = std::fs::read(path)?;
+    hignn_obs::counter_add("io.hierarchy_bytes_read", bytes.len() as u64);
+    read_hierarchy_bytes(&bytes)
 }
 
 /// Writes `bytes` to `path` via temp file + fsync + rename (+ directory
@@ -531,16 +409,17 @@ mod tests {
         build_hierarchy(&g, &uf, &if_, &cfg)
     }
 
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let h = tiny_hierarchy();
+    fn encoded(h: &Hierarchy) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_hierarchy(&mut buf, &h).unwrap();
-        let back = read_hierarchy(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.num_levels(), h.num_levels());
-        assert_eq!(back.num_users(), h.num_users());
-        assert_eq!(back.num_items(), h.num_items());
-        for (a, b) in h.levels().iter().zip(back.levels()) {
+        write_hierarchy(&mut buf, h).unwrap();
+        buf
+    }
+
+    fn assert_same_levels(a: &Hierarchy, b: &Hierarchy) {
+        assert_eq!(a.num_levels(), b.num_levels());
+        assert_eq!(a.num_users(), b.num_users());
+        assert_eq!(a.num_items(), b.num_items());
+        for (a, b) in a.levels().iter().zip(b.levels()) {
             assert_eq!(a.user_embeddings, b.user_embeddings);
             assert_eq!(a.item_embeddings, b.item_embeddings);
             assert_eq!(a.user_assignment, b.user_assignment);
@@ -548,21 +427,15 @@ mod tests {
             assert_eq!(a.coarsened.edges(), b.coarsened.edges());
             assert_eq!(a.epoch_losses, b.epoch_losses);
         }
-        // Derived hierarchical embeddings are identical.
-        assert!(h.hierarchical_users().max_abs_diff(&back.hierarchical_users()) < 1e-9);
     }
 
     #[test]
-    fn v1_files_still_load() {
+    fn roundtrip_preserves_everything() {
         let h = tiny_hierarchy();
-        let mut v1 = Vec::new();
-        write_hierarchy_v1(&mut v1, &h).unwrap();
-        let back = read_hierarchy(&mut v1.as_slice()).unwrap();
-        assert_eq!(back.num_levels(), h.num_levels());
-        for (a, b) in h.levels().iter().zip(back.levels()) {
-            assert_eq!(a.user_embeddings, b.user_embeddings);
-            assert_eq!(a.coarsened.edges(), b.coarsened.edges());
-        }
+        let back = read_hierarchy_bytes(&encoded(&h)).unwrap();
+        assert_same_levels(&h, &back);
+        // Derived hierarchical embeddings are identical.
+        assert!(h.hierarchical_users().max_abs_diff(&back.hierarchical_users()) < 1e-9);
     }
 
     #[test]
@@ -577,100 +450,64 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_stream() {
-        let h = tiny_hierarchy();
-        let mut buf = Vec::new();
-        write_hierarchy(&mut buf, &h).unwrap();
-        buf[0] = b'X';
-        assert!(read_hierarchy(&mut buf.as_slice()).is_err());
+        let mut buf = encoded(&tiny_hierarchy());
         // Truncation errors out rather than panicking.
-        let mut buf2 = Vec::new();
-        write_hierarchy(&mut buf2, &h).unwrap();
-        buf2.truncate(buf2.len() / 2);
-        assert!(read_hierarchy(&mut buf2.as_slice()).is_err());
+        assert!(read_hierarchy_bytes(&buf[..buf.len() / 2]).is_err());
+        buf[0] = b'X';
+        assert!(read_hierarchy_bytes(&buf).is_err());
     }
 
     #[test]
     fn detects_every_single_byte_corruption_in_payloads() {
-        let h = tiny_hierarchy();
-        let mut clean = Vec::new();
-        write_hierarchy(&mut clean, &h).unwrap();
-        // Flip one byte at a spread of positions; the v2 reader must
-        // error (checksum/format) — silently wrong data is the failure
-        // mode this format exists to prevent. Every byte of the file is
+        let clean = encoded(&tiny_hierarchy());
+        // Flip one byte at a spread of positions; the reader must error
+        // (checksum/format) — silently wrong data is the failure mode
+        // this format exists to prevent. Every byte of the file is
         // covered by magic/version checks, section length validation,
         // or a section CRC.
         for pos in (0..clean.len()).step_by(17) {
             let mut evil = clean.clone();
             evil[pos] ^= 0x40;
-            assert!(
-                read_hierarchy(&mut evil.as_slice()).is_err(),
-                "flip at byte {pos} went undetected"
-            );
+            assert!(read_hierarchy_bytes(&evil).is_err(), "flip at byte {pos} went undetected");
         }
     }
 
     #[test]
     fn implausible_section_length_is_rejected_without_allocation() {
-        let h = tiny_hierarchy();
-        let mut buf = Vec::new();
-        write_hierarchy(&mut buf, &h).unwrap();
+        let mut buf = encoded(&tiny_hierarchy());
         // Overwrite the header section's length with a huge value; the
         // reader must reject it (not attempt a 2^60-byte allocation).
         buf[8..16].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        let err = read_hierarchy(&mut buf.as_slice()).unwrap_err();
+        let err = read_hierarchy_bytes(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("implausible"), "{err}");
     }
 
+    /// The file entry point and the in-memory one (the serving path)
+    /// are one decoder and must return the same hierarchy.
     #[test]
     fn zero_copy_reader_matches_streaming_reader() {
         let h = tiny_hierarchy();
-        let mut buf = Vec::new();
-        write_hierarchy(&mut buf, &h).unwrap();
-        let zc = read_hierarchy_bytes(&buf).unwrap();
-        let streamed = read_hierarchy(&mut buf.as_slice()).unwrap();
-        assert_eq!(zc.num_levels(), streamed.num_levels());
-        for (a, b) in zc.levels().iter().zip(streamed.levels()) {
-            assert_eq!(a.user_embeddings, b.user_embeddings);
-            assert_eq!(a.item_embeddings, b.item_embeddings);
-            assert_eq!(a.user_assignment, b.user_assignment);
-            assert_eq!(a.item_assignment, b.item_assignment);
-            assert_eq!(a.coarsened.edges(), b.coarsened.edges());
-            assert_eq!(a.epoch_losses, b.epoch_losses);
-        }
-        // v1 images take the legacy fallback and still load.
-        let mut v1 = Vec::new();
-        write_hierarchy_v1(&mut v1, &h).unwrap();
-        let back = read_hierarchy_bytes(&v1).unwrap();
-        assert_eq!(back.num_levels(), h.num_levels());
+        let path = std::env::temp_dir().join(format!("hignn_io_same_{}.hgh", std::process::id()));
+        save_hierarchy(&path, &h).unwrap();
+        let from_file = load_hierarchy(&path).unwrap();
+        let from_bytes = read_hierarchy_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        assert_same_levels(&from_file, &from_bytes);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn zero_copy_reader_rejects_every_truncation_and_corruption() {
-        let h = tiny_hierarchy();
-        let mut clean = Vec::new();
-        write_hierarchy(&mut clean, &h).unwrap();
+        let mut bytes = encoded(&tiny_hierarchy());
         // Every prefix truncation errors instead of panicking.
-        for cut in (0..clean.len()).step_by(23) {
-            let err = read_hierarchy_bytes(&clean[..cut]).unwrap_err();
+        for cut in (0..bytes.len()).step_by(23) {
+            let err = read_hierarchy_bytes(&bytes[..cut]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}: {err}");
         }
-        // Every spread single-byte flip is detected.
-        for pos in (0..clean.len()).step_by(17) {
-            let mut evil = clean.clone();
-            evil[pos] ^= 0x40;
-            assert!(read_hierarchy_bytes(&evil).is_err(), "flip at byte {pos} went undetected");
-        }
         // Trailing garbage after the last level is rejected.
-        let mut padded = clean.clone();
-        padded.extend_from_slice(&[0u8; 9]);
-        let err = read_hierarchy_bytes(&padded).unwrap_err();
+        bytes.extend_from_slice(&[0u8; 9]);
+        let err = read_hierarchy_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
-        // An implausible section length is rejected without allocating.
-        let mut huge = clean.clone();
-        huge[8..16].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        let err = read_hierarchy_bytes(&huge).unwrap_err();
-        assert!(err.to_string().contains("implausible"), "{err}");
     }
 
     #[test]
@@ -679,15 +516,15 @@ mod tests {
         write_section(&mut framed, b"alpha").unwrap();
         write_section(&mut framed, b"").unwrap();
         write_section(&mut framed, b"omega").unwrap();
-        let mut cur = SectionCursor::new(&framed);
+        let mut cur = SectionCursor { buf: &framed, pos: 0, name: "frames" };
         let a = cur.next_section("a").unwrap();
         assert_eq!(a, b"alpha");
         // Zero-copy: the payload slice points into the framed buffer.
         assert_eq!(a.as_ptr(), framed[8..].as_ptr());
         assert_eq!(cur.next_section("b").unwrap(), b"");
         assert_eq!(cur.next_section("c").unwrap(), b"omega");
-        assert!(cur.is_exhausted());
         assert!(cur.next_section("past end").is_err());
+        cur.finish().unwrap();
     }
 
     #[test]

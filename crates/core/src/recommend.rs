@@ -24,7 +24,10 @@ pub fn recommend_top_k(
     let probs = model.predict(features, &samples);
     let mut scored: Vec<(u32, f32)> =
         candidates.iter().copied().zip(probs).collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    // NaN probabilities rank last; otherwise descending, ties by item id.
+    scored.sort_by(|a, b| {
+        a.1.is_nan().cmp(&b.1.is_nan()).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0))
+    });
     scored.truncate(k);
     scored
 }
@@ -150,6 +153,22 @@ mod tests {
             }
         }
         assert!(correct >= 9, "only {correct}/12 users got their item first");
+    }
+
+    #[test]
+    fn nan_probability_ranks_last_instead_of_panicking() {
+        let (model, uh, ih, up, mut is) = diagonal_model();
+        is.set(4, 0, f32::NAN);
+        let features = FeatureBlocks {
+            user_hier: Some(&uh),
+            item_hier: Some(&ih),
+            user_profiles: &up,
+            item_stats: &is,
+        };
+        let candidates: Vec<u32> = (0..12).collect();
+        let top = recommend_top_k(&model, &features, 4, &candidates, 12);
+        assert!(top[11].0 == 4 && top[11].1.is_nan(), "{top:?}");
+        assert!(top[..11].iter().all(|&(_, p)| !p.is_nan()));
     }
 
     #[test]

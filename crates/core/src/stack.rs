@@ -119,7 +119,7 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Reassembles a hierarchy from its parts (used by
-    /// [`crate::io::read_hierarchy`]). Validates that assignment chains
+    /// [`crate::io::read_hierarchy_bytes`]). Validates that assignment chains
     /// line up: level 1 covers the original vertices, and each level's
     /// cluster count matches the next level's vertex count.
     pub fn from_parts(
@@ -647,6 +647,27 @@ pub fn build_hierarchy_with(
     };
 
     let fingerprint = run_fingerprint(graph, user_feats, item_feats, cfg);
+    // The meta commit point, carrying the observability counters so far
+    // (empty when metrics are off) so a resumed run continues them.
+    let commit_meta = |store: &CheckpointStore, levels_done: usize| {
+        let meta = CheckpointMeta {
+            fingerprint,
+            seed: cfg.seed,
+            levels_total: cfg.levels as u64,
+            levels_done: levels_done as u64,
+            threads: opts.threads.max(1) as u64,
+            objective: cfg.train.objective.kind().id(),
+            math: cfg.train.math.id(),
+        };
+        durable_write(WriteSite::WriteMeta, &mut || {
+            let snapshot = if hignn_obs::enabled() {
+                hignn_obs::global().snapshot()
+            } else {
+                hignn_obs::MetricsSnapshot::default()
+            };
+            store.write_meta(&meta, &snapshot)
+        })
+    };
     let mut levels: Vec<Level> = Vec::with_capacity(cfg.levels);
     if let Some(store) = opts.checkpoint {
         if opts.resume {
@@ -666,17 +687,7 @@ pub fn build_hierarchy_with(
             }
         } else {
             // Fresh run: (re)initialise the meta record.
-            durable_write(WriteSite::WriteMeta, &mut || {
-                store.write_meta(&CheckpointMeta {
-                    fingerprint,
-                    seed: cfg.seed,
-                    levels_total: cfg.levels as u64,
-                    levels_done: 0,
-                    threads: opts.threads.max(1) as u64,
-                    objective: cfg.train.objective.kind().id(),
-                    math: cfg.train.math.id(),
-                })
-            })?;
+            commit_meta(store, 0)?;
         }
     }
 
@@ -778,17 +789,7 @@ pub fn build_hierarchy_with(
                 // protocol makes a failed attempt invisible, so a
                 // retried write is bitwise identical to a first-try one.
                 durable_write(WriteSite::SaveLevel, &mut || store.save_level(level, &built))?;
-                durable_write(WriteSite::WriteMeta, &mut || {
-                    store.write_meta(&CheckpointMeta {
-                        fingerprint,
-                        seed: cfg.seed,
-                        levels_total: cfg.levels as u64,
-                        levels_done: level as u64,
-                        threads: opts.threads.max(1) as u64,
-                        objective: cfg.train.objective.kind().id(),
-                        math: cfg.train.math.id(),
-                    })
-                })?;
+                commit_meta(store, level)?;
             }
             match opts.fault {
                 Some(FaultPlan::CrashAfterLevel(fl)) if fl == level => {

@@ -148,6 +148,15 @@ impl Taxonomy {
     }
 }
 
+/// The topic holding most of a query's click mass (ties: smaller topic
+/// id). A NaN mass never wins.
+fn strongest_topic(clicks: &HashMap<usize, f64>) -> Option<usize> {
+    clicks
+        .iter()
+        .max_by(|a, b| b.1.is_nan().cmp(&a.1.is_nan()).then(a.1.total_cmp(b.1)).then(b.0.cmp(a.0)))
+        .map(|(&t, _)| t)
+}
+
 /// Builds a taxonomy from a query-item graph.
 ///
 /// `query_feats` / `item_feats` are the shared-space features (mean
@@ -199,10 +208,7 @@ pub fn build_taxonomy(
         // Queries per topic: strongest click mass wins.
         let mut topic_queries: Vec<Vec<u32>> = vec![Vec::new(); k];
         for (q, clicks) in query_topic_clicks.iter().enumerate() {
-            if let Some((&t, _)) = clicks
-                .iter()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(a.0)))
-            {
+            if let Some(t) = strongest_topic(clicks) {
                 topic_queries[t].push(q as u32);
             }
         }
@@ -224,7 +230,8 @@ pub fn build_taxonomy(
                 let con = rel_t.exp() / denom;
                 scored.push(((pop * con).max(0.0).sqrt(), q as u32));
             }
-            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+            // `max(0.0)` above scrubs NaN, so total order is descending.
+            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
             let description_queries: Vec<u32> = scored
                 .iter()
                 .take(cfg.descriptions_per_topic)
@@ -339,6 +346,13 @@ mod tests {
                 assert!(!t.description.is_empty(), "topic {} unlabelled", t.id);
             }
         }
+    }
+
+    #[test]
+    fn strongest_topic_ignores_nan_mass_and_breaks_ties_low() {
+        let clicks = HashMap::from([(0, f64::NAN), (1, 2.0), (2, 2.0), (3, -f64::NAN)]);
+        assert_eq!(strongest_topic(&clicks), Some(1));
+        assert_eq!(strongest_topic(&HashMap::new()), None);
     }
 
     #[test]

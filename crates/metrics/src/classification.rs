@@ -31,6 +31,16 @@ pub fn accuracy(probs: &[f32], labels: &[bool], threshold: f32) -> f64 {
     correct as f64 / probs.len() as f64
 }
 
+/// Indices of `scores` from highest to lowest; NaN scores rank last, so
+/// one can never displace a real score from the top `k`.
+fn descending_order(scores: &[f32]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| {
+        scores[a].is_nan().cmp(&scores[b].is_nan()).then(scores[b].total_cmp(&scores[a]))
+    });
+    order
+}
+
 /// Precision of the top-`k` scored items: the fraction of the `k` highest
 /// scores whose labels are positive.
 pub fn precision_at_k(scores: &[f32], labels: &[bool], k: usize) -> f64 {
@@ -39,8 +49,7 @@ pub fn precision_at_k(scores: &[f32], labels: &[bool], k: usize) -> f64 {
     if k == 0 {
         return 0.0;
     }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+    let order = descending_order(scores);
     let hits = order[..k].iter().filter(|&&i| labels[i]).count();
     hits as f64 / k as f64
 }
@@ -53,8 +62,7 @@ pub fn recall_at_k(scores: &[f32], labels: &[bool], k: usize) -> f64 {
         return 0.0;
     }
     let k = k.min(scores.len());
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+    let order = descending_order(scores);
     let hits = order[..k].iter().filter(|&&i| labels[i]).count();
     hits as f64 / positives as f64
 }
@@ -62,6 +70,21 @@ pub fn recall_at_k(scores: &[f32], labels: &[bool], k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn precision_at_k_ranks_nan_scores_last() {
+        // A NaN of either sign must neither panic the sort nor take a slot.
+        let scores = [f32::NAN, 0.9, 0.1, -f32::NAN];
+        let labels = [false, true, true, false];
+        assert_eq!(precision_at_k(&scores, &labels, 2), 1.0);
+    }
+
+    #[test]
+    fn recall_at_k_ranks_nan_scores_last() {
+        let scores = [f32::NAN, 0.9, 0.1, -f32::NAN];
+        let labels = [true, true, false, false];
+        assert_eq!(recall_at_k(&scores, &labels, 2), 0.5);
+    }
 
     #[test]
     fn log_loss_perfect_and_bad() {

@@ -118,8 +118,11 @@ pub fn run_ab(
                 let scores = ranker.score(user, &candidates);
                 debug_assert_eq!(scores.len(), candidates.len());
                 let mut order: Vec<usize> = (0..candidates.len()).collect();
+                // NaN scores rank last; otherwise descending, ties by slot.
                 order.sort_by(|&a, &b| {
-                    scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b))
+                    (scores[a].is_nan().cmp(&scores[b].is_nan()))
+                        .then(scores[b].total_cmp(&scores[a]))
+                        .then(a.cmp(&b))
                 });
                 let arm = &mut arms[arm_idx];
                 for (rank, &slot) in order.iter().take(cfg.items_per_page).enumerate() {
@@ -193,6 +196,25 @@ mod tests {
             total.ctr_lift()
         );
         assert!(total.cnt_lift() > 5.0, "CNT lift {:+.2}%", total.cnt_lift());
+    }
+
+    #[test]
+    fn nan_scores_rank_like_the_lowest_score() {
+        // A ranker emitting NaN must not panic the page sort.
+        let truth = tiny_truth();
+        let pool: Vec<u32> = (0..120).collect();
+        let scorer = |hole: f32| {
+            let truth = &truth;
+            ScoreFnRanker::new("holey", move |u, c: &[u32]| {
+                c.iter()
+                    .map(|&i| if i % 3 == 0 { hole } else { truth.affinity(u, i as usize) })
+                    .collect()
+            })
+        };
+        let outcome =
+            run_ab(&truth, &pool, &scorer(f32::NEG_INFINITY), &scorer(f32::NAN), &tiny_ab());
+        let total = outcome.total();
+        assert_eq!(total.control, total.treatment);
     }
 
     #[test]

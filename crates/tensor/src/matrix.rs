@@ -634,20 +634,7 @@ impl Matrix {
             (idx.len() / group, self.cols),
             "gather_mean_pool_rows_into: bad output shape"
         );
-        let inv = 1.0 / group as f32;
-        for (g, group_idx) in idx.chunks_exact(group).enumerate() {
-            let out_row = out.row_mut(g);
-            out_row.fill(0.0);
-            for &i in group_idx {
-                let src = self.row(i);
-                for (o, &s) in out_row.iter_mut().zip(src) {
-                    *o += s;
-                }
-            }
-            for o in out_row.iter_mut() {
-                *o *= inv;
-            }
-        }
+        gather_mean_pool(&self.data, self.cols, idx, group, &mut out.data);
     }
 
     /// Sum of all entries.
@@ -728,6 +715,32 @@ impl Matrix {
     }
 }
 
+/// Output row `g` of `out` is the mean of `src` rows
+/// `idx[g*group..(g+1)*group]`, summed in index order (Bitwise tier; an
+/// out-of-range index panics on the row slice).
+pub(crate) fn gather_mean_pool(
+    src: &[f32],
+    cols: usize,
+    idx: &[usize],
+    group: usize,
+    out: &mut [f32],
+) {
+    let inv = 1.0 / group as f32;
+    for (g, group_idx) in idx.chunks_exact(group).enumerate() {
+        let out_row = &mut out[g * cols..(g + 1) * cols];
+        out_row.fill(0.0);
+        for &i in group_idx {
+            let srow = &src[i * cols..(i + 1) * cols];
+            for (o, &s) in out_row.iter_mut().zip(srow) {
+                *o += s;
+            }
+        }
+        for o in out_row.iter_mut() {
+            *o *= inv;
+        }
+    }
+}
+
 // ---- register-tiled matmul micro-kernels ------------------------------
 //
 // All three layouts share the same structure: the output is covered by
@@ -738,7 +751,7 @@ impl Matrix {
 // is bitwise the oracle's naive triple loop.
 
 /// `out = a * b` where `a` is `m x kk` and `b` is `kk x n` (row-major).
-fn mm_nn(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut [f32]) {
+pub(crate) fn mm_nn(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let mut i = 0;
     while i < m {
         let ib = MR.min(m - i);
@@ -807,7 +820,7 @@ fn pack_transposed(b: &[f32], n: usize, kk: usize, bt: &mut [f32]) {
 }
 
 /// `out = a^T * b` where `a` is `kk x m` and `b` is `kk x n` (row-major).
-fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+pub(crate) fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let mut i = 0;
     while i < m {
         let ib = MR.min(m - i);
@@ -852,7 +865,7 @@ fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
 /// output element accumulates `a1`'s columns then `a2`'s columns in
 /// ascending order, matching the concatenated product bit for bit.
 #[allow(clippy::too_many_arguments)]
-fn mm_cat2(
+pub(crate) fn mm_cat2(
     a1: &[f32],
     c1: usize,
     a2: &[f32],

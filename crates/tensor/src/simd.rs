@@ -7,11 +7,12 @@
 //! AVX2+FMA subset used here covers every x86-64 server this system
 //! targets. Dispatch is decided **once per process** at runtime
 //! ([`backend`]): if AVX2 and FMA are both present the vector kernels
-//! run, otherwise a portable scalar fallback with the *same* numeric
-//! contract takes over — so a FastMath build is never silently wrong on
-//! old hardware, just slower. Setting `HIGNN_FORCE_PORTABLE_SIMD=1`
-//! pins the portable fallback, which is how CI proves the fallback
-//! path on machines that *do* have AVX2.
+//! run, otherwise the matmul and gather kernels fall back to the
+//! register-tiled Bitwise kernels of [`crate::matrix`] (and the
+//! elementwise ones to scalar loops) — so a FastMath build without AVX2
+//! is bit-identical to Bitwise, never silently wrong. Setting
+//! `HIGNN_FORCE_PORTABLE_SIMD=1` pins the portable fallback, which is
+//! how CI proves the fallback path on machines that *do* have AVX2.
 //!
 //! ## The two tiers (DESIGN.md §14)
 //!
@@ -36,6 +37,7 @@
 //! — but ship in this module because they only run under FastMath; the
 //! Adam update uses FMA contraction and is toleranced like the matmuls.
 
+use crate::matrix;
 use std::sync::OnceLock;
 
 /// Which numeric contract a computation runs under. See the module
@@ -101,7 +103,7 @@ pub const FORCE_PORTABLE_ENV: &str = "HIGNN_FORCE_PORTABLE_SIMD";
 pub enum SimdBackend {
     /// AVX2 + FMA `core::arch` intrinsics.
     Avx2Fma,
-    /// Portable scalar fallback (same contract, no vector units).
+    /// Portable fallback: the Bitwise kernels (no vector intrinsics).
     Portable,
 }
 
@@ -142,7 +144,7 @@ pub fn backend() -> SimdBackend {
 // acc)` contracts each multiply-add into one rounding. Per-element `t`
 // order is *preserved* — only the FMA rounding differs from Bitwise —
 // except in packed-`nt`, which shares this kernel after an explicit
-// transpose. Remainder rows/columns run the portable scalar loop.
+// transpose. Remainder rows/columns run a scalar loop in the same order.
 
 /// `out = a * b`, `a` is `m x kk`, `b` is `kk x n` (FastMath tier).
 pub fn mm_nn_fast(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut [f32]) {
@@ -153,7 +155,7 @@ pub fn mm_nn_fast(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut
         unsafe { avx2::mm_nn(a, m, kk, b, n, out) };
         return;
     }
-    portable_mm_nn(a, m, kk, b, n, out);
+    matrix::mm_nn(a, m, kk, b, n, out);
 }
 
 /// `out = a^T * b`, `a` is `kk x m`, `b` is `kk x n` (FastMath tier).
@@ -165,7 +167,7 @@ pub fn mm_tn_fast(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut
         unsafe { avx2::mm_tn(a, kk, m, b, n, out) };
         return;
     }
-    portable_mm_tn(a, kk, m, b, n, out);
+    matrix::mm_tn(a, kk, m, b, n, out);
 }
 
 /// `out = [a1 | a2] * w` without materialising the concatenation
@@ -190,7 +192,7 @@ pub fn mm_cat2_fast(
         unsafe { avx2::mm_cat2(a1, c1, a2, c2, m, w, n, out) };
         return;
     }
-    portable_mm_cat2(a1, c1, a2, c2, m, w, n, out);
+    matrix::mm_cat2(a1, c1, a2, c2, m, w, n, out);
 }
 
 /// Fused gather -> mean-pool over rows (FastMath tier): output row `g`
@@ -213,7 +215,7 @@ pub fn gather_mean_pool_fast(
         unsafe { avx2::gather_mean_pool(src, cols, idx, group, out) };
         return;
     }
-    portable_gather_mean_pool(src, cols, idx, group, out);
+    matrix::gather_mean_pool(src, cols, idx, group, out);
 }
 
 // ---- FastMath elementwise kernels --------------------------------------
@@ -322,86 +324,6 @@ pub fn adam_step_fast(
         let m_hat = m[i] / bc1;
         let v_hat = v[i] / bc2;
         p[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-    }
-}
-
-// ---- portable fallback --------------------------------------------------
-//
-// Scalar loops with the Bitwise kernels' per-element accumulation
-// order. A portable FastMath run is therefore numerically *identical*
-// to Bitwise — trivially inside every tolerance — which is exactly
-// what the CI fallback assertion relies on.
-
-fn portable_mm_nn(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * kk..(i + 1) * kk];
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for (t, &av) in arow.iter().enumerate() {
-                acc += av * b[t * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-fn portable_mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for t in 0..kk {
-                acc += a[t * m + i] * b[t * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn portable_mm_cat2(
-    a1: &[f32],
-    c1: usize,
-    a2: &[f32],
-    c2: usize,
-    m: usize,
-    w: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for t in 0..c1 {
-                acc += a1[i * c1 + t] * w[t * n + j];
-            }
-            for t in 0..c2 {
-                acc += a2[i * c2 + t] * w[(c1 + t) * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-fn portable_gather_mean_pool(
-    src: &[f32],
-    cols: usize,
-    idx: &[usize],
-    group: usize,
-    out: &mut [f32],
-) {
-    let inv = 1.0 / group as f32;
-    for (g, group_idx) in idx.chunks_exact(group).enumerate() {
-        let out_row = &mut out[g * cols..(g + 1) * cols];
-        out_row.fill(0.0);
-        for &i in group_idx {
-            let srow = &src[i * cols..(i + 1) * cols];
-            for (o, &s) in out_row.iter_mut().zip(srow) {
-                *o += s;
-            }
-        }
-        for o in out_row.iter_mut() {
-            *o *= inv;
-        }
     }
 }
 
@@ -838,7 +760,7 @@ mod tests {
             let mut fast = vec![0.0f32; (idx.len() / group) * 13];
             let mut scalar = fast.clone();
             gather_mean_pool_fast(&src, 13, &idx, group, &mut fast);
-            portable_gather_mean_pool(&src, 13, &idx, group, &mut scalar);
+            matrix::gather_mean_pool(&src, 13, &idx, group, &mut scalar);
             assert_eq!(
                 fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -76,7 +76,7 @@ fn main() {
             (i, ds.graph.neighbors(hignn_graph::Side::Right, i as usize).1.iter().sum::<f32>())
         })
         .collect();
-    by_clicks.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+    by_clicks.sort_by(|a, b| a.1.total_cmp(&b.1));
     let pool: Vec<u32> = by_clicks[..ds.num_items() / 2].iter().map(|&(i, _)| i).collect();
 
     println!("running 2-day A/B on {} cold items ...", pool.len());

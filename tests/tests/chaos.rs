@@ -15,15 +15,12 @@
 //!   to an undeadlined run;
 //! * injected worker panics are recovered by deterministic shard
 //!   re-execution, leaving the run *successful* and bitwise identical;
-//! * checkpoint metas of every supported version (v1/v2/v3) resume to
-//!   byte-identical models on current code;
 //! * a property-based campaign samples the whole fault matrix (worker
 //!   panics x (epoch, shard), I/O faults x (site, budget), stalls,
 //!   crashes) across thread counts and asserts the recover-or-documented-
 //!   exit property for each. `PROPTEST_CASES` elevates the case count in
 //!   the CI `chaos-suite` job.
 
-use hignn::crc32::crc32;
 use hignn::io::write_hierarchy;
 use hignn::prelude::*;
 use hignn_graph::{BipartiteGraph, SamplingMode};
@@ -256,7 +253,7 @@ fn deadline_expiry_checkpoints_aborts_with_exit_7_and_resumes_byte_identically()
         }
         other => panic!("wrong error variant: {other}"),
     }
-    assert_eq!(store.read_meta().unwrap().levels_done, 1);
+    assert_eq!(store.read_meta().unwrap().0.levels_done, 1);
 
     let resumed = build_hierarchy_with(
         &g,
@@ -341,90 +338,6 @@ fn worker_panic_during_resumed_run_recovers_byte_identically() {
     );
     assert_eq!(serialize(&resumed).as_slice(), baseline());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// Cross-version checkpoint metas: v1 (no threads word), v2 (threads, no
-// metrics snapshot), and v3 (current) all resume to byte-identical
-// models on current code.
-
-/// Frames a checkpoint meta record by hand: magic, version word, then
-/// one length-prefixed CRC-trailed section holding `words` (plus an
-/// empty metrics snapshot for v3).
-fn frame_meta(version: u32, words: &[u64]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    for w in words {
-        payload.extend_from_slice(&w.to_le_bytes());
-    }
-    if version >= 3 {
-        payload.extend_from_slice(&0u32.to_le_bytes()); // empty snapshot
-    }
-    let mut buf = Vec::new();
-    buf.extend_from_slice(b"HGCK");
-    buf.extend_from_slice(&version.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf
-}
-
-#[test]
-fn checkpoint_meta_of_every_version_resumes_byte_identically() {
-    silence_injected_panics();
-    let (g, uf, if_, cfg) = small_setup();
-    for version in 1u32..=3 {
-        let dir = scratch(&format!("metav{version}"));
-        let store = CheckpointStore::create(&dir).unwrap();
-        let err = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions {
-                checkpoint: Some(&store),
-                fault: Some(FaultPlan::CrashAfterLevel(1)),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 6);
-        let meta = store.read_meta().unwrap();
-        assert_eq!(meta.levels_done, 1);
-
-        // Downgrade the (v3) meta record to the older wire format with
-        // identical field values, as a build of that era wrote it.
-        let words_v1 = [meta.fingerprint, meta.seed, meta.levels_total, meta.levels_done];
-        let bytes = match version {
-            1 => frame_meta(1, &words_v1),
-            2 => frame_meta(2, &[meta.fingerprint, meta.seed, 2, 1, meta.threads]),
-            _ => std::fs::read(dir.join("meta.hgck")).unwrap(),
-        };
-        std::fs::write(dir.join("meta.hgck"), &bytes).unwrap();
-        let reread = store.read_meta().unwrap();
-        assert_eq!(reread.levels_done, 1, "v{version} meta readable");
-
-        // Resume — with a worker panic injected into the remaining
-        // level for good measure — and compare bytes.
-        let resumed = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions {
-                checkpoint: Some(&store),
-                resume: true,
-                fault: Some(FaultPlan::WorkerPanic { level: 2, epoch: 0, shard: 0 }),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            serialize(&resumed).as_slice(),
-            baseline(),
-            "resume from v{version} meta diverged"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -11,10 +11,10 @@
 //! * every injected checkpoint corruption or truncation is detected as
 //!   a checksum/format error (exit class 4), never a panic and never a
 //!   silently wrong hierarchy;
-//! * the `HGHI` v2 codec round-trips arbitrary synthetic hierarchies
+//! * the `HGHI` codec round-trips arbitrary synthetic hierarchies
 //!   (property-tested) and rejects truncation at every 64-byte boundary.
 
-use hignn::io::{read_hierarchy, write_hierarchy, write_hierarchy_v1};
+use hignn::io::{read_hierarchy_bytes, write_hierarchy};
 use hignn::prelude::*;
 use hignn_graph::{Assignment, BipartiteGraph, SamplingMode};
 use hignn_tensor::{init, Matrix};
@@ -306,21 +306,14 @@ fn truncation_at_every_64_byte_boundary_errors_cleanly() {
     let (g, uf, if_, cfg) = small_setup();
     let h = build_hierarchy_with(&g, &uf, &if_, &cfg, &BuildOptions::default()).unwrap();
 
-    let v2 = serialize(&h);
-    let mut v1 = Vec::new();
-    write_hierarchy_v1(&mut v1, &h).unwrap();
-    assert!(read_hierarchy(&mut v2.as_slice()).is_ok());
-    assert!(read_hierarchy(&mut v1.as_slice()).is_ok());
-
-    for bytes in [&v2, &v1] {
-        for cut in (0..bytes.len()).step_by(64).chain([bytes.len() - 1]) {
-            let truncated = &bytes[..cut];
-            assert!(
-                read_hierarchy(&mut &truncated[..]).is_err(),
-                "file cut at byte {cut} of {} parsed successfully",
-                bytes.len()
-            );
-        }
+    let bytes = serialize(&h);
+    assert!(read_hierarchy_bytes(&bytes).is_ok());
+    for cut in (0..bytes.len()).step_by(64).chain([bytes.len() - 1]) {
+        assert!(
+            read_hierarchy_bytes(&bytes[..cut]).is_err(),
+            "file cut at byte {cut} of {} parsed successfully",
+            bytes.len()
+        );
     }
 }
 
@@ -335,7 +328,7 @@ fn single_byte_corruption_of_v2_file_errors_cleanly() {
         let mut evil = clean.clone();
         evil[pos] ^= 0x80;
         assert!(
-            read_hierarchy(&mut evil.as_slice()).is_err(),
+            read_hierarchy_bytes(&evil).is_err(),
             "flip at byte {pos} of {} went undetected",
             clean.len()
         );
@@ -397,24 +390,13 @@ proptest! {
     fn synthetic_hierarchy_v2_roundtrip(seed in 0u64..100_000) {
         let h = synth_hierarchy(seed);
         let bytes = serialize(&h);
-        let back = read_hierarchy(&mut bytes.as_slice()).unwrap();
+        let back = read_hierarchy_bytes(&bytes).unwrap();
         // Re-serialisation being byte-identical covers every field of
         // every level in one comparison.
         prop_assert_eq!(serialize(&back), bytes);
         prop_assert_eq!(back.num_users(), h.num_users());
         prop_assert_eq!(back.num_items(), h.num_items());
         prop_assert_eq!(back.num_levels(), h.num_levels());
-    }
-
-    #[test]
-    fn synthetic_hierarchy_v1_reader_matches_v2(seed in 0u64..100_000) {
-        let h = synth_hierarchy(seed);
-        let mut v1 = Vec::new();
-        write_hierarchy_v1(&mut v1, &h).unwrap();
-        let back = read_hierarchy(&mut v1.as_slice()).unwrap();
-        // The legacy reader reconstructs the same hierarchy: writing it
-        // back in v2 matches the direct v2 encoding.
-        prop_assert_eq!(serialize(&back), serialize(&h));
     }
 
     #[test]
@@ -425,6 +407,6 @@ proptest! {
         let h = synth_hierarchy(seed);
         let bytes = serialize(&h);
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-        prop_assert!(read_hierarchy(&mut &bytes[..cut]).is_err());
+        prop_assert!(read_hierarchy_bytes(&bytes[..cut]).is_err());
     }
 }

@@ -296,7 +296,7 @@ fn checkpoint_written_at_4_threads_resumes_at_1_and_2() {
         .unwrap_err();
         assert_eq!(err.exit_code(), 6, "expected injected fault, got: {err}");
         // Provenance: the interrupted run recorded its worker count.
-        assert_eq!(store.read_meta().unwrap().threads, 4);
+        assert_eq!(store.read_meta().unwrap().0.threads, 4);
 
         let resumed = build_hierarchy_with(
             &g,

@@ -1,12 +1,13 @@
 //! Golden-file regression tests for the HGHI hierarchy format.
 //!
-//! The committed fixtures under `fixtures/` pin the on-disk encoding of
-//! both format versions. Unlike round-trip tests (which a symmetric
-//! encoding bug passes), these catch *any* byte-level change to the
-//! format: a writer change breaks the byte-exact re-encode assertions,
-//! a reader change breaks the load assertions. If you change the format
-//! deliberately, bump the version, add a new fixture, and keep the old
-//! ones loading — v1 files in the wild must stay readable.
+//! The committed fixture under `fixtures/` pins the on-disk encoding of
+//! the one format version this build reads and writes. Unlike
+//! round-trip tests (which a symmetric encoding bug passes), it catches
+//! *any* byte-level change to the format: a writer change breaks the
+//! byte-exact re-encode assertion, a reader change breaks the load
+//! assertion. If you change the format deliberately, bump the version
+//! and replace the fixture; the old version is then refused as corrupt
+//! (no release has shipped, so nobody holds old files).
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -14,7 +15,7 @@
 //! cargo test -p hignn-integration-tests --test golden_fixtures -- --ignored
 //! ```
 
-use hignn::io::{read_hierarchy, write_hierarchy, write_hierarchy_v1};
+use hignn::io::{read_hierarchy_bytes, write_hierarchy};
 use hignn::stack::{Hierarchy, Level};
 use hignn_graph::{Assignment, BipartiteGraph};
 use hignn_tensor::Matrix;
@@ -74,7 +75,7 @@ fn assert_hierarchy_matches_golden(h: &Hierarchy) {
 fn v2_fixture_loads_and_writer_reproduces_it_byte_exactly() {
     let bytes = std::fs::read(fixture_path("hierarchy_v2.hghi"))
         .expect("fixture missing — run the ignored regenerate test and commit the files");
-    let loaded = read_hierarchy(&mut bytes.as_slice()).expect("v2 fixture must load");
+    let loaded = read_hierarchy_bytes(&bytes).expect("v2 fixture must load");
     assert_hierarchy_matches_golden(&loaded);
 
     let mut reencoded = Vec::new();
@@ -86,31 +87,14 @@ fn v2_fixture_loads_and_writer_reproduces_it_byte_exactly() {
 }
 
 #[test]
-fn v1_fixture_loads_and_writer_reproduces_it_byte_exactly() {
-    let bytes = std::fs::read(fixture_path("hierarchy_v1.hghi"))
-        .expect("fixture missing — run the ignored regenerate test and commit the files");
-    let loaded = read_hierarchy(&mut bytes.as_slice()).expect("legacy v1 fixture must load");
-    assert_hierarchy_matches_golden(&loaded);
-
-    let mut reencoded = Vec::new();
-    write_hierarchy_v1(&mut reencoded, &golden_hierarchy()).unwrap();
-    assert_eq!(
-        reencoded, bytes,
-        "v1 writer no longer produces the committed bytes — legacy compatibility broke"
-    );
-}
-
-#[test]
 fn version_headers_are_pinned() {
-    let v1 = std::fs::read(fixture_path("hierarchy_v1.hghi")).unwrap();
     let v2 = std::fs::read(fixture_path("hierarchy_v2.hghi")).unwrap();
-    assert_eq!(&v1[..4], b"HGHI");
     assert_eq!(&v2[..4], b"HGHI");
-    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
     assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+    assert_eq!(hignn::io::FORMAT_VERSION, 2);
 }
 
-/// Writes the fixtures. Ignored by default — run explicitly (and commit
+/// Writes the fixture. Ignored by default — run explicitly (and commit
 /// the result) only after an intentional format change.
 #[test]
 #[ignore = "regenerates the committed fixtures; run only on intentional format changes"]
@@ -120,7 +104,4 @@ fn regenerate_golden_fixtures() {
     let mut v2 = Vec::new();
     write_hierarchy(&mut v2, &h).unwrap();
     std::fs::write(fixture_path("hierarchy_v2.hghi"), v2).unwrap();
-    let mut v1 = Vec::new();
-    write_hierarchy_v1(&mut v1, &h).unwrap();
-    std::fs::write(fixture_path("hierarchy_v1.hghi"), v1).unwrap();
 }

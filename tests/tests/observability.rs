@@ -111,8 +111,7 @@ fn resumed_run_continues_counters_to_clean_run_totals() {
     hignn_obs::set_enabled(false);
 
     // The durable meta carries the counters recorded up to the crash.
-    let (_meta, snap) = store.read_meta_with_metrics().unwrap();
-    let snap = snap.expect("v3 meta must embed a snapshot");
+    let (_meta, snap) = store.read_meta().unwrap();
     assert!(
         snap.counters.iter().any(|(k, v)| k == "stack.levels_built" && *v == 1),
         "snapshot should record 1 built level: {snap:?}"

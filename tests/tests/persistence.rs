@@ -2,7 +2,7 @@
 //! verify downstream consumers (predictor features, taxonomy-style
 //! assignments) behave identically.
 
-use hignn::io::{read_hierarchy, write_hierarchy};
+use hignn::io::{read_hierarchy_bytes, write_hierarchy};
 use hignn::prelude::*;
 use hignn_baselines::Variant;
 use hignn_datasets::taobao::{generate_taobao, TaobaoConfig};
@@ -49,7 +49,7 @@ fn reloaded_hierarchy_drives_identical_predictions() {
     let (ds, h) = tiny();
     let mut buf = Vec::new();
     write_hierarchy(&mut buf, &h).unwrap();
-    let reloaded = read_hierarchy(&mut buf.as_slice()).unwrap();
+    let reloaded = read_hierarchy_bytes(&buf).unwrap();
 
     let to_pred = |samples: &[hignn_datasets::Sample]| -> Vec<hignn::predictor::Sample> {
         samples
@@ -85,7 +85,7 @@ fn reloaded_hierarchy_preserves_cluster_structure() {
     let (ds, h) = tiny();
     let mut buf = Vec::new();
     write_hierarchy(&mut buf, &h).unwrap();
-    let reloaded = read_hierarchy(&mut buf.as_slice()).unwrap();
+    let reloaded = read_hierarchy_bytes(&buf).unwrap();
     for level in 1..=h.num_levels() {
         let a = h.item_clusters_at(level);
         let b = reloaded.item_clusters_at(level);
