@@ -37,6 +37,7 @@
 //! hidden `--fault` CLI flag to prove the recovery story end to end.
 
 use crate::error::HignnError;
+use crate::fingerprint::Fingerprint;
 use crate::io::{atomic_write, decode_level, encode_level, write_section, Container};
 use crate::stack::{HignnConfig, Level};
 use hignn_graph::BipartiteGraph;
@@ -316,7 +317,8 @@ fn read_record<'a>(container: &Container, bytes: &'a [u8], what: &str) -> io::Re
     Ok(payload)
 }
 
-/// FNV-1a hash of a run's full inputs (graph, features, config).
+/// Hash of a run's full inputs (graph, features, config), through the
+/// same one-pass hasher as [`crate::ingest::hierarchy_fingerprint`].
 ///
 /// Ties a checkpoint directory to the exact training inputs; any change
 /// to the graph, features, or hyper-parameters yields a different
@@ -327,31 +329,14 @@ pub fn run_fingerprint(
     item_feats: &Matrix,
     cfg: &HignnConfig,
 ) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    eat(&(graph.num_left() as u64).to_le_bytes());
-    eat(&(graph.num_right() as u64).to_le_bytes());
-    for &(u, i, w) in graph.edges() {
-        eat(&u.to_le_bytes());
-        eat(&i.to_le_bytes());
-        eat(&w.to_bits().to_le_bytes());
-    }
-    for m in [user_feats, item_feats] {
-        eat(&(m.rows() as u64).to_le_bytes());
-        eat(&(m.cols() as u64).to_le_bytes());
-        for &v in m.data() {
-            eat(&v.to_bits().to_le_bytes());
-        }
-    }
+    let mut f = Fingerprint::new();
+    f.graph(graph);
+    f.matrix(user_feats);
+    f.matrix(item_feats);
     // The config is hashed through its Debug form: stable within a
     // build, and automatically covers every field (including the seed).
-    eat(format!("{cfg:?}").as_bytes());
-    h
+    f.bytes(format!("{cfg:?}").as_bytes());
+    f.finish()
 }
 
 /// One deliberate, deterministic fault to inject during

@@ -32,9 +32,13 @@
 //! * **A versioned delta format** (`HGHD`, the same
 //!   [`crate::io`] container and frame decoder as the model) so a serving
 //!   replica can catch up via [`apply_delta`] without a full reload.
-//!   Deltas carry base and patched hierarchy fingerprints: applying a
-//!   delta to the wrong base — or applying it twice — fails closed with
-//!   [`HignnError::Corrupt`] before any mutation.
+//!   Deltas carry base and patched hierarchy fingerprints
+//!   ([`hierarchy_fingerprint`]: one in-place pass over the hierarchy's
+//!   arrays, covering what the model file stores in the order it stores
+//!   it). Applying a delta to the wrong base — or applying it twice —
+//!   fails closed with [`HignnError::Corrupt`] before any mutation, and
+//!   a patch whose result does not match the writer's fingerprint is
+//!   rolled back, so a refused delta never leaves a trace.
 //!
 //! Upper-level embeddings and the GraphSAGE weights stay frozen; that
 //! staleness is deliberate (it is what makes ingestion cheap) and is
@@ -42,7 +46,8 @@
 //! link-prediction AUC gap.
 
 use crate::error::HignnError;
-use crate::io::{atomic_write, write_hierarchy, write_section, Container};
+use crate::fingerprint::Fingerprint;
+use crate::io::{atomic_write, write_section, Container};
 use crate::stack::Hierarchy;
 use hignn_cluster::kmeans::mean_by_cluster;
 use hignn_cluster::streaming::SequentialKMeans;
@@ -64,32 +69,32 @@ fn bad_data(msg: &str) -> io::Error {
 // ---------------------------------------------------------------------
 // Hierarchy fingerprints.
 
-/// FNV-1a sink over the canonical v2 byte encoding.
-struct FnvWriter {
-    hash: u64,
-}
-
-impl Write for FnvWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for &b in buf {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Order-sensitive 64-bit fingerprint of a hierarchy: FNV-1a over its
-/// canonical v2 encoding, streamed without materialising the bytes.
-/// Two hierarchies fingerprint equal iff they serialise bit-identically
-/// — the identity the delta protocol's base/patched checks rely on.
+/// Order-sensitive 64-bit fingerprint of a hierarchy, computed in one
+/// pass over its arrays in place (the hasher is `fingerprint.rs`). It
+/// covers exactly what [`crate::io::write_hierarchy`] serialises, in the
+/// same order — user/item/level counts, then per level both embedding
+/// matrices with their shapes, both assignments with their cluster
+/// counts, the coarsened graph's dimensions and edges, and the loss
+/// history — so two hierarchies that serialise bit-identically
+/// fingerprint equal, and a difference in any one stored value changes
+/// the fingerprint. This is the identity the delta protocol's
+/// base/patched checks rely on.
 pub fn hierarchy_fingerprint(h: &Hierarchy) -> u64 {
-    let mut w = FnvWriter { hash: 0xCBF2_9CE4_8422_2325 };
-    write_hierarchy(&mut w, h).expect("in-memory hash write cannot fail");
-    w.hash
+    let mut f = Fingerprint::new();
+    f.word(h.num_users() as u64);
+    f.word(h.num_items() as u64);
+    f.word(h.num_levels() as u64);
+    for level in h.levels() {
+        f.matrix(&level.user_embeddings);
+        f.matrix(&level.item_embeddings);
+        for a in [&level.user_assignment, &level.item_assignment] {
+            f.word(a.num_clusters() as u64);
+            f.u32s(a.as_slice());
+        }
+        f.graph(&level.coarsened);
+        f.f32s(&level.epoch_losses);
+    }
+    f.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -366,14 +371,30 @@ pub fn load_delta(path: impl AsRef<Path>) -> io::Result<HierarchyDelta> {
 // ---------------------------------------------------------------------
 // Applying a delta.
 
-fn append_arrival_rows(m: Matrix, arrivals: &[NodeArrival]) -> Matrix {
-    let (rows, cols) = m.shape();
-    let mut data = m.into_data();
+/// Keeps the first `rows` rows of `m` and appends one row per arrival.
+fn resize_rows(m: &mut Matrix, rows: usize, arrivals: &[NodeArrival]) {
+    let cols = m.cols();
+    let mut data = std::mem::replace(m, Matrix::zeros(0, 0)).into_data();
+    data.truncate(rows * cols);
     for a in arrivals {
         debug_assert_eq!(a.embedding.len(), cols);
         data.extend_from_slice(&a.embedding);
     }
-    Matrix::from_vec(rows + arrivals.len(), cols, data)
+    *m = Matrix::from_vec(rows + arrivals.len(), cols, data);
+}
+
+/// `base` extended by the arrivals' clusters, then the moves applied.
+fn patched_assignment(
+    base: &Assignment,
+    arrivals: &[NodeArrival],
+    moves: &[(u32, u32)],
+) -> Assignment {
+    let mut a: Vec<u32> = base.as_slice().to_vec();
+    a.extend(arrivals.iter().map(|n| n.cluster));
+    for &(v, c) in moves {
+        a[v as usize] = c;
+    }
+    Assignment::new(a, base.num_clusters())
 }
 
 fn corrupt(detail: String) -> HignnError {
@@ -382,13 +403,15 @@ fn corrupt(detail: String) -> HignnError {
 
 /// Patches `h` in place with `delta` — the replica catch-up path.
 ///
-/// All checks run **before** any mutation: base user/item counts, the
-/// base fingerprint (which also rejects a delta applied twice or out of
-/// order), arrival dimensions and cluster ranges, move ranges, and the
-/// replacement coarsened-graph shapes. A delta that fails any check
-/// leaves `h` untouched and returns [`HignnError::Corrupt`]. After
-/// patching, the result must fingerprint to `patched_fingerprint`, so a
-/// replica can never silently diverge from the ingesting writer.
+/// The cheap checks run **before** any mutation: base user/item counts,
+/// the base fingerprint (which also rejects a delta applied twice or out
+/// of order), arrival dimensions and cluster ranges, move ranges, and the
+/// replacement coarsened-graph shapes. After patching, the result must
+/// pass the assignment-chain validation and fingerprint to
+/// `patched_fingerprint`, so a replica can never silently diverge from
+/// the ingesting writer; if either fails the patch is rolled back. A
+/// delta that fails any check therefore leaves `h` bit-for-bit as it was
+/// and returns [`HignnError::Corrupt`].
 pub fn apply_delta(h: &mut Hierarchy, delta: &HierarchyDelta) -> Result<(), HignnError> {
     // ---- read-only validation ----
     if delta.base_users != h.num_users() as u64 || delta.base_items != h.num_items() as u64 {
@@ -466,46 +489,55 @@ pub fn apply_delta(h: &mut Hierarchy, delta: &HierarchyDelta) -> Result<(), Hign
     }
 
     // ---- mutation (mirrors the ingesting engine bit for bit) ----
+    // The replaced assignments and graphs are kept, not dropped, so a
+    // late failure can put them back.
+    let (old_users, old_items) = (h.num_users(), h.num_items());
     let (levels, num_users, num_items) = h.parts_mut();
-    {
-        let l0 = &mut levels[0];
-        let ku = l0.user_assignment.num_clusters();
-        let ki = l0.item_assignment.num_clusters();
-        l0.user_embeddings = append_arrival_rows(
-            std::mem::replace(&mut l0.user_embeddings, Matrix::zeros(0, 0)),
-            &delta.new_users,
-        );
-        l0.item_embeddings = append_arrival_rows(
-            std::mem::replace(&mut l0.item_embeddings, Matrix::zeros(0, 0)),
-            &delta.new_items,
-        );
-        let mut ua: Vec<u32> = l0.user_assignment.as_slice().to_vec();
-        ua.extend(delta.new_users.iter().map(|a| a.cluster));
-        for &(v, c) in &delta.user_moves {
-            ua[v as usize] = c;
-        }
-        let mut ia: Vec<u32> = l0.item_assignment.as_slice().to_vec();
-        ia.extend(delta.new_items.iter().map(|a| a.cluster));
-        for &(v, c) in &delta.item_moves {
-            ia[v as usize] = c;
-        }
-        l0.user_assignment = Assignment::new(ua, ku);
-        l0.item_assignment = Assignment::new(ia, ki);
-    }
-    for (level, g) in levels.iter_mut().zip(&delta.coarsened) {
-        level.coarsened = g.clone();
-    }
+    let l0 = &mut levels[0];
+    resize_rows(&mut l0.user_embeddings, old_users, &delta.new_users);
+    resize_rows(&mut l0.item_embeddings, old_items, &delta.new_items);
+    let patched_users =
+        patched_assignment(&l0.user_assignment, &delta.new_users, &delta.user_moves);
+    let patched_items =
+        patched_assignment(&l0.item_assignment, &delta.new_items, &delta.item_moves);
+    let old_user_assignment = std::mem::replace(&mut l0.user_assignment, patched_users);
+    let old_item_assignment = std::mem::replace(&mut l0.item_assignment, patched_items);
+    let old_coarsened: Vec<BipartiteGraph> = levels
+        .iter_mut()
+        .zip(&delta.coarsened)
+        .map(|(level, g)| std::mem::replace(&mut level.coarsened, g.clone()))
+        .collect();
     *num_users += delta.new_users.len();
     *num_items += delta.new_items.len();
-    h.validate().map_err(|e| corrupt(format!("patched hierarchy invalid: {e}")))?;
-    let patched = hierarchy_fingerprint(h);
-    if patched != delta.patched_fingerprint {
-        return Err(corrupt(format!(
-            "patched fingerprint mismatch (delta says {:#018x}, got {patched:#018x})",
-            delta.patched_fingerprint
-        )));
+
+    let verdict = h
+        .validate()
+        .map_err(|e| corrupt(format!("patched hierarchy invalid: {e}")))
+        .and_then(|()| {
+            let patched = hierarchy_fingerprint(h);
+            if patched == delta.patched_fingerprint {
+                Ok(())
+            } else {
+                Err(corrupt(format!(
+                    "patched fingerprint mismatch (delta says {:#018x}, got {patched:#018x})",
+                    delta.patched_fingerprint
+                )))
+            }
+        });
+    if verdict.is_err() {
+        let (levels, num_users, num_items) = h.parts_mut();
+        for (level, g) in levels.iter_mut().zip(old_coarsened) {
+            level.coarsened = g;
+        }
+        let l0 = &mut levels[0];
+        l0.user_assignment = old_user_assignment;
+        l0.item_assignment = old_item_assignment;
+        resize_rows(&mut l0.user_embeddings, old_users, &[]);
+        resize_rows(&mut l0.item_embeddings, old_items, &[]);
+        *num_users = old_users;
+        *num_items = old_items;
     }
-    Ok(())
+    verdict
 }
 
 // ---------------------------------------------------------------------
@@ -700,14 +732,8 @@ impl IngestEngine {
         let (levels, num_users, num_items) = self.hierarchy.parts_mut();
         let ku = levels[0].user_assignment.num_clusters();
         let ki = levels[0].item_assignment.num_clusters();
-        levels[0].user_embeddings = append_arrival_rows(
-            std::mem::replace(&mut levels[0].user_embeddings, Matrix::zeros(0, 0)),
-            &new_users,
-        );
-        levels[0].item_embeddings = append_arrival_rows(
-            std::mem::replace(&mut levels[0].item_embeddings, Matrix::zeros(0, 0)),
-            &new_items,
-        );
+        resize_rows(&mut levels[0].user_embeddings, old_u, &new_users);
+        resize_rows(&mut levels[0].item_embeddings, old_i, &new_items);
         let mut ua: Vec<u32> = levels[0].user_assignment.as_slice().to_vec();
         ua.extend(new_users.iter().map(|a| a.cluster));
         let mut ia: Vec<u32> = levels[0].item_assignment.as_slice().to_vec();
@@ -734,11 +760,10 @@ impl IngestEngine {
         // Re-coarsen the whole chain canonically from the grown graph
         // (G^l = coarsen(G^{l-1}, A_l)) — cheap, and exactly the
         // training-time semantics. Upper-level embeddings stay frozen.
-        let mut g = self.graph.clone();
-        for level in levels.iter_mut() {
-            let c = coarsen(&g, &level.user_assignment, &level.item_assignment);
-            g = c.clone();
-            level.coarsened = c;
+        for l in 0..levels.len() {
+            let (below, at) = levels.split_at_mut(l);
+            let finer = below.last().map_or(&self.graph, |b| &b.coarsened);
+            at[0].coarsened = coarsen(finer, &at[0].user_assignment, &at[0].item_assignment);
         }
 
         self.hierarchy
@@ -943,6 +968,9 @@ mod tests {
     use crate::io::{read_hierarchy_bytes, write_hierarchy};
     use crate::stack::Level;
     use hignn_graph::BipartiteGraph;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Hand-built 2-level hierarchy: 2 users, 4 items, unit-norm-ish
     /// dyadic embeddings so means stay exact.
@@ -986,6 +1014,116 @@ mod tests {
         buf
     }
 
+    /// A small valid hierarchy drawn from `rng`: 1-3 levels, a handful
+    /// of vertices, random embeddings, assignments, coarsened edges and
+    /// loss histories.
+    fn random_hierarchy(rng: &mut StdRng) -> Hierarchy {
+        let dim = rng.gen_range(1..4usize);
+        let (num_users, num_items) = (rng.gen_range(2..6usize), rng.gen_range(2..6usize));
+        let (mut nu, mut ni) = (num_users, num_items);
+        let mut levels = Vec::new();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let (ku, ki) = (rng.gen_range(1..=nu), rng.gen_range(1..=ni));
+            let mut matrix = |rows: usize| {
+                Matrix::from_vec(rows, dim, (0..rows * dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            };
+            let (user_embeddings, item_embeddings) = (matrix(nu), matrix(ni));
+            let mut assignment = |n: usize, k: usize| {
+                Assignment::new((0..n).map(|_| rng.gen_range(0..k as u32)).collect(), k)
+            };
+            let (user_assignment, item_assignment) = (assignment(nu, ku), assignment(ni, ki));
+            let edges: Vec<(u32, u32, f32)> = (0..rng.gen_range(1..6usize))
+                .map(|_| {
+                    (rng.gen_range(0..ku as u32), rng.gen_range(0..ki as u32), rng.gen_range(0.5..4.0))
+                })
+                .collect();
+            levels.push(Level {
+                user_embeddings,
+                item_embeddings,
+                user_assignment,
+                item_assignment,
+                coarsened: BipartiteGraph::from_edges(ku, ki, edges),
+                epoch_losses: (0..rng.gen_range(0..3usize)).map(|_| rng.gen_range(0.0..5.0)).collect(),
+            });
+            (nu, ni) = (ku, ki);
+        }
+        Hierarchy::from_parts(levels, num_users, num_items).unwrap()
+    }
+
+    /// Every single-value change the fingerprint must notice, applied to
+    /// `h` one at a time: one embedding bit in the first and last row of
+    /// each matrix, one assignment entry, `num_clusters`, one coarsened
+    /// weight bit and one endpoint, one loss value, one more loss, and
+    /// the last user row moved to the front of the item matrix (same
+    /// flat data, different shapes).
+    fn single_mutations(h: &Hierarchy) -> Vec<(String, Hierarchy)> {
+        let mut out = Vec::new();
+        let mut push = |what: &str, edit: &dyn Fn(&mut Level)| {
+            for l in 0..h.num_levels() {
+                let mut m = h.clone();
+                edit(&mut m.parts_mut().0[l]);
+                out.push((format!("level {}: {what}", l + 1), m));
+            }
+        };
+        let flip = |m: &mut Matrix, i: usize, j: usize| {
+            m.set(i, j, f32::from_bits(m.get(i, j).to_bits() ^ 1));
+        };
+        push("first user row bit", &|lv| flip(&mut lv.user_embeddings, 0, 0));
+        push("last user row bit", &|lv| {
+            let (r, c) = lv.user_embeddings.shape();
+            flip(&mut lv.user_embeddings, r - 1, c - 1);
+        });
+        push("first item row bit", &|lv| flip(&mut lv.item_embeddings, 0, 0));
+        push("last item row bit", &|lv| {
+            let (r, c) = lv.item_embeddings.shape();
+            flip(&mut lv.item_embeddings, r - 1, c - 1);
+        });
+        // One more cluster, so the entry edit below always has a
+        // different id to move to; alone it is the `num_clusters` case.
+        let reassign = |lv: &mut Level, edit: &dyn Fn(&mut u32)| {
+            let k = lv.user_assignment.num_clusters();
+            let mut a = lv.user_assignment.as_slice().to_vec();
+            edit(a.last_mut().unwrap());
+            lv.user_assignment = Assignment::new(a, k + 1);
+        };
+        push("num_clusters", &|lv| reassign(lv, &|_| {}));
+        push("assignment entry", &|lv| {
+            let spare = lv.user_assignment.num_clusters() as u32;
+            reassign(lv, &|c| *c = spare)
+        });
+        let regraph = |lv: &mut Level, edit: &dyn Fn(&mut (u32, u32, f32))| {
+            let g = &lv.coarsened;
+            let mut edges = g.edges().to_vec();
+            edit(edges.last_mut().unwrap());
+            lv.coarsened = BipartiteGraph::from_edges(g.num_left(), g.num_right() + 1, edges);
+        };
+        // `regraph` widens the right side so the endpoint edit has a
+        // free vertex; the control below widens it and edits nothing.
+        push("coarsened dims", &|lv| regraph(lv, &|_| {}));
+        push("coarsened weight bit", &|lv| {
+            regraph(lv, &|e| e.2 = f32::from_bits(e.2.to_bits() ^ 1))
+        });
+        push("coarsened endpoint", &|lv| {
+            let free = lv.coarsened.num_right() as u32;
+            regraph(lv, &|e| e.1 = free)
+        });
+        push("one more loss", &|lv| lv.epoch_losses.push(0.25));
+        push("loss value", &|lv| {
+            lv.epoch_losses.push(0.25);
+            lv.epoch_losses[0] = f32::from_bits(lv.epoch_losses[0].to_bits() ^ 1);
+        });
+        push("user row moved to items", &|lv| {
+            let dim = lv.user_embeddings.cols();
+            let users = lv.user_embeddings.data();
+            let (keep, moved) = users.split_at(users.len() - dim);
+            let items = [moved, lv.item_embeddings.data()].concat();
+            let (nu, ni) = (lv.user_embeddings.rows(), lv.item_embeddings.rows());
+            lv.user_embeddings = Matrix::from_vec(nu - 1, dim, keep.to_vec());
+            lv.item_embeddings = Matrix::from_vec(ni + 1, dim, items);
+        });
+        out
+    }
+
     #[test]
     fn fingerprint_tracks_content() {
         let (h, _) = tiny();
@@ -994,6 +1132,41 @@ mod tests {
         let bytes = hierarchy_bytes(&h);
         let reloaded = read_hierarchy_bytes(&bytes).unwrap();
         assert_eq!(fp, hierarchy_fingerprint(&reloaded), "stable across roundtrip");
+        let mutated = single_mutations(&h);
+        for (what, m) in &mutated {
+            assert_ne!(hierarchy_fingerprint(m), fp, "{what} went unnoticed");
+        }
+        // Mutations differ from each other too, not just from the base:
+        // an edit that rides on a widened graph or assignment must not
+        // be noticed only through the widening.
+        let mut fps: Vec<u64> = mutated.iter().map(|(_, m)| hierarchy_fingerprint(m)).collect();
+        fps.sort_unstable();
+        fps.dedup();
+        assert_eq!(fps.len(), mutated.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `fingerprint(a) == fingerprint(b)` ⇔ `a` and `b` serialise to
+        /// the same bytes: over reloads, independent draws from a small
+        /// seed space (so equal pairs occur), and every single mutation.
+        #[test]
+        fn fingerprint_equality_is_byte_equality(seed_a in 0u64..24, seed_b in 0u64..24) {
+            let a = random_hierarchy(&mut StdRng::seed_from_u64(seed_a));
+            let b = random_hierarchy(&mut StdRng::seed_from_u64(seed_b));
+            let (fa, bytes_a) = (hierarchy_fingerprint(&a), hierarchy_bytes(&a));
+            let reloaded = read_hierarchy_bytes(&bytes_a).unwrap();
+            prop_assert_eq!(hierarchy_fingerprint(&reloaded), fa);
+            prop_assert_eq!(hierarchy_fingerprint(&b) == fa, hierarchy_bytes(&b) == bytes_a);
+            for (what, m) in single_mutations(&a) {
+                prop_assert_eq!(
+                    hierarchy_fingerprint(&m) == fa,
+                    hierarchy_bytes(&m) == bytes_a,
+                    "{}", what
+                );
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ pub mod builder;
 pub mod checkpoint;
 pub mod crc32;
 pub mod error;
+mod fingerprint;
 pub mod ingest;
 pub mod io;
 pub mod model;

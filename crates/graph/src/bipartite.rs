@@ -6,8 +6,16 @@
 //! giving the connection strength (click counts). [`BipartiteGraph`]
 //! stores both adjacency directions in CSR with per-slice cumulative
 //! weights so that weight-biased neighbour sampling is a binary search.
-
-use std::collections::HashMap;
+//!
+//! A graph is built by sort-and-merge: the edges are stable-sorted by
+//! `(left, right)` and adjacent equal pairs are folded in input order,
+//! so a merged weight is `w₁ + w₂ + …` exactly as the edges arrived
+//! (f32 addition is order-sensitive, and training, coarsening and
+//! delta replay all rely on these bits). Input that is already sorted
+//! — a decoded graph, or a sorted base plus a short tail of new edges —
+//! costs one linear pass. Both CSR sides are then filled by a stable
+//! counting placement, which leaves every slice in increasing
+//! neighbour order without a per-vertex sort.
 
 /// Which side of the bipartite graph a vertex belongs to.
 ///
@@ -43,46 +51,37 @@ struct Csr {
 }
 
 impl Csr {
+    /// `edges` must be sorted by `(a, b)` with no duplicate pair. The
+    /// placement below is a stable counting sort by source, so the
+    /// unswapped side keeps the list's order and the swapped side sees,
+    /// per `b`, its `a`s in the order they occur — increasing either way.
     fn build(num_src: usize, edges: &[(u32, u32, f32)], swap: bool) -> Csr {
-        let mut degrees = vec![0usize; num_src];
+        let mut offsets = vec![0usize; num_src + 1];
         for &(a, b, _) in edges {
             let src = if swap { b } else { a };
-            degrees[src as usize] += 1;
+            offsets[src as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(num_src + 1);
-        offsets.push(0);
-        for d in &degrees {
-            offsets.push(offsets.last().unwrap() + d);
+        for v in 0..num_src {
+            offsets[v + 1] += offsets[v];
         }
-        let total = *offsets.last().unwrap();
+        let total = offsets[num_src];
         let mut neighbors = vec![0u32; total];
         let mut weights = vec![0f32; total];
+        let mut cum_weights = vec![0f32; total];
         let mut cursor = offsets[..num_src].to_vec();
         for &(a, b, w) in edges {
             let (src, dst) = if swap { (b, a) } else { (a, b) };
             let pos = cursor[src as usize];
+            cursor[src as usize] += 1;
+            let before = if pos == offsets[src as usize] { 0.0 } else { cum_weights[pos - 1] };
             neighbors[pos] = dst;
             weights[pos] = w;
-            cursor[src as usize] += 1;
+            cum_weights[pos] = before + w;
         }
-        // Sort each slice by neighbour id for deterministic layout.
-        let mut cum_weights = vec![0f32; total];
-        for v in 0..num_src {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            let mut pairs: Vec<(u32, f32)> = neighbors[lo..hi]
-                .iter()
-                .copied()
-                .zip(weights[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_by_key(|&(n, _)| n);
-            let mut acc = 0f32;
-            for (k, (n, w)) in pairs.into_iter().enumerate() {
-                neighbors[lo + k] = n;
-                weights[lo + k] = w;
-                acc += w;
-                cum_weights[lo + k] = acc;
-            }
-        }
+        debug_assert!(
+            offsets.windows(2).all(|o| neighbors[o[0]..o[1]].windows(2).all(|n| n[0] < n[1])),
+            "CSR slices must come out in strictly increasing neighbour order"
+        );
         Csr { offsets, neighbors, weights, cum_weights }
     }
 
@@ -107,9 +106,9 @@ pub struct BipartiteGraph {
 impl BipartiteGraph {
     /// Builds a graph from `(left, right, weight)` edges.
     ///
-    /// Parallel edges are merged by summing their weights — this is how
-    /// repeated clicks become connection strength, and it is exactly the
-    /// accumulation rule of the coarsening step (Eq. 6).
+    /// Parallel edges are merged by summing their weights in input order
+    /// — this is how repeated clicks become connection strength, and it is
+    /// exactly the accumulation rule of the coarsening step (Eq. 6).
     ///
     /// # Panics
     /// Panics on out-of-range vertex ids or non-positive weights.
@@ -140,18 +139,24 @@ impl BipartiteGraph {
         raw_edges: impl IntoIterator<Item = (u32, u32, f32)>,
         check_weights: bool,
     ) -> Self {
-        let mut merged: HashMap<(u32, u32), f32> = HashMap::new();
-        for (l, r, w) in raw_edges {
+        let mut edges: Vec<(u32, u32, f32)> = raw_edges.into_iter().collect();
+        for &(l, r, w) in &edges {
             assert!((l as usize) < num_left, "left vertex {l} out of range ({num_left})");
             assert!((r as usize) < num_right, "right vertex {r} out of range ({num_right})");
             if check_weights {
                 assert!(w > 0.0, "edge weight must be positive, got {w}");
             }
-            *merged.entry((l, r)).or_insert(0.0) += w;
         }
-        let mut edges: Vec<(u32, u32, f32)> =
-            merged.into_iter().map(|((l, r), w)| (l, r, w)).collect();
-        edges.sort_unstable_by_key(|&(l, r, _)| (l, r));
+        // Stable, so parallel edges stay in input order and their weights
+        // fold left to right; an already sorted prefix is one run.
+        edges.sort_by_key(|&(l, r, _)| u64::from(l) << 32 | u64::from(r));
+        edges.dedup_by(|edge, kept| {
+            let parallel = (edge.0, edge.1) == (kept.0, kept.1);
+            if parallel {
+                kept.2 += edge.2;
+            }
+            parallel
+        });
         let left = Csr::build(num_left, &edges, false);
         let right = Csr::build(num_right, &edges, true);
         let total_weight = edges.iter().map(|&(_, _, w)| w as f64).sum();

@@ -6,9 +6,13 @@
 //! all member edge weights: `S(C_u, C_i) = Σ S(e)` over
 //! `e = (u, i), u ∈ C_u, i ∈ C_i`. An edge exists iff that sum is
 //! positive — exactly the paper's rule.
+//!
+//! [`coarsen`] is one map: each fine edge's endpoints go through the two
+//! assignments and the result is handed to
+//! [`BipartiteGraph::from_edges`], whose stable sort-and-merge sums each
+//! cluster pair's member weights in fine `(u, i)` order.
 
 use crate::bipartite::BipartiteGraph;
-use std::collections::HashMap;
 
 /// A cluster assignment of one vertex side: `assignment[v]` is the cluster
 /// id of vertex `v`, in `0..num_clusters`.
@@ -112,16 +116,12 @@ pub fn coarsen(
     }
     assert_eq!(left.len(), graph.num_left(), "left assignment size mismatch");
     assert_eq!(right.len(), graph.num_right(), "right assignment size mismatch");
-    let mut merged: HashMap<(u32, u32), f32> = HashMap::with_capacity(graph.num_edges() / 2);
-    for &(l, r, w) in graph.edges() {
-        let cl = left.cluster_of(l as usize);
-        let cr = right.cluster_of(r as usize);
-        *merged.entry((cl, cr)).or_insert(0.0) += w;
-    }
     BipartiteGraph::from_edges(
         left.num_clusters(),
         right.num_clusters(),
-        merged.into_iter().map(|((l, r), w)| (l, r, w)),
+        graph.edges().iter().map(|&(l, r, w)| {
+            (left.cluster_of(l as usize), right.cluster_of(r as usize), w)
+        }),
     )
 }
 

@@ -5,6 +5,7 @@ use hignn_graph::{sample_neighbors, BipartiteGraph, SamplingMode, Side};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 fn graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
     (2usize..10, 2usize..10)
@@ -49,6 +50,43 @@ proptest! {
         let right_sum: f64 = g.weighted_degrees(Side::Right).iter().sum();
         prop_assert!((left_sum - g.total_weight()).abs() < 1e-3);
         prop_assert!((right_sum - g.total_weight()).abs() < 1e-3);
+    }
+
+    /// The sort-and-merge build against an insertion-order reference
+    /// map: few distinct endpoints, so most draws are parallel edges, in
+    /// arbitrary order. Every merged weight and the total must keep
+    /// their bits (f32 addition is order-sensitive), and both CSR sides
+    /// must list neighbours in strictly increasing order with matching
+    /// weights and prefix sums.
+    #[test]
+    fn from_edges_folds_parallel_edges_in_input_order(
+        raw in prop::collection::vec((0u32..4, 0u32..5, 0.1f32..5.0), 1..60),
+    ) {
+        let mut reference: BTreeMap<(u32, u32), f32> = BTreeMap::new();
+        for &(l, r, w) in &raw {
+            *reference.entry((l, r)).or_insert(0.0) += w;
+        }
+        let g = BipartiteGraph::from_edges(4, 5, raw);
+        let got: Vec<(u32, u32, u32)> =
+            g.edges().iter().map(|&(l, r, w)| (l, r, w.to_bits())).collect();
+        let want: Vec<(u32, u32, u32)> =
+            reference.iter().map(|(&(l, r), w)| (l, r, w.to_bits())).collect();
+        prop_assert_eq!(got, want);
+        let total: f64 = reference.values().map(|&w| w as f64).sum();
+        prop_assert_eq!(g.total_weight().to_bits(), total.to_bits());
+        for side in [Side::Left, Side::Right] {
+            for v in 0..g.num_vertices(side) {
+                let (nbrs, ws, cum) = g.neighbors_cum(side, v);
+                prop_assert!(nbrs.windows(2).all(|n| n[0] < n[1]), "{:?} {}: {:?}", side, v, nbrs);
+                let mut acc = 0f32;
+                for (k, &n) in nbrs.iter().enumerate() {
+                    let key = if side == Side::Left { (v as u32, n) } else { (n, v as u32) };
+                    prop_assert_eq!(ws[k].to_bits(), reference[&key].to_bits());
+                    acc += ws[k];
+                    prop_assert_eq!(cum[k].to_bits(), acc.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -184,12 +184,12 @@ mod tests {
     use std::sync::Arc;
 
     // Log state is process-global; serialize the tests that touch it.
-    fn with_captured_lines(format: LogFormat, f: impl FnOnce()) -> Vec<String> {
+    fn with_captured_lines(format: Option<LogFormat>, f: impl FnOnce()) -> Vec<String> {
         static LOCK: Mutex<()> = Mutex::new(());
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let buf = Arc::new(Mutex::new(Vec::new()));
         set_test_sink(Some(buf.clone()));
-        set_log_format(Some(format));
+        set_log_format(format);
         f();
         set_log_format(None);
         set_test_sink(None);
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn json_lines_are_valid_objects() {
-        let lines = with_captured_lines(LogFormat::Json, || {
+        let lines = with_captured_lines(Some(LogFormat::Json), || {
             log_event(
                 "epoch",
                 &[
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn plain_lines_and_heartbeat_rate_limit() {
-        let lines = with_captured_lines(LogFormat::Plain, || {
+        let lines = with_captured_lines(Some(LogFormat::Plain), || {
             set_heartbeat_interval(Duration::from_secs(3600));
             heartbeat(&[("epoch", LogValue::Uint(1))]);
             // Immediately after an unconditional heartbeat, the
@@ -234,17 +234,10 @@ mod tests {
 
     #[test]
     fn disabled_logging_emits_nothing() {
-        let buf = {
-            static LOCK: Mutex<()> = Mutex::new(());
-            let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            let buf = Arc::new(Mutex::new(Vec::new()));
-            set_test_sink(Some(buf.clone()));
-            set_log_format(None);
+        let lines = with_captured_lines(None, || {
             log_event("x", &[]);
             assert!(!maybe_heartbeat(Vec::new));
-            set_test_sink(None);
-            buf
-        };
-        assert!(buf.lock().unwrap().is_empty());
+        });
+        assert!(lines.is_empty());
     }
 }

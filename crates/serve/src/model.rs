@@ -174,9 +174,10 @@ impl ServeModel {
     /// feature recomputation.
     ///
     /// The hierarchy patch itself is delegated to
-    /// [`hignn::ingest::apply_delta`] (which validates everything,
-    /// including base/patched fingerprints, before mutating). The
-    /// precomputed serving state is then maintained incrementally:
+    /// [`hignn::ingest::apply_delta`] (which checks the base before
+    /// mutating and rolls the patch back if the result does not
+    /// fingerprint to what the writer stated). The precomputed serving
+    /// state is then maintained incrementally:
     ///
     /// * `z^H` rows are appended for new vertices and recomputed only
     ///   for moved ones (an unmoved vertex's ancestor chain is

@@ -316,8 +316,14 @@ mod tests {
     }
 
     /// Runs `body` with the default panic hook silenced, so injected
-    /// panics do not spam the test output.
+    /// panics do not spam the test output. The hook and the
+    /// [`recovered_panics`] counter are process-global, so every
+    /// panic-injecting test runs one at a time behind this lock.
     fn quiet_panics<R>(body: impl FnOnce() -> R) -> R {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A test that failed inside `body` poisons the lock; it guards
+        // no data, so the next test may still take it.
+        let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let out = body();

@@ -117,6 +117,48 @@ fn apply_delta_is_exact_and_idempotence_is_refused() {
     assert_eq!(bytes_of(&a), before, "failed apply must not mutate");
 }
 
+/// A delta whose `patched_fingerprint` lies passes every pre-mutation
+/// check (re-encoding gives it valid CRCs) and is only caught after the
+/// patch; the patch must then be rolled back completely — through the
+/// bare-hierarchy entry point and through `ServeModel`, whose serving
+/// features must not end up under a half-patched hierarchy.
+#[test]
+fn tampered_patched_fingerprint_is_refused_and_rolled_back() {
+    let (base, delta, patched) = ingest_once();
+    let mut forged = delta.clone();
+    forged.patched_fingerprint ^= 1;
+    let mut wire = Vec::new();
+    write_delta(&mut wire, &forged).unwrap();
+    let forged = read_delta_bytes(&wire).expect("a re-encoded delta has valid CRCs");
+
+    let mut h = base.clone();
+    let before = bytes_of(&h);
+    let err = apply_delta(&mut h, &forged).unwrap_err();
+    assert_eq!(err.exit_code(), 4, "{err}");
+    assert!(err.to_string().contains("patched fingerprint"), "{err}");
+    assert_eq!(bytes_of(&h), before, "refused delta left the hierarchy patched");
+    apply_delta(&mut h, &delta).expect("genuine delta applies after the refusal");
+    assert_eq!(bytes_of(&h), bytes_of(&patched));
+
+    let seed = 2020;
+    let mut live = ServeModel::from_hierarchy(base.clone(), seed);
+    let untouched = ServeModel::from_hierarchy(base, seed);
+    let err = live.apply_delta(&forged).unwrap_err();
+    assert_eq!(err.exit_code(), 4, "{err}");
+    assert_eq!(bytes_of(live.hierarchy()), before);
+    assert_eq!(live.user_features().data(), untouched.user_features().data());
+    assert_eq!(live.item_features().data(), untouched.item_features().data());
+    let bits = |m: &ServeModel| -> Vec<(u32, u32)> {
+        let top = m.top_k(0, 5, BeamWidth::Finite(4)).unwrap();
+        top.iter().map(|s| (s.item, s.score.to_bits())).collect()
+    };
+    assert_eq!(bits(&live), bits(&untouched));
+    live.apply_delta(&delta).expect("genuine delta applies after the refusal");
+    let rebuilt = ServeModel::from_hierarchy(patched, seed);
+    assert_eq!(live.item_features().data(), rebuilt.item_features().data());
+    assert_eq!(bits(&live), bits(&rebuilt));
+}
+
 #[test]
 fn ingest_then_save_equals_save_then_ingest() {
     let (h, g, batch, _) = trained_base();
