@@ -195,22 +195,6 @@ fn verify_fast_kernels() -> Vec<String> {
         }
     }
 
-    // Squared distance (k-means assignment) vs an f64 oracle.
-    let a: Vec<f32> = (0..100).map(|i| val(i, 6, 10)).collect();
-    let b: Vec<f32> = (0..100).map(|i| val(i, 7, 11)).collect();
-    let oracle: f64 = a
-        .iter()
-        .zip(&b)
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum();
-    let fast = simd::sq_dist_fast(&a, &b);
-    if !close(fast, oracle, 1e-5) {
-        failures.push(format!("fast sq_dist: {fast} vs oracle {oracle}"));
-    }
-
     // FastMath self-determinism: the tier reorders accumulation, but a
     // rerun must reproduce the exact same bits.
     let a = Matrix::from_fn(33, 47, |i, j| val(i, j, 12));

@@ -4,13 +4,16 @@
 //! `K_u(Z_u^l)` / `K_i(Z_i^l)`): given the embedding matrix a bipartite
 //! GraphSAGE level produced, cluster each side in its own feature space.
 //!
-//! The assignment and update steps — the O(n·k·d) bulk of Lloyd — run
-//! data-parallel over fixed row chunks ([`ROW_CHUNK`]); per-chunk
-//! partials merge in chunk order, so any worker count produces
-//! bit-identical clusterings (see [`hignn_tensor::parallel`]).
+//! The assignment and update steps run data-parallel over fixed row
+//! chunks ([`ROW_CHUNK`]); per-chunk partials merge in chunk order, so
+//! any worker count produces bit-identical clusterings (see
+//! [`hignn_tensor::parallel`]). Both O(n·k·d) distance scans — batch
+//! assignment and k-means++ seeding — go through [`PackedRows`], whose
+//! distances are bit-identical to the scalar [`nearest_centroid`] scan
+//! that single-point callers keep and the tests compare against.
 
 use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
-use hignn_tensor::{simd, Matrix, MathMode};
+use hignn_tensor::{Matrix, PackedRows};
 use rand::Rng;
 
 /// Configuration for [`kmeans`].
@@ -81,33 +84,11 @@ pub fn kmeans_with(
     rng: &mut impl Rng,
     exec: &ParallelExecutor,
 ) -> KMeansResult {
-    kmeans_with_mode(data, cfg, rng, exec, MathMode::Bitwise)
-}
-
-/// [`kmeans_with`] in the given math tier.
-///
-/// The mode only switches the distance kernel of the assignment steps
-/// (the O(n·k·d) bulk of Lloyd); k-means++ seeding and the centroid
-/// update keep the bitwise scalar path in both tiers, so FastMath
-/// changes at most which centroid wins a near-tie, never the RNG
-/// consumption pattern.
-pub fn kmeans_with_mode(
-    data: &Matrix,
-    cfg: &KMeansConfig,
-    rng: &mut impl Rng,
-    exec: &ParallelExecutor,
-    mode: MathMode,
-) -> KMeansResult {
     let _span = hignn_obs::span("cluster.kmeans");
     assert!(data.rows() > 0, "kmeans: empty data");
     assert!(cfg.k > 0, "kmeans: k must be positive");
     let k = cfg.k.min(data.rows());
     let d = data.cols();
-    // Serial fallback for small problems: below the work threshold,
-    // thread spawn overhead dominates the O(n·k·d) step itself
-    // (BENCH_parallel.json measured sub-1.0× speedups there). Chunk
-    // decomposition is unchanged, so this never changes bits.
-    let exec = &exec.throttle(data.rows() * d * k);
     let mut centroids = kmeans_pp_seed(data, k, rng);
     let mut assignment = vec![0u32; data.rows()];
     let mut inertia = f64::MAX;
@@ -117,7 +98,7 @@ pub fn kmeans_with_mode(
         iterations = iter + 1;
         // Assignment step (parallel over row chunks).
         let new_inertia;
-        (assignment, new_inertia) = assign_all_mode(&centroids, data, exec, mode);
+        (assignment, new_inertia) = assign_all(&centroids, data, exec);
         // Update step: per-chunk partial sums/counts, merged in chunk
         // order so the f32 accumulation order is fixed.
         let partials = exec.map_chunks(data.rows(), ROW_CHUNK, |_, range| {
@@ -178,7 +159,7 @@ pub fn kmeans_with_mode(
     }
 
     // Final assignment against the last centroid update.
-    let (assignment, final_inertia) = assign_all_mode(&centroids, data, exec, mode);
+    let (assignment, final_inertia) = assign_all(&centroids, data, exec);
     if hignn_obs::enabled() {
         hignn_obs::counter_add("cluster.kmeans_runs", 1);
         hignn_obs::counter_add("cluster.kmeans_iterations", iterations as u64);
@@ -192,29 +173,28 @@ pub fn kmeans_with_mode(
 /// over fixed [`ROW_CHUNK`] chunks. Returns the assignment plus the
 /// total squared distance (inertia), with per-chunk partial inertias
 /// summed in chunk order — bit-identical at any worker count.
+///
+/// The centroids are packed once per call and every row scans them
+/// through [`PackedRows::sq_dists`]; index and distance are
+/// bit-identical to [`nearest_centroid`] on the same row.
 pub fn assign_all(
     centroids: &Matrix,
     data: &Matrix,
     exec: &ParallelExecutor,
 ) -> (Vec<u32>, f64) {
-    assign_all_mode(centroids, data, exec, MathMode::Bitwise)
-}
-
-/// [`assign_all`] in the given math tier (FastMath vectorises the
-/// per-point squared distances; chunking and merge order are
-/// unchanged, so each mode is still thread-count-invariant).
-pub fn assign_all_mode(
-    centroids: &Matrix,
-    data: &Matrix,
-    exec: &ParallelExecutor,
-    mode: MathMode,
-) -> (Vec<u32>, f64) {
+    // Serial fallback for small problems: below the work threshold,
+    // thread spawn overhead dominates the O(n·k·d) step itself
+    // (BENCH_parallel.json measured sub-1.0× speedups there). Chunk
+    // decomposition is unchanged, so this never changes bits.
     let exec = &exec.throttle(data.rows() * data.cols() * centroids.rows());
+    let packed = PackedRows::pack(centroids);
     let chunks = exec.map_chunks(data.rows(), ROW_CHUNK, |_, range| {
+        let mut dists = vec![0f32; centroids.rows()];
         let mut assigned = Vec::with_capacity(range.len());
         let mut inertia = 0f64;
         for i in range {
-            let (c, d) = nearest_centroid_mode(centroids, data.row(i), mode);
+            packed.sq_dists(data.row(i), &mut dists);
+            let (c, d) = nearest(dists.iter().copied());
             assigned.push(c as u32);
             inertia += d as f64;
         }
@@ -236,6 +216,10 @@ pub fn assign_all_mode(
 /// it cannot poison the cumulative sum into a `gen_range(0.0..NaN)`
 /// panic. For all-finite data this is the identity, so bits are
 /// unchanged.
+///
+/// The data is packed once, so each new centre's `n` distances come
+/// from one [`PackedRows::sq_dists`] call; `(x - c)²` and `(c - x)²`
+/// are the same bits, so this is the scalar per-row scan exactly.
 pub fn kmeans_pp_seed(data: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
     let n = data.rows();
     let k = k.min(n);
@@ -243,9 +227,10 @@ pub fn kmeans_pp_seed(data: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
     let first = rng.gen_range(0..n);
     centroids.set_row(0, data.row(first));
     let weight = |d: f32| if d.is_finite() { d as f64 } else { 0.0 };
-    let mut dist2: Vec<f32> = (0..n)
-        .map(|i| centroids.row_sq_dist(0, data.row(i)))
-        .collect();
+    let packed = PackedRows::pack(data);
+    let mut dist2 = vec![0f32; n];
+    packed.sq_dists(data.row(first), &mut dist2);
+    let mut new_dist2 = vec![0f32; n];
     for c in 1..k {
         let total: f64 = dist2.iter().map(|&d| weight(d)).sum();
         let chosen = if total <= 0.0 {
@@ -263,8 +248,8 @@ pub fn kmeans_pp_seed(data: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
             chosen
         };
         centroids.set_row(c, data.row(chosen));
-        for (i, d) in dist2.iter_mut().enumerate() {
-            let nd = centroids.row_sq_dist(c, data.row(i));
+        packed.sq_dists(data.row(chosen), &mut new_dist2);
+        for (d, &nd) in dist2.iter_mut().zip(&new_dist2) {
             if nd < *d {
                 *d = nd;
             }
@@ -273,33 +258,31 @@ pub fn kmeans_pp_seed(data: &Matrix, k: usize, rng: &mut impl Rng) -> Matrix {
     centroids
 }
 
-/// Index and squared distance of the centroid nearest to `point`.
+/// Index and squared distance of the centroid nearest to `point`: the
+/// row-major scalar scan, for callers holding one point at a time
+/// (batches go through [`assign_all`], which packs the centroids once).
 #[inline]
 pub fn nearest_centroid(centroids: &Matrix, point: &[f32]) -> (usize, f32) {
-    nearest_centroid_mode(centroids, point, MathMode::Bitwise)
+    nearest((0..centroids.rows()).map(|c| centroids.row_sq_dist(c, point)))
 }
 
-/// [`nearest_centroid`] in the given math tier.
+/// Position and value of the smallest of `dists`, scanned in order.
 ///
-/// Distances compare under IEEE-754 total order (`f32::total_cmp`), so
-/// NaN sorts *last*: a NaN distance — from a NaN-feature point or a
-/// poisoned centroid — can never win over any finite or infinite one,
-/// and ties keep the lowest centroid index. Before this, `d < best_d`
-/// silently evaluated `false` for NaN, which happened to keep index 0
-/// but left the selection semantics an accident of comparator direction
-/// rather than a documented NaN-last policy. A point whose distance to
-/// *every* centroid is NaN deterministically maps to centroid 0 with
-/// reported distance `f32::INFINITY`.
+/// NaN sorts *last*: `d < best_d` is false for a NaN of either sign, so
+/// a NaN distance — from a NaN-feature point, a poisoned centroid, or
+/// `inf - inf` — can never win over any finite or infinite one, and
+/// ties keep the lowest centroid index. (`f32::total_cmp` would agree
+/// on every other squared distance — none is `-0.0` — but it sorts a
+/// *negative* NaN first, and which sign a NaN gets is the hardware's
+/// and the compiler's choice.) A point whose distance to *every*
+/// centroid is NaN deterministically maps to centroid 0 with reported
+/// distance `f32::INFINITY`.
 #[inline]
-pub fn nearest_centroid_mode(centroids: &Matrix, point: &[f32], mode: MathMode) -> (usize, f32) {
+fn nearest(dists: impl Iterator<Item = f32>) -> (usize, f32) {
     let mut best = 0usize;
     let mut best_d = f32::INFINITY;
-    for c in 0..centroids.rows() {
-        let d = match mode {
-            MathMode::Bitwise => centroids.row_sq_dist(c, point),
-            MathMode::FastMath => simd::sq_dist_fast(centroids.row(c), point),
-        };
-        if d.total_cmp(&best_d) == std::cmp::Ordering::Less {
+    for (c, d) in dists.enumerate() {
+        if d < best_d {
             best_d = d;
             best = c;
         }
@@ -453,23 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn fastmath_assignment_recovers_blobs() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let (data, truth) = blobs(&mut rng);
-        let exec = ParallelExecutor::single();
-        let res =
-            kmeans_with_mode(&data, &KMeansConfig::new(3), &mut rng, &exec, MathMode::FastMath);
-        assert!(rand_index(&res.assignment, &truth) > 0.99);
-        // FastMath is itself deterministic: same seed, same bits.
-        let mut rng2 = StdRng::seed_from_u64(42);
-        let (data2, _) = blobs(&mut rng2);
-        let res2 =
-            kmeans_with_mode(&data2, &KMeansConfig::new(3), &mut rng2, &exec, MathMode::FastMath);
-        assert_eq!(res.assignment, res2.assignment);
-        assert_eq!(res.centroids.data(), res2.centroids.data());
-    }
-
-    #[test]
     fn mean_by_cluster_averages() {
         let data = Matrix::from_vec(4, 2, vec![0.0, 0.0, 2.0, 2.0, 10.0, 0.0, 0.0, 10.0]);
         let m = mean_by_cluster(&data, &[0, 0, 1, 1], 3);
@@ -482,7 +448,7 @@ mod tests {
     fn nearest_centroid_is_nan_last() {
         let centroids = Matrix::from_vec(3, 2, vec![0.0, 0.0, 10.0, 10.0, f32::NAN, f32::NAN]);
         // A finite point never lands on the poisoned centroid 2, whose
-        // distance is NaN and therefore sorts last in total order.
+        // distance is NaN and therefore sorts last.
         let (c, d) = nearest_centroid(&centroids, &[9.0, 9.0]);
         assert_eq!(c, 1);
         assert!(d.is_finite());
@@ -491,9 +457,11 @@ mod tests {
         let (c, d) = nearest_centroid(&centroids, &[f32::NAN, f32::NAN]);
         assert_eq!(c, 0);
         assert_eq!(d, f32::INFINITY);
-        // FastMath tier obeys the same policy.
-        let (c, _) = nearest_centroid_mode(&centroids, &[9.0, 9.0], MathMode::FastMath);
-        assert_eq!(c, 1);
+        // `inf - inf` is a NaN whose sign the hardware picks (negative
+        // on x86, which total order would sort *first*): it loses too.
+        let centroids = Matrix::from_vec(2, 1, vec![1.0, f32::INFINITY]);
+        let (c, d) = nearest_centroid(&centroids, &[f32::INFINITY]);
+        assert_eq!((c, d), (0, f32::INFINITY));
     }
 
     #[test]

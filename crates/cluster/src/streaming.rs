@@ -9,7 +9,7 @@
 //! Lloyd.
 
 use crate::kmeans::{assign_all, kmeans_pp_seed, nearest_centroid};
-use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
+use hignn_tensor::parallel::ParallelExecutor;
 use hignn_tensor::Matrix;
 use rand::Rng;
 
@@ -191,17 +191,9 @@ pub fn minibatch_kmeans_with(
             .map(|_| rng.gen_range(0..data.rows()))
             .collect();
         // Cache assignments (parallel) then apply updates (sequential).
-        let assigned: Vec<usize> = exec
-            .map_chunks(batch.len(), ROW_CHUNK, |_, range| {
-                batch[range]
-                    .iter()
-                    .map(|&i| nearest_centroid(&centroids, data.row(i)).0)
-                    .collect::<Vec<usize>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let (assigned, _inertia) = assign_all(&centroids, &data.gather_rows(&batch), exec);
         for (&i, &c) in batch.iter().zip(&assigned) {
+            let c = c as usize;
             counts[c] += 1;
             let lr = 1.0 / counts[c] as f32;
             let row = centroids.row_mut(c);

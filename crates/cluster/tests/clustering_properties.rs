@@ -2,7 +2,8 @@
 
 use hignn_cluster::agglomerative::average_linkage;
 use hignn_cluster::ch_index::calinski_harabasz;
-use hignn_cluster::kmeans::{kmeans, mean_by_cluster, nearest_centroid, KMeansConfig};
+use hignn_cluster::kmeans::{assign_all, kmeans, mean_by_cluster, nearest_centroid, KMeansConfig};
+use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
 use hignn_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -13,8 +14,57 @@ fn data_strategy() -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Centroid and dimension counts on both sides of every lane (8) and
+/// block-step (32) boundary of the packed distance kernel.
+const EDGE_KS: [usize; 8] = [1, 7, 8, 9, 31, 32, 33, 40];
+const EDGE_DS: [usize; 4] = [1, 31, 32, 33];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn assign_all_equals_per_point_nearest_centroid_bitwise(
+        (n, ki, di) in (1usize..3 * ROW_CHUNK, 0usize..EDGE_KS.len(), 0usize..EDGE_DS.len()),
+        seed in 0u64..1000,
+        workers in 1usize..4,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (k, d) = (EDGE_KS[ki], EDGE_DS[di]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut centroids = Matrix::from_fn(k, d, |_, _| rng.gen_range(-2.0f32..2.0));
+        let mut data = Matrix::from_fn(n, d, |_, _| rng.gen_range(-2.0f32..2.0));
+        // Duplicate centroids, and points sitting exactly on them, so
+        // zero-distance ties must go to the lowest index.
+        let first = centroids.row(0).to_vec();
+        centroids.set_row(k - 1, &first);
+        centroids.set_row(k / 2, &first);
+        data.set_row(0, &first);
+        // Rows the NaN-last policy has to route: a NaN feature, and an
+        // infinite one whose distance to an infinite centroid is
+        // `inf - inf` — a NaN of whichever sign the hardware picks.
+        if k > 1 {
+            centroids.set(1, d - 1, f32::INFINITY);
+        }
+        data.set(n / 2, d - 1, f32::INFINITY);
+        data.set(n - 1, 0, f32::NAN);
+
+        let (assignment, inertia) = assign_all(&centroids, &data, &ParallelExecutor::new(workers));
+        // The reference: the scalar per-point scan, inertia summed per
+        // ROW_CHUNK chunk and then across chunks.
+        let rows: Vec<usize> = (0..n).collect();
+        let mut want_inertia = 0f64;
+        for chunk in rows.chunks(ROW_CHUNK) {
+            let mut partial = 0f64;
+            for &i in chunk {
+                let (c, dist) = nearest_centroid(&centroids, data.row(i));
+                prop_assert_eq!(assignment[i] as usize, c, "row {}", i);
+                partial += dist as f64;
+            }
+            want_inertia += partial;
+        }
+        prop_assert_eq!(assignment[0], 0, "tie goes to the lowest index");
+        prop_assert_eq!(inertia.to_bits(), want_inertia.to_bits(), "{inertia} vs {want_inertia}");
+    }
 
     #[test]
     fn kmeans_assignment_is_locally_optimal(data in data_strategy(), k in 1usize..6, seed in 0u64..50) {

@@ -20,7 +20,7 @@ use crate::trainer::{
     train_unsupervised_checked, EpochHooks, SageTrainConfig, TrainError, TrainGuard,
 };
 use hignn_cluster::ch_index::select_k_by_ch;
-use hignn_cluster::kmeans::{kmeans_with_mode, mean_by_cluster, KMeansConfig};
+use hignn_cluster::kmeans::{kmeans_with, mean_by_cluster, KMeansConfig};
 use hignn_cluster::streaming::single_pass_kmeans_with;
 use hignn_graph::{coarsen, Assignment, BipartiteGraph};
 use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
@@ -549,10 +549,7 @@ fn build_one_level(
                 return a;
             }
             match cfg.kmeans {
-                KMeansAlgo::Lloyd => {
-                    kmeans_with_mode(z, &KMeansConfig::new(k), rng, exec, cfg.train.math)
-                        .assignment
-                }
+                KMeansAlgo::Lloyd => kmeans_with(z, &KMeansConfig::new(k), rng, exec).assignment,
                 KMeansAlgo::SinglePass => single_pass_kmeans_with(z, k, 4 * k, rng, exec).1,
             }
         };

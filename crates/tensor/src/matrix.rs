@@ -673,17 +673,16 @@ impl Matrix {
         best
     }
 
-    /// Squared Euclidean distance between row `i` of `self` and `other_row`.
+    /// Squared Euclidean distance between row `i` of `self` and
+    /// `other_row`, accumulated over coordinates in index order from
+    /// `+0.0` (`Iterator::sum` would start at `-0.0` and give the
+    /// zero-column distance the wrong sign).
     pub fn row_sq_dist(&self, i: usize, other_row: &[f32]) -> f32 {
         debug_assert_eq!(other_row.len(), self.cols);
-        self.row(i)
-            .iter()
-            .zip(other_row)
-            .map(|(a, b)| {
-                let d = a - b;
-                d * d
-            })
-            .sum()
+        self.row(i).iter().zip(other_row).fold(0.0, |acc, (a, b)| {
+            let d = a - b;
+            acc + d * d
+        })
     }
 
     /// L2-normalises every row in place (rows with near-zero norm are left

@@ -19,31 +19,37 @@
 //! * [`MathMode::Bitwise`] — the proven default. Every kernel is
 //!   bit-identical to the naive oracle: per output element the
 //!   contraction index ascends from a `+0.0` accumulator. The kernels
-//!   in [`crate::matrix`] implement this tier; nothing in this module
-//!   runs under it.
-//! * [`MathMode::FastMath`] — the kernels below. They may *reorder*
-//!   accumulation across vector lanes and contract multiply-add pairs
-//!   into single-rounding FMAs, so results differ from the oracle in
-//!   the low bits. They are verified **differentially**: each kernel
-//!   within a stated tolerance of an `f64` oracle (see the
-//!   differential-oracle suite and the kernels bench, which exits 5 on
-//!   divergence), plus end-metric equivalence of a full training run.
-//!   Within the tier, results are still deterministic: the lane
-//!   structure is fixed, so the same inputs give the same bits on the
-//!   same backend, and N worker threads remain bit-identical to 1.
+//!   in [`crate::matrix`] implement this tier, and one kernel in this
+//!   module does too: [`PackedRows::sq_dists`], the K-means distance
+//!   scan, which runs in *both* tiers. It gives every row its own
+//!   vector lane, so the lanes hold independent per-row sums in the
+//!   oracle's order — separate multiply and add, no FMA, no cross-lane
+//!   reduction — and the AVX2 and portable backends agree to the bit.
+//! * [`MathMode::FastMath`] — the `*_fast` kernels below. They may
+//!   *reorder* accumulation across vector lanes and contract
+//!   multiply-add pairs into single-rounding FMAs, so results differ
+//!   from the oracle in the low bits. They are verified
+//!   **differentially**: each kernel within a stated tolerance of an
+//!   `f64` oracle (see the differential-oracle suite and the kernels
+//!   bench, which exits 5 on divergence), plus end-metric equivalence
+//!   of a full training run. Within the tier, results are still
+//!   deterministic: the lane structure is fixed, so the same inputs
+//!   give the same bits on the same backend, and N worker threads
+//!   remain bit-identical to 1.
 //!
 //! Elementwise kernels (leaky ReLU forward/backward, axpy) are
 //! value-identical to their scalar forms — vector lanes never interact
 //! — but ship in this module because they only run under FastMath; the
 //! Adam update uses FMA contraction and is toleranced like the matmuls.
 
-use crate::matrix;
+use crate::matrix::{self, Matrix};
+use crate::workspace::AlignedBuf;
 use std::sync::OnceLock;
 
 /// Which numeric contract a computation runs under. See the module
 /// docs; threaded from `HignnBuilder`/`TrainSpec` through the tape,
-/// trainer, k-means assignment, and the serve scorer, and recorded in
-/// checkpoint metadata (resume refuses a mismatch).
+/// trainer, and the serve scorer, and recorded in checkpoint metadata
+/// (resume refuses a mismatch).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MathMode {
     /// Bit-identical to the naive oracle (the proven default).
@@ -98,7 +104,7 @@ impl MathMode {
 /// first kernel dispatch.
 pub const FORCE_PORTABLE_ENV: &str = "HIGNN_FORCE_PORTABLE_SIMD";
 
-/// Which implementation backs the FastMath kernels in this process.
+/// Which implementation backs the kernels of this module in this process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdBackend {
     /// AVX2 + FMA `core::arch` intrinsics.
@@ -117,7 +123,7 @@ impl SimdBackend {
     }
 }
 
-/// The FastMath backend for this process: decided once from CPU feature
+/// The SIMD backend for this process: decided once from CPU feature
 /// detection and [`FORCE_PORTABLE_ENV`], then cached.
 pub fn backend() -> SimdBackend {
     static BACKEND: OnceLock<SimdBackend> = OnceLock::new();
@@ -266,25 +272,86 @@ pub fn axpy_fast(y: &mut [f32], alpha: f32, x: &[f32]) {
     }
 }
 
-/// Squared Euclidean distance between two equal-length vectors.
+// ---- Bitwise lane-per-row squared distances -----------------------------
+
+/// Rows per [`PackedRows`] block: one 8-lane vector register.
+const LANES: usize = 8;
+
+/// A row set packed lane-major for the "distance from one point to
+/// every row" scan that dominates K-means (`O(n·k·d)` in both the
+/// assignment step and k-means++ seeding).
 ///
-/// AVX2 keeps eight lane accumulators (FMA over `d*d`) reduced at the
-/// end, so the accumulation order differs from the scalar left-to-right
-/// sum — FastMath tier only.
-pub fn sq_dist_fast(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; equal lengths checked.
-        return unsafe { avx2::sq_dist(a, b) };
+/// Layout `[block][dim][lane]`: block `b` holds rows `8b..8b+8`, and
+/// inside it the eight values of dimension `t` are contiguous, so one
+/// vector load fetches coordinate `t` of eight rows. The last block is
+/// zero-padded; its padded lanes are computed and thrown away.
+///
+/// This is a **Bitwise-tier** kernel. Each row owns one lane, and the
+/// lane's accumulator adds `(row[t] - point[t])²` for `t` ascending
+/// from `+0.0` with a separate multiply and add — exactly the chain of
+/// [`Matrix::row_sq_dist`] and the oracle's `sq_dist`. Lanes never
+/// interact, so vector width buys throughput without touching any
+/// row's summation order, and both backends give the same bits.
+#[derive(Clone, Debug)]
+pub struct PackedRows {
+    /// `rows.div_ceil(LANES) * cols * LANES` values, 64-byte aligned so
+    /// no vector load straddles a cache line.
+    data: AlignedBuf,
+    rows: usize,
+    cols: usize,
+}
+
+impl PackedRows {
+    /// Packs the rows of `m`. Pack once per pass over many points: the
+    /// copy costs as much as one point's scan.
+    pub fn pack(m: &Matrix) -> Self {
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut data = AlignedBuf::new();
+        // A fresh buffer grows zeroed, which is the lane padding.
+        data.resize_for_overwrite(rows.div_ceil(LANES) * cols * LANES);
+        let packed = data.as_mut_slice();
+        for i in 0..rows {
+            let base = (i / LANES) * cols * LANES + i % LANES;
+            for (t, &v) in m.row(i).iter().enumerate() {
+                packed[base + t * LANES] = v;
+            }
+        }
+        PackedRows { data, rows, cols }
     }
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
+
+    /// Writes the squared Euclidean distance from `point` to row `i`
+    /// into `out[i]`, bit-identical to `m.row_sq_dist(i, point)` on the
+    /// packed matrix `m` (a NaN is a NaN in both; IEEE 754 does not
+    /// fix its sign or payload, so neither does this).
+    ///
+    /// # Panics
+    /// Panics unless `point.len()` is the packed column count and
+    /// `out.len()` the packed row count.
+    pub fn sq_dists(&self, point: &[f32], out: &mut [f32]) {
+        assert_eq!(point.len(), self.cols, "sq_dists: point dimension mismatch");
+        assert_eq!(out.len(), self.rows, "sq_dists: one output per packed row");
+        let packed = self.data.as_slice();
+        #[cfg(target_arch = "x86_64")]
+        if backend() == SimdBackend::Avx2Fma {
+            // SAFETY: backend() proved avx2; `pack` sized `packed` to
+            // `rows.div_ceil(8) * cols * 8` and the asserts above tie
+            // `out` and `point` to those same `rows` and `cols`.
+            unsafe { avx2::sq_dists(packed, point, out) };
+            return;
+        }
+        let stride = self.cols * LANES;
+        for (b, out_block) in out.chunks_mut(LANES).enumerate() {
+            let mut acc = [0f32; LANES];
+            let dims = packed[b * stride..(b + 1) * stride].chunks_exact(LANES);
+            for (lanes, &p) in dims.zip(point) {
+                for (a, &v) in acc.iter_mut().zip(lanes) {
+                    let diff = v - p;
+                    *a += diff * diff;
+                }
+            }
+            out_block.copy_from_slice(&acc[..out_block.len()]);
+        }
+    }
 }
 
 /// One fused Adam update over a parameter/gradient pair:
@@ -572,29 +639,58 @@ mod avx2 {
         }
     }
 
+    /// Distance accumulators for `NB` consecutive blocks starting at
+    /// `base`: lane `l` of accumulator `j` sums `(row[t] - point[t])²`
+    /// over `t` ascending for row `l` of block `j`. Multiply and add
+    /// stay separate instructions — an FMA would round once where the
+    /// oracle rounds twice.
+    ///
     /// # Safety
-    /// avx2+fma present; `a.len() == b.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-        let main = a.len() - a.len() % L;
-        let mut acc = _mm256_setzero_ps();
-        let mut j = 0;
-        while j < main {
-            let d = _mm256_sub_ps(
-                _mm256_loadu_ps(a.as_ptr().add(j)),
-                _mm256_loadu_ps(b.as_ptr().add(j)),
-            );
-            acc = _mm256_fmadd_ps(d, d, acc);
-            j += L;
+    /// avx2 present; `base` addresses `NB * point.len() * L` readable
+    /// values.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_sq_dists<const NB: usize>(base: *const f32, point: &[f32]) -> [__m256; NB] {
+        let stride = point.len() * L;
+        let mut acc = [_mm256_setzero_ps(); NB];
+        for (t, &p) in point.iter().enumerate() {
+            let pv = _mm256_set1_ps(p);
+            for (j, a) in acc.iter_mut().enumerate() {
+                let diff = _mm256_sub_ps(_mm256_loadu_ps(base.add(j * stride + t * L)), pv);
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(diff, diff));
+            }
         }
-        let mut lanes = [0f32; L];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut total = lanes.iter().sum::<f32>();
-        for (x, y) in a[main..].iter().zip(&b[main..]) {
-            let d = x - y;
-            total += d * d;
+        acc
+    }
+
+    /// The [`super::PackedRows::sq_dists`] scan: four blocks (32 rows)
+    /// advance per step so the four add chains hide each other's
+    /// latency, then the remaining blocks run one at a time.
+    ///
+    /// # Safety
+    /// avx2 present; `packed.len() == out.len().div_ceil(L) *
+    /// point.len() * L`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq_dists(packed: &[f32], point: &[f32], out: &mut [f32]) {
+        const NB: usize = 4;
+        let stride = point.len() * L;
+        let full_blocks = out.len() / L;
+        let mut b = 0;
+        while b + NB <= full_blocks {
+            let acc = block_sq_dists::<NB>(packed.as_ptr().add(b * stride), point);
+            for (j, a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(out.as_mut_ptr().add((b + j) * L), *a);
+            }
+            b += NB;
         }
-        total
+        for out_block in out[b * L..].chunks_mut(L) {
+            let [acc] = block_sq_dists::<1>(packed.as_ptr().add(b * stride), point);
+            // The last block may be partial: its padded lanes stop here.
+            let mut lanes = [0f32; L];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+            out_block.copy_from_slice(&lanes[..out_block.len()]);
+            b += 1;
+        }
     }
 
     /// # Safety
@@ -770,20 +866,35 @@ mod tests {
     }
 
     #[test]
-    fn fast_sq_dist_matches_f64_oracle_within_tolerance() {
-        for len in [1usize, 7, 8, 16, 33, 100] {
-            let a = pseudo(len, 31);
-            let b = pseudo(len, 77);
-            let fast = sq_dist_fast(&a, &b);
-            let oracle: f64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| {
-                    let d = x as f64 - y as f64;
-                    d * d
-                })
-                .sum();
-            assert_close(&[fast], &[oracle], 1e-5, &format!("sq_dist len {len}"));
+    fn packed_sq_dists_match_row_sq_dist_bitwise_at_every_lane_and_block_edge() {
+        // Row counts around the 8-lane block and the 4-block (32-row)
+        // step of the AVX2 kernel, plus the empty set; column counts
+        // from none up. Row 0 carries the values whose handling is
+        // easiest to get wrong.
+        for rows in [0usize, 1, 7, 8, 9, 31, 32, 33, 40, 65] {
+            for cols in [0usize, 1, 2, 31, 32, 33] {
+                let values = pseudo(rows * cols, (rows * 41 + cols) as u32);
+                let mut m = Matrix::from_vec(rows, cols, values);
+                let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+                for (v, s) in m.data_mut().iter_mut().take(cols).zip(specials) {
+                    *v = s;
+                }
+                let point = pseudo(cols, 99);
+                let mut out = vec![f32::NAN; rows];
+                PackedRows::pack(&m).sq_dists(&point, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let want = m.row_sq_dist(i, &point);
+                    // A NaN's sign and payload are the compiler's
+                    // choice of operand order; everything else is bits.
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{rows}x{cols} row {i}: {got} vs {want}"
+                    );
+                }
+                if cols == 0 {
+                    assert!(out.iter().all(|d| d.to_bits() == 0), "empty sum is +0.0");
+                }
+            }
         }
     }
 

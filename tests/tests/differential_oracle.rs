@@ -23,7 +23,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use hignn::sage::{BipartiteSage, BipartiteSageConfig};
-use hignn_cluster::kmeans::{assign_all, kmeans, mean_by_cluster, KMeansConfig};
+use hignn_cluster::kmeans::{assign_all, kmeans, kmeans_pp_seed, mean_by_cluster, KMeansConfig};
 use hignn_graph::coarsen::{coarsen, Assignment};
 use hignn_graph::{BipartiteGraph, Side};
 use hignn_integration_tests::strategies::{
@@ -34,7 +34,7 @@ use hignn_oracle::eq5::{Dense64, Eq5Param, Eq5Setup};
 use hignn_oracle::sage::SageStep;
 use hignn_tensor::nn::{Activation, Mlp};
 use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
-use hignn_tensor::{Matrix, ParamId, ParamStore, Tape, Var};
+use hignn_tensor::{Matrix, PackedRows, ParamId, ParamStore, Tape, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -139,12 +139,95 @@ proptest! {
 
 // ---- 2. K-means: assignment, update feature, full Lloyd — bitwise -------
 
+/// Centroid counts on both sides of every lane (8 rows) and block-step
+/// (32 rows) boundary of the packed distance kernel, and dimensions
+/// around the same widths.
+const EDGE_KS: [usize; 8] = [1, 7, 8, 9, 31, 32, 33, 40];
+const EDGE_DS: [usize; 4] = [1, 31, 32, 33];
+
+/// Strategy: one `(k, d)` pair from [`EDGE_KS`] x [`EDGE_DS`].
+fn edge_k_d() -> impl Strategy<Value = (usize, usize)> {
+    (0..EDGE_KS.len(), 0..EDGE_DS.len()).prop_map(|(ki, di)| (EDGE_KS[ki], EDGE_DS[di]))
+}
+
+/// Strategy: a coordinate that is often a value a distance kernel can
+/// mishandle.
+fn tricky_f32() -> impl Strategy<Value = f32> {
+    const SPECIALS: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+    (0..3 * SPECIALS.len(), -4.0f32..4.0)
+        .prop_map(|(i, ordinary)| SPECIALS.get(i).copied().unwrap_or(ordinary))
+}
+
+#[test]
+fn zero_dimensional_distances_are_positive_zero() {
+    // With no coordinates the sum is empty: the oracle's accumulator
+    // starts at +0.0, and every optimized path must report that sign.
+    let (data, centroids) = (Matrix::zeros(9, 0), Matrix::zeros(3, 0));
+    assert_eq!(oracle::kmeans::sq_dist(&[], &[]).to_bits(), 0);
+    assert_eq!(centroids.row_sq_dist(0, data.row(0)).to_bits(), 0);
+    let mut dists = [f32::NAN; 3];
+    PackedRows::pack(&centroids).sq_dists(data.row(0), &mut dists);
+    assert_eq!(dists.map(f32::to_bits), [0; 3]);
+    let (assignment, inertia) = assign_all(&centroids, &data, &ParallelExecutor::single());
+    assert_eq!(assignment, vec![0; 9]);
+    assert_eq!(inertia.to_bits(), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn packed_sq_dists_match_scalar_and_oracle_bitwise_on_special_values(
+        (rows, cols) in (1usize..70, 1usize..36),
+        seed in proptest::arbitrary::any::<u64>(),
+        salt in prop::collection::vec((0usize..70 * 36, tricky_f32()), 0..24),
+        point_salt in prop::collection::vec((0usize..36, tricky_f32()), 0..4),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = hignn_tensor::init::xavier_uniform(rows, cols, &mut rng);
+        let mut point = hignn_tensor::init::xavier_uniform(1, cols, &mut rng).row(0).to_vec();
+        for (at, v) in salt {
+            m.data_mut()[at % (rows * cols)] = v;
+        }
+        for (at, v) in point_salt {
+            point[at % cols] = v;
+        }
+        let mut dists = vec![0f32; rows];
+        PackedRows::pack(&m).sq_dists(&point, &mut dists);
+        // A NaN must be a NaN everywhere, but IEEE 754 leaves its sign
+        // and payload to the hardware and the compiler's operand order,
+        // so only non-NaN results are compared by bits.
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for i in 0..rows {
+            let scalar = m.row_sq_dist(i, &point);
+            let naive = oracle::kmeans::sq_dist(m.row(i), &point);
+            prop_assert!(same(dists[i], scalar), "row {}: {} vs scalar {}", i, dists[i], scalar);
+            prop_assert!(same(dists[i], naive), "row {}: {} vs oracle {}", i, dists[i], naive);
+        }
+    }
+
+    #[test]
+    fn kmeans_pp_seeding_matches_oracle_bitwise_past_one_row_chunk(
+        n in ROW_CHUNK + 1..2 * ROW_CHUNK + 40,
+        (k, d) in edge_k_d(),
+        data_seed in proptest::arbitrary::any::<u64>(),
+        kmeans_seed in proptest::arbitrary::any::<u64>(),
+    ) {
+        use rand::RngCore;
+        let data = hignn_tensor::init::xavier_uniform(n, d, &mut StdRng::seed_from_u64(data_seed));
+        let (mut ours_rng, mut oracle_rng) =
+            (StdRng::seed_from_u64(kmeans_seed), StdRng::seed_from_u64(kmeans_seed));
+        let ours = kmeans_pp_seed(&data, k, &mut ours_rng);
+        let theirs = oracle::kmeans::kmeans_pp(&to_rows32(&data), k, &mut oracle_rng);
+        bitwise_eq(&ours, &theirs, "k-means++ seeds").unwrap();
+        // Same draws consumed, so whatever runs next sees the same stream.
+        prop_assert_eq!(ours_rng.next_u64(), oracle_rng.next_u64());
+    }
+
+    #[test]
     fn kmeans_assignment_and_inertia_match_oracle_bitwise(
-        (n, k, d) in (1usize..60, 1usize..6, 1usize..5),
+        n in 1usize..60,
+        (k, d) in edge_k_d(),
         seed in proptest::arbitrary::any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -178,7 +261,8 @@ proptest! {
 
     #[test]
     fn full_kmeans_matches_naive_lloyd_bitwise(
-        (n, k, d) in (2usize..50, 1usize..5, 1usize..4),
+        n in 2usize..50,
+        (k, d) in edge_k_d(),
         data_seed in proptest::arbitrary::any::<u64>(),
         kmeans_seed in proptest::arbitrary::any::<u64>(),
     ) {
