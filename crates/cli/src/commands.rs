@@ -104,8 +104,10 @@ SERVING:
   are scored first, the best --beam-width branches descend, and the
   surviving leaves are re-ranked exactly (Eq. 7 MLP). --beam-width inf
   prunes nothing and is bitwise identical to exhaustively scoring every
-  item. The Eq. 7 head is derived deterministically from --scorer-seed,
-  so (model, seed) fully determines every ranking. `serve-bench` replays
+  item. A narrow beam can reach fewer than --topk items; the header then
+  reads `N of k (beam W reached N items)`. The Eq. 7 head is derived
+  deterministically from --scorer-seed, so (model, seed) fully
+  determines every ranking. `serve-bench` replays
   --requests requests through the engine on --serve-threads workers
   (default: all cores; any N is bitwise identical to 1) and reports
   p50/p99 latency, QPS, and recall@k against the exhaustive oracle.
@@ -504,7 +506,14 @@ fn topk(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
     let math = parse_math(opts)?;
     let model = ServeModel::load_with_math(path, seed, math)?;
     let ranked = model.top_k(user, k, beam)?;
-    emit(out, format!("user {user} top-{k} (beam {beam}, scorer seed {seed}):"));
+    // A finite beam can reach fewer than k leaves (`ServeModel::top_k`).
+    let n = ranked.len();
+    let header = if n < k {
+        format!("user {user} top-{k}: {n} of {k} (beam {beam} reached {n} items, scorer seed {seed}):")
+    } else {
+        format!("user {user} top-{k} (beam {beam}, scorer seed {seed}):")
+    };
+    emit(out, header);
     for (rank, s) in ranked.iter().enumerate() {
         emit(out, format!("  {:>3}. item {:<10} score {:+.6}", rank + 1, s.item, s.score));
     }
@@ -1158,6 +1167,19 @@ mod tests {
         ]);
         assert!(res.is_ok(), "{res:?}");
         assert!(text.contains("beam inf"), "{text}");
+
+        // A beam too narrow to reach k leaves says so in the header and
+        // lists exactly what it reached.
+        let (res, text) = run_args(&[
+            "topk", "--model", model_s, "--user", "1", "--topk", "60", "--beam-width", "1",
+        ]);
+        assert!(res.is_ok(), "{res:?}");
+        let listed = text.lines().filter(|l| l.contains("item ")).count();
+        assert!(listed < 60, "beam 1 must not reach 60 leaves: {text}");
+        assert!(
+            text.contains(&format!("{listed} of 60 (beam 1 reached {listed} items")),
+            "{text}"
+        );
 
         // Identical query, identical output (engine determinism through
         // the CLI surface).

@@ -2,7 +2,7 @@
 
 use crate::model::ServeModel;
 use hignn::error::HignnError;
-use hignn_tensor::ParallelExecutor;
+use hignn_tensor::{Matrix, ParallelExecutor};
 use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
@@ -91,9 +91,11 @@ fn rank_cmp(a: &ScoredItem, b: &ScoredItem) -> Ordering {
     }
 }
 
-/// Scores `ids` against `feats` rows and returns them fully ranked.
-fn rank(model: &ServeModel, user_row: &[f32], feats: &hignn_tensor::Matrix, ids: &[u32]) -> Vec<ScoredItem> {
-    let scores = model.scorer().score_against(user_row, feats, ids);
+/// Scores `ids` against `feats` rows for the user whose
+/// [`crate::Scorer::user_prefix`] is `prefix`, and returns them fully
+/// ranked.
+fn rank(model: &ServeModel, prefix: &Matrix, feats: &Matrix, ids: &[u32]) -> Vec<ScoredItem> {
+    let scores = model.scorer().score_prefixed(prefix, feats, ids);
     let mut ranked: Vec<ScoredItem> = ids
         .iter()
         .zip(&scores)
@@ -131,6 +133,14 @@ impl ServeModel {
     /// true `z_i^H` features. `BeamWidth::Infinite` prunes nothing and
     /// is bitwise identical to [`ServeModel::exhaustive_top_k`].
     ///
+    /// **The list may be shorter than `k`.** It holds the best `k` of
+    /// the leaves the beam *reached*: a finite beam keeps at most `beam`
+    /// nodes per tier, so it reaches at most `beam` tier-1 clusters'
+    /// items (beam 1 on clusters of ~5 items returns ~5 for `k = 10`).
+    /// A short list is a property of the beam, not an error; callers
+    /// that need `k` results widen the beam. `BeamWidth::Infinite`
+    /// always returns exactly `k`.
+    ///
     /// Errors with [`HignnError::Config`] (exit 2) on `k == 0`,
     /// `k > num_items`, or an unknown user — a malformed request never
     /// panics the serving loop.
@@ -141,11 +151,13 @@ impl ServeModel {
         beam: BeamWidth,
     ) -> Result<Vec<ScoredItem>, HignnError> {
         self.validate(user, k)?;
-        let user_row = self.user_features().row(user);
+        // The user's half of the scorer's first layer: once per
+        // request, reused on every tier and on the leaf re-rank.
+        let prefix = self.scorer().user_prefix(self.user_features().row(user));
         // Descend tier L -> 1, pruning to the beam at every tier.
         let mut frontier: Vec<u32> = (0..self.node_reps(self.num_levels()).rows() as u32).collect();
         for tier in (1..=self.num_levels()).rev() {
-            let mut ranked = rank(self, user_row, self.node_reps(tier), &frontier);
+            let mut ranked = rank(self, &prefix, self.node_reps(tier), &frontier);
             beam.truncate(&mut ranked);
             let kids = self.children(tier);
             frontier = ranked
@@ -154,7 +166,7 @@ impl ServeModel {
                 .collect();
         }
         // Exact Eq. 7 re-rank of the surviving leaves.
-        let mut leaves = rank(self, user_row, self.item_features(), &frontier);
+        let mut leaves = rank(self, &prefix, self.item_features(), &frontier);
         leaves.truncate(k);
         Ok(leaves)
     }
@@ -163,9 +175,9 @@ impl ServeModel {
     /// the beam search is tested against, and the `recall@k` reference.
     pub fn exhaustive_top_k(&self, user: usize, k: usize) -> Result<Vec<ScoredItem>, HignnError> {
         self.validate(user, k)?;
-        let user_row = self.user_features().row(user);
+        let prefix = self.scorer().user_prefix(self.user_features().row(user));
         let all: Vec<u32> = (0..self.num_items() as u32).collect();
-        let mut ranked = rank(self, user_row, self.item_features(), &all);
+        let mut ranked = rank(self, &prefix, self.item_features(), &all);
         ranked.truncate(k);
         Ok(ranked)
     }

@@ -25,7 +25,12 @@
 //! score the level-`L` cluster representatives with the Eq. 7 MLP
 //! scorer, keep the best [`BeamWidth`] nodes, descend into their
 //! children, repeat down to tier 1, and finally re-rank the surviving
-//! leaf items *exactly* on their true `z_i^H` features.
+//! leaf items *exactly* on their true `z_i^H` features. The answer is
+//! the best `k` of the leaves the beam reached, so a finite beam can
+//! return **fewer than `k`** items (beam 1 reaches one tier-1 cluster);
+//! beam ∞ always returns `k`. The scorer never builds a `[user | item]`
+//! row: the user's half of its first layer is computed once per request
+//! and every candidate batch resumes from it (see [`scorer`]).
 //!
 //! ## The oracle contract
 //!
@@ -34,8 +39,9 @@
 //! * **Beam width ∞ is bitwise identical to exhaustive scoring.** With
 //!   nothing pruned the leaf candidate set is every item; per-row MLP
 //!   inference is bitwise independent of batch composition (proven
-//!   against the differential oracle in PR 3/4), and ranking uses one
-//!   total order — so `top_k(∞)` returns exactly
+//!   against the differential oracle in PR 3/4; every row resumes from
+//!   the same per-request prefix, itself a function of the user alone),
+//!   and ranking uses one total order — so `top_k(∞)` returns exactly
 //!   [`ServeModel::exhaustive_top_k`]'s items *and score bits*.
 //! * **Recall@k is non-decreasing in beam width.** Survivors at width
 //!   `w` are a prefix of survivors at width `w+1` at every tier, so

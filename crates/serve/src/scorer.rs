@@ -1,14 +1,27 @@
 //! The Eq. 7 ranking head.
 //!
-//! The paper scores a (user, item) pair by feeding the concatenated
-//! hierarchical embeddings through a fully connected net with leaky
-//! ReLU hidden layers and a linear logit output (Eq. 7 / Fig. 2). The
-//! serving scorer is exactly that shape over
-//! `concat(z_u^H, z_i^H)`, with weights drawn deterministically from a
-//! seed: the HGHI format carries no trained head, so the head is part
-//! of the *serving configuration* — the same `(model, scorer seed)`
-//! pair always ranks identically, on every thread count and platform
-//! the workspace's bitwise kernel proofs cover.
+//! The paper scores a (user, item) pair with a fully connected net over
+//! `concat(z_u^H, z_i^H)` — leaky ReLU hidden layers, a linear logit
+//! output (Eq. 7 / Fig. 2). The serving scorer is exactly that net,
+//! with weights drawn deterministically from a seed: the HGHI format
+//! carries no trained head, so the head is part of the *serving
+//! configuration* — the same `(model, scorer seed)` pair always ranks
+//! identically, on every thread count and platform the workspace's
+//! bitwise kernel proofs cover.
+//!
+//! ## Prefix / resume evaluation
+//!
+//! Every row a request scores starts with the same `z_u^H`, so the
+//! concatenation is never built. The first layer's contraction is
+//! stopped after the user columns — `Scorer::user_prefix`, one
+//! `1 x user_dim` product per request — and each candidate batch
+//! resumes it from those partial sums over the item columns only
+//! (`Scorer::score_prefixed`). The kernels add one term per ascending
+//! input column into one accumulator per output, so stopping and
+//! resuming performs the very additions of the concatenated product:
+//! same score bits in both math tiers, with the user half of layer 0
+//! paid once instead of once per candidate
+//! (`hignn_tensor::Matrix::matmul_carried`).
 //!
 //! Internal tree nodes are scored by the **same** MLP on their
 //! representative features (see [`crate::model::ServeModel`]), which is
@@ -83,26 +96,38 @@ impl Scorer {
     }
 
     /// Scores `user_row` against the feature rows `feats[id]` for each
-    /// id in `ids`, returning one logit per id in order.
+    /// id in `ids`, returning one logit per id in order: the Eq. 7 MLP
+    /// on `[user_row | feats[id]]`, evaluated as prefix + resume (see
+    /// the module docs) and bit for bit the MLP run on the materialised
+    /// rows.
     ///
     /// Scores are **per-row bitwise independent**: the MLP inference
     /// kernels accumulate each output row in isolation (proven bitwise
-    /// against the naive differential oracle), so an item's score never
-    /// depends on which other candidates share its batch. That row
-    /// independence is what makes beam-∞ scoring bitwise identical to
-    /// exhaustive scoring.
+    /// against the naive differential oracle), and every row resumes
+    /// from the same prefix, so an item's score never depends on which
+    /// other candidates share its batch. That row independence is what
+    /// makes beam-∞ scoring bitwise identical to exhaustive scoring.
     pub fn score_against(&self, user_row: &[f32], feats: &Matrix, ids: &[u32]) -> Vec<f32> {
+        self.score_prefixed(&self.user_prefix(user_row), feats, ids)
+    }
+
+    /// Layer 0's partial sums over the user columns: computed once per
+    /// request, resumed from by every [`Scorer::score_prefixed`] batch.
+    pub(crate) fn user_prefix(&self, user_row: &[f32]) -> Matrix {
         assert_eq!(user_row.len(), self.user_dim, "scorer: user feature dim mismatch");
+        let w0 = self.store.get(self.mlp.layers()[0].weight());
+        Matrix::row_vector(user_row).matmul_carried(w0, 0, None, self.math)
+    }
+
+    /// [`Scorer::score_against`] for the user whose
+    /// [`Scorer::user_prefix`] is `prefix`.
+    pub(crate) fn score_prefixed(&self, prefix: &Matrix, feats: &Matrix, ids: &[u32]) -> Vec<f32> {
         assert_eq!(feats.cols(), self.item_dim, "scorer: candidate feature dim mismatch");
-        let mut x = Matrix::zeros(ids.len(), self.in_dim());
-        let mut row = vec![0.0f32; self.in_dim()];
-        row[..self.user_dim].copy_from_slice(user_row);
+        let mut items = Matrix::zeros(ids.len(), self.item_dim);
         for (r, &id) in ids.iter().enumerate() {
-            row[self.user_dim..].copy_from_slice(feats.row(id as usize));
-            x.set_row(r, &row);
+            items.set_row(r, feats.row(id as usize));
         }
-        let logits = self.mlp.infer_mode(&self.store, &x, self.math);
-        (0..ids.len()).map(|r| logits.get(r, 0)).collect()
+        self.mlp.infer_split(&self.store, prefix, &items, self.math).into_data()
     }
 
     /// Exports the head's weights as plain `(weight rows, bias)` pairs,
@@ -161,6 +186,38 @@ mod tests {
         assert_eq!(subset[0].to_bits(), all[4].to_bits());
         assert_eq!(subset[1].to_bits(), all[1].to_bits());
         assert_eq!(subset[2].to_bits(), all[3].to_bits());
+    }
+
+    /// The reference `score_against` replaced: the MLP on materialised
+    /// `[user | item]` rows.
+    fn materialised_scores(s: &Scorer, user: &[f32], feats: &Matrix, ids: &[u32]) -> Vec<f32> {
+        let mut x = Matrix::zeros(ids.len(), s.in_dim());
+        for (r, &id) in ids.iter().enumerate() {
+            x.row_mut(r)[..s.user_dim].copy_from_slice(user);
+            x.row_mut(r)[s.user_dim..].copy_from_slice(feats.row(id as usize));
+        }
+        s.mlp.infer_mode(&s.store, &x, s.math).into_data()
+    }
+
+    #[test]
+    fn prefix_resume_scores_equal_the_materialised_rows_bitwise_in_both_tiers() {
+        let feats = Matrix::from_fn(23, 5, |i, j| ((i * 5 + j) as f32 * 0.37).sin() * 1.5);
+        let user = [0.5, -0.25, 1.0, 0.125, -1.75, 0.3, 2.0];
+        let all: Vec<u32> = (0..23).collect();
+        for math in [MathMode::Bitwise, MathMode::FastMath] {
+            let s = Scorer::new(7, 5, 11).with_math(math);
+            // Empty, one row, a shuffled subset with a repeat, everything.
+            for ids in [&[][..], &[4], &[22, 0, 9, 9, 3], &all] {
+                let got = s.score_against(&user, &feats, ids);
+                let want = materialised_scores(&s, &user, &feats, ids);
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{math:?}, {} ids",
+                    ids.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -235,14 +235,56 @@ impl Matrix {
             "matmul: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        assert_eq!(out.shape(), (self.rows, rhs.cols), "matmul_into: bad output shape");
+        self.carried_into(rhs, 0, None, out, mode);
+    }
+
+    /// One leg of a contraction evaluated in pieces: `self` (`m x c`)
+    /// times rows `w_row0..w_row0 + c` of `w`, every output row's
+    /// accumulators starting from `carry` (`1 x w.cols()`; `None` is
+    /// `+0.0`) instead of zero.
+    ///
+    /// Both tiers give each output element one accumulator that takes
+    /// one term per ascending `t` — a multiply then an add in Bitwise;
+    /// in FastMath an FMA, or on the scalar column tail a multiply then
+    /// an add, decided by the element's column alone and never by the
+    /// row count or by where the contraction is split. So stopping
+    /// `[u | x] * w` after `u`'s columns and resuming from those
+    /// partial sums,
+    /// `x.matmul_carried(w, c, Some(&u.matmul_carried(w, 0, None, mode)), mode)`,
+    /// is bit for bit `concat_cols(&[&u, &x]).matmul_mode(w, mode)` when
+    /// every row of the concatenation starts with the same `u` — which
+    /// then is multiplied once, not once per row.
+    pub fn matmul_carried(
+        &self,
+        w: &Matrix,
+        w_row0: usize,
+        carry: Option<&Matrix>,
+        mode: MathMode,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, w.cols);
+        self.carried_into(w, w_row0, carry, &mut out, mode);
+        out
+    }
+
+    fn carried_into(
+        &self,
+        w: &Matrix,
+        w_row0: usize,
+        carry: Option<&Matrix>,
+        out: &mut Matrix,
+        mode: MathMode,
+    ) {
+        assert!(w_row0 + self.cols <= w.rows, "matmul_carried: weight rows out of bounds");
+        assert_eq!(out.shape(), (self.rows, w.cols), "matmul_into: bad output shape");
+        let carry = carry.map(|c| {
+            assert_eq!(c.shape(), (1, w.cols), "matmul_carried: carry must be 1 x {}", w.cols);
+            c.data.as_slice()
+        });
+        let (m, kk, n) = (self.rows, self.cols, w.cols);
+        let b = &w.data[w_row0 * n..(w_row0 + kk) * n];
         match mode {
-            MathMode::Bitwise => {
-                mm_nn(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data)
-            }
-            MathMode::FastMath => {
-                simd::mm_nn_fast(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data)
-            }
+            MathMode::Bitwise => mm_nn(&self.data, m, kk, b, n, carry, &mut out.data),
+            MathMode::FastMath => simd::mm_nn_fast(&self.data, m, kk, b, n, carry, &mut out.data),
         }
     }
 
@@ -262,7 +304,7 @@ impl Matrix {
         let m = range.len();
         let mut out = Matrix::zeros(m, rhs.cols);
         let a = &self.data[range.start * self.cols..range.end * self.cols];
-        mm_nn(a, m, self.cols, &rhs.data, rhs.cols, &mut out.data);
+        mm_nn(a, m, self.cols, &rhs.data, rhs.cols, None, &mut out.data);
         out
     }
 
@@ -309,8 +351,10 @@ impl Matrix {
         let bt = scratch.as_mut_slice();
         pack_transposed(&rhs.data, n, kk, bt);
         match mode {
-            MathMode::Bitwise => mm_nn(&self.data, self.rows, kk, bt, n, &mut out.data),
-            MathMode::FastMath => simd::mm_nn_fast(&self.data, self.rows, kk, bt, n, &mut out.data),
+            MathMode::Bitwise => mm_nn(&self.data, self.rows, kk, bt, n, None, &mut out.data),
+            MathMode::FastMath => {
+                simd::mm_nn_fast(&self.data, self.rows, kk, bt, n, None, &mut out.data)
+            }
         }
     }
 
@@ -750,7 +794,17 @@ pub(crate) fn gather_mean_pool(
 // is bitwise the oracle's naive triple loop.
 
 /// `out = a * b` where `a` is `m x kk` and `b` is `kk x n` (row-major).
-pub(crate) fn mm_nn(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut [f32]) {
+/// Every output row's accumulators start from `carry` (`n` partial
+/// sums; `None` is `+0.0`) — see [`Matrix::matmul_carried`].
+pub(crate) fn mm_nn(
+    a: &[f32],
+    m: usize,
+    kk: usize,
+    b: &[f32],
+    n: usize,
+    carry: Option<&[f32]>,
+    out: &mut [f32],
+) {
     let mut i = 0;
     while i < m {
         let ib = MR.min(m - i);
@@ -760,7 +814,9 @@ pub(crate) fn mm_nn(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &m
             if ib == MR && jb == NR {
                 let ar: [&[f32]; MR] =
                     std::array::from_fn(|ii| &a[(i + ii) * kk..(i + ii + 1) * kk]);
-                let mut acc = [[0.0f32; NR]; MR];
+                let start: [f32; NR] =
+                    carry.map_or([0.0; NR], |c| c[j..j + NR].try_into().expect("NR window"));
+                let mut acc = [start; MR];
                 for t in 0..kk {
                     let bv: &[f32; NR] =
                         b[t * n + j..t * n + j + NR].try_into().expect("NR window");
@@ -778,7 +834,7 @@ pub(crate) fn mm_nn(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &m
                 for ii in 0..ib {
                     let arow = &a[(i + ii) * kk..(i + ii + 1) * kk];
                     for jj in 0..jb {
-                        let mut acc = 0.0f32;
+                        let mut acc = carry.map_or(0.0, |c| c[j + jj]);
                         for (t, &av) in arow.iter().enumerate() {
                             acc += av * b[t * n + j + jj];
                         }
@@ -1220,6 +1276,35 @@ mod tests {
         let mut pooled = Matrix::zeros(6, 17);
         src.gather_mean_pool_rows_into_mode(&idx, 2, &mut pooled, MathMode::FastMath);
         assert_bits_eq(&pooled, &src.gather_mean_pool_rows(&idx, 2), "gather pool fast");
+    }
+
+    #[test]
+    fn carried_matmul_is_bitwise_the_concatenated_product_in_both_tiers() {
+        // Stop `[u | x] * w` after `split` columns and resume from the
+        // partial sums. The n values cross the 8-wide Bitwise tile, the
+        // 16-wide AVX2 panel, its one-vector edge panel and its scalar
+        // column tail; the m values cross the 4-row block and include
+        // the empty batch. CI's HIGNN_FORCE_PORTABLE_SIMD=1 leg re-runs
+        // this on the portable backend.
+        let (kk, c) = (13, 5);
+        for mode in [MathMode::Bitwise, MathMode::FastMath] {
+            for split in [0, 1, c, kk - 1, kk] {
+                for m_ in [0, 1, 3, 4, 5, 9] {
+                    for n_ in [1, 7, 8, 9, 16, 17, 64] {
+                        let seed = (split * 1000 + m_ * 100 + n_) as u32;
+                        let u = pseudo(1, split, seed);
+                        let x = pseudo(m_, kk - split, seed + 1);
+                        let w = pseudo(kk, n_, seed + 2);
+                        let u_rows = Matrix::from_fn(m_, split, |_, j| u.get(0, j));
+                        let want = Matrix::concat_cols(&[&u_rows, &x]).matmul_mode(&w, mode);
+                        let prefix = u.matmul_carried(&w, 0, None, mode);
+                        let got = x.matmul_carried(&w, split, Some(&prefix), mode);
+                        let what = format!("{mode:?} split {split} m {m_} n {n_}");
+                        assert_bits_eq(&got, &want, &what);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

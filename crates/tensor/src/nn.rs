@@ -83,8 +83,9 @@ impl Linear {
 
     /// Tape-free inference in the given math tier.
     pub fn infer_mode(&self, store: &ParamStore, x: &Matrix, mode: MathMode) -> Matrix {
-        x.matmul_mode(store.get(self.w), mode)
-            .add_row_broadcast(store.get(self.b))
+        let mut y = x.matmul_mode(store.get(self.w), mode);
+        y.add_row_broadcast_assign(store.get(self.b));
+        y
     }
 
     /// Weight parameter id.
@@ -167,7 +168,33 @@ impl Mlp {
     /// FastMath vectorises the matmuls and the leaky-ReLU activation;
     /// `tanh` stays scalar in both tiers (no vector `tanh` kernel).
     pub fn infer_mode(&self, store: &ParamStore, x: &Matrix, mode: MathMode) -> Matrix {
-        let mut h = self.layers[0].infer_mode(store, x, mode);
+        self.infer_after_first(store, self.layers[0].infer_mode(store, x, mode), mode)
+    }
+
+    /// [`Mlp::infer_mode`] on rows `[u | tail[r]]` that all begin with
+    /// the same `u`, given `carry = u.matmul_carried(w0, 0, None, mode)`
+    /// — layer 0's partial sums over `u`'s columns (`w0` is
+    /// `layers()[0]`'s weight). Layer 0 resumes from `carry` over the
+    /// `tail` columns ([`Matrix::matmul_carried`]), so `u` is multiplied
+    /// once for the batch and the logits are bit for bit those of the
+    /// materialised rows.
+    pub fn infer_split(
+        &self,
+        store: &ParamStore,
+        carry: &Matrix,
+        tail: &Matrix,
+        mode: MathMode,
+    ) -> Matrix {
+        let first = &self.layers[0];
+        assert!(tail.cols() <= first.in_dim, "Mlp: tail wider than the input");
+        let w_row0 = first.in_dim - tail.cols();
+        let mut h = tail.matmul_carried(store.get(first.w), w_row0, Some(carry), mode);
+        h.add_row_broadcast_assign(store.get(first.b));
+        self.infer_after_first(store, h, mode)
+    }
+
+    /// Runs layers `1..` on `h`, the first layer's pre-activation output.
+    fn infer_after_first(&self, store: &ParamStore, mut h: Matrix, mode: MathMode) -> Matrix {
         for layer in &self.layers[1..] {
             // The previous layer was a hidden one: activate in place.
             match (self.activation, mode) {

@@ -153,15 +153,26 @@ pub fn backend() -> SimdBackend {
 // transpose. Remainder rows/columns run a scalar loop in the same order.
 
 /// `out = a * b`, `a` is `m x kk`, `b` is `kk x n` (FastMath tier).
-pub fn mm_nn_fast(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut [f32]) {
+/// Every output row's accumulators start from `carry` (`n` partial
+/// sums; `None` is `+0.0`), as in the Bitwise [`matrix::mm_nn`].
+pub fn mm_nn_fast(
+    a: &[f32],
+    m: usize,
+    kk: usize,
+    b: &[f32],
+    n: usize,
+    carry: Option<&[f32]>,
+    out: &mut [f32],
+) {
     debug_assert!(a.len() >= m * kk && b.len() >= kk * n && out.len() >= m * n);
+    assert!(carry.is_none_or(|c| c.len() >= n), "mm_nn_fast: carry shorter than a row");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
         // SAFETY: backend() proved avx2+fma; slice bounds checked above.
-        unsafe { avx2::mm_nn(a, m, kk, b, n, out) };
+        unsafe { avx2::mm_nn(a, m, kk, b, n, carry, out) };
         return;
     }
-    matrix::mm_nn(a, m, kk, b, n, out);
+    matrix::mm_nn(a, m, kk, b, n, carry, out);
 }
 
 /// `out = a^T * b`, `a` is `kk x m`, `b` is `kk x n` (FastMath tier).
@@ -409,12 +420,14 @@ mod avx2 {
 
     /// The shared 4x16 broadcast-FMA microkernel over `t in 0..kk`:
     /// `a_at(ii, t)` supplies the broadcast element for output row
-    /// `i + ii`, and `brow(t)` the index of B's contiguous row.
+    /// `i + ii`, and `brow(t)` the index of B's contiguous row. Every
+    /// row's accumulators start from `carry[j..j + jb]` (`None` is
+    /// `+0.0`).
     ///
     /// # Safety
     /// Caller proves avx2+fma and that every index reached is in
     /// bounds: `a_at` for `ii < ib`, `b[brow(t) + j..+jb]`,
-    /// `out[(i+ii)*n + j..+jb]`.
+    /// `out[(i+ii)*n + j..+jb]`, `carry[j..+jb]`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
@@ -422,6 +435,7 @@ mod avx2 {
         kk: usize,
         b: &[f32],
         n: usize,
+        carry: Option<&[f32]>,
         out: &mut [f32],
         i: usize,
         ib: usize,
@@ -430,8 +444,11 @@ mod avx2 {
         a_at: F,
         brow: impl Fn(usize) -> usize,
     ) {
+        // What the accumulator vector of columns `j + jj..+L` starts from.
+        let start =
+            |jj: usize| carry.map_or(_mm256_setzero_ps(), |c| _mm256_loadu_ps(c.as_ptr().add(j + jj)));
         if ib == MRF && jb == NRF {
-            let mut acc = [[_mm256_setzero_ps(); 2]; MRF];
+            let mut acc = [[start(0), start(L)]; MRF];
             for t in 0..kk {
                 let base = brow(t) + j;
                 let b0 = _mm256_loadu_ps(b.as_ptr().add(base));
@@ -453,7 +470,7 @@ mod avx2 {
             for ii in 0..ib {
                 let mut jj = 0;
                 while jj + L <= jb {
-                    let mut acc = _mm256_setzero_ps();
+                    let mut acc = start(jj);
                     for t in 0..kk {
                         let bv = _mm256_loadu_ps(b.as_ptr().add(brow(t) + j + jj));
                         acc = _mm256_fmadd_ps(_mm256_set1_ps(a_at(ii, t)), bv, acc);
@@ -462,7 +479,7 @@ mod avx2 {
                     jj += L;
                 }
                 for jj in jj..jb {
-                    let mut s = 0.0f32;
+                    let mut s = carry.map_or(0.0, |c| c[j + jj]);
                     for t in 0..kk {
                         s += a_at(ii, t) * b[brow(t) + j + jj];
                     }
@@ -477,11 +494,13 @@ mod avx2 {
     /// # Safety
     /// Same contract as [`panel`], over the full output.
     #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn cover<F: Fn(usize, usize, usize) -> f32>(
         m: usize,
         kk: usize,
         b: &[f32],
         n: usize,
+        carry: Option<&[f32]>,
         out: &mut [f32],
         a_at: F,
         brow: impl Fn(usize) -> usize + Copy,
@@ -492,7 +511,7 @@ mod avx2 {
             let mut j = 0;
             while j < n {
                 let jb = NRF.min(n - j);
-                panel(kk, b, n, out, i, ib, j, jb, |ii, t| a_at(i, ii, t), brow);
+                panel(kk, b, n, carry, out, i, ib, j, jb, |ii, t| a_at(i, ii, t), brow);
                 j += jb;
             }
             i += ib;
@@ -501,10 +520,18 @@ mod avx2 {
 
     /// # Safety
     /// avx2+fma present; `a` is `m x kk`, `b` is `kk x n`, `out` holds
-    /// `m * n` entries.
+    /// `m * n` entries and `carry`, if any, `n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mm_nn(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        cover(m, kk, b, n, out, |i, ii, t| *a.get_unchecked((i + ii) * kk + t), |t| t * n);
+    pub unsafe fn mm_nn(
+        a: &[f32],
+        m: usize,
+        kk: usize,
+        b: &[f32],
+        n: usize,
+        carry: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        cover(m, kk, b, n, carry, out, |i, ii, t| *a.get_unchecked((i + ii) * kk + t), |t| t * n);
     }
 
     /// # Safety
@@ -512,7 +539,7 @@ mod avx2 {
     /// `m * n` entries.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        cover(m, kk, b, n, out, |i, ii, t| *a.get_unchecked(t * m + i + ii), |t| t * n);
+        cover(m, kk, b, n, None, out, |i, ii, t| *a.get_unchecked(t * m + i + ii), |t| t * n);
     }
 
     /// # Safety
@@ -530,7 +557,7 @@ mod avx2 {
         n: usize,
         out: &mut [f32],
     ) {
-        cover(m, c1 + c2, w, n, out, |i, ii, t| {
+        cover(m, c1 + c2, w, n, None, out, |i, ii, t| {
             if t < c1 {
                 *a1.get_unchecked((i + ii) * c1 + t)
             } else {
@@ -812,7 +839,7 @@ mod tests {
             let b = pseudo(k * n, (k * 13 + n) as u32);
             let oracle = mm_nn_f64(&a, m, k, &b, n);
             let mut out = vec![0.0f32; m * n];
-            mm_nn_fast(&a, m, k, &b, n, &mut out);
+            mm_nn_fast(&a, m, k, &b, n, None, &mut out);
             assert_close(&out, &oracle, 1e-5, "mm_nn_fast");
 
             // tn: build a^T (k x m) whose transpose is `a`.

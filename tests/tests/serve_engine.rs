@@ -88,6 +88,27 @@ fn thread_count_never_changes_a_batch() {
 /// after every finite-scored item (plain `total_cmp` descending would
 /// rank positive NaN *above* +inf) and must never panic the sort or
 /// poison the rest of the ranking.
+/// The contract documented on `ServeModel::top_k`: the answer is the
+/// best `k` of the leaves the beam reached, which a narrow beam can
+/// make fewer than `k`. Beam 1 on this tree reaches one tier-1 cluster
+/// (4 of the 20 items).
+#[test]
+fn a_narrow_beam_returns_the_leaves_it_reached_even_if_fewer_than_k() {
+    let model = ServeModel::from_hierarchy(hierarchy(11), 2020);
+    let exact = model.exhaustive_top_k(3, 20).unwrap();
+    let short = model.top_k(3, 10, BeamWidth::Finite(1)).unwrap();
+    assert_eq!(short.len(), 4, "beam 1 reaches exactly one 4-item cluster");
+    let cluster = short[0].item % 5;
+    assert!(short.iter().all(|s| s.item % 5 == cluster), "{short:?}");
+    // Exactly re-ranked: the exhaustive ranking restricted to the cluster.
+    let want: Vec<ScoredItem> = exact.iter().copied().filter(|s| s.item % 5 == cluster).collect();
+    assert_eq!(bits(&short), bits(&want));
+    // A beam that reaches at least k leaves fills the list; beam inf always does.
+    assert_eq!(model.top_k(3, 10, BeamWidth::Finite(3)).unwrap().len(), 10);
+    assert_eq!(model.top_k(3, 10, BeamWidth::Infinite).unwrap().len(), 10);
+    assert_eq!(model.top_k(3, 20, BeamWidth::Infinite).unwrap().len(), 20);
+}
+
 #[test]
 fn nan_features_never_poison_the_ranking() {
     let h = hierarchy(31);
