@@ -1,8 +1,8 @@
 //! # hignn-bench
 //!
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation, plus criterion micro-benchmarks. See DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! evaluation. See DESIGN.md §3 for the experiment index and
+//! EXPERIMENTS.md for paper-vs-measured results.
 //!
 //! Binaries (each accepts `--scale`, `--seed`, `--quick`):
 //!
@@ -14,9 +14,9 @@
 //! * `table7_taxonomy_quality` — Table VII (SHOAL vs HiGNN).
 //! * `fig5_case_study` — Figure 5 (rendered topic tree).
 //! * `ab_taxonomy_ctr` — Section V.D.4 (taxonomy-matched recommendation CTR).
-//! * `serve` — serving engine: top-k latency/QPS vs threads and
-//!   recall@k vs beam width against the exhaustive oracle
-//!   (`BENCH_serve.json`).
+//! * `topk_eval`, `ablation_quality` — extension experiments.
+//! * `objectives`, `ingest` — quality experiments (objective AUCs,
+//!   streaming staleness gap).
 
 #![warn(missing_docs)]
 

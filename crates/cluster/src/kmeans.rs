@@ -183,8 +183,7 @@ pub fn assign_all(
     exec: &ParallelExecutor,
 ) -> (Vec<u32>, f64) {
     // Serial fallback for small problems: below the work threshold,
-    // thread spawn overhead dominates the O(n·k·d) step itself
-    // (BENCH_parallel.json measured sub-1.0× speedups there). Chunk
+    // thread spawn overhead dominates the O(n·k·d) step itself. Chunk
     // decomposition is unchanged, so this never changes bits.
     let exec = &exec.throttle(data.rows() * data.cols() * centroids.rows());
     let packed = PackedRows::pack(centroids);

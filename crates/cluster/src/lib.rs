@@ -6,7 +6,7 @@
 //!   clustering step `K_u`/`K_i` of Algorithm 1, plus the cluster-feature
 //!   averaging rule (mean member embedding).
 //! * [`streaming`] — the single-pass K-means the paper's complexity
-//!   analysis assumes (`O(M·K_u + N·K_i)`), and a mini-batch variant.
+//!   analysis assumes (`O(M·K_u + N·K_i)`).
 //! * [`ch_index`] — Calinski-Harabasz index (Eq. 13) and CH-guided
 //!   cluster-count selection for taxonomy construction.
 //! * [`agglomerative`] — average-linkage HAC (NN-chain) used by the SHOAL
@@ -36,4 +36,4 @@ pub mod streaming;
 pub use agglomerative::{average_linkage, Dendrogram, Merge};
 pub use ch_index::{calinski_harabasz, select_k_by_ch};
 pub use kmeans::{kmeans, mean_by_cluster, KMeansConfig, KMeansResult};
-pub use streaming::{minibatch_kmeans, single_pass_kmeans, SequentialKMeans};
+pub use streaming::{single_pass_kmeans, SequentialKMeans};

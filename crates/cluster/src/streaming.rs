@@ -1,12 +1,10 @@
-//! Single-pass and mini-batch K-means.
+//! Single-pass K-means.
 //!
 //! The paper's complexity analysis (Section III.D) states: *"For the first
 //! layer of Kmeans, we use the single-pass version which estimates the
 //! cluster centers with a single pass over all data and is appropriate for
 //! large-scale clustering"*, giving `O(M*K_u + N*K_i)`. [`SequentialKMeans`]
-//! implements that estimator (MacQueen-style running means); a mini-batch
-//! variant is provided for the middle ground between single-pass and full
-//! Lloyd.
+//! implements that estimator (MacQueen-style running means).
 
 use crate::kmeans::{assign_all, kmeans_pp_seed, nearest_centroid};
 use hignn_tensor::parallel::ParallelExecutor;
@@ -123,21 +121,11 @@ impl SequentialKMeans {
 
 /// Runs single-pass K-means over an entire matrix: seed on a prefix
 /// sample, stream all rows once, then re-assign every row against the
-/// final centres (so the output assignment is consistent).
-pub fn single_pass_kmeans(
-    data: &Matrix,
-    k: usize,
-    seed_sample_size: usize,
-    rng: &mut impl Rng,
-) -> (Matrix, Vec<u32>) {
-    single_pass_kmeans_with(data, k, seed_sample_size, rng, &ParallelExecutor::single())
-}
-
-/// [`single_pass_kmeans`] with an explicit executor. The MacQueen
+/// final centres (so the output assignment is consistent). The MacQueen
 /// streaming pass is inherently sequential (each observation moves a
 /// centre), so only the final full re-assignment — the other O(n·k·d)
-/// half — runs in parallel. Bit-identical at any worker count.
-pub fn single_pass_kmeans_with(
+/// half — runs on `exec`. Bit-identical at any worker count.
+pub fn single_pass_kmeans(
     data: &Matrix,
     k: usize,
     seed_sample_size: usize,
@@ -156,54 +144,6 @@ pub fn single_pass_kmeans_with(
     }
     let (assignment, _inertia) = assign_all(&skm.centroids, data, exec);
     (skm.centroids, assignment)
-}
-
-/// Mini-batch K-means (Sculley 2010): repeated small batches with
-/// per-centre learning rates.
-pub fn minibatch_kmeans(
-    data: &Matrix,
-    k: usize,
-    batch_size: usize,
-    num_batches: usize,
-    rng: &mut impl Rng,
-) -> (Matrix, Vec<u32>) {
-    minibatch_kmeans_with(data, k, batch_size, num_batches, rng, &ParallelExecutor::single())
-}
-
-/// [`minibatch_kmeans`] with an explicit executor: each batch's
-/// assignment step and the final full re-assignment run data-parallel
-/// over fixed chunks; the centre updates (sequential running means)
-/// stay on the calling thread. Bit-identical at any worker count.
-pub fn minibatch_kmeans_with(
-    data: &Matrix,
-    k: usize,
-    batch_size: usize,
-    num_batches: usize,
-    rng: &mut impl Rng,
-    exec: &ParallelExecutor,
-) -> (Matrix, Vec<u32>) {
-    assert!(data.rows() > 0, "minibatch_kmeans: empty data");
-    let k = k.min(data.rows());
-    let mut centroids = kmeans_pp_seed(data, k, rng);
-    let mut counts = vec![0usize; k];
-    for _ in 0..num_batches {
-        let batch: Vec<usize> = (0..batch_size.min(data.rows()))
-            .map(|_| rng.gen_range(0..data.rows()))
-            .collect();
-        // Cache assignments (parallel) then apply updates (sequential).
-        let (assigned, _inertia) = assign_all(&centroids, &data.gather_rows(&batch), exec);
-        for (&i, &c) in batch.iter().zip(&assigned) {
-            let c = c as usize;
-            counts[c] += 1;
-            let lr = 1.0 / counts[c] as f32;
-            let row = centroids.row_mut(c);
-            for (cv, &pv) in row.iter_mut().zip(data.row(i)) {
-                *cv += lr * (pv - *cv);
-            }
-        }
-    }
-    let (assignment, _inertia) = assign_all(&centroids, data, exec);
-    (centroids, assignment)
 }
 
 #[cfg(test)]
@@ -227,7 +167,8 @@ mod tests {
     fn single_pass_separates_blobs() {
         let mut rng = StdRng::seed_from_u64(1);
         let data = two_blobs(&mut rng, 200);
-        let (_c, assignment) = single_pass_kmeans(&data, 2, 64, &mut rng);
+        let (_c, assignment) =
+            single_pass_kmeans(&data, 2, 64, &mut rng, &ParallelExecutor::single());
         // All of blob A in one cluster, all of blob B in the other.
         let a = assignment[0];
         assert!(assignment[..200].iter().all(|&x| x == a));
@@ -249,16 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn minibatch_separates_blobs() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let data = two_blobs(&mut rng, 150);
-        let (_c, assignment) = minibatch_kmeans(&data, 2, 32, 50, &mut rng);
-        let a = assignment[0];
-        assert!(assignment[..150].iter().all(|&x| x == a));
-        assert!(assignment[150..].iter().all(|&x| x != a));
-    }
-
-    #[test]
     fn assign_does_not_mutate() {
         let mut rng = StdRng::seed_from_u64(4);
         let seed = Matrix::from_vec(2, 1, vec![0.0, 10.0]);
@@ -272,18 +203,13 @@ mod tests {
     fn worker_count_does_not_change_bits() {
         let mut rng = StdRng::seed_from_u64(8);
         let data = two_blobs(&mut rng, 400); // 800 rows > ROW_CHUNK
-        let (c1, a1) = single_pass_kmeans(&data, 2, 64, &mut StdRng::seed_from_u64(5));
-        let (m1, b1) = minibatch_kmeans(&data, 2, 32, 20, &mut StdRng::seed_from_u64(6));
+        let single = ParallelExecutor::single();
+        let (c1, a1) = single_pass_kmeans(&data, 2, 64, &mut StdRng::seed_from_u64(5), &single);
         for workers in [2, 4] {
             let exec = ParallelExecutor::new(workers);
-            let (c, a) =
-                single_pass_kmeans_with(&data, 2, 64, &mut StdRng::seed_from_u64(5), &exec);
+            let (c, a) = single_pass_kmeans(&data, 2, 64, &mut StdRng::seed_from_u64(5), &exec);
             assert_eq!(a, a1, "single-pass workers = {workers}");
             assert_eq!(c.data(), c1.data(), "single-pass workers = {workers}");
-            let (m, b) =
-                minibatch_kmeans_with(&data, 2, 32, 20, &mut StdRng::seed_from_u64(6), &exec);
-            assert_eq!(b, b1, "mini-batch workers = {workers}");
-            assert_eq!(m.data(), m1.data(), "mini-batch workers = {workers}");
         }
     }
 
@@ -313,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_cluster_keeps_seed_until_reseed_or_report() {
+    fn dead_cluster_keeps_its_seed_and_is_reported() {
         // Centre 2 is seeded far from all data: it never receives a
         // point, keeps its seed position bit-exactly (documented
         // invariant), and is reported by dead_clusters().
@@ -334,7 +260,8 @@ mod tests {
     fn handles_k_greater_than_sample() {
         let mut rng = StdRng::seed_from_u64(5);
         let data = Matrix::from_vec(3, 1, vec![0.0, 5.0, 10.0]);
-        let (c, assignment) = single_pass_kmeans(&data, 10, 10, &mut rng);
+        let (c, assignment) =
+            single_pass_kmeans(&data, 10, 10, &mut rng, &ParallelExecutor::single());
         assert!(c.rows() <= 3);
         assert_eq!(assignment.len(), 3);
     }

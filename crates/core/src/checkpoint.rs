@@ -642,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_meta_with_undecodable_snapshot_is_corrupt() {
+    fn meta_with_undecodable_snapshot_is_corrupt() {
         let dir = std::env::temp_dir().join(format!("hignn_ckpt_badsnap_{}", std::process::id()));
         let store = CheckpointStore::create(&dir).unwrap();
         // Fixed words plus snapshot bytes that claim one entry but stop

@@ -486,7 +486,7 @@ mod tests {
     /// The file entry point and the in-memory one (the serving path)
     /// are one decoder and must return the same hierarchy.
     #[test]
-    fn zero_copy_reader_matches_streaming_reader() {
+    fn file_and_in_memory_readers_return_the_same_hierarchy() {
         let h = tiny_hierarchy();
         let path = std::env::temp_dir().join(format!("hignn_io_same_{}.hgh", std::process::id()));
         save_hierarchy(&path, &h).unwrap();

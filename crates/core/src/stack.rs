@@ -21,7 +21,7 @@ use crate::trainer::{
 };
 use hignn_cluster::ch_index::select_k_by_ch;
 use hignn_cluster::kmeans::{kmeans_with, mean_by_cluster, KMeansConfig};
-use hignn_cluster::streaming::single_pass_kmeans_with;
+use hignn_cluster::streaming::single_pass_kmeans;
 use hignn_graph::{coarsen, Assignment, BipartiteGraph};
 use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
 use hignn_tensor::Matrix;
@@ -550,7 +550,7 @@ fn build_one_level(
             }
             match cfg.kmeans {
                 KMeansAlgo::Lloyd => kmeans_with(z, &KMeansConfig::new(k), rng, exec).assignment,
-                KMeansAlgo::SinglePass => single_pass_kmeans_with(z, k, 4 * k, rng, exec).1,
+                KMeansAlgo::SinglePass => single_pass_kmeans(z, k, 4 * k, rng, exec).1,
             }
         };
         let au_raw = cluster(&zu, ku, au_pre, &mut rng);

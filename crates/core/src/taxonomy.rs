@@ -157,6 +157,18 @@ fn strongest_topic(clicks: &HashMap<usize, f64>) -> Option<usize> {
         .map(|(&t, _)| t)
 }
 
+/// A topic's describing queries: the `keep` highest representativeness
+/// scores `r(q, t) = sqrt(pop * con)` (ties: smaller query id). `max(0.0)`
+/// scrubs a NaN product to score 0, so it ranks after every positive
+/// score and the total order is plain descending.
+fn rank_descriptions(mut scored: Vec<(f64, u32)>, keep: usize) -> Vec<u32> {
+    for s in &mut scored {
+        s.0 = s.0.max(0.0).sqrt();
+    }
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    scored.iter().take(keep).map(|&(_, q)| q).collect()
+}
+
 /// Builds a taxonomy from a query-item graph.
 ///
 /// `query_feats` / `item_feats` are the shared-space features (mean
@@ -228,15 +240,9 @@ pub fn build_taxonomy(
                     denom += bm25.score(&query_tokens[q], other).min(cfg.max_relevance).exp();
                 }
                 let con = rel_t.exp() / denom;
-                scored.push(((pop * con).max(0.0).sqrt(), q as u32));
+                scored.push((pop * con, q as u32));
             }
-            // `max(0.0)` above scrubs NaN, so total order is descending.
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            let description_queries: Vec<u32> = scored
-                .iter()
-                .take(cfg.descriptions_per_topic)
-                .map(|&(_, q)| q)
-                .collect();
+            let description_queries = rank_descriptions(scored, cfg.descriptions_per_topic);
             let description = description_queries
                 .first()
                 .map(|&q| query_texts[q as usize].clone())
@@ -353,6 +359,10 @@ mod tests {
         let clicks = HashMap::from([(0, f64::NAN), (1, 2.0), (2, 2.0), (3, -f64::NAN)]);
         assert_eq!(strongest_topic(&clicks), Some(1));
         assert_eq!(strongest_topic(&HashMap::new()), None);
+        // The description ranking applies the same policy to NaN scores.
+        let scored = vec![(f64::NAN, 0), (0.25, 3), (0.25, 2), (-f64::NAN, 1), (0.81, 4)];
+        assert_eq!(rank_descriptions(scored.clone(), 3), vec![4, 2, 3]);
+        assert_eq!(rank_descriptions(scored, 9), vec![4, 2, 3, 0, 1]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Groups item indices by their assigned topic.
 fn topic_members(assignment: &[u32]) -> HashMap<u32, Vec<usize>> {
@@ -98,16 +98,17 @@ pub fn taxonomy_diversity(
 
 /// Normalised mutual information between two labelings — an additional
 /// clustering-quality diagnostic not in the paper but useful for tests
-/// and ablations.
+/// and ablations. Every sum runs over sorted label keys, so identical
+/// inputs give identical bits.
 pub fn normalized_mutual_info(a: &[u32], b: &[u32]) -> f64 {
     assert_eq!(a.len(), b.len(), "normalized_mutual_info: length mismatch");
     let n = a.len();
     if n == 0 {
         return 0.0;
     }
-    let mut ca: HashMap<u32, f64> = HashMap::new();
-    let mut cb: HashMap<u32, f64> = HashMap::new();
-    let mut joint: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut ca: BTreeMap<u32, f64> = BTreeMap::new();
+    let mut cb: BTreeMap<u32, f64> = BTreeMap::new();
+    let mut joint: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     for i in 0..n {
         *ca.entry(a[i]).or_insert(0.0) += 1.0;
         *cb.entry(b[i]).or_insert(0.0) += 1.0;
@@ -121,7 +122,7 @@ pub fn normalized_mutual_info(a: &[u32], b: &[u32]) -> f64 {
         let py = cb[&y] / n;
         mi += pxy * (pxy / (px * py)).ln();
     }
-    let h = |counts: &HashMap<u32, f64>| -> f64 {
+    let h = |counts: &BTreeMap<u32, f64>| -> f64 {
         counts
             .values()
             .map(|&c| {
@@ -201,5 +202,19 @@ mod tests {
         let c = vec![1; 6];
         let nmi = normalized_mutual_info(&a, &c);
         assert!(nmi < 0.05, "nmi {nmi}");
+    }
+
+    #[test]
+    fn nmi_is_bit_identical_across_repeated_calls() {
+        // 40 x 40 labels with every joint cell occupied (2 or 3 times):
+        // enough f64 terms that a per-call summation order (each
+        // `HashMap` draws its own `RandomState`) moves the last digits.
+        let n = 4000usize;
+        let a: Vec<u32> = (0..n).map(|i| (i % 40) as u32).collect();
+        let b: Vec<u32> = (0..n).map(|i| ((i / 40 * 7 + i) % 40) as u32).collect();
+        let first = normalized_mutual_info(&a, &b).to_bits();
+        for call in 1..64 {
+            assert_eq!(normalized_mutual_info(&a, &b).to_bits(), first, "call {call}");
+        }
     }
 }

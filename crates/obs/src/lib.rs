@@ -21,8 +21,7 @@
 //!
 //! The contract is asserted end-to-end: the determinism suite builds a
 //! hierarchy with metrics on and off at 1 and N threads and compares
-//! serialized bytes, and the kernels bench compares per-epoch loss bits
-//! while measuring the overhead (reported in `BENCH_kernels.json`).
+//! serialized bytes.
 //!
 //! # Global state
 //!

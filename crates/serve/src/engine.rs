@@ -11,8 +11,8 @@ use std::str::FromStr;
 pub const DEFAULT_TOP_K: usize = 10;
 
 /// Default beam width (per tier). Wide enough that recall@10 stays high
-/// on the synthetic benchmarks (see `BENCH_serve.json`), narrow enough
-/// that descent visits a small fraction of the catalogue.
+/// on the synthetic benchmarks, narrow enough that descent visits a
+/// small fraction of the catalogue.
 pub const DEFAULT_BEAM_WIDTH: BeamWidth = BeamWidth::Finite(16);
 
 /// How many branches survive at each tier of the descent.

@@ -16,7 +16,8 @@
 //! to the reference implementation (f32 addition is not associative;
 //! per-element `k` order is the spec, see DESIGN.md "Performance &
 //! determinism contract"). The fused variants
-//! ([`Matrix::gather_mean_pool_rows`], [`Matrix::concat2_matmul`])
+//! ([`Matrix::gather_mean_pool_rows`],
+//! [`Matrix::concat2_matmul_rows_range`])
 //! preserve the same per-element order as the ops they fuse.
 //!
 //! The `nt` layout (`a * b^T`) is computed by **packing** a transposed
@@ -218,18 +219,14 @@ impl Matrix {
     /// a `+0.0` accumulator).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
+        self.matmul_into(rhs, &mut out, MathMode::Bitwise);
         out
     }
 
-    /// [`Matrix::matmul`] writing into a caller-provided output matrix
-    /// (overwrites every entry; `out` need not be zeroed).
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into_mode(rhs, out, MathMode::Bitwise);
-    }
-
-    /// [`Matrix::matmul_into`] under an explicit [`MathMode`].
-    pub fn matmul_into_mode(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
+    /// [`Matrix::matmul`] under an explicit [`MathMode`], writing into a
+    /// caller-provided output matrix (overwrites every entry; `out` need
+    /// not be zeroed).
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} * {}x{}",
@@ -251,7 +248,7 @@ impl Matrix {
     /// `[u | x] * w` after `u`'s columns and resuming from those
     /// partial sums,
     /// `x.matmul_carried(w, c, Some(&u.matmul_carried(w, 0, None, mode)), mode)`,
-    /// is bit for bit `concat_cols(&[&u, &x]).matmul_mode(w, mode)` when
+    /// is bit for bit `concat_cols(&[&u, &x])` times `w` under `mode` when
     /// every row of the concatenation starts with the same `u` — which
     /// then is multiplied once, not once per row.
     pub fn matmul_carried(
@@ -288,13 +285,6 @@ impl Matrix {
         }
     }
 
-    /// [`Matrix::matmul`] under an explicit [`MathMode`].
-    pub fn matmul_mode(&self, rhs: &Matrix, mode: MathMode) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into_mode(rhs, &mut out, mode);
-        out
-    }
-
     /// Product of a contiguous row range of `self` with `rhs`
     /// (`self[range] * rhs`), bitwise identical to gathering the rows
     /// first.
@@ -311,25 +301,20 @@ impl Matrix {
     /// Matrix product `self * rhs^T` without materialising the transpose.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_nt_into(rhs, &mut out);
+        self.matmul_nt_into(rhs, &mut out, MathMode::Bitwise);
         out
     }
 
-    /// [`Matrix::matmul_nt`] writing into a caller-provided output matrix
-    /// (overwrites every entry; `out` need not be zeroed).
-    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_nt_into_mode(rhs, out, MathMode::Bitwise);
-    }
-
-    /// [`Matrix::matmul_nt_into`] under an explicit [`MathMode`], using
-    /// the per-thread pack scratch.
-    pub fn matmul_nt_into_mode(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
+    /// [`Matrix::matmul_nt`] under an explicit [`MathMode`], writing into
+    /// a caller-provided output matrix (overwrites every entry; `out`
+    /// need not be zeroed) and using the per-thread pack scratch.
+    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
         NT_PACK.with(|cell| {
             self.matmul_nt_into_scratch(rhs, out, mode, &mut cell.borrow_mut());
         });
     }
 
-    /// [`Matrix::matmul_nt_into_mode`] packing the transposed B panel
+    /// [`Matrix::matmul_nt_into`] packing the transposed B panel
     /// into a caller-provided aligned scratch buffer (lease it from a
     /// [`crate::Workspace`] on the training hot path; contents are
     /// overwritten).
@@ -361,18 +346,14 @@ impl Matrix {
     /// Matrix product `self^T * rhs` without materialising the transpose.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_tn_into(rhs, &mut out);
+        self.matmul_tn_into(rhs, &mut out, MathMode::Bitwise);
         out
     }
 
-    /// [`Matrix::matmul_tn`] writing into a caller-provided output matrix
-    /// (overwrites every entry; `out` need not be zeroed).
-    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_tn_into_mode(rhs, out, MathMode::Bitwise);
-    }
-
-    /// [`Matrix::matmul_tn_into`] under an explicit [`MathMode`].
-    pub fn matmul_tn_into_mode(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
+    /// [`Matrix::matmul_tn`] under an explicit [`MathMode`], writing into
+    /// a caller-provided output matrix (overwrites every entry; `out`
+    /// need not be zeroed).
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn: ({}x{})^T * {}x{}",
@@ -389,40 +370,20 @@ impl Matrix {
         }
     }
 
-    /// Fused `[a | b] * w` without materialising the concatenation.
+    /// Fused `[a[range] | b] * w` over a contiguous row range of `a`,
+    /// without materialising the concatenation; `b` must already have
+    /// `range.len()` rows. Bitwise tier only.
     ///
-    /// Bitwise identical to `Matrix::concat_cols(&[&a, &b]).matmul(&w)`:
-    /// for every output element the contraction runs over `a`'s columns
-    /// then `b`'s columns in ascending order — the same per-element
-    /// order the concatenated product uses.
-    pub fn concat2_matmul(a: &Matrix, b: &Matrix, w: &Matrix) -> Matrix {
-        Self::concat2_matmul_rows_range(a, 0..a.rows, b, w)
-    }
-
-    /// [`Matrix::concat2_matmul`] under an explicit [`MathMode`].
-    pub fn concat2_matmul_mode(a: &Matrix, b: &Matrix, w: &Matrix, mode: MathMode) -> Matrix {
-        Self::concat2_matmul_rows_range_mode(a, 0..a.rows, b, w, mode)
-    }
-
-    /// [`Matrix::concat2_matmul`] over a contiguous row range of `a`
-    /// (`[a[range] | b] * w`); `b` must already have `range.len()` rows.
+    /// Bitwise identical to
+    /// `Matrix::concat_cols(&[&a_range, &b]).matmul(&w)`: for every
+    /// output element the contraction runs over `a`'s columns then `b`'s
+    /// columns in ascending order — the same per-element order the
+    /// concatenated product uses.
     pub fn concat2_matmul_rows_range(
         a: &Matrix,
         range: std::ops::Range<usize>,
         b: &Matrix,
         w: &Matrix,
-    ) -> Matrix {
-        Self::concat2_matmul_rows_range_mode(a, range, b, w, MathMode::Bitwise)
-    }
-
-    /// [`Matrix::concat2_matmul_rows_range`] under an explicit
-    /// [`MathMode`].
-    pub fn concat2_matmul_rows_range_mode(
-        a: &Matrix,
-        range: std::ops::Range<usize>,
-        b: &Matrix,
-        w: &Matrix,
-        mode: MathMode,
     ) -> Matrix {
         assert!(range.end <= a.rows, "concat2_matmul: range out of bounds");
         let m = range.len();
@@ -430,14 +391,7 @@ impl Matrix {
         assert_eq!(a.cols + b.cols, w.rows, "concat2_matmul: inner dimension mismatch");
         let mut out = Matrix::zeros(m, w.cols);
         let a1 = &a.data[range.start * a.cols..range.end * a.cols];
-        match mode {
-            MathMode::Bitwise => {
-                mm_cat2(a1, a.cols, &b.data, b.cols, m, &w.data, w.cols, &mut out.data)
-            }
-            MathMode::FastMath => {
-                simd::mm_cat2_fast(a1, a.cols, &b.data, b.cols, m, &w.data, w.cols, &mut out.data)
-            }
-        }
+        mm_cat2(a1, a.cols, &b.data, b.cols, m, &w.data, w.cols, &mut out.data);
         out
     }
 
@@ -631,44 +585,22 @@ impl Matrix {
             group
         );
         let mut out = Matrix::zeros(idx.len() / group, self.cols);
-        self.gather_mean_pool_rows_into(idx, group, &mut out);
+        self.gather_mean_pool_rows_into(idx, group, &mut out, MathMode::Bitwise);
         out
     }
 
-    /// [`Matrix::gather_mean_pool_rows_into`] under an explicit
-    /// [`MathMode`]. The column lanes of a mean-pool never interact, so
-    /// FastMath here is value-identical — it differs only in using the
-    /// vector units.
-    pub fn gather_mean_pool_rows_into_mode(
+    /// [`Matrix::gather_mean_pool_rows`] under an explicit [`MathMode`],
+    /// writing into a caller-provided output matrix (overwrites every
+    /// entry; `out` need not be zeroed). The column lanes of a mean-pool
+    /// never interact, so FastMath here is value-identical — it differs
+    /// only in using the vector units.
+    pub fn gather_mean_pool_rows_into(
         &self,
         idx: &[usize],
         group: usize,
         out: &mut Matrix,
         mode: MathMode,
     ) {
-        match mode {
-            MathMode::Bitwise => self.gather_mean_pool_rows_into(idx, group, out),
-            MathMode::FastMath => {
-                assert!(
-                    group > 0 && idx.len().is_multiple_of(group),
-                    "gather_mean_pool_rows_into: bad grouping"
-                );
-                assert_eq!(
-                    out.shape(),
-                    (idx.len() / group, self.cols),
-                    "gather_mean_pool_rows_into: bad output shape"
-                );
-                if let Some(&bad) = idx.iter().find(|&&i| i >= self.rows) {
-                    panic!("gather_mean_pool_rows_into: index {bad} out of bounds ({} rows)", self.rows);
-                }
-                simd::gather_mean_pool_fast(&self.data, self.cols, idx, group, &mut out.data);
-            }
-        }
-    }
-
-    /// [`Matrix::gather_mean_pool_rows`] writing into a caller-provided
-    /// output matrix (overwrites every entry; `out` need not be zeroed).
-    pub fn gather_mean_pool_rows_into(&self, idx: &[usize], group: usize, out: &mut Matrix) {
         assert!(
             group > 0 && idx.len().is_multiple_of(group),
             "gather_mean_pool_rows_into: bad grouping"
@@ -678,7 +610,16 @@ impl Matrix {
             (idx.len() / group, self.cols),
             "gather_mean_pool_rows_into: bad output shape"
         );
-        gather_mean_pool(&self.data, self.cols, idx, group, &mut out.data);
+        match mode {
+            MathMode::Bitwise => gather_mean_pool(&self.data, self.cols, idx, group, &mut out.data),
+            MathMode::FastMath => {
+                // The vector kernel reads rows through raw pointers.
+                if let Some(&bad) = idx.iter().find(|&&i| i >= self.rows) {
+                    panic!("gather_mean_pool_rows_into: index {bad} out of bounds ({} rows)", self.rows);
+                }
+                simd::gather_mean_pool_fast(&self.data, self.cols, idx, group, &mut out.data);
+            }
+        }
     }
 
     /// Sum of all entries.
@@ -1230,28 +1171,6 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_mode_variants_match_the_modeless_entry_points() {
-        let a = pseudo(9, 14, 3);
-        let b = pseudo(14, 11, 4);
-        let bt = pseudo(11, 14, 5);
-        let at = pseudo(14, 9, 6);
-        assert_bits_eq(&a.matmul_mode(&b, MathMode::Bitwise), &a.matmul(&b), "nn mode");
-        let mut out = Matrix::zeros(9, 11);
-        a.matmul_nt_into_mode(&bt, &mut out, MathMode::Bitwise);
-        assert_bits_eq(&out, &a.matmul_nt(&bt), "nt mode");
-        let mut out_tn = Matrix::zeros(9, 11);
-        at.matmul_tn_into_mode(&b, &mut out_tn, MathMode::Bitwise);
-        assert_bits_eq(&out_tn, &at.matmul_tn(&b), "tn mode");
-        let b2 = pseudo(9, 5, 7);
-        let w = pseudo(19, 8, 8);
-        assert_bits_eq(
-            &Matrix::concat2_matmul_mode(&a, &b2, &w, MathMode::Bitwise),
-            &Matrix::concat2_matmul(&a, &b2, &w),
-            "cat2 mode",
-        );
-    }
-
-    #[test]
     fn fastmath_variants_stay_close_to_naive() {
         let close = |x: &Matrix, y: &Matrix, what: &str| {
             assert_eq!(x.shape(), y.shape(), "{what}: shape");
@@ -1259,22 +1178,23 @@ mod tests {
         };
         let a = pseudo(13, 37, 9);
         let b = pseudo(37, 21, 10);
-        close(&a.matmul_mode(&b, MathMode::FastMath), &naive_matmul(&a, &b), "nn fast");
-        let bt = pseudo(21, 37, 11);
         let mut out = Matrix::zeros(13, 21);
+        a.matmul_into(&b, &mut out, MathMode::FastMath);
+        close(&out, &naive_matmul(&a, &b), "nn fast");
+        let bt = pseudo(21, 37, 11);
         // Exercise the caller-scratch variant, as the tape does.
         let mut scratch = AlignedBuf::new();
         a.matmul_nt_into_scratch(&bt, &mut out, MathMode::FastMath, &mut scratch);
         close(&out, &naive_matmul(&a, &bt.transpose()), "nt fast");
         let at = a.transpose(); // 37x13, so at^T * b == a * b
         let mut out_tn = Matrix::zeros(13, 21);
-        at.matmul_tn_into_mode(&b, &mut out_tn, MathMode::FastMath);
+        at.matmul_tn_into(&b, &mut out_tn, MathMode::FastMath);
         close(&out_tn, &naive_matmul(&a, &b), "tn fast");
         // Fused gather->pool under FastMath is value-identical.
         let src = pseudo(9, 17, 12);
         let idx = vec![0usize, 8, 3, 3, 1, 7, 2, 6, 5, 0, 4, 8];
         let mut pooled = Matrix::zeros(6, 17);
-        src.gather_mean_pool_rows_into_mode(&idx, 2, &mut pooled, MathMode::FastMath);
+        src.gather_mean_pool_rows_into(&idx, 2, &mut pooled, MathMode::FastMath);
         assert_bits_eq(&pooled, &src.gather_mean_pool_rows(&idx, 2), "gather pool fast");
     }
 
@@ -1296,7 +1216,8 @@ mod tests {
                         let x = pseudo(m_, kk - split, seed + 1);
                         let w = pseudo(kk, n_, seed + 2);
                         let u_rows = Matrix::from_fn(m_, split, |_, j| u.get(0, j));
-                        let want = Matrix::concat_cols(&[&u_rows, &x]).matmul_mode(&w, mode);
+                        let mut want = Matrix::zeros(m_, n_);
+                        Matrix::concat_cols(&[&u_rows, &x]).matmul_into(&w, &mut want, mode);
                         let prefix = u.matmul_carried(&w, 0, None, mode);
                         let got = x.matmul_carried(&w, split, Some(&prefix), mode);
                         let what = format!("{mode:?} split {split} m {m_} n {n_}");
@@ -1326,7 +1247,7 @@ mod tests {
             let b = pseudo(m_, c2, 22);
             let w = pseudo(c1 + c2, n_, 33);
             assert_bits_eq(
-                &Matrix::concat2_matmul(&a, &b, &w),
+                &Matrix::concat2_matmul_rows_range(&a, 0..m_, &b, &w),
                 &Matrix::concat_cols(&[&a, &b]).matmul(&w),
                 "cat2",
             );

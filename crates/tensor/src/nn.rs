@@ -83,7 +83,9 @@ impl Linear {
 
     /// Tape-free inference in the given math tier.
     pub fn infer_mode(&self, store: &ParamStore, x: &Matrix, mode: MathMode) -> Matrix {
-        let mut y = x.matmul_mode(store.get(self.w), mode);
+        let w = store.get(self.w);
+        let mut y = Matrix::zeros(x.rows(), w.cols());
+        x.matmul_into(w, &mut y, mode);
         y.add_row_broadcast_assign(store.get(self.b));
         y
     }

@@ -129,10 +129,9 @@ impl ParallelExecutor {
     ///
     /// Spawn + scheduling overhead is a few tens of microseconds per
     /// `map` call; below the threshold the serial path is strictly
-    /// faster (BENCH_parallel.json measured 0.64–0.91× *slowdowns* for
-    /// threaded K-means on small inputs). Determinism is unaffected:
-    /// chunk decomposition is identical at any worker count, so the
-    /// serial fallback is bit-identical by the existing 1-vs-N contract.
+    /// faster. Determinism is unaffected: chunk decomposition is
+    /// identical at any worker count, so the serial fallback is
+    /// bit-identical by the existing 1-vs-N contract.
     pub fn throttle(&self, work: usize) -> ParallelExecutor {
         if work < MIN_PARALLEL_WORK {
             ParallelExecutor::single()

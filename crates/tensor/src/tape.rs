@@ -299,7 +299,7 @@ impl<'s> Tape<'s> {
     /// `a * b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let mut out = self.mat_zeroed(a.rows, b.cols);
-        self.value(a).matmul_into_mode(self.value(b), &mut out, self.math);
+        self.value(a).matmul_into(self.value(b), &mut out, self.math);
         self.push(Stored::Owned(out), Op::MatMul(a.id, b.id))
     }
 
@@ -394,7 +394,7 @@ impl<'s> Tape<'s> {
             group
         );
         let mut out = self.mat_zeroed(idx.len() / group, src.cols);
-        self.value(src).gather_mean_pool_rows_into_mode(idx, group, &mut out, self.math);
+        self.value(src).gather_mean_pool_rows_into(idx, group, &mut out, self.math);
         self.push(
             Stored::Owned(out),
             Op::GatherMeanPoolRows { src: src.id, idx: idx.to_vec(), group },
@@ -664,10 +664,10 @@ impl<'s> Tape<'s> {
                             g.matmul_nt_into_scratch(bv, &mut ga, self.math, &mut scratch);
                             ws.recycle_aligned(scratch);
                         }
-                        None => g.matmul_nt_into_mode(bv, &mut ga, self.math),
+                        None => g.matmul_nt_into(bv, &mut ga, self.math),
                     }
                     let mut gb = self.mat_zeroed(av.cols(), g.cols());
-                    av.matmul_tn_into_mode(&g, &mut gb, self.math);
+                    av.matmul_tn_into(&g, &mut gb, self.math);
                     accum(&mut grads, *a, ga, self.ws);
                     accum(&mut grads, *b, gb, self.ws);
                     self.reclaim_mat(g);

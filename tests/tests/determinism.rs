@@ -244,28 +244,11 @@ fn fastmath_tier_is_deterministic_and_thread_invariant() {
         fast1,
         "FastMath build is not self-deterministic"
     );
-}
-
-// CI matrix knob: HIGNN_TEST_MATH re-runs the thread-invariance
-// contract in the workflow-selected tier (`bitwise` | `fast`, defaults
-// to bitwise).
-
-#[test]
-fn env_selected_math_tier_is_thread_invariant() {
-    let math = match std::env::var("HIGNN_TEST_MATH") {
-        Ok(tok) => MathMode::parse(&tok).expect("HIGNN_TEST_MATH must be bitwise|fast"),
-        Err(_) => MathMode::Bitwise,
-    };
-    let one = build_at_math(1, math);
     assert_eq!(
-        build_at_math(4, math),
-        one,
-        "{} tier diverged across thread counts",
-        math.name()
+        build_at_math(1, MathMode::Bitwise),
+        build_at(1),
+        "explicit Bitwise diverged from the default build"
     );
-    if math == MathMode::Bitwise {
-        assert_eq!(one, build_at(1), "explicit Bitwise diverged from the default build");
-    }
 }
 
 // ---------------------------------------------------------------------
