@@ -60,7 +60,7 @@ OBJECTIVES:
 MATH TIERS:
   --math selects the numeric contract (DESIGN.md §14): `bitwise` (the
   default; every kernel is bit-identical to the naive scalar oracle) or
-  `fast` (SIMD kernels that may reorder within-row accumulation;
+  `fast` (the same kernels with multiply-adds contracted into FMAs;
   verified against an f64 oracle within stated tolerances). Both tiers
   are deterministic — reruns and any thread count reproduce the same
   bits within a tier. The tier is recorded in checkpoint metadata, so

@@ -413,6 +413,21 @@ fn corrupt(detail: String) -> HignnError {
 /// delta that fails any check therefore leaves `h` bit-for-bit as it was
 /// and returns [`HignnError::Corrupt`].
 pub fn apply_delta(h: &mut Hierarchy, delta: &HierarchyDelta) -> Result<(), HignnError> {
+    let base = hierarchy_fingerprint(h);
+    apply_delta_to_base(h, base, delta)
+}
+
+/// [`apply_delta`] for a holder that already knows `h`'s fingerprint —
+/// a replica that verified it when the previous delta landed, as
+/// [`IngestEngine`] carries its own from batch to batch — and so skips
+/// one of the two full-model hashes. `base_fingerprint` must be
+/// [`hierarchy_fingerprint`]`(h)`; the patched hierarchy is re-hashed
+/// and compared whatever the caller claims.
+pub fn apply_delta_to_base(
+    h: &mut Hierarchy,
+    base_fingerprint: u64,
+    delta: &HierarchyDelta,
+) -> Result<(), HignnError> {
     // ---- read-only validation ----
     if delta.base_users != h.num_users() as u64 || delta.base_items != h.num_items() as u64 {
         return Err(corrupt(format!(
@@ -430,10 +445,9 @@ pub fn apply_delta(h: &mut Hierarchy, delta: &HierarchyDelta) -> Result<(), Hign
             h.num_levels()
         )));
     }
-    let base_fp = hierarchy_fingerprint(h);
-    if base_fp != delta.base_fingerprint {
+    if base_fingerprint != delta.base_fingerprint {
         return Err(corrupt(format!(
-            "base fingerprint mismatch (expected {:#018x}, hierarchy is {base_fp:#018x}) — \
+            "base fingerprint mismatch (expected {:#018x}, hierarchy is {base_fingerprint:#018x}) — \
              wrong base model, or delta already applied / out of order",
             delta.base_fingerprint
         )));

@@ -279,7 +279,7 @@ impl BipartiteSage {
                     let pooled = match src {
                         FeatureSource::Fixed(m) => {
                             let mut out = Matrix::zeros(layers[p_max].len() / fanout, m.cols());
-                            m.gather_mean_pool_rows_into(&layers[p_max], fanout, &mut out, tape.math());
+                            m.gather_mean_pool_rows_into(&layers[p_max], fanout, &mut out);
                             tape.input(out)
                         }
                         FeatureSource::Trainable(pid) => {

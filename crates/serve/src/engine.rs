@@ -26,10 +26,11 @@ pub enum BeamWidth {
 }
 
 impl BeamWidth {
-    /// Applies the width to a ranked frontier.
-    fn truncate<T>(self, ranked: &mut Vec<T>) {
-        if let BeamWidth::Finite(n) = self {
-            ranked.truncate(n);
+    /// How many nodes of a tier survive (everything when infinite).
+    fn keep(self) -> usize {
+        match self {
+            BeamWidth::Finite(n) => n,
+            BeamWidth::Infinite => usize::MAX,
         }
     }
 }
@@ -91,17 +92,34 @@ fn rank_cmp(a: &ScoredItem, b: &ScoredItem) -> Ordering {
     }
 }
 
+/// Cuts `items` down to its best `keep` under [`rank_cmp`], ranked. `rank_cmp` is a total order, so selecting the
+/// head and sorting only it leaves exactly the prefix a full sort would
+/// — without ordering the candidates nobody will read.
+fn keep_best(items: &mut Vec<ScoredItem>, keep: usize) {
+    if (1..items.len()).contains(&keep) {
+        items.select_nth_unstable_by(keep - 1, rank_cmp);
+    }
+    items.truncate(keep);
+    items.sort_unstable_by(rank_cmp);
+}
+
 /// Scores `ids` against `feats` rows for the user whose
-/// [`crate::Scorer::user_prefix`] is `prefix`, and returns them fully
-/// ranked.
-fn rank(model: &ServeModel, prefix: &Matrix, feats: &Matrix, ids: &[u32]) -> Vec<ScoredItem> {
+/// [`crate::Scorer::user_prefix`] is `prefix`, and returns the best
+/// `keep` of them, ranked.
+fn rank(
+    model: &ServeModel,
+    prefix: &Matrix,
+    feats: &Matrix,
+    ids: &[u32],
+    keep: usize,
+) -> Vec<ScoredItem> {
     let scores = model.scorer().score_prefixed(prefix, feats, ids);
     let mut ranked: Vec<ScoredItem> = ids
         .iter()
         .zip(&scores)
         .map(|(&item, &score)| ScoredItem { item, score })
         .collect();
-    ranked.sort_unstable_by(rank_cmp);
+    keep_best(&mut ranked, keep);
     ranked
 }
 
@@ -157,8 +175,7 @@ impl ServeModel {
         // Descend tier L -> 1, pruning to the beam at every tier.
         let mut frontier: Vec<u32> = (0..self.node_reps(self.num_levels()).rows() as u32).collect();
         for tier in (1..=self.num_levels()).rev() {
-            let mut ranked = rank(self, &prefix, self.node_reps(tier), &frontier);
-            beam.truncate(&mut ranked);
+            let ranked = rank(self, &prefix, self.node_reps(tier), &frontier, beam.keep());
             let kids = self.children(tier);
             frontier = ranked
                 .iter()
@@ -166,9 +183,7 @@ impl ServeModel {
                 .collect();
         }
         // Exact Eq. 7 re-rank of the surviving leaves.
-        let mut leaves = rank(self, &prefix, self.item_features(), &frontier);
-        leaves.truncate(k);
-        Ok(leaves)
+        Ok(rank(self, &prefix, self.item_features(), &frontier, k))
     }
 
     /// Scores **every** item exactly and returns the top k — the oracle
@@ -177,9 +192,7 @@ impl ServeModel {
         self.validate(user, k)?;
         let prefix = self.scorer().user_prefix(self.user_features().row(user));
         let all: Vec<u32> = (0..self.num_items() as u32).collect();
-        let mut ranked = rank(self, &prefix, self.item_features(), &all);
-        ranked.truncate(k);
-        Ok(ranked)
+        Ok(rank(self, &prefix, self.item_features(), &all, k))
     }
 
     /// Serves a batch of requests on `exec`'s worker threads.
@@ -230,5 +243,30 @@ mod tests {
         let order: Vec<u32> = items.iter().map(|s| s.item).collect();
         // +inf first, ties by id, -inf still ahead of NaN, NaN dead last.
         assert_eq!(order, vec![0, 1, 3, 2, 4, 5]);
+    }
+
+    #[test]
+    fn keeping_the_best_equals_sorting_then_truncating() {
+        // Ties, both infinities, NaNs of either sign, signed zeros.
+        let scores = [
+            1.0, f32::NAN, -2.0, 1.0, f32::INFINITY, 0.0, -0.0, f32::NEG_INFINITY, 1.0, -f32::NAN,
+            3.5, -2.0, f32::INFINITY, 0.0,
+        ];
+        let items: Vec<ScoredItem> = scores
+            .iter()
+            .enumerate()
+            // Ids out of order, so a tie is not already sorted by id.
+            .map(|(i, &score)| ScoredItem { item: (i as u32 * 5) % 14, score })
+            .collect();
+        let mut sorted = items.clone();
+        sorted.sort_unstable_by(rank_cmp);
+        let bits = |v: &[ScoredItem]| -> Vec<(u32, u32)> {
+            v.iter().map(|s| (s.item, s.score.to_bits())).collect()
+        };
+        for keep in 0..=items.len() + 1 {
+            let mut kept = items.clone();
+            keep_best(&mut kept, keep);
+            assert_eq!(bits(&kept), bits(&sorted[..keep.min(items.len())]), "keep {keep}");
+        }
     }
 }

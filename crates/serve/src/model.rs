@@ -2,7 +2,7 @@
 
 use crate::scorer::Scorer;
 use hignn::error::HignnError;
-use hignn::ingest::HierarchyDelta;
+use hignn::ingest::{hierarchy_fingerprint, HierarchyDelta};
 use hignn::io::read_hierarchy_bytes;
 use hignn::stack::Hierarchy;
 use hignn_tensor::{MathMode, Matrix};
@@ -34,6 +34,11 @@ pub struct ServeModel {
     node_reps: Vec<Matrix>,
     children: Vec<Vec<Vec<u32>>>,
     scorer: Scorer,
+    /// `hierarchy_fingerprint(&hierarchy)` once known: hashed on the
+    /// first delta, afterwards the patched fingerprint the last applied
+    /// delta was verified against. `apply_delta` is the only `&mut`
+    /// path to `hierarchy`, so it cannot go stale.
+    fingerprint: Option<u64>,
 }
 
 impl std::fmt::Debug for ServeModel {
@@ -120,7 +125,15 @@ impl ServeModel {
         }
 
         let scorer = Scorer::new(hierarchy.user_dim(), item_dim, scorer_seed).with_math(math);
-        ServeModel { hierarchy, user_features, item_features, node_reps, children, scorer }
+        ServeModel {
+            hierarchy,
+            user_features,
+            item_features,
+            node_reps,
+            children,
+            scorer,
+            fingerprint: None,
+        }
     }
 
     /// Number of users the model covers.
@@ -174,10 +187,12 @@ impl ServeModel {
     /// feature recomputation.
     ///
     /// The hierarchy patch itself is delegated to
-    /// [`hignn::ingest::apply_delta`] (which checks the base before
-    /// mutating and rolls the patch back if the result does not
-    /// fingerprint to what the writer stated). The precomputed serving
-    /// state is then maintained incrementally:
+    /// [`hignn::ingest::apply_delta_to_base`] (which checks the base
+    /// before mutating and rolls the patch back if the result does not
+    /// fingerprint to what the writer stated). The base fingerprint is
+    /// the one the previous delta was verified against — like the
+    /// writer, a replica hashes its model once per delta, not twice. The
+    /// precomputed serving state is then maintained incrementally:
     ///
     /// * `z^H` rows are appended for new vertices and recomputed only
     ///   for moved ones (an unmoved vertex's ancestor chain is
@@ -209,7 +224,9 @@ impl ServeModel {
             })
             .collect();
 
-        hignn::ingest::apply_delta(&mut self.hierarchy, delta)?;
+        let base = *self.fingerprint.get_or_insert_with(|| hierarchy_fingerprint(&self.hierarchy));
+        hignn::ingest::apply_delta_to_base(&mut self.hierarchy, base, delta)?;
+        self.fingerprint = Some(delta.patched_fingerprint);
 
         // --- z^H rows: append new vertices, recompute moved ones. ---
         let append_and_patch = |features: &mut Matrix,

@@ -29,10 +29,12 @@
 //! ascends once from `+0.0` — so packed `nt` stays bitwise
 //! oracle-identical while matching the `nn` kernel's throughput.
 //!
-//! Every product and the fused gather→mean-pool also exist as `_mode`
-//! variants taking a [`MathMode`]: `Bitwise` dispatches to the kernels
-//! in this file, `FastMath` to the toleranced SIMD kernels in
-//! [`crate::simd`] (see DESIGN.md §14 for the two-tier contract).
+//! Every product dispatches through [`crate::simd`], which runs the
+//! AVX2 panel when the CPU has one — unfused for `Bitwise` (the same
+//! per-element chain, so the same bits), FMA-contracted for `FastMath`
+//! — and [`mm_nn`] / [`mm_tn`] below otherwise: they are the portable
+//! backend and the reference the vector path is tested against
+//! (DESIGN.md §14).
 
 use crate::simd::{self, MathMode};
 use crate::workspace::AlignedBuf;
@@ -279,10 +281,7 @@ impl Matrix {
         });
         let (m, kk, n) = (self.rows, self.cols, w.cols);
         let b = &w.data[w_row0 * n..(w_row0 + kk) * n];
-        match mode {
-            MathMode::Bitwise => mm_nn(&self.data, m, kk, b, n, carry, &mut out.data),
-            MathMode::FastMath => simd::mm_nn_fast(&self.data, m, kk, b, n, carry, &mut out.data),
-        }
+        simd::mm_nn(&self.data, m, kk, b, n, carry, &mut out.data, mode);
     }
 
     /// Product of a contiguous row range of `self` with `rhs`
@@ -294,7 +293,7 @@ impl Matrix {
         let m = range.len();
         let mut out = Matrix::zeros(m, rhs.cols);
         let a = &self.data[range.start * self.cols..range.end * self.cols];
-        mm_nn(a, m, self.cols, &rhs.data, rhs.cols, None, &mut out.data);
+        simd::mm_nn(a, m, self.cols, &rhs.data, rhs.cols, None, &mut out.data, MathMode::Bitwise);
         out
     }
 
@@ -335,12 +334,7 @@ impl Matrix {
         scratch.resize_for_overwrite(kk * n);
         let bt = scratch.as_mut_slice();
         pack_transposed(&rhs.data, n, kk, bt);
-        match mode {
-            MathMode::Bitwise => mm_nn(&self.data, self.rows, kk, bt, n, None, &mut out.data),
-            MathMode::FastMath => {
-                simd::mm_nn_fast(&self.data, self.rows, kk, bt, n, None, &mut out.data)
-            }
-        }
+        simd::mm_nn(&self.data, self.rows, kk, bt, n, None, &mut out.data, mode);
     }
 
     /// Matrix product `self^T * rhs` without materialising the transpose.
@@ -360,14 +354,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         assert_eq!(out.shape(), (self.cols, rhs.cols), "matmul_tn_into: bad output shape");
-        match mode {
-            MathMode::Bitwise => {
-                mm_tn(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data)
-            }
-            MathMode::FastMath => {
-                simd::mm_tn_fast(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data)
-            }
-        }
+        simd::mm_tn(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data, mode);
     }
 
     /// Fused `[a[range] | b] * w` over a contiguous row range of `a`,
@@ -585,22 +572,15 @@ impl Matrix {
             group
         );
         let mut out = Matrix::zeros(idx.len() / group, self.cols);
-        self.gather_mean_pool_rows_into(idx, group, &mut out, MathMode::Bitwise);
+        self.gather_mean_pool_rows_into(idx, group, &mut out);
         out
     }
 
-    /// [`Matrix::gather_mean_pool_rows`] under an explicit [`MathMode`],
-    /// writing into a caller-provided output matrix (overwrites every
-    /// entry; `out` need not be zeroed). The column lanes of a mean-pool
-    /// never interact, so FastMath here is value-identical — it differs
-    /// only in using the vector units.
-    pub fn gather_mean_pool_rows_into(
-        &self,
-        idx: &[usize],
-        group: usize,
-        out: &mut Matrix,
-        mode: MathMode,
-    ) {
+    /// [`Matrix::gather_mean_pool_rows`] writing into a caller-provided
+    /// output matrix (overwrites every entry; `out` need not be zeroed).
+    /// The column lanes of a mean-pool never interact, so the one
+    /// vector kernel serves both math tiers with the same bits.
+    pub fn gather_mean_pool_rows_into(&self, idx: &[usize], group: usize, out: &mut Matrix) {
         assert!(
             group > 0 && idx.len().is_multiple_of(group),
             "gather_mean_pool_rows_into: bad grouping"
@@ -610,16 +590,7 @@ impl Matrix {
             (idx.len() / group, self.cols),
             "gather_mean_pool_rows_into: bad output shape"
         );
-        match mode {
-            MathMode::Bitwise => gather_mean_pool(&self.data, self.cols, idx, group, &mut out.data),
-            MathMode::FastMath => {
-                // The vector kernel reads rows through raw pointers.
-                if let Some(&bad) = idx.iter().find(|&&i| i >= self.rows) {
-                    panic!("gather_mean_pool_rows_into: index {bad} out of bounds ({} rows)", self.rows);
-                }
-                simd::gather_mean_pool_fast(&self.data, self.cols, idx, group, &mut out.data);
-            }
-        }
+        simd::gather_mean_pool(&self.data, self.cols, idx, group, &mut out.data);
     }
 
     /// Sum of all entries.
@@ -700,8 +671,9 @@ impl Matrix {
 }
 
 /// Output row `g` of `out` is the mean of `src` rows
-/// `idx[g*group..(g+1)*group]`, summed in index order (Bitwise tier; an
-/// out-of-range index panics on the row slice).
+/// `idx[g*group..(g+1)*group]`, summed in index order (the portable
+/// backend of [`simd::gather_mean_pool`]; an out-of-range index panics
+/// on the row slice).
 pub(crate) fn gather_mean_pool(
     src: &[f32],
     cols: usize,
@@ -1190,12 +1162,6 @@ mod tests {
         let mut out_tn = Matrix::zeros(13, 21);
         at.matmul_tn_into(&b, &mut out_tn, MathMode::FastMath);
         close(&out_tn, &naive_matmul(&a, &b), "tn fast");
-        // Fused gather->pool under FastMath is value-identical.
-        let src = pseudo(9, 17, 12);
-        let idx = vec![0usize, 8, 3, 3, 1, 7, 2, 6, 5, 0, 4, 8];
-        let mut pooled = Matrix::zeros(6, 17);
-        src.gather_mean_pool_rows_into(&idx, 2, &mut pooled, MathMode::FastMath);
-        assert_bits_eq(&pooled, &src.gather_mean_pool_rows(&idx, 2), "gather pool fast");
     }
 
     #[test]

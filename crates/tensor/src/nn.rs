@@ -167,8 +167,8 @@ impl Mlp {
 
     /// Tape-free inference producing logits, in the given math tier.
     ///
-    /// FastMath vectorises the matmuls and the leaky-ReLU activation;
-    /// `tanh` stays scalar in both tiers (no vector `tanh` kernel).
+    /// The tier decides the matmuls' rounding (FMA or not); leaky ReLU
+    /// is one vector kernel and `tanh` a scalar loop in both tiers.
     pub fn infer_mode(&self, store: &ParamStore, x: &Matrix, mode: MathMode) -> Matrix {
         self.infer_after_first(store, self.layers[0].infer_mode(store, x, mode), mode)
     }
@@ -199,16 +199,11 @@ impl Mlp {
     fn infer_after_first(&self, store: &ParamStore, mut h: Matrix, mode: MathMode) -> Matrix {
         for layer in &self.layers[1..] {
             // The previous layer was a hidden one: activate in place.
-            match (self.activation, mode) {
-                (Activation::LeakyRelu, MathMode::FastMath) => {
-                    simd::leaky_relu_fast(h.data_mut(), 0.01)
-                }
-                (Activation::LeakyRelu, MathMode::Bitwise) => {
-                    h.map_assign(|v| if v > 0.0 { v } else { 0.01 * v })
-                }
-                (Activation::Relu, _) => h.map_assign(|v| v.max(0.0)),
-                (Activation::Tanh, _) => h.map_assign(f32::tanh),
-                (Activation::Identity, _) => {}
+            match self.activation {
+                Activation::LeakyRelu => simd::leaky_relu(h.data_mut(), 0.01),
+                Activation::Relu => h.map_assign(|v| v.max(0.0)),
+                Activation::Tanh => h.map_assign(f32::tanh),
+                Activation::Identity => {}
             }
             h = layer.infer_mode(store, &h, mode);
         }

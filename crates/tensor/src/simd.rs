@@ -7,40 +7,35 @@
 //! AVX2+FMA subset used here covers every x86-64 server this system
 //! targets. Dispatch is decided **once per process** at runtime
 //! ([`backend`]): if AVX2 and FMA are both present the vector kernels
-//! run, otherwise the matmul and gather kernels fall back to the
-//! register-tiled Bitwise kernels of [`crate::matrix`] (and the
-//! elementwise ones to scalar loops) — so a FastMath build without AVX2
-//! is bit-identical to Bitwise, never silently wrong. Setting
-//! `HIGNN_FORCE_PORTABLE_SIMD=1` pins the portable fallback, which is
-//! how CI proves the fallback path on machines that *do* have AVX2.
+//! run, otherwise the matmuls fall back to the register-tiled kernels
+//! of [`crate::matrix`] and the rest to scalar loops — the same bits in
+//! the Bitwise tier, and FastMath without AVX2 *is* Bitwise, never
+//! silently wrong. Setting `HIGNN_FORCE_PORTABLE_SIMD=1` pins the
+//! portable fallback, which is how CI proves the fallback path on
+//! machines that *do* have AVX2.
 //!
 //! ## The two tiers (DESIGN.md §14)
 //!
 //! * [`MathMode::Bitwise`] — the proven default. Every kernel is
 //!   bit-identical to the naive oracle: per output element the
-//!   contraction index ascends from a `+0.0` accumulator. The kernels
-//!   in [`crate::matrix`] implement this tier, and one kernel in this
-//!   module does too: [`PackedRows::sq_dists`], the K-means distance
-//!   scan, which runs in *both* tiers. It gives every row its own
-//!   vector lane, so the lanes hold independent per-row sums in the
-//!   oracle's order — separate multiply and add, no FMA, no cross-lane
-//!   reduction — and the AVX2 and portable backends agree to the bit.
-//! * [`MathMode::FastMath`] — the `*_fast` kernels below. They may
-//!   *reorder* accumulation across vector lanes and contract
-//!   multiply-add pairs into single-rounding FMAs, so results differ
-//!   from the oracle in the low bits. They are verified
-//!   **differentially**: each kernel within a stated tolerance of an
-//!   `f64` oracle (see the differential-oracle suite and the kernels
-//!   bench, which exits 5 on divergence), plus end-metric equivalence
-//!   of a full training run. Within the tier, results are still
-//!   deterministic: the lane structure is fixed, so the same inputs
-//!   give the same bits on the same backend, and N worker threads
-//!   remain bit-identical to 1.
-//!
-//! Elementwise kernels (leaky ReLU forward/backward, axpy) are
-//! value-identical to their scalar forms — vector lanes never interact
-//! — but ship in this module because they only run under FastMath; the
-//! Adam update uses FMA contraction and is toleranced like the matmuls.
+//!   contraction index ascends from the accumulator's start value, each
+//!   term a multiply and then an add, rounded separately. Vector width
+//!   does not enter into it: a kernel that gives every output element
+//!   its own lane runs that chain verbatim, eight at a time. So this
+//!   tier's matmuls ([`mm_nn`], [`mm_tn`]), [`gather_mean_pool`],
+//!   [`leaky_relu`], [`leaky_relu_bwd`] and [`PackedRows::sq_dists`]
+//!   all use the AVX2 unit, and the two backends agree to the bit.
+//! * [`MathMode::FastMath`] — buys exactly what changes a rounding:
+//!   each multiply-add of a matmul contracted into one FMA (the same
+//!   tile loop, instantiated fused), and the fused optimizer steps
+//!   [`axpy_fast`] and [`adam_step_fast`]. Results differ from the
+//!   oracle in the low bits and are verified **differentially**: each
+//!   kernel within a stated tolerance of an `f64` oracle (the
+//!   differential-oracle suite), plus end-metric equivalence of a full
+//!   training run. Within the tier, results are still deterministic:
+//!   the lane structure is fixed, so the same inputs give the same bits
+//!   on the same backend, and N worker threads remain bit-identical
+//!   to 1.
 
 use crate::matrix::{self, Matrix};
 use crate::workspace::AlignedBuf;
@@ -55,7 +50,7 @@ pub enum MathMode {
     /// Bit-identical to the naive oracle (the proven default).
     #[default]
     Bitwise,
-    /// SIMD kernels; accumulation may be reordered for vector lanes.
+    /// The same kernels with multiply-adds contracted into FMAs.
     /// Verified within tolerances against the `f64` oracle.
     FastMath,
 }
@@ -68,7 +63,7 @@ impl MathMode {
             "fast" => Ok(MathMode::FastMath),
             other => Err(format!(
                 "unknown math mode `{other}`: expected `bitwise` (bit-identical to the \
-                 oracle) or `fast` (SIMD kernels, toleranced)"
+                 oracle) or `fast` (FMA-contracted kernels, toleranced)"
             )),
         }
     }
@@ -107,9 +102,12 @@ pub const FORCE_PORTABLE_ENV: &str = "HIGNN_FORCE_PORTABLE_SIMD";
 /// Which implementation backs the kernels of this module in this process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdBackend {
-    /// AVX2 + FMA `core::arch` intrinsics.
+    /// AVX2 + FMA `core::arch` intrinsics (Bitwise uses the AVX2 half
+    /// only: no FMA).
     Avx2Fma,
-    /// Portable fallback: the Bitwise kernels (no vector intrinsics).
+    /// Portable fallback, no vector intrinsics: [`crate::matrix`]'s
+    /// register-tiled matmuls and scalar loops. Bitwise has the same
+    /// bits as on [`SimdBackend::Avx2Fma`]; FastMath becomes Bitwise.
     Portable,
 }
 
@@ -141,21 +139,28 @@ pub fn backend() -> SimdBackend {
     })
 }
 
-// ---- FastMath matmul kernels -------------------------------------------
+// ---- matmul kernels, both tiers ----------------------------------------
 //
-// All three products share one microkernel shape: 4 output rows x 16
-// output columns (two 8-lane vectors per row) accumulate in registers
-// while the contraction index `t` ascends once; the A element is
-// broadcast, the B row is loaded contiguously, and `acc = fma(a, b,
-// acc)` contracts each multiply-add into one rounding. Per-element `t`
-// order is *preserved* — only the FMA rounding differs from Bitwise —
-// except in packed-`nt`, which shares this kernel after an explicit
-// transpose. Remainder rows/columns run a scalar loop in the same order.
+// The products share one microkernel shape: 4 output rows x 16 output
+// columns (two 8-lane vectors per row) accumulate in registers while
+// the contraction index `t` ascends once; the A element is broadcast
+// and the B row is loaded contiguously, so every output element owns
+// one lane and its chain `acc <- acc + a*b` is the oracle's. Bitwise
+// rounds the multiply and the add separately and has the oracle's
+// bits; FastMath contracts them into one FMA — the only difference
+// between the two instantiations. Packed-`nt` shares this kernel after
+// an explicit transpose. Sub-vector column tails run a scalar
+// multiply-then-add loop in the same order in both.
 
-/// `out = a * b`, `a` is `m x kk`, `b` is `kk x n` (FastMath tier).
-/// Every output row's accumulators start from `carry` (`n` partial
-/// sums; `None` is `+0.0`), as in the Bitwise [`matrix::mm_nn`].
-pub fn mm_nn_fast(
+/// `out = a * b` under `mode`; `a` is `m x kk`, `b` is `kk x n`. Every
+/// output row's accumulators start from `carry` (`n` partial sums;
+/// `None` is `+0.0`). [`matrix::mm_nn`] is the portable backend, and
+/// bit for bit what `Bitwise` computes on either.
+///
+/// # Panics
+/// Panics when a slice is shorter than its shape.
+#[allow(clippy::too_many_arguments)]
+pub fn mm_nn(
     a: &[f32],
     m: usize,
     kk: usize,
@@ -163,58 +168,76 @@ pub fn mm_nn_fast(
     n: usize,
     carry: Option<&[f32]>,
     out: &mut [f32],
+    mode: MathMode,
 ) {
-    debug_assert!(a.len() >= m * kk && b.len() >= kk * n && out.len() >= m * n);
-    assert!(carry.is_none_or(|c| c.len() >= n), "mm_nn_fast: carry shorter than a row");
+    assert!(a.len() >= m * kk && b.len() >= kk * n && out.len() >= m * n, "mm_nn: short slice");
+    assert!(carry.is_none_or(|c| c.len() >= n), "mm_nn: carry shorter than a row");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; slice bounds checked above.
-        unsafe { avx2::mm_nn(a, m, kk, b, n, carry, out) };
+        // SAFETY: backend() proved avx2+fma; the asserts above are the
+        // bounds the kernel's unchecked reads and stores rely on.
+        unsafe {
+            match mode {
+                MathMode::Bitwise => avx2::mm_nn::<false>(a, m, kk, b, n, carry, out),
+                MathMode::FastMath => avx2::mm_nn::<true>(a, m, kk, b, n, carry, out),
+            }
+        }
         return;
     }
     matrix::mm_nn(a, m, kk, b, n, carry, out);
 }
 
-/// `out = a^T * b`, `a` is `kk x m`, `b` is `kk x n` (FastMath tier).
-pub fn mm_tn_fast(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert!(a.len() >= kk * m && b.len() >= kk * n && out.len() >= m * n);
+/// `out = a^T * b` under `mode`; `a` is `kk x m`, `b` is `kk x n`.
+/// [`matrix::mm_tn`] is the portable backend.
+///
+/// # Panics
+/// Panics when a slice is shorter than its shape.
+pub fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32], mode: MathMode) {
+    assert!(a.len() >= kk * m && b.len() >= kk * n && out.len() >= m * n, "mm_tn: short slice");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; slice bounds checked above.
-        unsafe { avx2::mm_tn(a, kk, m, b, n, out) };
+        // SAFETY: backend() proved avx2+fma; the assert above is the
+        // bound the kernel's unchecked reads and stores rely on.
+        unsafe {
+            match mode {
+                MathMode::Bitwise => avx2::mm_tn::<false>(a, kk, m, b, n, out),
+                MathMode::FastMath => avx2::mm_tn::<true>(a, kk, m, b, n, out),
+            }
+        }
         return;
     }
     matrix::mm_tn(a, kk, m, b, n, out);
 }
 
-/// Fused gather -> mean-pool over rows (FastMath tier): output row `g`
-/// averages `src` rows `idx[g*group..(g+1)*group]`. Columns are
-/// independent lanes, so values match the Bitwise kernel exactly; it
-/// lives in this tier because it uses the vector units.
-pub fn gather_mean_pool_fast(
-    src: &[f32],
-    cols: usize,
-    idx: &[usize],
-    group: usize,
-    out: &mut [f32],
-) {
-    debug_assert!(group > 0 && idx.len().is_multiple_of(group));
-    debug_assert!(out.len() >= (idx.len() / group) * cols);
+// ---- kernels whose lanes never interact: one implementation, exact bits --
+
+/// Fused gather -> mean-pool over rows: output row `g` averages `src`
+/// rows `idx[g*group..(g+1)*group]`, summed in index order from `+0.0`
+/// and then scaled by `1/group`. Columns are independent lanes, so both
+/// backends give the bits of `gather_rows` + `mean_pool_rows`.
+///
+/// # Panics
+/// Panics on a zero `group`, an `idx` not a multiple of it, a short
+/// `out`, or an index past the last full `cols`-wide row of `src`.
+pub fn gather_mean_pool(src: &[f32], cols: usize, idx: &[usize], group: usize, out: &mut [f32]) {
+    assert!(group > 0 && idx.len().is_multiple_of(group), "gather_mean_pool: bad grouping");
+    assert!(out.len() >= (idx.len() / group) * cols, "gather_mean_pool: short output");
+    if let Some(&bad) = idx.iter().find(|&&i| (i + 1) * cols > src.len()) {
+        panic!("gather_mean_pool: index {bad} out of bounds ({} rows)", src.len() / cols.max(1));
+    }
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; bounds checked above plus
-        // the same per-index row bound the Bitwise kernel asserts.
+        // SAFETY: backend() proved avx2+fma; the asserts above bound
+        // every row the kernel reads through a raw pointer and `out`.
         unsafe { avx2::gather_mean_pool(src, cols, idx, group, out) };
         return;
     }
     matrix::gather_mean_pool(src, cols, idx, group, out);
 }
 
-// ---- FastMath elementwise kernels --------------------------------------
-
-/// In-place leaky ReLU: `x = if x > 0 { x } else { alpha * x }`.
-/// Value-identical to the scalar form (lanes never interact).
-pub fn leaky_relu_fast(x: &mut [f32], alpha: f32) {
+/// In-place leaky ReLU: `x = if x > 0 { x } else { alpha * x }` (a NaN
+/// is scaled, like any value that is not positive).
+pub fn leaky_relu(x: &mut [f32], alpha: f32) {
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
         // SAFETY: backend() proved avx2+fma.
@@ -222,18 +245,20 @@ pub fn leaky_relu_fast(x: &mut [f32], alpha: f32) {
         return;
     }
     for v in x {
-        if *v <= 0.0 {
-            *v *= alpha;
-        }
+        *v = if *v > 0.0 { *v } else { alpha * *v };
     }
 }
 
-/// In-place leaky-ReLU backward: `g *= alpha` wherever `x <= 0`.
-pub fn leaky_relu_bwd_fast(g: &mut [f32], x: &[f32], alpha: f32) {
-    debug_assert_eq!(g.len(), x.len());
+/// In-place leaky-ReLU backward: `g *= alpha` wherever `x <= 0` (a NaN
+/// `x` leaves `g` alone).
+///
+/// # Panics
+/// Panics unless `g` and `x` have the same length.
+pub fn leaky_relu_bwd(g: &mut [f32], x: &[f32], alpha: f32) {
+    assert_eq!(g.len(), x.len(), "leaky_relu_bwd: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; equal lengths checked.
+        // SAFETY: backend() proved avx2+fma; equal lengths asserted.
         unsafe { avx2::leaky_relu_bwd(g, x, alpha) };
         return;
     }
@@ -244,12 +269,17 @@ pub fn leaky_relu_bwd_fast(g: &mut [f32], x: &[f32], alpha: f32) {
     }
 }
 
+// ---- FastMath elementwise kernels --------------------------------------
+
 /// In-place `y += alpha * x` (FMA-contracted under AVX2).
+///
+/// # Panics
+/// Panics unless `y` and `x` have the same length.
 pub fn axpy_fast(y: &mut [f32], alpha: f32, x: &[f32]) {
-    debug_assert_eq!(y.len(), x.len());
+    assert_eq!(y.len(), x.len(), "axpy_fast: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; equal lengths checked.
+        // SAFETY: backend() proved avx2+fma; equal lengths asserted.
         unsafe { avx2::axpy(y, alpha, x) };
         return;
     }
@@ -363,10 +393,13 @@ pub fn adam_step_fast(
     bc1: f32,
     bc2: f32,
 ) {
-    debug_assert!(p.len() == m.len() && m.len() == v.len() && v.len() == g.len());
+    assert!(
+        p.len() == m.len() && m.len() == v.len() && v.len() == g.len(),
+        "adam_step_fast: length mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; equal lengths checked.
+        // SAFETY: backend() proved avx2+fma; equal lengths asserted.
         unsafe { avx2::adam_step(p, m, v, g, lr, beta1, beta2, eps, bc1, bc2) };
         return;
     }
@@ -388,25 +421,27 @@ mod avx2 {
 
     /// Lanes per vector register.
     const L: usize = 8;
-    /// Output-row block of the broadcast-FMA microkernel.
+    /// Output-row block of the broadcast microkernel.
     const MRF: usize = 4;
     /// Output-column block (two vectors wide).
     const NRF: usize = 2 * L;
 
-    /// The shared 4x16 broadcast-FMA microkernel over `t in 0..kk`:
-    /// `a_at(ii, t)` supplies the broadcast element for output row
-    /// `i + ii`, and `brow(t)` the index of B's contiguous row. Every
-    /// row's accumulators start from `carry[j..j + jb]` (`None` is
-    /// `+0.0`).
+    /// The shared 4x16 broadcast microkernel over `t in 0..kk`, both
+    /// tiers: `a_at(ii, t)` supplies the broadcast element for output
+    /// row `i + ii`, and `brow(t)` the index of B's contiguous row.
+    /// Every row's accumulators start from `carry[j..j + jb]` (`None` is
+    /// `+0.0`). `FUSED` contracts each term into one FMA (FastMath);
+    /// unfused, a lane's `acc + a*b` rounds twice like the oracle's
+    /// scalar chain, so the output has its bits (Bitwise).
     ///
     /// # Safety
     /// Caller proves avx2+fma and that every index reached is in
     /// bounds: `a_at` for `ii < ib`, `b[brow(t) + j..+jb]`,
-    /// `out[(i+ii)*n + j..+jb]`, `carry[j..+jb]`.
+    /// `out[(i+ii)*n + j..+jb]`, `carry[j..+jb]`; and `ib >= 1`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn panel<F: Fn(usize, usize) -> f32>(
+    unsafe fn panel<const FUSED: bool, F: Fn(usize, usize) -> f32>(
         kk: usize,
         b: &[f32],
         n: usize,
@@ -422,6 +457,14 @@ mod avx2 {
         // What the accumulator vector of columns `j + jj..+L` starts from.
         let start =
             |jj: usize| carry.map_or(_mm256_setzero_ps(), |c| _mm256_loadu_ps(c.as_ptr().add(j + jj)));
+        // One term of eight chains.
+        let madd = |a: __m256, b: __m256, acc: __m256| {
+            if FUSED {
+                _mm256_fmadd_ps(a, b, acc)
+            } else {
+                _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+            }
+        };
         if ib == MRF && jb == NRF {
             let mut acc = [[start(0), start(L)]; MRF];
             for t in 0..kk {
@@ -430,8 +473,8 @@ mod avx2 {
                 let b1 = _mm256_loadu_ps(b.as_ptr().add(base + L));
                 for (ii, row) in acc.iter_mut().enumerate() {
                     let av = _mm256_set1_ps(a_at(ii, t));
-                    row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-                    row[1] = _mm256_fmadd_ps(av, b1, row[1]);
+                    row[0] = madd(av, b0, row[0]);
+                    row[1] = madd(av, b1, row[1]);
                 }
             }
             for (ii, row) in acc.iter().enumerate() {
@@ -440,19 +483,26 @@ mod avx2 {
                 _mm256_storeu_ps(out.as_mut_ptr().add(o + L), row[1]);
             }
         } else {
-            // Edge panel (short rows and/or columns): one vector at a
-            // time per row, scalar for the sub-vector tail.
-            for ii in 0..ib {
-                let mut jj = 0;
-                while jj + L <= jb {
-                    let mut acc = start(jj);
-                    for t in 0..kk {
-                        let bv = _mm256_loadu_ps(b.as_ptr().add(brow(t) + j + jj));
-                        acc = _mm256_fmadd_ps(_mm256_set1_ps(a_at(ii, t)), bv, acc);
+            // Edge panel (short rows and/or columns). A vector of
+            // columns still keeps MRF rows in flight: rows past `ib`
+            // recompute the last real row and are not stored, so the
+            // trip count is constant and the accumulators stay in
+            // registers. Scalar for the sub-vector tail.
+            let mut jj = 0;
+            while jj + L <= jb {
+                let mut acc = [start(jj); MRF];
+                for t in 0..kk {
+                    let bv = _mm256_loadu_ps(b.as_ptr().add(brow(t) + j + jj));
+                    for (ii, row) in acc.iter_mut().enumerate() {
+                        *row = madd(_mm256_set1_ps(a_at(ii.min(ib - 1), t)), bv, *row);
                     }
-                    _mm256_storeu_ps(out.as_mut_ptr().add((i + ii) * n + j + jj), acc);
-                    jj += L;
                 }
+                for (ii, row) in acc.iter().take(ib).enumerate() {
+                    _mm256_storeu_ps(out.as_mut_ptr().add((i + ii) * n + j + jj), *row);
+                }
+                jj += L;
+            }
+            for ii in 0..ib {
                 for jj in jj..jb {
                     let mut s = carry.map_or(0.0, |c| c[j + jj]);
                     for t in 0..kk {
@@ -470,7 +520,7 @@ mod avx2 {
     /// Same contract as [`panel`], over the full output.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn cover<F: Fn(usize, usize, usize) -> f32>(
+    unsafe fn cover<const FUSED: bool, F: Fn(usize, usize, usize) -> f32>(
         m: usize,
         kk: usize,
         b: &[f32],
@@ -486,7 +536,7 @@ mod avx2 {
             let mut j = 0;
             while j < n {
                 let jb = NRF.min(n - j);
-                panel(kk, b, n, carry, out, i, ib, j, jb, |ii, t| a_at(i, ii, t), brow);
+                panel::<FUSED, _>(kk, b, n, carry, out, i, ib, j, jb, |ii, t| a_at(i, ii, t), brow);
                 j += jb;
             }
             i += ib;
@@ -497,7 +547,7 @@ mod avx2 {
     /// avx2+fma present; `a` is `m x kk`, `b` is `kk x n`, `out` holds
     /// `m * n` entries and `carry`, if any, `n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mm_nn(
+    pub unsafe fn mm_nn<const FUSED: bool>(
         a: &[f32],
         m: usize,
         kk: usize,
@@ -506,15 +556,24 @@ mod avx2 {
         carry: Option<&[f32]>,
         out: &mut [f32],
     ) {
-        cover(m, kk, b, n, carry, out, |i, ii, t| *a.get_unchecked((i + ii) * kk + t), |t| t * n);
+        let a_at = |i: usize, ii: usize, t: usize| *a.get_unchecked((i + ii) * kk + t);
+        cover::<FUSED, _>(m, kk, b, n, carry, out, a_at, |t| t * n);
     }
 
     /// # Safety
     /// avx2+fma present; `a` is `kk x m`, `b` is `kk x n`, `out` holds
     /// `m * n` entries.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        cover(m, kk, b, n, None, out, |i, ii, t| *a.get_unchecked(t * m + i + ii), |t| t * n);
+    pub unsafe fn mm_tn<const FUSED: bool>(
+        a: &[f32],
+        kk: usize,
+        m: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        let a_at = |i: usize, ii: usize, t: usize| *a.get_unchecked(t * m + i + ii);
+        cover::<FUSED, _>(m, kk, b, n, None, out, a_at, |t| t * n);
     }
 
     /// # Safety
@@ -562,7 +621,7 @@ mod avx2 {
         let mut j = 0;
         while j < main {
             let v = _mm256_loadu_ps(x.as_ptr().add(j));
-            let neg = _mm256_mul_ps(v, av);
+            let neg = _mm256_mul_ps(av, v);
             // v > 0 ? v : alpha * v  (NaN compares false -> scaled, same
             // as the scalar `if v > 0` branch).
             let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
@@ -570,9 +629,7 @@ mod avx2 {
             j += L;
         }
         for v in &mut x[main..] {
-            if *v <= 0.0 {
-                *v *= alpha;
-            }
+            *v = if *v > 0.0 { *v } else { alpha * *v };
         }
     }
 
@@ -588,8 +645,10 @@ mod avx2 {
             let gv = _mm256_loadu_ps(g.as_ptr().add(j));
             let xv = _mm256_loadu_ps(x.as_ptr().add(j));
             let scaled = _mm256_mul_ps(gv, av);
-            let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(xv, zero);
-            _mm256_storeu_ps(g.as_mut_ptr().add(j), _mm256_blendv_ps(scaled, gv, mask));
+            // x <= 0 ? g * alpha : g  (a NaN x compares false and keeps
+            // g, same as the scalar `if x <= 0` branch).
+            let mask = _mm256_cmp_ps::<_CMP_LE_OQ>(xv, zero);
+            _mm256_storeu_ps(g.as_mut_ptr().add(j), _mm256_blendv_ps(gv, scaled, mask));
             j += L;
         }
         for (gv, &xv) in g[main..].iter_mut().zip(&x[main..]) {
@@ -795,8 +854,8 @@ mod tests {
             let b = pseudo(k * n, (k * 13 + n) as u32);
             let oracle = mm_nn_f64(&a, m, k, &b, n);
             let mut out = vec![0.0f32; m * n];
-            mm_nn_fast(&a, m, k, &b, n, None, &mut out);
-            assert_close(&out, &oracle, 1e-5, "mm_nn_fast");
+            mm_nn(&a, m, k, &b, n, None, &mut out, MathMode::FastMath);
+            assert_close(&out, &oracle, 1e-5, "mm_nn fast");
 
             // tn: build a^T (k x m) whose transpose is `a`.
             let mut at = vec![0.0f32; k * m];
@@ -806,25 +865,113 @@ mod tests {
                 }
             }
             let mut out_tn = vec![0.0f32; m * n];
-            mm_tn_fast(&at, k, m, &b, n, &mut out_tn);
-            assert_close(&out_tn, &oracle, 1e-5, "mm_tn_fast");
+            mm_tn(&at, k, m, &b, n, &mut out_tn, MathMode::FastMath);
+            assert_close(&out_tn, &oracle, 1e-5, "mm_tn fast");
+        }
+    }
+
+    /// Bit equality, except that a NaN only has to be a NaN: IEEE 754
+    /// fixes neither its sign nor its payload, and which operand's NaN
+    /// survives an add is the compiler's choice of operand order.
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{k}]: {g} ({:#x}) vs {w} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// The values whose handling is easiest to get wrong, written over
+    /// the start of `values`.
+    fn with_specials(mut values: Vec<f32>) -> Vec<f32> {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        for (v, s) in values.iter_mut().step_by(3).zip(specials) {
+            *v = s;
+        }
+        values
+    }
+
+    #[test]
+    fn bitwise_matmuls_match_the_portable_kernels_bit_for_bit_at_every_edge() {
+        // Row counts around the 4-row block (and none), column counts
+        // around the 16-column panel, its 8-lane edge vector and the
+        // scalar tail, contractions from empty up; with and without a
+        // carry; plain values (where FastMath must also stay within
+        // tolerance on the same edge panels) and NaN / inf / -0.0.
+        // Under HIGNN_FORCE_PORTABLE_SIMD=1 both sides are the same code.
+        for m in [0usize, 1, 2, 3, 4, 5, 7] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 31, 33] {
+                for kk in [0usize, 1, 13] {
+                    for (special, carried) in [(false, false), (false, true), (true, false), (true, true)] {
+                        let seed = (m * 1000 + n * 10 + kk) as u32;
+                        let (mut a, mut b) = (pseudo(m * kk, seed), pseudo(kk * n, seed + 1));
+                        let mut carry_row = pseudo(n, seed + 2);
+                        if special {
+                            a = with_specials(a);
+                            b = with_specials(b);
+                            carry_row = with_specials(carry_row);
+                        }
+                        let carry = carried.then_some(carry_row.as_slice());
+                        let what = format!("m {m} n {n} kk {kk} special {special} carried {carried}");
+
+                        let (mut got, mut want) = (vec![7.0f32; m * n], vec![9.0f32; m * n]);
+                        mm_nn(&a, m, kk, &b, n, carry, &mut got, MathMode::Bitwise);
+                        matrix::mm_nn(&a, m, kk, &b, n, carry, &mut want);
+                        assert_same_bits(&got, &want, &format!("nn {what}"));
+
+                        // tn: `a` read as `kk x m` is a different matrix; fine.
+                        if !carried {
+                            mm_tn(&a, kk, m, &b, n, &mut got, MathMode::Bitwise);
+                            matrix::mm_tn(&a, kk, m, &b, n, &mut want);
+                            assert_same_bits(&got, &want, &format!("tn {what}"));
+                        }
+                        if !special && !carried {
+                            let oracle = mm_nn_f64(&a, m, kk, &b, n);
+                            mm_nn(&a, m, kk, &b, n, None, &mut got, MathMode::FastMath);
+                            assert_close(&got, &oracle, 1e-5, &format!("nn fast {what}"));
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
+    #[should_panic(expected = "short slice")]
+    fn matmul_dispatch_checks_lengths_in_release_too() {
+        let (a, b) = (vec![0.0f32; 4 * 3], vec![0.0f32; 3 * 16]);
+        let mut out = vec![0.0f32; 4 * 16 - 1];
+        mm_nn(&a, 4, 3, &b, 16, None, &mut out, MathMode::Bitwise);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_mean_pool_checks_indices_before_the_raw_reads() {
+        let src = vec![0.0f32; 3 * 8];
+        let mut out = vec![0.0f32; 8];
+        gather_mean_pool(&src, 8, &[0, 3], 2, &mut out);
+    }
+
+    #[test]
     fn fast_gather_mean_pool_matches_scalar_exactly() {
-        let src = pseudo(9 * 13, 44);
+        // 13 columns: one vector and a scalar tail; 5: tail only. Row 0
+        // carries NaN, +-inf and -0.0, and -0.0 + -0.0 keeps its sign
+        // only if the sum starts from +0.0 in both.
         let idx = vec![0usize, 8, 3, 3, 1, 7, 2, 6, 5, 0, 4, 8];
-        for group in [1usize, 2, 3, 4, 6, 12] {
-            let mut fast = vec![0.0f32; (idx.len() / group) * 13];
-            let mut scalar = fast.clone();
-            gather_mean_pool_fast(&src, 13, &idx, group, &mut fast);
-            matrix::gather_mean_pool(&src, 13, &idx, group, &mut scalar);
-            assert_eq!(
-                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "columns are independent lanes: values must match exactly (group {group})"
-            );
+        for cols in [5usize, 13, 16] {
+            let mut src = with_specials(pseudo(9 * cols, 44));
+            src[3 * cols..4 * cols].fill(-0.0);
+            for group in [1usize, 2, 3, 4, 6, 12] {
+                let mut fast = vec![0.0f32; (idx.len() / group) * cols];
+                let mut scalar = fast.clone();
+                gather_mean_pool(&src, cols, &idx, group, &mut fast);
+                matrix::gather_mean_pool(&src, cols, &idx, group, &mut scalar);
+                assert_same_bits(&fast, &scalar, &format!("gather_mean_pool cols {cols} group {group}"));
+            }
         }
     }
 
@@ -845,15 +992,8 @@ mod tests {
                 let point = pseudo(cols, 99);
                 let mut out = vec![f32::NAN; rows];
                 PackedRows::pack(&m).sq_dists(&point, &mut out);
-                for (i, got) in out.iter().enumerate() {
-                    let want = m.row_sq_dist(i, &point);
-                    // A NaN's sign and payload are the compiler's
-                    // choice of operand order; everything else is bits.
-                    assert!(
-                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                        "{rows}x{cols} row {i}: {got} vs {want}"
-                    );
-                }
+                let want: Vec<f32> = (0..rows).map(|i| m.row_sq_dist(i, &point)).collect();
+                assert_same_bits(&out, &want, &format!("{rows}x{cols}"));
                 if cols == 0 {
                     assert!(out.iter().all(|d| d.to_bits() == 0), "empty sum is +0.0");
                 }
@@ -863,23 +1003,29 @@ mod tests {
 
     #[test]
     fn fast_elementwise_kernels_match_scalar() {
-        let x = pseudo(37, 9);
-        let mut fast = x.clone();
-        leaky_relu_fast(&mut fast, 0.01);
-        let scalar: Vec<f32> =
-            x.iter().map(|&v| if v > 0.0 { v } else { 0.01 * v }).collect();
-        assert_eq!(fast, scalar, "leaky relu is value-identical");
+        // 37 values: four vectors and a scalar tail, specials in both.
+        let mut x = with_specials(pseudo(37, 9));
+        x[32..].copy_from_slice(&[f32::NAN, f32::NEG_INFINITY, -0.0, f32::INFINITY, 0.0]);
+        for alpha in [0.01f32, 0.0] {
+            let mut fast = x.clone();
+            leaky_relu(&mut fast, alpha);
+            let scalar: Vec<f32> =
+                x.iter().map(|&v| if v > 0.0 { v } else { alpha * v }).collect();
+            assert_same_bits(&fast, &scalar, "leaky relu");
 
-        let mut g_fast = pseudo(37, 10);
-        let mut g_scalar = g_fast.clone();
-        leaky_relu_bwd_fast(&mut g_fast, &x, 0.01);
-        for (gv, &xv) in g_scalar.iter_mut().zip(&x) {
-            if xv <= 0.0 {
-                *gv *= 0.01;
+            let mut g_fast = with_specials(pseudo(37, 10));
+            g_fast.rotate_left(1);
+            let mut g_scalar = g_fast.clone();
+            leaky_relu_bwd(&mut g_fast, &x, alpha);
+            for (gv, &xv) in g_scalar.iter_mut().zip(&x) {
+                if xv <= 0.0 {
+                    *gv *= alpha;
+                }
             }
+            assert_same_bits(&g_fast, &g_scalar, "leaky relu backward");
         }
-        assert_eq!(g_fast, g_scalar, "leaky relu backward is value-identical");
 
+        let x = pseudo(37, 9);
         let mut y = pseudo(37, 11);
         let y0 = y.clone();
         axpy_fast(&mut y, 0.25, &x);

@@ -148,8 +148,8 @@ impl<'s> Tape<'s> {
         Tape { store, nodes: Vec::new(), ws: Some(ws), math: MathMode::Bitwise }
     }
 
-    /// Sets the [`MathMode`] every subsequent matmul / fused-aggregate /
-    /// activation op on this tape dispatches under (builder-style; the
+    /// Sets the [`MathMode`] every subsequent matmul on this tape
+    /// dispatches under (builder-style; the
     /// default is [`MathMode::Bitwise`]). Record **and** backward must
     /// run under one mode — the mode is a property of the tape, not of
     /// individual ops.
@@ -394,7 +394,7 @@ impl<'s> Tape<'s> {
             group
         );
         let mut out = self.mat_zeroed(idx.len() / group, src.cols);
-        self.value(src).gather_mean_pool_rows_into(idx, group, &mut out, self.math);
+        self.value(src).gather_mean_pool_rows_into(idx, group, &mut out);
         self.push(
             Stored::Owned(out),
             Op::GatherMeanPoolRows { src: src.id, idx: idx.to_vec(), group },
@@ -485,18 +485,10 @@ impl<'s> Tape<'s> {
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, x: Var, alpha: f32) -> Var {
-        let value = match self.math {
-            MathMode::Bitwise => {
-                self.mat_map(self.value(x), |v| if v > 0.0 { v } else { alpha * v })
-            }
-            MathMode::FastMath => {
-                // Value-identical to the scalar map (lanes never
-                // interact) — the blend just runs 8 lanes at a time.
-                let mut value = self.mat_copy(self.value(x));
-                simd::leaky_relu_fast(value.data_mut(), alpha);
-                value
-            }
-        };
+        // One kernel for both tiers: lanes never interact, so the
+        // blend has the scalar map's bits 8 lanes at a time.
+        let mut value = self.mat_copy(self.value(x));
+        simd::leaky_relu(value.data_mut(), alpha);
         self.push(Stored::Owned(value), Op::LeakyRelu { src: x.id, alpha })
     }
 
@@ -817,18 +809,7 @@ impl<'s> Tape<'s> {
                 Op::LeakyRelu { src, alpha } => {
                     let x = self.nval(*src);
                     let mut gx = g;
-                    match self.math {
-                        MathMode::Bitwise => {
-                            for (gv, &xv) in gx.data_mut().iter_mut().zip(x.data()) {
-                                if xv <= 0.0 {
-                                    *gv *= alpha;
-                                }
-                            }
-                        }
-                        MathMode::FastMath => {
-                            simd::leaky_relu_bwd_fast(gx.data_mut(), x.data(), *alpha)
-                        }
-                    }
+                    simd::leaky_relu_bwd(gx.data_mut(), x.data(), *alpha);
                     accum(&mut grads, *src, gx, self.ws);
                 }
                 Op::Sigmoid(src) => {

@@ -56,7 +56,7 @@ const CHUNK_LANES: usize = 16;
 struct AlignedChunk([f32; CHUNK_LANES]);
 
 /// A growable `f32` buffer whose storage is 64-byte aligned — the
-/// alignment the FastMath SIMD kernels want for their packed panels
+/// alignment the SIMD kernels want for their packed panels
 /// (`Vec<f32>` only guarantees 4 bytes). Backed by whole cache-line
 /// chunks so the usual `Vec` grow/free machinery applies unchanged.
 #[derive(Clone, Debug, Default)]

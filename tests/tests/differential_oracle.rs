@@ -34,7 +34,7 @@ use hignn_oracle::eq5::{Dense64, Eq5Param, Eq5Setup};
 use hignn_oracle::sage::SageStep;
 use hignn_tensor::nn::{Activation, Mlp};
 use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
-use hignn_tensor::{Matrix, PackedRows, ParamId, ParamStore, Tape, Var};
+use hignn_tensor::{MathMode, Matrix, PackedRows, ParamId, ParamStore, Tape, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -816,10 +816,11 @@ proptest! {
 
 // ---- 8. Tiled kernels, fused gather + pool, pooled tape: bitwise --------
 //
-// The register-tiled matmul kernels process 4x8 (4x4 for `nt`) output
-// blocks with scalar remainder edges; these properties push the shapes
-// well past one tile so interiors, remainders, and their seams are all
-// crossed, and check every output bit against the naive oracle. The
+// The matmul kernels process 4x16 output panels on AVX2 (4x8 blocks on
+// the portable backend) with an 8-lane edge vector and scalar remainder
+// edges; these properties push the shapes past two full panels so
+// interiors, remainders, and their seams are all crossed, and check
+// every output bit against the naive oracle. The
 // fused gather + mean-pool and the workspace-pooled tape are compared
 // against their unfused / fresh-allocation references, which earlier
 // sections already tie to the oracle.
@@ -829,7 +830,7 @@ proptest! {
 
     #[test]
     fn tiled_matmul_tile_crossing_shapes_match_oracle_bitwise(
-        (m, k, n) in (1usize..21, 1usize..14, 1usize..27),
+        (m, k, n) in (1usize..21, 1usize..14, 1usize..41),
         seed in proptest::arbitrary::any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -837,7 +838,33 @@ proptest! {
         let b = hignn_tensor::init::xavier_uniform(k, n, &mut rng);
         let oa = to_rows32(&a);
         let ob = to_rows32(&b);
-        bitwise_eq(&a.matmul(&b), &oracle::linalg::matmul(&oa, &ob), "tiled matmul nn").unwrap();
+        let product = oracle::linalg::matmul(&oa, &ob);
+        bitwise_eq(&a.matmul(&b), &product, "tiled matmul nn").unwrap();
+        // Stopped after `split` columns and resumed from the partial
+        // sums, from either start value (`+0.0`, a carried row): every
+        // row of `a` is given row 0's first `split` columns, the shared
+        // prefix `matmul_carried` multiplies once.
+        for split in 0..=k {
+            let prefix = Matrix::from_fn(1, split, |_, j| a.get(0, j));
+            let tail = Matrix::from_fn(m, k - split, |i, j| a.get(i, split + j));
+            let rows = Matrix::from_fn(m, k, |i, j| a.get(if j < split { 0 } else { i }, j));
+            let carry = prefix.matmul_carried(&b, 0, None, MathMode::Bitwise);
+            bitwise_eq(
+                &tail.matmul_carried(&b, split, Some(&carry), MathMode::Bitwise),
+                &oracle::linalg::matmul(&to_rows32(&rows), &ob),
+                "carried matmul",
+            )
+            .unwrap();
+            // (The oracle reads the column count off `b`'s first row.)
+            if split < k {
+                bitwise_eq(
+                    &tail.matmul_carried(&b, split, None, MathMode::Bitwise),
+                    &oracle::linalg::matmul(&to_rows32(&tail), &ob[split..].to_vec()),
+                    "matmul from a weight row offset",
+                )
+                .unwrap();
+            }
+        }
         let bt = hignn_tensor::init::xavier_uniform(n, k, &mut rng);
         bitwise_eq(
             &a.matmul_nt(&bt),
@@ -944,7 +971,7 @@ proptest! {
 
 mod fastmath {
     use super::*;
-    use hignn_tensor::{simd, MathMode};
+    use hignn_tensor::simd;
 
     /// Per-entry tolerance check against f64 oracle rows:
     /// `|fast - oracle| <= tol * (1 + |oracle|)`.
@@ -1038,9 +1065,10 @@ mod fastmath {
             let table = hignn_tensor::init::xavier_uniform(table_rows, d, &mut rng);
             let idx: Vec<usize> =
                 (0..groups * group).map(|_| rng.gen_range(0..table_rows)).collect();
-            let reference = table.gather_mean_pool_rows(&idx, group);
+            // The one (vector) kernel against the unfused scalar ops.
+            let reference = table.gather_rows(&idx).mean_pool_rows(group);
             let mut fast = Matrix::zeros(groups, d);
-            table.gather_mean_pool_rows_into(&idx, group, &mut fast, MathMode::FastMath);
+            table.gather_mean_pool_rows_into(&idx, group, &mut fast);
             bitwise_eq(&fast, &to_rows32(&reference), "fast gather_mean_pool").unwrap();
         }
 
@@ -1052,7 +1080,7 @@ mod fastmath {
             use rand::Rng;
             // Leaky ReLU forward/backward: value-identical tier rule.
             let mut fwd = vals.clone();
-            simd::leaky_relu_fast(&mut fwd, 0.01);
+            simd::leaky_relu(&mut fwd, 0.01);
             for (i, (&f, &x)) in fwd.iter().zip(&vals).enumerate() {
                 let want = if x > 0.0 { x } else { 0.01 * x };
                 prop_assert_eq!(f.to_bits(), want.to_bits(), "leaky_relu[{}]: {} vs {}", i, f, want);
@@ -1060,7 +1088,7 @@ mod fastmath {
             let mut rng = StdRng::seed_from_u64(seed);
             let gin: Vec<f32> = vals.iter().map(|_| rng.gen_range(-2.0f32..2.0)).collect();
             let mut bwd = gin.clone();
-            simd::leaky_relu_bwd_fast(&mut bwd, &vals, 0.01);
+            simd::leaky_relu_bwd(&mut bwd, &vals, 0.01);
             for (i, ((&g, &g0), &x)) in bwd.iter().zip(&gin).zip(&vals).enumerate() {
                 let want = if x > 0.0 { g0 } else { 0.01 * g0 };
                 prop_assert_eq!(g.to_bits(), want.to_bits(), "leaky_relu_bwd[{}]", i);
@@ -1167,6 +1195,27 @@ mod broken_kernel_detection {
         assert!(
             bitwise_eq(&corrupted, &expected, "matmul").is_err(),
             "1-ulp corruption was not detected"
+        );
+    }
+
+    #[test]
+    fn fused_product_is_rejected_by_the_bitwise_oracle() {
+        // The Bitwise and FastMath matmuls are one tile loop that differs
+        // in a single instruction choice. If an FMA ever leaked into the
+        // exact path, this is what its output would look like — and the
+        // bitwise oracle must refuse it.
+        if hignn_tensor::simd::backend() == hignn_tensor::SimdBackend::Portable {
+            eprintln!("skipped: on the portable backend FastMath is the Bitwise kernel");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(42);
+        let a = hignn_tensor::init::xavier_uniform(9, 13, &mut rng);
+        let b = hignn_tensor::init::xavier_uniform(13, 17, &mut rng);
+        let expected = oracle::linalg::matmul(&to_rows32(&a), &to_rows32(&b));
+        bitwise_eq(&a.matmul(&b), &expected, "matmul").unwrap();
+        assert!(
+            bitwise_eq(&fastmath::fast_matmul(&a, &b), &expected, "fused matmul").is_err(),
+            "an FMA-contracted product passed the bitwise oracle"
         );
     }
 

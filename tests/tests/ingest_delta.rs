@@ -223,9 +223,32 @@ fn serve_replica_catches_up_across_two_deltas_without_reload() {
     replica.apply_delta(&d1).unwrap();
     replica.apply_delta(&d2).unwrap();
     assert_eq!(bytes_of(replica.hierarchy()), bytes_of(writer.hierarchy()));
-    // Out-of-order application is refused.
+    // Out-of-order application is refused and mutates nothing; the
+    // chain then applies in order.
     let mut stale = ServeModel::load(&path, 7).unwrap();
+    let base_bytes = bytes_of(stale.hierarchy());
     let err = stale.apply_delta(&d2).unwrap_err();
     assert_eq!(err.exit_code(), 4, "skipping a delta must be detected: {err}");
+    assert_eq!(bytes_of(stale.hierarchy()), base_bytes, "refused delta mutated the replica");
+    stale.apply_delta(&d1).unwrap();
+    // The replica now holds the fingerprint d1 was verified against. A
+    // second delta that lies about its result is rolled back, one cut
+    // for another base and a replay of d1 are refused, and none of them
+    // disturbs what the genuine d2 needs.
+    let after_d1 = bytes_of(stale.hierarchy());
+    let (mut forged, mut wrong_base) = (d2.clone(), d2.clone());
+    forged.patched_fingerprint ^= 1;
+    wrong_base.base_fingerprint ^= 1;
+    let refused =
+        [(&forged, "patched fingerprint"), (&wrong_base, "base fingerprint"), (&d1, "base")];
+    for (bad, what) in refused {
+        let err = stale.apply_delta(bad).unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{err}");
+        assert!(err.to_string().contains(what), "{err}");
+        assert_eq!(bytes_of(stale.hierarchy()), after_d1, "refused delta mutated the replica");
+    }
+    stale.apply_delta(&d2).unwrap();
+    assert_eq!(bytes_of(stale.hierarchy()), bytes_of(writer.hierarchy()));
+    assert_eq!(stale.item_features().data(), replica.item_features().data());
     let _ = std::fs::remove_dir_all(&dir);
 }
