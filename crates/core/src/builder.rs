@@ -55,7 +55,7 @@ use crate::stack::{
 };
 use crate::trainer::SageTrainConfig;
 use hignn_graph::{BipartiteGraph, SamplingMode};
-use hignn_tensor::{MathMode, Matrix};
+use hignn_tensor::Matrix;
 
 /// Chainable, validated configuration of a full HiGNN training run.
 ///
@@ -198,16 +198,6 @@ impl HignnBuilder {
     /// use the same objective.
     pub fn objective(mut self, objective: ObjectiveSpec) -> Self {
         self.cfg.train.objective = objective;
-        self
-    }
-
-    /// Math tier for the hot kernels (default [`MathMode::Bitwise`]).
-    /// [`MathMode::FastMath`] vectorises matmul/activation/optimizer
-    /// loops with a relaxed — but still deterministic — accumulation
-    /// order. The choice is recorded in checkpoint metadata, so a
-    /// resumed run must use the same tier.
-    pub fn math(mut self, math: MathMode) -> Self {
-        self.cfg.train.math = math;
         self
     }
 
@@ -552,37 +542,6 @@ mod tests {
             assert_eq!(l1.item_embeddings.data(), l4.item_embeddings.data());
             assert_eq!(l1.user_assignment.as_slice(), l4.user_assignment.as_slice());
             assert_eq!(l1.item_assignment.as_slice(), l4.item_assignment.as_slice());
-        }
-    }
-
-    #[test]
-    fn math_selection_reaches_the_spec() {
-        let spec = small_builder().math(MathMode::FastMath).build().unwrap();
-        assert_eq!(spec.config().train.math, MathMode::FastMath);
-        // Default stays bitwise.
-        let spec = small_builder().build().unwrap();
-        assert_eq!(spec.config().train.math, MathMode::Bitwise);
-    }
-
-    #[test]
-    fn fastmath_build_stays_close_to_bitwise() {
-        let (g, uf, if_) = toy_inputs();
-        let slow = small_builder().build().unwrap().run(&g, &uf, &if_).unwrap();
-        let fast =
-            small_builder().math(MathMode::FastMath).build().unwrap().run(&g, &uf, &if_).unwrap();
-        assert_eq!(slow.num_levels(), fast.num_levels());
-        // End-to-end tolerance: two epochs of training compound kernel
-        // rounding, so this is a sanity bound, not a kernel tolerance.
-        for (ls, lf) in slow.levels().iter().zip(fast.levels()) {
-            assert!(ls.user_embeddings.max_abs_diff(&lf.user_embeddings) < 5e-2);
-            assert!(ls.item_embeddings.max_abs_diff(&lf.item_embeddings) < 5e-2);
-        }
-        // And FastMath is itself deterministic across runs.
-        let fast2 =
-            small_builder().math(MathMode::FastMath).build().unwrap().run(&g, &uf, &if_).unwrap();
-        for (l1, l2) in fast.levels().iter().zip(fast2.levels()) {
-            assert_eq!(l1.user_embeddings.data(), l2.user_embeddings.data());
-            assert_eq!(l1.item_embeddings.data(), l2.item_embeddings.data());
         }
     }
 

@@ -9,15 +9,18 @@
 //! <dir>/meta.hgck      := "HGCK" u32(version=5) section(meta)
 //! meta                 := u64(fingerprint) u64(seed)
 //!                         u64(levels_total) u64(levels_done)
-//!                         u64(threads) u64(objective) u64(math)
+//!                         u64(threads) u64(objective) u64(0)
 //!                         metrics_snapshot
 //! <dir>/level_NN.hgcl  := "HGCL" u32(version=5) section(level)
 //! ```
 //!
-//! `objective` and `math` are load-bearing: resuming under another loss
-//! or accumulation contract would splice two hierarchies into one, so
-//! [`CheckpointStore::load_state`] refuses either mismatch with a
-//! config error naming both sides. `threads` and the
+//! `objective` is load-bearing: resuming under another loss would
+//! splice two hierarchies into one, so [`CheckpointStore::load_state`]
+//! refuses a mismatch with a config error naming both sides. The
+//! seventh word is always `0`: it once named the math tier, and `1`
+//! marked the removed fast-math tier. There is one numeric contract
+//! now, so [`CheckpointStore::read_meta`] refuses any other value with
+//! a config error (exit 2). `threads` and the
 //! [`hignn_obs::MetricsSnapshot`] (the observability counters at
 //! checkpoint time, so a resumed run continues them) are provenance
 //! only: they never enter the fingerprint and cannot change the resumed
@@ -77,11 +80,6 @@ pub struct CheckpointMeta {
     /// [`CheckpointStore::load_state`] refuses to resume under a
     /// different objective.
     pub objective: u64,
-    /// Stable id of the math tier the run used
-    /// ([`hignn_tensor::MathMode::id`]). Load-bearing like `objective`:
-    /// [`CheckpointStore::load_state`] refuses to resume under a
-    /// different tier.
-    pub math: u64,
 }
 
 /// A directory of per-level training checkpoints.
@@ -133,7 +131,7 @@ impl CheckpointStore {
             meta.levels_done,
             meta.threads,
             meta.objective,
-            meta.math,
+            0,
         ] {
             payload.extend_from_slice(&word.to_le_bytes());
         }
@@ -142,7 +140,8 @@ impl CheckpointStore {
     }
 
     /// Reads and validates the meta record and its embedded metrics
-    /// snapshot.
+    /// snapshot. A seventh word other than `0` (a run written under the
+    /// removed fast-math tier) is a config error, exit 2.
     pub fn read_meta(&self) -> Result<(CheckpointMeta, MetricsSnapshot), HignnError> {
         let path = self.meta_path();
         let bytes = fs::read(&path).map_err(|e| HignnError::io_path(&path, e))?;
@@ -165,7 +164,6 @@ impl CheckpointStore {
             levels_done: word(3),
             threads: word(4),
             objective: word(5),
-            math: word(6),
         };
         if meta.levels_done > meta.levels_total {
             return Err(corrupt(format!(
@@ -175,6 +173,14 @@ impl CheckpointStore {
         }
         let snapshot = MetricsSnapshot::decode(&payload[META_FIXED_LEN..])
             .map_err(|e| corrupt(format!("bad metrics snapshot: {e}")))?;
+        if word(6) != 0 {
+            return Err(HignnError::Config(format!(
+                "checkpoint in {} was written under the removed fast-math tier (math word \
+                 {}); this build has one numeric contract and cannot resume it",
+                self.dir.display(),
+                word(6),
+            )));
+        }
         Ok((meta, snapshot))
     }
 
@@ -199,11 +205,10 @@ impl CheckpointStore {
     /// `expected_fingerprint`, and `levels_total`, then loads every
     /// completed level.
     ///
-    /// The objective check runs *first*, then the math tier, then the
-    /// fingerprint: a mismatched objective or tier also fails the
-    /// fingerprint (both are part of the config), but checking them
-    /// separately yields errors that name the two objectives or tiers
-    /// instead of a bare fingerprint diff.
+    /// The objective check runs before the fingerprint: a mismatched
+    /// objective also fails the fingerprint (it is part of the config),
+    /// but checking it separately yields an error that names the two
+    /// objectives instead of a bare fingerprint diff.
     ///
     /// When metrics are enabled, the meta record's snapshot counters
     /// are added into the global registry so the resumed run's report
@@ -214,7 +219,6 @@ impl CheckpointStore {
         expected_fingerprint: u64,
         levels_total: usize,
         expected_objective: u64,
-        expected_math: u64,
     ) -> Result<(CheckpointMeta, Vec<Level>), HignnError> {
         let (meta, snapshot) = self.read_meta()?;
         if meta.objective != expected_objective {
@@ -228,20 +232,6 @@ impl CheckpointStore {
                 self.dir.display(),
                 describe(meta.objective),
                 describe(expected_objective),
-            )));
-        }
-        if meta.math != expected_math {
-            let describe = |id: u64| match hignn_tensor::MathMode::from_id(id) {
-                Some(mode) => format!("`{}`", mode.name()),
-                None => format!("unknown math id {id}"),
-            };
-            return Err(HignnError::Config(format!(
-                "checkpoint in {} was trained with math tier {} but the current run uses \
-                 math tier {}; refusing to resume (a hierarchy must be built under one \
-                 accumulation contract)",
-                self.dir.display(),
-                describe(meta.math),
-                describe(expected_math),
             )));
         }
         if meta.fingerprint != expected_fingerprint {
@@ -543,7 +533,6 @@ mod tests {
             levels_done: 1,
             threads: 4,
             objective: 2,
-            math: 1,
         };
         store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
         assert!(store.has_meta());
@@ -570,7 +559,6 @@ mod tests {
             levels_done: 2,
             threads: 1,
             objective: 1,
-            math: 0,
         };
         let snap = MetricsSnapshot {
             counters: vec![("train.batches".into(), 120), ("train.epochs".into(), 6)],
@@ -591,21 +579,20 @@ mod tests {
             levels_done: 0,
             threads: 1,
             objective: 0,
-            math: 0,
         };
         store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
         // Wrong objective AND wrong fingerprint: the objective error
         // must win, naming both losses.
-        let err = store.load_state(0x2222, 2, 1, 0).unwrap_err();
+        let err = store.load_state(0x2222, 2, 1).unwrap_err();
         assert_eq!(err.exit_code(), 2, "objective mismatch is a config error: {err}");
         let msg = err.to_string();
         assert!(msg.contains("objective"), "{msg}");
         assert!(msg.contains("`edge`") && msg.contains("`contrastive`"), "{msg}");
         // Matching objective falls through to the fingerprint check.
-        let err = store.load_state(0x2222, 2, 0, 0).unwrap_err();
+        let err = store.load_state(0x2222, 2, 0).unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
         // Everything matching loads (no levels done, so no level files).
-        let (got, levels) = store.load_state(0x1111, 2, 0, 0).unwrap();
+        let (got, levels) = store.load_state(0x1111, 2, 0).unwrap();
         assert_eq!(got, meta);
         assert!(levels.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
@@ -615,28 +602,38 @@ mod tests {
     fn load_state_refuses_math_mismatch_before_fingerprint() {
         let dir = std::env::temp_dir().join(format!("hignn_ckpt_math_{}", std::process::id()));
         let store = CheckpointStore::create(&dir).unwrap();
-        let meta = CheckpointMeta {
+        // A meta as the removed fast-math tier wrote it: seventh word 1.
+        let write_meta_word = |math: u64| {
+            let mut payload = Vec::with_capacity(META_FIXED_LEN + 4);
+            for w in [0x3333u64, 1, 2, 0, 1, 0, math] {
+                payload.extend_from_slice(&w.to_le_bytes());
+            }
+            payload.extend_from_slice(&MetricsSnapshot::default().encode());
+            write_record(&dir.join("meta.hgck"), &META, &payload).unwrap();
+        };
+        write_meta_word(1);
+        let before = std::fs::read(dir.join("meta.hgck")).unwrap();
+        // Matching objective, wrong fingerprint: the tier refusal wins.
+        let err = store.load_state(0x4444, 2, 0).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "a fast-math checkpoint is a config error: {err}");
+        assert!(err.to_string().contains("removed fast-math tier"), "{err}");
+        let after = std::fs::read(dir.join("meta.hgck")).unwrap();
+        assert_eq!(before, after, "a refused resume must not touch the directory");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no file was added");
+        // Word 0 falls through to the fingerprint check, and resumes.
+        write_meta_word(0);
+        let err = store.load_state(0x4444, 2, 0).unwrap_err();
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+        let (got, levels) = store.load_state(0x3333, 2, 0).unwrap();
+        let want = CheckpointMeta {
             fingerprint: 0x3333,
             seed: 1,
             levels_total: 2,
             levels_done: 0,
             threads: 1,
             objective: 0,
-            math: 0,
         };
-        store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
-        // Matching objective, wrong math AND wrong fingerprint: the
-        // math error must win, naming both tiers.
-        let err = store.load_state(0x4444, 2, 0, 1).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "math mismatch is a config error: {err}");
-        let msg = err.to_string();
-        assert!(msg.contains("math tier"), "{msg}");
-        assert!(msg.contains("`bitwise`") && msg.contains("`fast`"), "{msg}");
-        // Matching math falls through to the fingerprint check.
-        let err = store.load_state(0x4444, 2, 0, 0).unwrap_err();
-        assert!(err.to_string().contains("fingerprint"), "{err}");
-        let (got, levels) = store.load_state(0x3333, 2, 0, 0).unwrap();
-        assert_eq!(got, meta);
+        assert_eq!(got, want);
         assert!(levels.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

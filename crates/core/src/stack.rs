@@ -654,7 +654,6 @@ pub fn build_hierarchy_with(
             levels_done: levels_done as u64,
             threads: opts.threads.max(1) as u64,
             objective: cfg.train.objective.kind().id(),
-            math: cfg.train.math.id(),
         };
         durable_write(WriteSite::WriteMeta, &mut || {
             let snapshot = if hignn_obs::enabled() {
@@ -669,12 +668,7 @@ pub fn build_hierarchy_with(
     if let Some(store) = opts.checkpoint {
         if opts.resume {
             let (_meta, loaded) =
-                store.load_state(
-                    fingerprint,
-                    cfg.levels,
-                    cfg.train.objective.kind().id(),
-                    cfg.train.math.id(),
-                )?;
+                store.load_state(fingerprint, cfg.levels, cfg.train.objective.kind().id())?;
             levels = loaded;
             if hignn_obs::log_enabled() {
                 hignn_obs::log_event(

@@ -41,6 +41,8 @@
 //! tree order before a single optimizer step. Because the decomposition
 //! and every RNG stream depend only on the configuration — never on the
 //! worker count — an N-thread run is bit-identical to a 1-thread run.
+//! There is one numeric tier: every kernel the tape and the optimizer
+//! call has the naive oracle's bits (no FMA; DESIGN.md §9).
 
 use crate::objective::{Objective, ObjectiveCtx, ObjectiveSpec, ShardBatch};
 use crate::sage::{with_null_row, BipartiteSage, BipartiteSageConfig};
@@ -50,7 +52,7 @@ use hignn_obs as obs;
 use hignn_tensor::nn::{Activation, Mlp};
 use hignn_tensor::optim::{Adam, Optimizer};
 use hignn_tensor::parallel::{reduce_gradients, ParallelExecutor};
-use hignn_tensor::{Gradients, MathMode, Matrix, ParamStore, Tape, Workspace};
+use hignn_tensor::{Gradients, Matrix, ParamStore, Tape, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, PoisonError};
@@ -96,11 +98,6 @@ pub struct SageTrainConfig {
     /// Which loss trains the level. [`ObjectiveSpec::EdgeReconstruction`]
     /// (the paper's Eq. 5) by default; see [`crate::objective`].
     pub objective: ObjectiveSpec,
-    /// Math tier for the hot kernels ([`MathMode::Bitwise`] by
-    /// default). FastMath vectorises the matmul/activation/optimizer
-    /// loops with a relaxed (but still deterministic) accumulation
-    /// order; see DESIGN.md §14.
-    pub math: MathMode,
 }
 
 impl Default for SageTrainConfig {
@@ -118,7 +115,6 @@ impl Default for SageTrainConfig {
             trainable_features: false,
             grad_shards: 8,
             objective: ObjectiveSpec::EdgeReconstruction,
-            math: MathMode::Bitwise,
         }
     }
 }
@@ -340,7 +336,7 @@ fn shard_pass(
     weight: f32,
     rng: &mut StdRng,
 ) -> (f32, Gradients) {
-    let mut tape = Tape::with_workspace(ctx.store, ws).with_math(ctx.cfg.math);
+    let mut tape = Tape::with_workspace(ctx.store, ws);
     let loss = objective.shard_loss(ctx, &mut tape, batch, rng);
     let loss_val = tape.scalar(loss);
     let mut grads = tape.backward(loss);
@@ -430,7 +426,7 @@ pub fn train_with_objective(
         Some((_, i)) => crate::sage::FeatureSource::Trainable(i),
         None => crate::sage::FeatureSource::Fixed(&if_),
     };
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay).with_math(cfg.math);
+    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
     let edges = graph.edges();
     let mut order: Vec<usize> = (0..edges.len()).collect();

@@ -5,7 +5,7 @@ use hignn::error::HignnError;
 use hignn::ingest::{hierarchy_fingerprint, HierarchyDelta};
 use hignn::io::read_hierarchy_bytes;
 use hignn::stack::Hierarchy;
-use hignn_tensor::{MathMode, Matrix};
+use hignn_tensor::Matrix;
 use std::path::Path;
 
 /// A trained HGHI model prepared for serving.
@@ -61,35 +61,16 @@ impl ServeModel {
     /// file as [`HignnError::Io`] (exit code 3). Never panics on bad
     /// bytes.
     pub fn load(path: impl AsRef<Path>, scorer_seed: u64) -> Result<ServeModel, HignnError> {
-        Self::load_with_math(path, scorer_seed, MathMode::Bitwise)
-    }
-
-    /// [`ServeModel::load`] with an explicit math tier for the scorer.
-    pub fn load_with_math(
-        path: impl AsRef<Path>,
-        scorer_seed: u64,
-        math: MathMode,
-    ) -> Result<ServeModel, HignnError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path).map_err(|e| HignnError::io_path(path, e))?;
         let hierarchy = read_hierarchy_bytes(&bytes).map_err(|e| HignnError::io_path(path, e))?;
-        Ok(Self::from_hierarchy_with_math(hierarchy, scorer_seed, math))
+        Ok(Self::from_hierarchy(hierarchy, scorer_seed))
     }
 
     /// Prepares an in-memory hierarchy for serving (the load path after
     /// decoding; also the entry point for tests and benches that train
     /// in process).
     pub fn from_hierarchy(hierarchy: Hierarchy, scorer_seed: u64) -> ServeModel {
-        Self::from_hierarchy_with_math(hierarchy, scorer_seed, MathMode::Bitwise)
-    }
-
-    /// [`ServeModel::from_hierarchy`] with an explicit math tier for
-    /// the scorer.
-    pub fn from_hierarchy_with_math(
-        hierarchy: Hierarchy,
-        scorer_seed: u64,
-        math: MathMode,
-    ) -> ServeModel {
         let user_features = hierarchy.hierarchical_users();
         let item_features = hierarchy.hierarchical_items();
         let num_levels = hierarchy.num_levels();
@@ -124,7 +105,7 @@ impl ServeModel {
             children.push(members);
         }
 
-        let scorer = Scorer::new(hierarchy.user_dim(), item_dim, scorer_seed).with_math(math);
+        let scorer = Scorer::new(hierarchy.user_dim(), item_dim, scorer_seed);
         ServeModel {
             hierarchy,
             user_features,

@@ -19,7 +19,7 @@
 //! (`Scorer::score_prefixed`). The kernels add one term per ascending
 //! input column into one accumulator per output, so stopping and
 //! resuming performs the very additions of the concatenated product:
-//! same score bits in both math tiers, with the user half of layer 0
+//! same score bits, with the user half of layer 0
 //! paid once instead of once per candidate
 //! (`hignn_tensor::Matrix::matmul_carried`).
 //!
@@ -31,7 +31,7 @@
 
 use hignn_tensor::nn::{Activation, Mlp};
 use hignn_tensor::param::ParamStore;
-use hignn_tensor::{MathMode, Matrix};
+use hignn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,7 +51,6 @@ pub struct Scorer {
     mlp: Mlp,
     user_dim: usize,
     item_dim: usize,
-    math: MathMode,
 }
 
 impl std::fmt::Debug for Scorer {
@@ -73,21 +72,7 @@ impl Scorer {
         let mut rng = StdRng::seed_from_u64(seed);
         let dims = [user_dim + item_dim, HIDDEN[0], HIDDEN[1], 1];
         let mlp = Mlp::new(&mut store, "serve.scorer", &dims, Activation::LeakyRelu, &mut rng);
-        Scorer { store, mlp, user_dim, item_dim, math: MathMode::Bitwise }
-    }
-
-    /// Selects the math tier for inference. Bitwise (the default) keeps
-    /// the oracle-proven scalar kernels; FastMath vectorises them. Both
-    /// tiers keep scores per-row bitwise independent — only the
-    /// within-row accumulation order differs between tiers.
-    pub fn with_math(mut self, math: MathMode) -> Scorer {
-        self.math = math;
-        self
-    }
-
-    /// The math tier this scorer runs in.
-    pub fn math(&self) -> MathMode {
-        self.math
+        Scorer { store, mlp, user_dim, item_dim }
     }
 
     /// Input dimensionality (`user_dim + item_dim`).
@@ -116,7 +101,7 @@ impl Scorer {
     pub(crate) fn user_prefix(&self, user_row: &[f32]) -> Matrix {
         assert_eq!(user_row.len(), self.user_dim, "scorer: user feature dim mismatch");
         let w0 = self.store.get(self.mlp.layers()[0].weight());
-        Matrix::row_vector(user_row).matmul_carried(w0, 0, None, self.math)
+        Matrix::row_vector(user_row).matmul_carried(w0, 0, None)
     }
 
     /// [`Scorer::score_against`] for the user whose
@@ -127,7 +112,7 @@ impl Scorer {
         for (r, &id) in ids.iter().enumerate() {
             items.set_row(r, feats.row(id as usize));
         }
-        self.mlp.infer_split(&self.store, prefix, &items, self.math).into_data()
+        self.mlp.infer_split(&self.store, prefix, &items).into_data()
     }
 
     /// Exports the head's weights as plain `(weight rows, bias)` pairs,
@@ -196,55 +181,26 @@ mod tests {
             x.row_mut(r)[..s.user_dim].copy_from_slice(user);
             x.row_mut(r)[s.user_dim..].copy_from_slice(feats.row(id as usize));
         }
-        s.mlp.infer_mode(&s.store, &x, s.math).into_data()
+        s.mlp.infer(&s.store, &x).into_data()
     }
 
     #[test]
-    fn prefix_resume_scores_equal_the_materialised_rows_bitwise_in_both_tiers() {
+    fn prefix_resume_scores_equal_the_materialised_rows_bitwise() {
         let feats = Matrix::from_fn(23, 5, |i, j| ((i * 5 + j) as f32 * 0.37).sin() * 1.5);
         let user = [0.5, -0.25, 1.0, 0.125, -1.75, 0.3, 2.0];
         let all: Vec<u32> = (0..23).collect();
-        for math in [MathMode::Bitwise, MathMode::FastMath] {
-            let s = Scorer::new(7, 5, 11).with_math(math);
-            // Empty, one row, a shuffled subset with a repeat, everything.
-            for ids in [&[][..], &[4], &[22, 0, 9, 9, 3], &all] {
-                let got = s.score_against(&user, &feats, ids);
-                let want = materialised_scores(&s, &user, &feats, ids);
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{math:?}, {} ids",
-                    ids.len()
-                );
-            }
+        let s = Scorer::new(7, 5, 11);
+        // Empty, one row, a shuffled subset with a repeat, everything.
+        for ids in [&[][..], &[4], &[22, 0, 9, 9, 3], &all] {
+            let got = s.score_against(&user, &feats, ids);
+            let want = materialised_scores(&s, &user, &feats, ids);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{} ids",
+                ids.len()
+            );
         }
-    }
-
-    #[test]
-    fn fastmath_scores_stay_close_and_batch_independent() {
-        let bit = Scorer::new(4, 4, 7);
-        let fast = Scorer::new(4, 4, 7).with_math(MathMode::FastMath);
-        let feats = Matrix::from_fn(9, 4, |i, j| ((i * 4 + j) as f32).sin() * 0.5);
-        let user = [0.5, -0.25, 1.0, 0.125];
-        let ids: Vec<u32> = (0..9).collect();
-        let sb = bit.score_against(&user, &feats, &ids);
-        let sf = fast.score_against(&user, &feats, &ids);
-        for (i, (b, f)) in sb.iter().zip(&sf).enumerate() {
-            assert!((b - f).abs() < 1e-4, "item {i}: bitwise {b} vs fast {f}");
-        }
-        // FastMath keeps per-row independence: only the within-row
-        // accumulation order differs from Bitwise, so a candidate's
-        // score cannot depend on which other candidates share a batch.
-        for id in [0u32, 4, 8] {
-            let solo = fast.score_against(&user, &feats, &[id]);
-            assert_eq!(solo[0].to_bits(), sf[id as usize].to_bits(), "item {id}");
-        }
-        // And it is self-deterministic bit-for-bit.
-        let again = fast.score_against(&user, &feats, &ids);
-        assert_eq!(
-            sf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            again.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -69,6 +69,6 @@ pub mod workspace;
 pub use matrix::Matrix;
 pub use parallel::ParallelExecutor;
 pub use param::{Gradients, ParamId, ParamStore};
-pub use simd::{MathMode, PackedRows, SimdBackend};
+pub use simd::{PackedRows, SimdBackend};
 pub use tape::{stable_sigmoid, Tape, Var};
 pub use workspace::{AlignedBuf, Workspace, WorkspaceStats};

@@ -30,13 +30,12 @@
 //! oracle-identical while matching the `nn` kernel's throughput.
 //!
 //! Every product dispatches through [`crate::simd`], which runs the
-//! AVX2 panel when the CPU has one — unfused for `Bitwise` (the same
-//! per-element chain, so the same bits), FMA-contracted for `FastMath`
-//! — and [`mm_nn`] / [`mm_tn`] below otherwise: they are the portable
-//! backend and the reference the vector path is tested against
-//! (DESIGN.md §14).
+//! AVX2 panel when the CPU has one — the same per-element chain, so the
+//! same bits — and [`mm_nn`] / [`mm_tn`] below otherwise: they are the
+//! portable backend and the reference the vector path is tested against
+//! (DESIGN.md §9).
 
-use crate::simd::{self, MathMode};
+use crate::simd;
 use crate::workspace::AlignedBuf;
 use std::cell::RefCell;
 use std::fmt;
@@ -221,20 +220,19 @@ impl Matrix {
     /// a `+0.0` accumulator).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out, MathMode::Bitwise);
+        self.matmul_into(rhs, &mut out);
         out
     }
 
-    /// [`Matrix::matmul`] under an explicit [`MathMode`], writing into a
-    /// caller-provided output matrix (overwrites every entry; `out` need
-    /// not be zeroed).
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
+    /// [`Matrix::matmul`] writing into a caller-provided output matrix
+    /// (overwrites every entry; `out` need not be zeroed).
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        self.carried_into(rhs, 0, None, out, mode);
+        self.carried_into(rhs, 0, None, out);
     }
 
     /// One leg of a contraction evaluated in pieces: `self` (`m x c`)
@@ -242,37 +240,22 @@ impl Matrix {
     /// accumulators starting from `carry` (`1 x w.cols()`; `None` is
     /// `+0.0`) instead of zero.
     ///
-    /// Both tiers give each output element one accumulator that takes
-    /// one term per ascending `t` — a multiply then an add in Bitwise;
-    /// in FastMath an FMA, or on the scalar column tail a multiply then
-    /// an add, decided by the element's column alone and never by the
-    /// row count or by where the contraction is split. So stopping
+    /// Each output element has one accumulator that takes one term per
+    /// ascending `t` — a multiply then an add — never depending on the
+    /// row count or on where the contraction is split. So stopping
     /// `[u | x] * w` after `u`'s columns and resuming from those
     /// partial sums,
-    /// `x.matmul_carried(w, c, Some(&u.matmul_carried(w, 0, None, mode)), mode)`,
-    /// is bit for bit `concat_cols(&[&u, &x])` times `w` under `mode` when
-    /// every row of the concatenation starts with the same `u` — which
-    /// then is multiplied once, not once per row.
-    pub fn matmul_carried(
-        &self,
-        w: &Matrix,
-        w_row0: usize,
-        carry: Option<&Matrix>,
-        mode: MathMode,
-    ) -> Matrix {
+    /// `x.matmul_carried(w, c, Some(&u.matmul_carried(w, 0, None)))`,
+    /// is bit for bit `concat_cols(&[&u, &x])` times `w` when every row
+    /// of the concatenation starts with the same `u` — which then is
+    /// multiplied once, not once per row.
+    pub fn matmul_carried(&self, w: &Matrix, w_row0: usize, carry: Option<&Matrix>) -> Matrix {
         let mut out = Matrix::zeros(self.rows, w.cols);
-        self.carried_into(w, w_row0, carry, &mut out, mode);
+        self.carried_into(w, w_row0, carry, &mut out);
         out
     }
 
-    fn carried_into(
-        &self,
-        w: &Matrix,
-        w_row0: usize,
-        carry: Option<&Matrix>,
-        out: &mut Matrix,
-        mode: MathMode,
-    ) {
+    fn carried_into(&self, w: &Matrix, w_row0: usize, carry: Option<&Matrix>, out: &mut Matrix) {
         assert!(w_row0 + self.cols <= w.rows, "matmul_carried: weight rows out of bounds");
         assert_eq!(out.shape(), (self.rows, w.cols), "matmul_into: bad output shape");
         let carry = carry.map(|c| {
@@ -281,7 +264,7 @@ impl Matrix {
         });
         let (m, kk, n) = (self.rows, self.cols, w.cols);
         let b = &w.data[w_row0 * n..(w_row0 + kk) * n];
-        simd::mm_nn(&self.data, m, kk, b, n, carry, &mut out.data, mode);
+        simd::mm_nn(&self.data, m, kk, b, n, carry, &mut out.data);
     }
 
     /// Product of a contiguous row range of `self` with `rhs`
@@ -293,23 +276,23 @@ impl Matrix {
         let m = range.len();
         let mut out = Matrix::zeros(m, rhs.cols);
         let a = &self.data[range.start * self.cols..range.end * self.cols];
-        simd::mm_nn(a, m, self.cols, &rhs.data, rhs.cols, None, &mut out.data, MathMode::Bitwise);
+        simd::mm_nn(a, m, self.cols, &rhs.data, rhs.cols, None, &mut out.data);
         out
     }
 
     /// Matrix product `self * rhs^T` without materialising the transpose.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_nt_into(rhs, &mut out, MathMode::Bitwise);
+        self.matmul_nt_into(rhs, &mut out);
         out
     }
 
-    /// [`Matrix::matmul_nt`] under an explicit [`MathMode`], writing into
-    /// a caller-provided output matrix (overwrites every entry; `out`
-    /// need not be zeroed) and using the per-thread pack scratch.
-    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
+    /// [`Matrix::matmul_nt`] writing into a caller-provided output matrix
+    /// (overwrites every entry; `out` need not be zeroed) and using the
+    /// per-thread pack scratch.
+    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
         NT_PACK.with(|cell| {
-            self.matmul_nt_into_scratch(rhs, out, mode, &mut cell.borrow_mut());
+            self.matmul_nt_into_scratch(rhs, out, &mut cell.borrow_mut());
         });
     }
 
@@ -317,13 +300,7 @@ impl Matrix {
     /// into a caller-provided aligned scratch buffer (lease it from a
     /// [`crate::Workspace`] on the training hot path; contents are
     /// overwritten).
-    pub fn matmul_nt_into_scratch(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        mode: MathMode,
-        scratch: &mut AlignedBuf,
-    ) {
+    pub fn matmul_nt_into_scratch(&self, rhs: &Matrix, out: &mut Matrix, scratch: &mut AlignedBuf) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt: {}x{} * ({}x{})^T",
@@ -334,32 +311,31 @@ impl Matrix {
         scratch.resize_for_overwrite(kk * n);
         let bt = scratch.as_mut_slice();
         pack_transposed(&rhs.data, n, kk, bt);
-        simd::mm_nn(&self.data, self.rows, kk, bt, n, None, &mut out.data, mode);
+        simd::mm_nn(&self.data, self.rows, kk, bt, n, None, &mut out.data);
     }
 
     /// Matrix product `self^T * rhs` without materialising the transpose.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_tn_into(rhs, &mut out, MathMode::Bitwise);
+        self.matmul_tn_into(rhs, &mut out);
         out
     }
 
-    /// [`Matrix::matmul_tn`] under an explicit [`MathMode`], writing into
-    /// a caller-provided output matrix (overwrites every entry; `out`
-    /// need not be zeroed).
-    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix, mode: MathMode) {
+    /// [`Matrix::matmul_tn`] writing into a caller-provided output matrix
+    /// (overwrites every entry; `out` need not be zeroed).
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         assert_eq!(out.shape(), (self.cols, rhs.cols), "matmul_tn_into: bad output shape");
-        simd::mm_tn(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data, mode);
+        simd::mm_tn(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
     /// Fused `[a[range] | b] * w` over a contiguous row range of `a`,
     /// without materialising the concatenation; `b` must already have
-    /// `range.len()` rows. Bitwise tier only.
+    /// `range.len()` rows.
     ///
     /// Bitwise identical to
     /// `Matrix::concat_cols(&[&a_range, &b]).matmul(&w)`: for every
@@ -578,8 +554,6 @@ impl Matrix {
 
     /// [`Matrix::gather_mean_pool_rows`] writing into a caller-provided
     /// output matrix (overwrites every entry; `out` need not be zeroed).
-    /// The column lanes of a mean-pool never interact, so the one
-    /// vector kernel serves both math tiers with the same bits.
     pub fn gather_mean_pool_rows_into(&self, idx: &[usize], group: usize, out: &mut Matrix) {
         assert!(
             group > 0 && idx.len().is_multiple_of(group),
@@ -1143,52 +1117,26 @@ mod tests {
     }
 
     #[test]
-    fn fastmath_variants_stay_close_to_naive() {
-        let close = |x: &Matrix, y: &Matrix, what: &str| {
-            assert_eq!(x.shape(), y.shape(), "{what}: shape");
-            assert!(x.max_abs_diff(y) < 1e-4, "{what}: diff {}", x.max_abs_diff(y));
-        };
-        let a = pseudo(13, 37, 9);
-        let b = pseudo(37, 21, 10);
-        let mut out = Matrix::zeros(13, 21);
-        a.matmul_into(&b, &mut out, MathMode::FastMath);
-        close(&out, &naive_matmul(&a, &b), "nn fast");
-        let bt = pseudo(21, 37, 11);
-        // Exercise the caller-scratch variant, as the tape does.
-        let mut scratch = AlignedBuf::new();
-        a.matmul_nt_into_scratch(&bt, &mut out, MathMode::FastMath, &mut scratch);
-        close(&out, &naive_matmul(&a, &bt.transpose()), "nt fast");
-        let at = a.transpose(); // 37x13, so at^T * b == a * b
-        let mut out_tn = Matrix::zeros(13, 21);
-        at.matmul_tn_into(&b, &mut out_tn, MathMode::FastMath);
-        close(&out_tn, &naive_matmul(&a, &b), "tn fast");
-    }
-
-    #[test]
-    fn carried_matmul_is_bitwise_the_concatenated_product_in_both_tiers() {
+    fn carried_matmul_is_bitwise_the_concatenated_product() {
         // Stop `[u | x] * w` after `split` columns and resume from the
-        // partial sums. The n values cross the 8-wide Bitwise tile, the
+        // partial sums. The n values cross the 8-wide portable tile, the
         // 16-wide AVX2 panel, its one-vector edge panel and its scalar
         // column tail; the m values cross the 4-row block and include
         // the empty batch. CI's HIGNN_FORCE_PORTABLE_SIMD=1 leg re-runs
         // this on the portable backend.
         let (kk, c) = (13, 5);
-        for mode in [MathMode::Bitwise, MathMode::FastMath] {
-            for split in [0, 1, c, kk - 1, kk] {
-                for m_ in [0, 1, 3, 4, 5, 9] {
-                    for n_ in [1, 7, 8, 9, 16, 17, 64] {
-                        let seed = (split * 1000 + m_ * 100 + n_) as u32;
-                        let u = pseudo(1, split, seed);
-                        let x = pseudo(m_, kk - split, seed + 1);
-                        let w = pseudo(kk, n_, seed + 2);
-                        let u_rows = Matrix::from_fn(m_, split, |_, j| u.get(0, j));
-                        let mut want = Matrix::zeros(m_, n_);
-                        Matrix::concat_cols(&[&u_rows, &x]).matmul_into(&w, &mut want, mode);
-                        let prefix = u.matmul_carried(&w, 0, None, mode);
-                        let got = x.matmul_carried(&w, split, Some(&prefix), mode);
-                        let what = format!("{mode:?} split {split} m {m_} n {n_}");
-                        assert_bits_eq(&got, &want, &what);
-                    }
+        for split in [0, 1, c, kk - 1, kk] {
+            for m_ in [0, 1, 3, 4, 5, 9] {
+                for n_ in [1, 7, 8, 9, 16, 17, 64] {
+                    let seed = (split * 1000 + m_ * 100 + n_) as u32;
+                    let u = pseudo(1, split, seed);
+                    let x = pseudo(m_, kk - split, seed + 1);
+                    let w = pseudo(kk, n_, seed + 2);
+                    let u_rows = Matrix::from_fn(m_, split, |_, j| u.get(0, j));
+                    let want = Matrix::concat_cols(&[&u_rows, &x]).matmul(&w);
+                    let prefix = u.matmul_carried(&w, 0, None);
+                    let got = x.matmul_carried(&w, split, Some(&prefix));
+                    assert_bits_eq(&got, &want, &format!("split {split} m {m_} n {n_}"));
                 }
             }
         }

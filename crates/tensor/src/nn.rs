@@ -7,7 +7,7 @@
 
 use crate::init::{he_uniform, xavier_uniform};
 use crate::param::{ParamId, ParamStore};
-use crate::simd::{self, MathMode};
+use crate::simd;
 use crate::tape::{Tape, Var};
 use crate::Matrix;
 use rand::Rng;
@@ -78,14 +78,7 @@ impl Linear {
 
     /// Tape-free inference.
     pub fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        self.infer_mode(store, x, MathMode::Bitwise)
-    }
-
-    /// Tape-free inference in the given math tier.
-    pub fn infer_mode(&self, store: &ParamStore, x: &Matrix, mode: MathMode) -> Matrix {
-        let w = store.get(self.w);
-        let mut y = Matrix::zeros(x.rows(), w.cols());
-        x.matmul_into(w, &mut y, mode);
+        let mut y = x.matmul(store.get(self.w));
         y.add_row_broadcast_assign(store.get(self.b));
         y
     }
@@ -162,41 +155,27 @@ impl Mlp {
 
     /// Tape-free inference producing logits.
     pub fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        self.infer_mode(store, x, MathMode::Bitwise)
+        self.infer_after_first(store, self.layers[0].infer(store, x))
     }
 
-    /// Tape-free inference producing logits, in the given math tier.
-    ///
-    /// The tier decides the matmuls' rounding (FMA or not); leaky ReLU
-    /// is one vector kernel and `tanh` a scalar loop in both tiers.
-    pub fn infer_mode(&self, store: &ParamStore, x: &Matrix, mode: MathMode) -> Matrix {
-        self.infer_after_first(store, self.layers[0].infer_mode(store, x, mode), mode)
-    }
-
-    /// [`Mlp::infer_mode`] on rows `[u | tail[r]]` that all begin with
-    /// the same `u`, given `carry = u.matmul_carried(w0, 0, None, mode)`
+    /// [`Mlp::infer`] on rows `[u | tail[r]]` that all begin with the
+    /// same `u`, given `carry = u.matmul_carried(w0, 0, None)`
     /// — layer 0's partial sums over `u`'s columns (`w0` is
     /// `layers()[0]`'s weight). Layer 0 resumes from `carry` over the
     /// `tail` columns ([`Matrix::matmul_carried`]), so `u` is multiplied
     /// once for the batch and the logits are bit for bit those of the
     /// materialised rows.
-    pub fn infer_split(
-        &self,
-        store: &ParamStore,
-        carry: &Matrix,
-        tail: &Matrix,
-        mode: MathMode,
-    ) -> Matrix {
+    pub fn infer_split(&self, store: &ParamStore, carry: &Matrix, tail: &Matrix) -> Matrix {
         let first = &self.layers[0];
         assert!(tail.cols() <= first.in_dim, "Mlp: tail wider than the input");
         let w_row0 = first.in_dim - tail.cols();
-        let mut h = tail.matmul_carried(store.get(first.w), w_row0, Some(carry), mode);
+        let mut h = tail.matmul_carried(store.get(first.w), w_row0, Some(carry));
         h.add_row_broadcast_assign(store.get(first.b));
-        self.infer_after_first(store, h, mode)
+        self.infer_after_first(store, h)
     }
 
     /// Runs layers `1..` on `h`, the first layer's pre-activation output.
-    fn infer_after_first(&self, store: &ParamStore, mut h: Matrix, mode: MathMode) -> Matrix {
+    fn infer_after_first(&self, store: &ParamStore, mut h: Matrix) -> Matrix {
         for layer in &self.layers[1..] {
             // The previous layer was a hidden one: activate in place.
             match self.activation {
@@ -205,7 +184,7 @@ impl Mlp {
                 Activation::Tanh => h.map_assign(f32::tanh),
                 Activation::Identity => {}
             }
-            h = layer.infer_mode(store, &h, mode);
+            h = layer.infer(store, &h);
         }
         h
     }
@@ -263,17 +242,6 @@ mod tests {
         let y = mlp.forward(&mut t, xv);
         let y_infer = mlp.infer(&store, &x);
         assert!(t.value(y).max_abs_diff(&y_infer) < 1e-6);
-    }
-
-    #[test]
-    fn fastmath_infer_stays_close_to_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "m", &[5, 33, 17, 2], Activation::LeakyRelu, &mut rng);
-        let x = crate::init::xavier_uniform(9, 5, &mut rng);
-        let slow = mlp.infer(&store, &x);
-        let fast = mlp.infer_mode(&store, &x, MathMode::FastMath);
-        assert!(slow.max_abs_diff(&fast) < 1e-4);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! strength is independent of the loss scale.
 
 use crate::param::{Gradients, ParamStore};
-use crate::simd::{self, MathMode};
 use crate::Matrix;
 
 /// Common interface for optimizers.
@@ -29,26 +28,13 @@ pub struct Sgd {
     lr: f32,
     momentum: f32,
     weight_decay: f32,
-    math: MathMode,
     velocity: Vec<Option<Matrix>>,
 }
 
 impl Sgd {
     /// Plain SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            math: MathMode::Bitwise,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Selects the math tier for the update loops (see [`MathMode`]).
-    pub fn with_math(mut self, math: MathMode) -> Self {
-        self.math = math;
-        self
+        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
     }
 
     /// Adds classical momentum.
@@ -80,19 +66,9 @@ impl Optimizer for Sgd {
                     .get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
                 v.scale_assign(self.momentum);
                 v.add_assign(g);
-                match self.math {
-                    MathMode::Bitwise => store.get_mut(id).scaled_add_assign(-self.lr, v),
-                    MathMode::FastMath => {
-                        simd::axpy_fast(store.get_mut(id).data_mut(), -self.lr, v.data())
-                    }
-                }
+                store.get_mut(id).scaled_add_assign(-self.lr, v);
             } else {
-                match self.math {
-                    MathMode::Bitwise => store.get_mut(id).scaled_add_assign(-self.lr, g),
-                    MathMode::FastMath => {
-                        simd::axpy_fast(store.get_mut(id).data_mut(), -self.lr, g.data())
-                    }
-                }
+                store.get_mut(id).scaled_add_assign(-self.lr, g);
             }
         }
     }
@@ -113,7 +89,6 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     weight_decay: f32,
-    math: MathMode,
     t: u64,
     m: Vec<Option<Matrix>>,
     v: Vec<Option<Matrix>>,
@@ -128,17 +103,10 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             weight_decay: 0.0,
-            math: MathMode::Bitwise,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Selects the math tier for the update loops (see [`MathMode`]).
-    pub fn with_math(mut self, math: MathMode) -> Self {
-        self.math = math;
-        self
     }
 
     /// Overrides the exponential decay rates.
@@ -167,45 +135,19 @@ impl Optimizer for Adam {
         for (id, g) in grads.iter() {
             let m = self.m[id.index()].get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
             let v = self.v[id.index()].get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-            match self.math {
-                MathMode::Bitwise => {
-                    for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data())
-                    {
-                        *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                        *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-                    }
-                    if self.weight_decay > 0.0 {
-                        let decay = 1.0 - self.lr * self.weight_decay;
-                        store.get_mut(id).scale_assign(decay);
-                    }
-                    let p = store.get_mut(id);
-                    for ((pi, &mi), &vi) in p.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                        let m_hat = mi / bc1;
-                        let v_hat = vi / bc2;
-                        *pi -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-                    }
-                }
-                MathMode::FastMath => {
-                    // Decay only touches `p` and the moment updates only read
-                    // `g`, so applying decay before the fused kernel matches
-                    // the scalar ordering algebraically.
-                    if self.weight_decay > 0.0 {
-                        let decay = 1.0 - self.lr * self.weight_decay;
-                        store.get_mut(id).scale_assign(decay);
-                    }
-                    simd::adam_step_fast(
-                        store.get_mut(id).data_mut(),
-                        m.data_mut(),
-                        v.data_mut(),
-                        g.data(),
-                        self.lr,
-                        self.beta1,
-                        self.beta2,
-                        self.eps,
-                        bc1,
-                        bc2,
-                    );
-                }
+            for ((mi, vi), &gi) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
+                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
+                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+            }
+            if self.weight_decay > 0.0 {
+                let decay = 1.0 - self.lr * self.weight_decay;
+                store.get_mut(id).scale_assign(decay);
+            }
+            let p = store.get_mut(id);
+            for ((pi, &mi), &vi) in p.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
+                let m_hat = mi / bc1;
+                let v_hat = vi / bc2;
+                *pi -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }
     }
@@ -283,21 +225,6 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.001);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
-    }
-
-    #[test]
-    fn fastmath_optimizers_converge() {
-        let mut adam = Adam::new(0.1).with_math(MathMode::FastMath);
-        let p = converges_to_three(&mut adam, 300);
-        assert!((p - 3.0).abs() < 1e-2, "adam p = {p}");
-
-        let mut sgd = Sgd::new(0.05).with_momentum(0.9).with_math(MathMode::FastMath);
-        let p = converges_to_three(&mut sgd, 200);
-        assert!((p - 3.0).abs() < 1e-2, "sgd p = {p}");
-
-        let mut plain = Sgd::new(0.1).with_math(MathMode::FastMath);
-        let p = converges_to_three(&mut plain, 100);
-        assert!((p - 3.0).abs() < 1e-3, "plain sgd p = {p}");
     }
 
     #[test]

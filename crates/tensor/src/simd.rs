@@ -1,98 +1,33 @@
-//! Explicit SIMD kernels and the two-tier math-mode contract.
+//! Explicit SIMD kernels under the one numeric contract.
 //!
 //! ## Why `core::arch` intrinsics and not `std::simd`
 //!
 //! The workspace builds on **stable** Rust; `std::simd` is still
 //! nightly-only. `core::arch::x86_64` intrinsics are stable, and the
-//! AVX2+FMA subset used here covers every x86-64 server this system
+//! AVX2 subset used here covers every x86-64 server this system
 //! targets. Dispatch is decided **once per process** at runtime
-//! ([`backend`]): if AVX2 and FMA are both present the vector kernels
+//! ([`backend`]): if the vector unit is present the vector kernels
 //! run, otherwise the matmuls fall back to the register-tiled kernels
-//! of [`crate::matrix`] and the rest to scalar loops — the same bits in
-//! the Bitwise tier, and FastMath without AVX2 *is* Bitwise, never
-//! silently wrong. Setting `HIGNN_FORCE_PORTABLE_SIMD=1` pins the
-//! portable fallback, which is how CI proves the fallback path on
-//! machines that *do* have AVX2.
+//! of [`crate::matrix`] and the rest to scalar loops — with the same
+//! bits. Setting `HIGNN_FORCE_PORTABLE_SIMD=1` pins the portable
+//! fallback, which is how CI proves the fallback path on machines that
+//! *do* have AVX2.
 //!
-//! ## The two tiers (DESIGN.md §14)
+//! ## One contract (DESIGN.md §9)
 //!
-//! * [`MathMode::Bitwise`] — the proven default. Every kernel is
-//!   bit-identical to the naive oracle: per output element the
-//!   contraction index ascends from the accumulator's start value, each
-//!   term a multiply and then an add, rounded separately. Vector width
-//!   does not enter into it: a kernel that gives every output element
-//!   its own lane runs that chain verbatim, eight at a time. So this
-//!   tier's matmuls ([`mm_nn`], [`mm_tn`]), [`gather_mean_pool`],
-//!   [`leaky_relu`], [`leaky_relu_bwd`] and [`PackedRows::sq_dists`]
-//!   all use the AVX2 unit, and the two backends agree to the bit.
-//! * [`MathMode::FastMath`] — buys exactly what changes a rounding:
-//!   each multiply-add of a matmul contracted into one FMA (the same
-//!   tile loop, instantiated fused), and the fused optimizer steps
-//!   [`axpy_fast`] and [`adam_step_fast`]. Results differ from the
-//!   oracle in the low bits and are verified **differentially**: each
-//!   kernel within a stated tolerance of an `f64` oracle (the
-//!   differential-oracle suite), plus end-metric equivalence of a full
-//!   training run. Within the tier, results are still deterministic:
-//!   the lane structure is fixed, so the same inputs give the same bits
-//!   on the same backend, and N worker threads remain bit-identical
-//!   to 1.
+//! Every kernel is bit-identical to the naive oracle: per output
+//! element the contraction index ascends from the accumulator's start
+//! value, each term a multiply and then an add, rounded separately —
+//! no FMA anywhere. Vector width does not enter into it: a kernel that
+//! gives every output element its own lane runs that chain verbatim,
+//! eight at a time. So the matmuls ([`mm_nn`], [`mm_tn`]),
+//! [`gather_mean_pool`], [`leaky_relu`], [`leaky_relu_bwd`] and
+//! [`PackedRows::sq_dists`] all use the AVX2 unit, and the two backends
+//! agree to the bit.
 
 use crate::matrix::{self, Matrix};
 use crate::workspace::AlignedBuf;
 use std::sync::OnceLock;
-
-/// Which numeric contract a computation runs under. See the module
-/// docs; threaded from `HignnBuilder`/`TrainSpec` through the tape,
-/// trainer, and the serve scorer, and recorded in checkpoint metadata
-/// (resume refuses a mismatch).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MathMode {
-    /// Bit-identical to the naive oracle (the proven default).
-    #[default]
-    Bitwise,
-    /// The same kernels with multiply-adds contracted into FMAs.
-    /// Verified within tolerances against the `f64` oracle.
-    FastMath,
-}
-
-impl MathMode {
-    /// Parses a CLI token (`bitwise` | `fast`).
-    pub fn parse(token: &str) -> Result<MathMode, String> {
-        match token {
-            "bitwise" => Ok(MathMode::Bitwise),
-            "fast" => Ok(MathMode::FastMath),
-            other => Err(format!(
-                "unknown math mode `{other}`: expected `bitwise` (bit-identical to the \
-                 oracle) or `fast` (FMA-contracted kernels, toleranced)"
-            )),
-        }
-    }
-
-    /// The CLI/checkpoint-meta name (`bitwise` | `fast`).
-    pub fn name(self) -> &'static str {
-        match self {
-            MathMode::Bitwise => "bitwise",
-            MathMode::FastMath => "fast",
-        }
-    }
-
-    /// Stable id recorded in checkpoint metadata (v5+).
-    pub fn id(self) -> u64 {
-        match self {
-            MathMode::Bitwise => 0,
-            MathMode::FastMath => 1,
-        }
-    }
-
-    /// Inverse of [`MathMode::id`].
-    pub fn from_id(id: u64) -> Option<MathMode> {
-        match id {
-            0 => Some(MathMode::Bitwise),
-            1 => Some(MathMode::FastMath),
-            _ => None,
-        }
-    }
-}
 
 /// Environment variable that pins the portable fallback even when the
 /// CPU supports the vector kernels (any value but `0`). Read once, at
@@ -102,12 +37,12 @@ pub const FORCE_PORTABLE_ENV: &str = "HIGNN_FORCE_PORTABLE_SIMD";
 /// Which implementation backs the kernels of this module in this process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdBackend {
-    /// AVX2 + FMA `core::arch` intrinsics (Bitwise uses the AVX2 half
-    /// only: no FMA).
+    /// `core::arch` AVX2 intrinsics, on a CPU that reports AVX2 and FMA
+    /// (the kernels use the AVX2 half only: no FMA).
     Avx2Fma,
     /// Portable fallback, no vector intrinsics: [`crate::matrix`]'s
-    /// register-tiled matmuls and scalar loops. Bitwise has the same
-    /// bits as on [`SimdBackend::Avx2Fma`]; FastMath becomes Bitwise.
+    /// register-tiled matmuls and scalar loops, with the same bits as
+    /// [`SimdBackend::Avx2Fma`].
     Portable,
 }
 
@@ -139,27 +74,24 @@ pub fn backend() -> SimdBackend {
     })
 }
 
-// ---- matmul kernels, both tiers ----------------------------------------
+// ---- matmul kernels ------------------------------------------------------
 //
 // The products share one microkernel shape: 4 output rows x 16 output
 // columns (two 8-lane vectors per row) accumulate in registers while
 // the contraction index `t` ascends once; the A element is broadcast
 // and the B row is loaded contiguously, so every output element owns
-// one lane and its chain `acc <- acc + a*b` is the oracle's. Bitwise
-// rounds the multiply and the add separately and has the oracle's
-// bits; FastMath contracts them into one FMA — the only difference
-// between the two instantiations. Packed-`nt` shares this kernel after
-// an explicit transpose. Sub-vector column tails run a scalar
-// multiply-then-add loop in the same order in both.
+// one lane and its chain `acc <- acc + a*b` is the oracle's, the
+// multiply and the add rounded separately. Packed-`nt` shares this
+// kernel after an explicit transpose. Sub-vector column tails run a
+// scalar multiply-then-add loop in the same order.
 
-/// `out = a * b` under `mode`; `a` is `m x kk`, `b` is `kk x n`. Every
-/// output row's accumulators start from `carry` (`n` partial sums;
-/// `None` is `+0.0`). [`matrix::mm_nn`] is the portable backend, and
-/// bit for bit what `Bitwise` computes on either.
+/// `out = a * b`; `a` is `m x kk`, `b` is `kk x n`. Every output row's
+/// accumulators start from `carry` (`n` partial sums; `None` is
+/// `+0.0`). [`matrix::mm_nn`] is the portable backend, and bit for bit
+/// what this computes on either.
 ///
 /// # Panics
 /// Panics when a slice is shorter than its shape.
-#[allow(clippy::too_many_arguments)]
 pub fn mm_nn(
     a: &[f32],
     m: usize,
@@ -168,48 +100,37 @@ pub fn mm_nn(
     n: usize,
     carry: Option<&[f32]>,
     out: &mut [f32],
-    mode: MathMode,
 ) {
     assert!(a.len() >= m * kk && b.len() >= kk * n && out.len() >= m * n, "mm_nn: short slice");
     assert!(carry.is_none_or(|c| c.len() >= n), "mm_nn: carry shorter than a row");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; the asserts above are the
+        // SAFETY: backend() proved avx2; the asserts above are the
         // bounds the kernel's unchecked reads and stores rely on.
-        unsafe {
-            match mode {
-                MathMode::Bitwise => avx2::mm_nn::<false>(a, m, kk, b, n, carry, out),
-                MathMode::FastMath => avx2::mm_nn::<true>(a, m, kk, b, n, carry, out),
-            }
-        }
+        unsafe { avx2::mm_nn(a, m, kk, b, n, carry, out) };
         return;
     }
     matrix::mm_nn(a, m, kk, b, n, carry, out);
 }
 
-/// `out = a^T * b` under `mode`; `a` is `kk x m`, `b` is `kk x n`.
-/// [`matrix::mm_tn`] is the portable backend.
+/// `out = a^T * b`; `a` is `kk x m`, `b` is `kk x n`. [`matrix::mm_tn`]
+/// is the portable backend.
 ///
 /// # Panics
 /// Panics when a slice is shorter than its shape.
-pub fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32], mode: MathMode) {
+pub fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
     assert!(a.len() >= kk * m && b.len() >= kk * n && out.len() >= m * n, "mm_tn: short slice");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; the assert above is the
-        // bound the kernel's unchecked reads and stores rely on.
-        unsafe {
-            match mode {
-                MathMode::Bitwise => avx2::mm_tn::<false>(a, kk, m, b, n, out),
-                MathMode::FastMath => avx2::mm_tn::<true>(a, kk, m, b, n, out),
-            }
-        }
+        // SAFETY: backend() proved avx2; the assert above is the bound
+        // the kernel's unchecked reads and stores rely on.
+        unsafe { avx2::mm_tn(a, kk, m, b, n, out) };
         return;
     }
     matrix::mm_tn(a, kk, m, b, n, out);
 }
 
-// ---- kernels whose lanes never interact: one implementation, exact bits --
+// ---- kernels whose lanes never interact ----------------------------------
 
 /// Fused gather -> mean-pool over rows: output row `g` averages `src`
 /// rows `idx[g*group..(g+1)*group]`, summed in index order from `+0.0`
@@ -227,8 +148,8 @@ pub fn gather_mean_pool(src: &[f32], cols: usize, idx: &[usize], group: usize, o
     }
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; the asserts above bound
-        // every row the kernel reads through a raw pointer and `out`.
+        // SAFETY: backend() proved avx2; the asserts above bound every
+        // row the kernel reads through a raw pointer and `out`.
         unsafe { avx2::gather_mean_pool(src, cols, idx, group, out) };
         return;
     }
@@ -240,7 +161,7 @@ pub fn gather_mean_pool(src: &[f32], cols: usize, idx: &[usize], group: usize, o
 pub fn leaky_relu(x: &mut [f32], alpha: f32) {
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma.
+        // SAFETY: backend() proved avx2.
         unsafe { avx2::leaky_relu(x, alpha) };
         return;
     }
@@ -258,7 +179,7 @@ pub fn leaky_relu_bwd(g: &mut [f32], x: &[f32], alpha: f32) {
     assert_eq!(g.len(), x.len(), "leaky_relu_bwd: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; equal lengths asserted.
+        // SAFETY: backend() proved avx2; equal lengths asserted.
         unsafe { avx2::leaky_relu_bwd(g, x, alpha) };
         return;
     }
@@ -269,26 +190,7 @@ pub fn leaky_relu_bwd(g: &mut [f32], x: &[f32], alpha: f32) {
     }
 }
 
-// ---- FastMath elementwise kernels --------------------------------------
-
-/// In-place `y += alpha * x` (FMA-contracted under AVX2).
-///
-/// # Panics
-/// Panics unless `y` and `x` have the same length.
-pub fn axpy_fast(y: &mut [f32], alpha: f32, x: &[f32]) {
-    assert_eq!(y.len(), x.len(), "axpy_fast: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; equal lengths asserted.
-        unsafe { avx2::axpy(y, alpha, x) };
-        return;
-    }
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += alpha * xv;
-    }
-}
-
-// ---- Bitwise lane-per-row squared distances -----------------------------
+// ---- lane-per-row squared distances -------------------------------------
 
 /// Rows per [`PackedRows`] block: one 8-lane vector register.
 const LANES: usize = 8;
@@ -302,9 +204,9 @@ const LANES: usize = 8;
 /// vector load fetches coordinate `t` of eight rows. The last block is
 /// zero-padded; its padded lanes are computed and thrown away.
 ///
-/// This is a **Bitwise-tier** kernel. Each row owns one lane, and the
-/// lane's accumulator adds `(row[t] - point[t])²` for `t` ascending
-/// from `+0.0` with a separate multiply and add — exactly the chain of
+/// Each row owns one lane, and the lane's accumulator adds
+/// `(row[t] - point[t])²` for `t` ascending from `+0.0` with a
+/// separate multiply and add — exactly the chain of
 /// [`Matrix::row_sq_dist`] and the oracle's `sq_dist`. Lanes never
 /// interact, so vector width buys throughput without touching any
 /// row's summation order, and both backends give the same bits.
@@ -370,50 +272,7 @@ impl PackedRows {
     }
 }
 
-/// One fused Adam update over a parameter/gradient pair:
-///
-/// ```text
-/// m = beta1 * m + (1 - beta1) * g
-/// v = beta2 * v + (1 - beta2) * g^2
-/// p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-/// ```
-///
-/// Same math as the scalar optimizer loop; FMA contraction makes the
-/// low bits differ, which is why it belongs to the FastMath tier.
-#[allow(clippy::too_many_arguments)]
-pub fn adam_step_fast(
-    p: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    g: &[f32],
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    bc1: f32,
-    bc2: f32,
-) {
-    assert!(
-        p.len() == m.len() && m.len() == v.len() && v.len() == g.len(),
-        "adam_step_fast: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
-        // SAFETY: backend() proved avx2+fma; equal lengths asserted.
-        unsafe { avx2::adam_step(p, m, v, g, lr, beta1, beta2, eps, bc1, bc2) };
-        return;
-    }
-    for i in 0..p.len() {
-        let gi = g[i];
-        m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
-        v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
-        let m_hat = m[i] / bc1;
-        let v_hat = v[i] / bc2;
-        p[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-    }
-}
-
-// ---- AVX2 + FMA backend -------------------------------------------------
+// ---- AVX2 backend --------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
@@ -426,22 +285,21 @@ mod avx2 {
     /// Output-column block (two vectors wide).
     const NRF: usize = 2 * L;
 
-    /// The shared 4x16 broadcast microkernel over `t in 0..kk`, both
-    /// tiers: `a_at(ii, t)` supplies the broadcast element for output
-    /// row `i + ii`, and `brow(t)` the index of B's contiguous row.
-    /// Every row's accumulators start from `carry[j..j + jb]` (`None` is
-    /// `+0.0`). `FUSED` contracts each term into one FMA (FastMath);
-    /// unfused, a lane's `acc + a*b` rounds twice like the oracle's
-    /// scalar chain, so the output has its bits (Bitwise).
+    /// The shared 4x16 broadcast microkernel over `t in 0..kk`:
+    /// `a_at(ii, t)` supplies the broadcast element for output row
+    /// `i + ii`, and `brow(t)` the index of B's contiguous row. Every
+    /// row's accumulators start from `carry[j..j + jb]` (`None` is
+    /// `+0.0`). A lane's `acc + a*b` rounds twice like the oracle's
+    /// scalar chain, so the output has its bits.
     ///
     /// # Safety
-    /// Caller proves avx2+fma and that every index reached is in
-    /// bounds: `a_at` for `ii < ib`, `b[brow(t) + j..+jb]`,
+    /// Caller proves avx2 and that every index reached is in bounds:
+    /// `a_at` for `ii < ib`, `b[brow(t) + j..+jb]`,
     /// `out[(i+ii)*n + j..+jb]`, `carry[j..+jb]`; and `ib >= 1`.
     #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
+    #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn panel<const FUSED: bool, F: Fn(usize, usize) -> f32>(
+    unsafe fn panel<F: Fn(usize, usize) -> f32>(
         kk: usize,
         b: &[f32],
         n: usize,
@@ -458,13 +316,7 @@ mod avx2 {
         let start =
             |jj: usize| carry.map_or(_mm256_setzero_ps(), |c| _mm256_loadu_ps(c.as_ptr().add(j + jj)));
         // One term of eight chains.
-        let madd = |a: __m256, b: __m256, acc: __m256| {
-            if FUSED {
-                _mm256_fmadd_ps(a, b, acc)
-            } else {
-                _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-            }
-        };
+        let madd = |a: __m256, b: __m256, acc: __m256| _mm256_add_ps(acc, _mm256_mul_ps(a, b));
         if ib == MRF && jb == NRF {
             let mut acc = [[start(0), start(L)]; MRF];
             for t in 0..kk {
@@ -518,9 +370,9 @@ mod avx2 {
     ///
     /// # Safety
     /// Same contract as [`panel`], over the full output.
-    #[target_feature(enable = "avx2", enable = "fma")]
+    #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn cover<const FUSED: bool, F: Fn(usize, usize, usize) -> f32>(
+    unsafe fn cover<F: Fn(usize, usize, usize) -> f32>(
         m: usize,
         kk: usize,
         b: &[f32],
@@ -536,7 +388,7 @@ mod avx2 {
             let mut j = 0;
             while j < n {
                 let jb = NRF.min(n - j);
-                panel::<FUSED, _>(kk, b, n, carry, out, i, ib, j, jb, |ii, t| a_at(i, ii, t), brow);
+                panel(kk, b, n, carry, out, i, ib, j, jb, |ii, t| a_at(i, ii, t), brow);
                 j += jb;
             }
             i += ib;
@@ -544,10 +396,10 @@ mod avx2 {
     }
 
     /// # Safety
-    /// avx2+fma present; `a` is `m x kk`, `b` is `kk x n`, `out` holds
+    /// avx2 present; `a` is `m x kk`, `b` is `kk x n`, `out` holds
     /// `m * n` entries and `carry`, if any, `n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mm_nn<const FUSED: bool>(
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mm_nn(
         a: &[f32],
         m: usize,
         kk: usize,
@@ -557,29 +409,22 @@ mod avx2 {
         out: &mut [f32],
     ) {
         let a_at = |i: usize, ii: usize, t: usize| *a.get_unchecked((i + ii) * kk + t);
-        cover::<FUSED, _>(m, kk, b, n, carry, out, a_at, |t| t * n);
+        cover(m, kk, b, n, carry, out, a_at, |t| t * n);
     }
 
     /// # Safety
-    /// avx2+fma present; `a` is `kk x m`, `b` is `kk x n`, `out` holds
+    /// avx2 present; `a` is `kk x m`, `b` is `kk x n`, `out` holds
     /// `m * n` entries.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn mm_tn<const FUSED: bool>(
-        a: &[f32],
-        kk: usize,
-        m: usize,
-        b: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
         let a_at = |i: usize, ii: usize, t: usize| *a.get_unchecked(t * m + i + ii);
-        cover::<FUSED, _>(m, kk, b, n, None, out, a_at, |t| t * n);
+        cover(m, kk, b, n, None, out, a_at, |t| t * n);
     }
 
     /// # Safety
-    /// avx2+fma present; every `idx` entry addresses a full `cols` row
-    /// of `src`; `out` holds `(idx.len() / group) * cols` entries.
-    #[target_feature(enable = "avx2", enable = "fma")]
+    /// avx2 present; every `idx` entry addresses a full `cols` row of
+    /// `src`; `out` holds `(idx.len() / group) * cols` entries.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn gather_mean_pool(
         src: &[f32],
         cols: usize,
@@ -612,8 +457,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// avx2+fma present.
-    #[target_feature(enable = "avx2", enable = "fma")]
+    /// avx2 present.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn leaky_relu(x: &mut [f32], alpha: f32) {
         let av = _mm256_set1_ps(alpha);
         let zero = _mm256_setzero_ps();
@@ -634,8 +479,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// avx2+fma present; `g.len() == x.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
+    /// avx2 present; `g.len() == x.len()`.
+    #[target_feature(enable = "avx2")]
     pub unsafe fn leaky_relu_bwd(g: &mut [f32], x: &[f32], alpha: f32) {
         let av = _mm256_set1_ps(alpha);
         let zero = _mm256_setzero_ps();
@@ -655,24 +500,6 @@ mod avx2 {
             if xv <= 0.0 {
                 *gv *= alpha;
             }
-        }
-    }
-
-    /// # Safety
-    /// avx2+fma present; `y.len() == x.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-        let av = _mm256_set1_ps(alpha);
-        let main = y.len() - y.len() % L;
-        let mut j = 0;
-        while j < main {
-            let yv = _mm256_loadu_ps(y.as_ptr().add(j));
-            let xv = _mm256_loadu_ps(x.as_ptr().add(j));
-            _mm256_storeu_ps(y.as_mut_ptr().add(j), _mm256_fmadd_ps(av, xv, yv));
-            j += L;
-        }
-        for (yv, &xv) in y[main..].iter_mut().zip(&x[main..]) {
-            *yv += alpha * xv;
         }
     }
 
@@ -729,60 +556,6 @@ mod avx2 {
             b += 1;
         }
     }
-
-    /// # Safety
-    /// avx2+fma present; `p`, `m`, `v`, `g` all the same length.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn adam_step(
-        p: &mut [f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        g: &[f32],
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        bc1: f32,
-        bc2: f32,
-    ) {
-        let b1 = _mm256_set1_ps(beta1);
-        let b2 = _mm256_set1_ps(beta2);
-        let c1 = _mm256_set1_ps(1.0 - beta1);
-        let c2 = _mm256_set1_ps(1.0 - beta2);
-        let inv_bc1 = _mm256_set1_ps(1.0 / bc1);
-        let inv_bc2 = _mm256_set1_ps(1.0 / bc2);
-        let lrv = _mm256_set1_ps(lr);
-        let epsv = _mm256_set1_ps(eps);
-        let main = p.len() - p.len() % L;
-        let mut j = 0;
-        while j < main {
-            let gv = _mm256_loadu_ps(g.as_ptr().add(j));
-            let mv = _mm256_fmadd_ps(b1, _mm256_loadu_ps(m.as_ptr().add(j)), _mm256_mul_ps(c1, gv));
-            let vv = _mm256_fmadd_ps(
-                b2,
-                _mm256_loadu_ps(v.as_ptr().add(j)),
-                _mm256_mul_ps(c2, _mm256_mul_ps(gv, gv)),
-            );
-            _mm256_storeu_ps(m.as_mut_ptr().add(j), mv);
-            _mm256_storeu_ps(v.as_mut_ptr().add(j), vv);
-            let m_hat = _mm256_mul_ps(mv, inv_bc1);
-            let v_hat = _mm256_mul_ps(vv, inv_bc2);
-            let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), epsv);
-            let step = _mm256_div_ps(_mm256_mul_ps(lrv, m_hat), denom);
-            let pv = _mm256_sub_ps(_mm256_loadu_ps(p.as_ptr().add(j)), step);
-            _mm256_storeu_ps(p.as_mut_ptr().add(j), pv);
-            j += L;
-        }
-        for i in main..p.len() {
-            let gi = g[i];
-            m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
-            v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
-            let m_hat = m[i] * (1.0 / bc1);
-            let v_hat = v[i] * (1.0 / bc2);
-            p[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -799,39 +572,6 @@ mod tests {
             .collect()
     }
 
-    /// f64 reference for tolerance checks.
-    fn mm_nn_f64(a: &[f32], m: usize, kk: usize, b: &[f32], n: usize) -> Vec<f64> {
-        let mut out = vec![0.0f64; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f64;
-                for t in 0..kk {
-                    acc += a[i * kk + t] as f64 * b[t * n + j] as f64;
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
-    fn assert_close(actual: &[f32], oracle: &[f64], tol: f64, what: &str) {
-        for (k, (&a, &o)) in actual.iter().zip(oracle).enumerate() {
-            let err = (a as f64 - o).abs();
-            assert!(err <= tol * (1.0 + o.abs()), "{what}[{k}]: {a} vs {o} (err {err})");
-        }
-    }
-
-    #[test]
-    fn mode_ids_roundtrip_and_parse() {
-        for mode in [MathMode::Bitwise, MathMode::FastMath] {
-            assert_eq!(MathMode::from_id(mode.id()), Some(mode));
-            assert_eq!(MathMode::parse(mode.name()), Ok(mode));
-        }
-        assert_eq!(MathMode::from_id(7), None);
-        let err = MathMode::parse("quantum").unwrap_err();
-        assert!(err.contains("bitwise") && err.contains("fast"), "{err}");
-    }
-
     #[test]
     fn backend_is_cached_and_named() {
         let b = backend();
@@ -841,32 +581,6 @@ mod tests {
         // fallback that silently failed to engage must fail there.
         if std::env::var_os(FORCE_PORTABLE_ENV).is_some_and(|v| v != "0") {
             assert_eq!(b, SimdBackend::Portable, "forced portable fallback was not taken");
-        }
-    }
-
-    #[test]
-    fn fast_matmuls_match_f64_oracle_within_tolerance() {
-        // Tile-interior, remainder-edge and tiny shapes.
-        for &(m, k, n) in
-            &[(1, 1, 1), (4, 8, 16), (5, 17, 33), (8, 3, 40), (13, 7, 19), (16, 64, 40), (33, 31, 47)]
-        {
-            let a = pseudo(m * k, (m * 7 + k) as u32);
-            let b = pseudo(k * n, (k * 13 + n) as u32);
-            let oracle = mm_nn_f64(&a, m, k, &b, n);
-            let mut out = vec![0.0f32; m * n];
-            mm_nn(&a, m, k, &b, n, None, &mut out, MathMode::FastMath);
-            assert_close(&out, &oracle, 1e-5, "mm_nn fast");
-
-            // tn: build a^T (k x m) whose transpose is `a`.
-            let mut at = vec![0.0f32; k * m];
-            for i in 0..m {
-                for t in 0..k {
-                    at[t * m + i] = a[i * k + t];
-                }
-            }
-            let mut out_tn = vec![0.0f32; m * n];
-            mm_tn(&at, k, m, &b, n, &mut out_tn, MathMode::FastMath);
-            assert_close(&out_tn, &oracle, 1e-5, "mm_tn fast");
         }
     }
 
@@ -900,9 +614,8 @@ mod tests {
         // Row counts around the 4-row block (and none), column counts
         // around the 16-column panel, its 8-lane edge vector and the
         // scalar tail, contractions from empty up; with and without a
-        // carry; plain values (where FastMath must also stay within
-        // tolerance on the same edge panels) and NaN / inf / -0.0.
-        // Under HIGNN_FORCE_PORTABLE_SIMD=1 both sides are the same code.
+        // carry; plain values and NaN / inf / -0.0. Under
+        // HIGNN_FORCE_PORTABLE_SIMD=1 both sides are the same code.
         for m in [0usize, 1, 2, 3, 4, 5, 7] {
             for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 31, 33] {
                 for kk in [0usize, 1, 13] {
@@ -919,20 +632,15 @@ mod tests {
                         let what = format!("m {m} n {n} kk {kk} special {special} carried {carried}");
 
                         let (mut got, mut want) = (vec![7.0f32; m * n], vec![9.0f32; m * n]);
-                        mm_nn(&a, m, kk, &b, n, carry, &mut got, MathMode::Bitwise);
+                        mm_nn(&a, m, kk, &b, n, carry, &mut got);
                         matrix::mm_nn(&a, m, kk, &b, n, carry, &mut want);
                         assert_same_bits(&got, &want, &format!("nn {what}"));
 
                         // tn: `a` read as `kk x m` is a different matrix; fine.
                         if !carried {
-                            mm_tn(&a, kk, m, &b, n, &mut got, MathMode::Bitwise);
+                            mm_tn(&a, kk, m, &b, n, &mut got);
                             matrix::mm_tn(&a, kk, m, &b, n, &mut want);
                             assert_same_bits(&got, &want, &format!("tn {what}"));
-                        }
-                        if !special && !carried {
-                            let oracle = mm_nn_f64(&a, m, kk, &b, n);
-                            mm_nn(&a, m, kk, &b, n, None, &mut got, MathMode::FastMath);
-                            assert_close(&got, &oracle, 1e-5, &format!("nn fast {what}"));
                         }
                     }
                 }
@@ -945,7 +653,7 @@ mod tests {
     fn matmul_dispatch_checks_lengths_in_release_too() {
         let (a, b) = (vec![0.0f32; 4 * 3], vec![0.0f32; 3 * 16]);
         let mut out = vec![0.0f32; 4 * 16 - 1];
-        mm_nn(&a, 4, 3, &b, 16, None, &mut out, MathMode::Bitwise);
+        mm_nn(&a, 4, 3, &b, 16, None, &mut out);
     }
 
     #[test]
@@ -957,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_gather_mean_pool_matches_scalar_exactly() {
+    fn gather_mean_pool_matches_scalar_exactly() {
         // 13 columns: one vector and a scalar tail; 5: tail only. Row 0
         // carries NaN, +-inf and -0.0, and -0.0 + -0.0 keeps its sign
         // only if the sum starts from +0.0 in both.
@@ -966,11 +674,12 @@ mod tests {
             let mut src = with_specials(pseudo(9 * cols, 44));
             src[3 * cols..4 * cols].fill(-0.0);
             for group in [1usize, 2, 3, 4, 6, 12] {
-                let mut fast = vec![0.0f32; (idx.len() / group) * cols];
-                let mut scalar = fast.clone();
-                gather_mean_pool(&src, cols, &idx, group, &mut fast);
+                let mut vector = vec![0.0f32; (idx.len() / group) * cols];
+                let mut scalar = vector.clone();
+                gather_mean_pool(&src, cols, &idx, group, &mut vector);
                 matrix::gather_mean_pool(&src, cols, &idx, group, &mut scalar);
-                assert_same_bits(&fast, &scalar, &format!("gather_mean_pool cols {cols} group {group}"));
+                let what = format!("gather_mean_pool cols {cols} group {group}");
+                assert_same_bits(&vector, &scalar, &what);
             }
         }
     }
@@ -1002,54 +711,27 @@ mod tests {
     }
 
     #[test]
-    fn fast_elementwise_kernels_match_scalar() {
+    fn elementwise_kernels_match_scalar() {
         // 37 values: four vectors and a scalar tail, specials in both.
         let mut x = with_specials(pseudo(37, 9));
         x[32..].copy_from_slice(&[f32::NAN, f32::NEG_INFINITY, -0.0, f32::INFINITY, 0.0]);
         for alpha in [0.01f32, 0.0] {
-            let mut fast = x.clone();
-            leaky_relu(&mut fast, alpha);
+            let mut vector = x.clone();
+            leaky_relu(&mut vector, alpha);
             let scalar: Vec<f32> =
                 x.iter().map(|&v| if v > 0.0 { v } else { alpha * v }).collect();
-            assert_same_bits(&fast, &scalar, "leaky relu");
+            assert_same_bits(&vector, &scalar, "leaky relu");
 
-            let mut g_fast = with_specials(pseudo(37, 10));
-            g_fast.rotate_left(1);
-            let mut g_scalar = g_fast.clone();
-            leaky_relu_bwd(&mut g_fast, &x, alpha);
+            let mut g_vector = with_specials(pseudo(37, 10));
+            g_vector.rotate_left(1);
+            let mut g_scalar = g_vector.clone();
+            leaky_relu_bwd(&mut g_vector, &x, alpha);
             for (gv, &xv) in g_scalar.iter_mut().zip(&x) {
                 if xv <= 0.0 {
                     *gv *= alpha;
                 }
             }
-            assert_same_bits(&g_fast, &g_scalar, "leaky relu backward");
-        }
-
-        let x = pseudo(37, 9);
-        let mut y = pseudo(37, 11);
-        let y0 = y.clone();
-        axpy_fast(&mut y, 0.25, &x);
-        for (k, ((&yv, &y0v), &xv)) in y.iter().zip(&y0).zip(&x).enumerate() {
-            let err = (yv as f64 - (y0v as f64 + 0.25 * xv as f64)).abs();
-            assert!(err < 1e-6, "axpy[{k}]: {yv} vs {y0v} + 0.25*{xv}");
-        }
-    }
-
-    #[test]
-    fn fast_adam_step_matches_f64_reference() {
-        let n = 41;
-        let (mut p, mut m, g) = (pseudo(n, 1), pseudo(n, 2), pseudo(n, 4));
-        let mut v: Vec<f32> = pseudo(n, 3).iter().map(|x| x.abs()).collect();
-        let (p0, m0, v0) = (p.clone(), m.clone(), v.clone());
-        let (lr, b1, b2, eps, bc1, bc2) = (1e-2f32, 0.9f32, 0.999f32, 1e-8f32, 0.1f32, 0.001f32);
-        adam_step_fast(&mut p, &mut m, &mut v, &g, lr, b1, b2, eps, bc1, bc2);
-        for i in 0..n {
-            let gi = g[i] as f64;
-            let mi = b1 as f64 * m0[i] as f64 + (1.0 - b1 as f64) * gi;
-            let vi = b2 as f64 * v0[i] as f64 + (1.0 - b2 as f64) * gi * gi;
-            let want = p0[i] as f64 - lr as f64 * (mi / bc1 as f64) / ((vi / bc2 as f64).sqrt() + eps as f64);
-            let err = (p[i] as f64 - want).abs();
-            assert!(err <= 1e-4 * (1.0 + want.abs()), "adam[{i}]: {} vs {want}", p[i]);
+            assert_same_bits(&g_vector, &g_scalar, "leaky relu backward");
         }
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::matrix::Matrix;
 use crate::param::{Gradients, ParamId, ParamStore};
-use crate::simd::{self, MathMode};
+use crate::simd;
 use crate::workspace::Workspace;
 
 /// Handle to a value on the tape. Cheap to copy.
@@ -129,14 +129,13 @@ pub struct Tape<'s> {
     store: &'s ParamStore,
     nodes: Vec<Node>,
     ws: Option<&'s Workspace>,
-    math: MathMode,
 }
 
 impl<'s> Tape<'s> {
     /// Creates an empty tape bound to a parameter store. Intermediate
     /// buffers are heap-allocated per op.
     pub fn new(store: &'s ParamStore) -> Self {
-        Tape { store, nodes: Vec::new(), ws: None, math: MathMode::Bitwise }
+        Tape { store, nodes: Vec::new(), ws: None }
     }
 
     /// Creates an empty tape whose forward and backward buffers are
@@ -145,22 +144,7 @@ impl<'s> Tape<'s> {
     /// return the buffers for the next minibatch (a tape that simply
     /// drops frees them instead — correct, but the pool goes cold).
     pub fn with_workspace(store: &'s ParamStore, ws: &'s Workspace) -> Self {
-        Tape { store, nodes: Vec::new(), ws: Some(ws), math: MathMode::Bitwise }
-    }
-
-    /// Sets the [`MathMode`] every subsequent matmul on this tape
-    /// dispatches under (builder-style; the
-    /// default is [`MathMode::Bitwise`]). Record **and** backward must
-    /// run under one mode — the mode is a property of the tape, not of
-    /// individual ops.
-    pub fn with_math(mut self, math: MathMode) -> Self {
-        self.math = math;
-        self
-    }
-
-    /// The math mode this tape dispatches under.
-    pub fn math(&self) -> MathMode {
-        self.math
+        Tape { store, nodes: Vec::new(), ws: Some(ws) }
     }
 
     /// Consumes the tape, returning every pooled node buffer to the
@@ -299,7 +283,7 @@ impl<'s> Tape<'s> {
     /// `a * b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let mut out = self.mat_zeroed(a.rows, b.cols);
-        self.value(a).matmul_into(self.value(b), &mut out, self.math);
+        self.value(a).matmul_into(self.value(b), &mut out);
         self.push(Stored::Owned(out), Op::MatMul(a.id, b.id))
     }
 
@@ -485,8 +469,8 @@ impl<'s> Tape<'s> {
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, x: Var, alpha: f32) -> Var {
-        // One kernel for both tiers: lanes never interact, so the
-        // blend has the scalar map's bits 8 lanes at a time.
+        // Lanes never interact, so the blend has the scalar map's bits
+        // 8 lanes at a time.
         let mut value = self.mat_copy(self.value(x));
         simd::leaky_relu(value.data_mut(), alpha);
         self.push(Stored::Owned(value), Op::LeakyRelu { src: x.id, alpha })
@@ -653,13 +637,13 @@ impl<'s> Tape<'s> {
                         // the backward step stays allocation-free.
                         Some(ws) => {
                             let mut scratch = ws.lease_aligned(g.cols() * bv.rows());
-                            g.matmul_nt_into_scratch(bv, &mut ga, self.math, &mut scratch);
+                            g.matmul_nt_into_scratch(bv, &mut ga, &mut scratch);
                             ws.recycle_aligned(scratch);
                         }
-                        None => g.matmul_nt_into(bv, &mut ga, self.math),
+                        None => g.matmul_nt_into(bv, &mut ga),
                     }
                     let mut gb = self.mat_zeroed(av.cols(), g.cols());
-                    av.matmul_tn_into(&g, &mut gb, self.math);
+                    av.matmul_tn_into(&g, &mut gb);
                     accum(&mut grads, *a, ga, self.ws);
                     accum(&mut grads, *b, gb, self.ws);
                     self.reclaim_mat(g);

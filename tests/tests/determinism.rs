@@ -20,7 +20,7 @@
 use hignn::io::write_hierarchy;
 use hignn::prelude::*;
 use hignn_graph::{BipartiteGraph, SamplingMode};
-use hignn_tensor::{init, MathMode, Matrix};
+use hignn_tensor::{init, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,21 +72,6 @@ fn serialize(h: &Hierarchy) -> Vec<u8> {
 
 fn build_at(threads: usize) -> Vec<u8> {
     let (g, uf, if_, cfg) = small_setup();
-    let h = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions { threads, ..Default::default() },
-    )
-    .unwrap();
-    serialize(&h)
-}
-
-/// [`build_at`] under an explicit math tier (DESIGN.md §14).
-fn build_at_math(threads: usize, math: MathMode) -> Vec<u8> {
-    let (g, uf, if_, mut cfg) = small_setup();
-    cfg.train.math = math;
     let h = build_hierarchy_with(
         &g,
         &uf,
@@ -221,33 +206,6 @@ fn env_selected_thread_count_matches_one_thread() {
         build_at(threads),
         build_at(1),
         "HIGNN_TEST_THREADS={threads} build diverged from 1-thread build"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Math-tier determinism (DESIGN.md §14): N threads == 1 thread holds
-// *within* each tier, and each tier is self-deterministic across
-// reruns. FastMath bits may legitimately differ from Bitwise bits (a
-// different accumulation contract) — that cross-tier diff is bounded by
-// the differential-oracle suite, not asserted here.
-
-#[test]
-fn fastmath_tier_is_deterministic_and_thread_invariant() {
-    let fast1 = build_at_math(1, MathMode::FastMath);
-    assert_eq!(
-        build_at_math(4, MathMode::FastMath),
-        fast1,
-        "FastMath build diverged across thread counts"
-    );
-    assert_eq!(
-        build_at_math(1, MathMode::FastMath),
-        fast1,
-        "FastMath build is not self-deterministic"
-    );
-    assert_eq!(
-        build_at_math(1, MathMode::Bitwise),
-        build_at(1),
-        "explicit Bitwise diverged from the default build"
     );
 }
 

@@ -34,7 +34,7 @@ use hignn_oracle::eq5::{Dense64, Eq5Param, Eq5Setup};
 use hignn_oracle::sage::SageStep;
 use hignn_tensor::nn::{Activation, Mlp};
 use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
-use hignn_tensor::{MathMode, Matrix, PackedRows, ParamId, ParamStore, Tape, Var};
+use hignn_tensor::{Matrix, PackedRows, ParamId, ParamStore, Tape, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -820,7 +820,8 @@ proptest! {
 // the portable backend) with an 8-lane edge vector and scalar remainder
 // edges; these properties push the shapes past two full panels so
 // interiors, remainders, and their seams are all crossed, and check
-// every output bit against the naive oracle. The
+// every output bit against the naive oracle. Leaky ReLU forward and
+// backward are held to the scalar rule's bits. The
 // fused gather + mean-pool and the workspace-pooled tape are compared
 // against their unfused / fresh-allocation references, which earlier
 // sections already tie to the oracle.
@@ -848,9 +849,9 @@ proptest! {
             let prefix = Matrix::from_fn(1, split, |_, j| a.get(0, j));
             let tail = Matrix::from_fn(m, k - split, |i, j| a.get(i, split + j));
             let rows = Matrix::from_fn(m, k, |i, j| a.get(if j < split { 0 } else { i }, j));
-            let carry = prefix.matmul_carried(&b, 0, None, MathMode::Bitwise);
+            let carry = prefix.matmul_carried(&b, 0, None);
             bitwise_eq(
-                &tail.matmul_carried(&b, split, Some(&carry), MathMode::Bitwise),
+                &tail.matmul_carried(&b, split, Some(&carry)),
                 &oracle::linalg::matmul(&to_rows32(&rows), &ob),
                 "carried matmul",
             )
@@ -858,7 +859,7 @@ proptest! {
             // (The oracle reads the column count off `b`'s first row.)
             if split < k {
                 bitwise_eq(
-                    &tail.matmul_carried(&b, split, None, MathMode::Bitwise),
+                    &tail.matmul_carried(&b, split, None),
                     &oracle::linalg::matmul(&to_rows32(&tail), &ob[split..].to_vec()),
                     "matmul from a weight row offset",
                 )
@@ -910,6 +911,47 @@ proptest! {
     }
 
     #[test]
+    fn gather_mean_pool_is_value_identical(
+        (table_rows, d, groups, group) in (1usize..40, 1usize..40, 1usize..12, 1usize..7),
+        seed in proptest::arbitrary::any::<u64>(),
+    ) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let table = hignn_tensor::init::xavier_uniform(table_rows, d, &mut rng);
+        let idx: Vec<usize> =
+            (0..groups * group).map(|_| rng.gen_range(0..table_rows)).collect();
+        // The one (vector) kernel, past several vector widths, against
+        // the unfused scalar ops.
+        let reference = table.gather_rows(&idx).mean_pool_rows(group);
+        let mut fused = Matrix::zeros(groups, d);
+        table.gather_mean_pool_rows_into(&idx, group, &mut fused);
+        bitwise_eq(&fused, &to_rows32(&reference), "gather_mean_pool_rows_into").unwrap();
+    }
+
+    #[test]
+    fn elementwise_kernels_match_oracles(
+        vals in prop::collection::vec(-3.0f32..3.0, 1..70),
+        seed in proptest::arbitrary::any::<u64>(),
+    ) {
+        use hignn_tensor::simd;
+        use rand::Rng;
+        let mut fwd = vals.clone();
+        simd::leaky_relu(&mut fwd, 0.01);
+        for (i, (&f, &x)) in fwd.iter().zip(&vals).enumerate() {
+            let want = if x > 0.0 { x } else { 0.01 * x };
+            prop_assert_eq!(f.to_bits(), want.to_bits(), "leaky_relu[{}]: {} vs {}", i, f, want);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gin: Vec<f32> = vals.iter().map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let mut bwd = gin.clone();
+        simd::leaky_relu_bwd(&mut bwd, &vals, 0.01);
+        for (i, ((&g, &g0), &x)) in bwd.iter().zip(&gin).zip(&vals).enumerate() {
+            let want = if x > 0.0 { g0 } else { 0.01 * g0 };
+            prop_assert_eq!(g.to_bits(), want.to_bits(), "leaky_relu_bwd[{}]", i);
+        }
+    }
+
+    #[test]
     fn pooled_tape_step_matches_fresh_tape_bitwise(
         (n, d, h) in (1usize..12, 1usize..6, 1usize..8),
         init_seed in proptest::arbitrary::any::<u64>(),
@@ -954,185 +996,6 @@ proptest! {
             prop_assert_eq!(loss.to_bits(), fresh_loss.to_bits(),
                 "pooled round {} loss {} vs fresh {}", round, loss, fresh_loss);
             prop_assert_eq!(&bits, &fresh_bits, "pooled round {} gradients diverged", round);
-        }
-    }
-}
-
-// ---- 9. FastMath tier: toleranced against an f64 oracle ------------------
-//
-// The FastMath tier (DESIGN.md §14) may contract multiply-adds with FMA
-// and reorder accumulation across vector lanes, so it is checked against
-// an `f64` reference within explicit per-kernel tolerances rather than
-// bitwise. The value-identical FastMath kernels (gather + mean-pool,
-// leaky ReLU) are still held to exact bits. Shapes cross the AVX2
-// microkernel's 4x16 tile in both directions so interiors, vector
-// remainders, and scalar tails are all exercised. The module's own
-// deliberate-break test proves a corrupted fast kernel fails the check.
-
-mod fastmath {
-    use super::*;
-    use hignn_tensor::simd;
-
-    /// Per-entry tolerance check against f64 oracle rows:
-    /// `|fast - oracle| <= tol * (1 + |oracle|)`.
-    pub(super) fn close64(
-        actual: &Matrix,
-        expected: &[Vec<f64>],
-        tol: f64,
-        what: &str,
-    ) -> Result<(), String> {
-        if actual.rows() != expected.len() || actual.cols() != expected[0].len() {
-            return Err(format!(
-                "{what}: shape {:?} vs oracle {}x{}",
-                actual.shape(),
-                expected.len(),
-                expected[0].len()
-            ));
-        }
-        for i in 0..actual.rows() {
-            for j in 0..actual.cols() {
-                let (a, e) = (actual.get(i, j) as f64, expected[i][j]);
-                if (a - e).abs() > tol * (1.0 + e.abs()) {
-                    return Err(format!("{what}: entry ({i}, {j}) {a} vs oracle {e}"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Naive f64 matmul of two f32 matrices.
-    pub(super) fn mm_f64(a: &Matrix, b: &Matrix) -> Vec<Vec<f64>> {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let mut out = vec![vec![0f64; n]; m];
-        for i in 0..m {
-            for p in 0..k {
-                let av = a.get(i, p) as f64;
-                for j in 0..n {
-                    out[i][j] += av * b.get(p, j) as f64;
-                }
-            }
-        }
-        out
-    }
-
-    /// `a * b` in the FastMath tier.
-    pub(super) fn fast_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        a.matmul_into(b, &mut out, MathMode::FastMath);
-        out
-    }
-
-    /// Matmul FastMath tolerance: `tol * (1 + |oracle|)` with
-    /// `tol = 1e-5 * sqrt(k)` — FMA and lane reordering perturb each
-    /// contraction by O(eps) per term, growing with the contraction
-    /// length like a random walk.
-    fn mm_tol(k: usize) -> f64 {
-        1e-5 * (k as f64).sqrt().max(1.0)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn fast_matmul_all_layouts_match_f64_oracle(
-            (m, k, n) in (1usize..40, 1usize..20, 1usize..40),
-            seed in proptest::arbitrary::any::<u64>(),
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a = hignn_tensor::init::xavier_uniform(m, k, &mut rng);
-            let b = hignn_tensor::init::xavier_uniform(k, n, &mut rng);
-            let oracle = mm_f64(&a, &b);
-            close64(&fast_matmul(&a, &b), &oracle, mm_tol(k), "fast nn").unwrap();
-
-            let bt = Matrix::from_fn(n, k, |i, j| b.get(j, i));
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_nt_into(&bt, &mut out, MathMode::FastMath);
-            close64(&out, &oracle, mm_tol(k), "fast nt").unwrap();
-
-            let at = Matrix::from_fn(k, m, |i, j| a.get(j, i));
-            at.matmul_tn_into(&b, &mut out, MathMode::FastMath);
-            close64(&out, &oracle, mm_tol(k), "fast tn").unwrap();
-        }
-
-        #[test]
-        fn fast_gather_mean_pool_is_value_identical(
-            (table_rows, d, groups, group) in (1usize..40, 1usize..40, 1usize..12, 1usize..7),
-            seed in proptest::arbitrary::any::<u64>(),
-        ) {
-            use rand::Rng;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let table = hignn_tensor::init::xavier_uniform(table_rows, d, &mut rng);
-            let idx: Vec<usize> =
-                (0..groups * group).map(|_| rng.gen_range(0..table_rows)).collect();
-            // The one (vector) kernel against the unfused scalar ops.
-            let reference = table.gather_rows(&idx).mean_pool_rows(group);
-            let mut fast = Matrix::zeros(groups, d);
-            table.gather_mean_pool_rows_into(&idx, group, &mut fast);
-            bitwise_eq(&fast, &to_rows32(&reference), "fast gather_mean_pool").unwrap();
-        }
-
-        #[test]
-        fn fast_elementwise_kernels_match_oracles(
-            vals in prop::collection::vec(-3.0f32..3.0, 1..70),
-            seed in proptest::arbitrary::any::<u64>(),
-        ) {
-            use rand::Rng;
-            // Leaky ReLU forward/backward: value-identical tier rule.
-            let mut fwd = vals.clone();
-            simd::leaky_relu(&mut fwd, 0.01);
-            for (i, (&f, &x)) in fwd.iter().zip(&vals).enumerate() {
-                let want = if x > 0.0 { x } else { 0.01 * x };
-                prop_assert_eq!(f.to_bits(), want.to_bits(), "leaky_relu[{}]: {} vs {}", i, f, want);
-            }
-            let mut rng = StdRng::seed_from_u64(seed);
-            let gin: Vec<f32> = vals.iter().map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let mut bwd = gin.clone();
-            simd::leaky_relu_bwd(&mut bwd, &vals, 0.01);
-            for (i, ((&g, &g0), &x)) in bwd.iter().zip(&gin).zip(&vals).enumerate() {
-                let want = if x > 0.0 { g0 } else { 0.01 * g0 };
-                prop_assert_eq!(g.to_bits(), want.to_bits(), "leaky_relu_bwd[{}]", i);
-            }
-
-            // Fused Adam step vs the f64 oracle of the same update.
-            let n = vals.len();
-            let mut p: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let mut m: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
-            let mut v: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0f32..0.01)).collect();
-            let (lr, b1, b2, eps) = (1e-3f32, 0.9f32, 0.999f32, 1e-8f32);
-            let (bc1, bc2) = (0.271f32, 0.0297f32);
-            let oracle_p: Vec<f64> = (0..n)
-                .map(|i| {
-                    let gi = vals[i] as f64;
-                    let mi = 0.9 * m[i] as f64 + 0.1 * gi;
-                    let vi = 0.999 * v[i] as f64 + 0.001 * gi * gi;
-                    p[i] as f64 - 1e-3 * (mi / bc1 as f64) / ((vi / bc2 as f64).sqrt() + 1e-8)
-                })
-                .collect();
-            simd::adam_step_fast(&mut p, &mut m, &mut v, &vals, lr, b1, b2, eps, bc1, bc2);
-            for i in 0..n {
-                let err = (p[i] as f64 - oracle_p[i]).abs();
-                prop_assert!(err <= 1e-5 * (1.0 + oracle_p[i].abs()),
-                    "adam_step[{}]: {} vs oracle {}", i, p[i], oracle_p[i]);
-            }
-        }
-
-        #[test]
-        fn fast_kernels_are_self_deterministic(
-            (m, k, n) in (1usize..24, 1usize..20, 1usize..24),
-            seed in proptest::arbitrary::any::<u64>(),
-        ) {
-            // FastMath reorders accumulation relative to Bitwise, but its
-            // lane structure is fixed: reruns must reproduce exact bits.
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a = hignn_tensor::init::xavier_uniform(m, k, &mut rng);
-            let b = hignn_tensor::init::xavier_uniform(k, n, &mut rng);
-            let once = fast_matmul(&a, &b);
-            let twice = fast_matmul(&a, &b);
-            prop_assert_eq!(
-                once.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                twice.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
         }
     }
 }
@@ -1200,45 +1063,21 @@ mod broken_kernel_detection {
 
     #[test]
     fn fused_product_is_rejected_by_the_bitwise_oracle() {
-        // The Bitwise and FastMath matmuls are one tile loop that differs
-        // in a single instruction choice. If an FMA ever leaked into the
-        // exact path, this is what its output would look like — and the
-        // bitwise oracle must refuse it.
-        if hignn_tensor::simd::backend() == hignn_tensor::SimdBackend::Portable {
-            eprintln!("skipped: on the portable backend FastMath is the Bitwise kernel");
-            return;
-        }
+        // If an FMA ever leaked into the exact path, this is what its
+        // output would look like — each term's multiply and add rounded
+        // once instead of twice — and the bitwise oracle must refuse it
+        // on either backend.
         let mut rng = StdRng::seed_from_u64(42);
         let a = hignn_tensor::init::xavier_uniform(9, 13, &mut rng);
         let b = hignn_tensor::init::xavier_uniform(13, 17, &mut rng);
         let expected = oracle::linalg::matmul(&to_rows32(&a), &to_rows32(&b));
         bitwise_eq(&a.matmul(&b), &expected, "matmul").unwrap();
+        let fused = Matrix::from_fn(9, 17, |i, j| {
+            (0..13).fold(0.0f32, |acc, t| a.get(i, t).mul_add(b.get(t, j), acc))
+        });
         assert!(
-            bitwise_eq(&fastmath::fast_matmul(&a, &b), &expected, "fused matmul").is_err(),
-            "an FMA-contracted product passed the bitwise oracle"
-        );
-    }
-
-    #[test]
-    fn corrupted_fast_kernel_is_rejected() {
-        // A healthy FastMath product passes the f64-oracle tolerance...
-        let mut rng = StdRng::seed_from_u64(42);
-        let a = hignn_tensor::init::xavier_uniform(9, 13, &mut rng);
-        let b = hignn_tensor::init::xavier_uniform(13, 17, &mut rng);
-        let oracle = fastmath::mm_f64(&a, &b);
-        let fast = fastmath::fast_matmul(&a, &b);
-        fastmath::close64(&fast, &oracle, 1e-4, "fast matmul").unwrap();
-
-        // ...but a kernel bug perturbing one entry by 1e-2 (far outside
-        // any FMA-reordering effect, yet invisible to eyeballing) must
-        // fail it: the tolerance has veto power, it is not a rubber
-        // stamp.
-        let mut broken = fast;
-        let v = broken.get(4, 11);
-        broken.set(4, 11, v + 1e-2);
-        assert!(
-            fastmath::close64(&broken, &oracle, 1e-4, "fast matmul").is_err(),
-            "1e-2 corruption of a FastMath kernel output was not detected"
+            bitwise_eq(&fused, &expected, "fused matmul").is_err(),
+            "an FMA-contracted product matched the oracle in every element of this input"
         );
     }
 

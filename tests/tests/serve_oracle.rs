@@ -4,8 +4,7 @@
 //! exhaustive ground truth, over randomly shaped hierarchies:
 //!
 //! 1. **Beam ∞ is bitwise identical to exhaustive scoring** — same
-//!    items, same score *bits* — at 1 and 4 serving threads, in both
-//!    math tiers.
+//!    items, same score *bits* — at 1 and 4 serving threads.
 //! 2. **Exhaustive scores themselves are bitwise identical to the
 //!    differential oracle**: the scorer's exported weights fed through
 //!    `hignn_oracle::mlp::forward` (naive triple loops, no shared
@@ -20,7 +19,7 @@ use hignn::stack::{Hierarchy, Level};
 use hignn_graph::{Assignment, BipartiteGraph};
 use hignn_oracle::mlp::{forward, DenseLayer};
 use hignn_serve::{BeamWidth, ServeModel, TopKRequest};
-use hignn_tensor::{MathMode, Matrix, ParallelExecutor};
+use hignn_tensor::{Matrix, ParallelExecutor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,29 +98,22 @@ proptest! {
         let requests: Vec<TopKRequest> = (0..num_users)
             .map(|user| TopKRequest { user, k, beam: BeamWidth::Infinite })
             .collect();
-        // Row independence holds within each math tier, so the
-        // property does too.
-        for math in [MathMode::Bitwise, MathMode::FastMath] {
-            let model = ServeModel::from_hierarchy_with_math(h.clone(), seed ^ 0x5E12, math);
-            let exact: Vec<_> =
-                (0..num_users).map(|u| model.exhaustive_top_k(u, k).unwrap()).collect();
-            for (u, want) in exact.iter().enumerate() {
-                let got = model.top_k(u, k, BeamWidth::Infinite).unwrap();
+        let model = ServeModel::from_hierarchy(h, seed ^ 0x5E12);
+        let exact: Vec<_> =
+            (0..num_users).map(|u| model.exhaustive_top_k(u, k).unwrap()).collect();
+        for (u, want) in exact.iter().enumerate() {
+            let got = model.top_k(u, k, BeamWidth::Infinite).unwrap();
+            prop_assert_eq!(bits(&got), bits(want), "inline beam-inf diverged for user {}", u);
+        }
+        for threads in [1usize, 4] {
+            let exec = ParallelExecutor::new(threads);
+            let got = model.serve_batch(&requests, &exec);
+            for (u, (g, want)) in got.iter().zip(&exact).enumerate() {
+                let g = g.as_ref().expect("valid request");
                 prop_assert_eq!(
-                    bits(&got), bits(want),
-                    "{:?}: inline beam-inf diverged for user {}", math, u
+                    bits(g), bits(want),
+                    "{}-thread serve_batch diverged for user {}", threads, u
                 );
-            }
-            for threads in [1usize, 4] {
-                let exec = ParallelExecutor::new(threads);
-                let got = model.serve_batch(&requests, &exec);
-                for (u, (g, want)) in got.iter().zip(&exact).enumerate() {
-                    let g = g.as_ref().expect("valid request");
-                    prop_assert_eq!(
-                        bits(g), bits(want),
-                        "{:?}: {}-thread serve_batch diverged for user {}", math, threads, u
-                    );
-                }
             }
         }
     }
