@@ -386,7 +386,7 @@ fn info(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
         emit(
             out,
             format!(
-                "  level {}: {} user clusters, {} item clusters, coarsened graph {} edges",
+                "  level {}: {} user clusters, {} item clusters, coarsened graph {} edges as trained",
                 l + 1,
                 level.user_assignment.num_clusters(),
                 level.item_assignment.num_clusters(),

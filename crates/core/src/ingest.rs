@@ -29,9 +29,12 @@
 //!   re-assigned against the live centroids (cost `O(|members|·k·d)`,
 //!   never the full dataset) and the affected centroids are recommitted
 //!   to exact member means.
-//! * **A versioned delta format** (`HGHD`, the same
+//! * **A versioned delta format** (`HGHD` 2, the same
 //!   [`crate::io`] container and frame decoder as the model) so a serving
-//!   replica can catch up via [`apply_delta`] without a full reload.
+//!   replica can catch up via [`apply_delta`] without a full reload. A
+//!   delta carries only what a replica reads — the new edges, the
+//!   arrivals (level-1 cluster and row) and the level-1 moves — so its
+//!   size is linear in the batch, not the model.
 //!   Deltas carry base and patched hierarchy fingerprints
 //!   ([`hierarchy_fingerprint`]: one in-place pass over the hierarchy's
 //!   arrays, covering what the model file stores in the order it stores
@@ -40,10 +43,13 @@
 //!   a patch whose result does not match the writer's fingerprint is
 //!   rolled back, so a refused delta never leaves a trace.
 //!
-//! Upper-level embeddings and the GraphSAGE weights stay frozen; that
-//! staleness is deliberate (it is what makes ingestion cheap) and is
-//! measured by the `ingest` bench as the incremental-vs-full-retrain
-//! link-prediction AUC gap.
+//! Upper-level embeddings `Z^{l+1}`, each level's coarse graph `G^l` and
+//! the GraphSAGE weights stay as trained; that staleness is deliberate
+//! (it is what makes ingestion cheap) and is measured by the `ingest`
+//! bench as the incremental-vs-full-retrain link-prediction AUC gap. A
+//! fine-tune that wants the grown chain rebuilds it from
+//! [`IngestEngine::graph`] with `hignn_graph::coarsen`, one call per
+//! level.
 
 use crate::error::HignnError;
 use crate::fingerprint::Fingerprint;
@@ -51,14 +57,13 @@ use crate::io::{atomic_write, write_section, Container};
 use crate::stack::Hierarchy;
 use hignn_cluster::kmeans::mean_by_cluster;
 use hignn_cluster::streaming::SequentialKMeans;
-use hignn_graph::serialize::{read_graph, write_graph};
-use hignn_graph::{coarsen, Assignment, BipartiteGraph, Side};
+use hignn_graph::{Assignment, BipartiteGraph, Side};
 use hignn_tensor::Matrix;
 use std::io::{self, Write};
 use std::path::Path;
 
 /// Current delta format version.
-pub const DELTA_FORMAT_VERSION: u32 = 1;
+pub const DELTA_FORMAT_VERSION: u32 = 2;
 const DELTA: Container =
     Container { magic: b"HGHD", version: DELTA_FORMAT_VERSION, name: "delta" };
 
@@ -113,20 +118,27 @@ pub struct NodeArrival {
 /// A versioned, self-validating patch from one hierarchy state to the
 /// next — everything a replica needs to catch up without a full reload.
 ///
-/// On disk (`HGHD` v1) it is the [`crate::io`] container, so truncation,
+/// On disk (`HGHD` v2) it is the [`crate::io`] container, so truncation,
 /// bit-flips, trailing bytes and other versions fail closed:
 ///
 /// ```text
-/// delta   := "HGHD" u32(version=1) section(header) section(new_edges)
-///            section(new_users) section(new_items)
-///            section(user_moves) section(item_moves) section(graph)*
-/// section := u64(payload_len) payload u32(crc32 of payload)
-/// header  := u64(seq) u64(base_users) u64(base_items)
-///            u64(base_fingerprint) u64(patched_fingerprint)
-///            u64(num_new_users) u64(num_new_items)
-///            u64(num_user_moves) u64(num_item_moves)
-///            u64(num_new_edges) u64(num_levels)
+/// delta    := "HGHD" u32(version=2) section(header) section(edges)
+///             section(arrivals) section(arrivals)   (users, then items)
+///             section(moves) section(moves)         (users, then items)
+/// section  := u64(payload_len) payload u32(crc32 of payload)
+/// header   := u64(seq) u64(base_users) u64(base_items)
+///             u64(base_fingerprint) u64(patched_fingerprint)
+///             u64(num_new_users) u64(num_new_items)
+///             u64(num_user_moves) u64(num_item_moves)
+///             u64(num_new_edges)
+/// edges    := (u32(user) u32(item) f32(weight))*
+/// arrivals := u64(dim) (u32(cluster) f32^dim)*
+/// moves    := (u32(vertex) u32(cluster))*
 /// ```
+///
+/// No section scales with the model: a delta is
+/// `176 + 12·edges + (4 + 4·dim)·arrivals + 8·moves` bytes. Coarse
+/// graphs are not shipped — ingestion leaves them as trained.
 #[derive(Clone, Debug)]
 pub struct HierarchyDelta {
     /// Monotone sequence number (1 = first delta after the base model).
@@ -151,9 +163,6 @@ pub struct HierarchyDelta {
     pub user_moves: Vec<(u32, u32)>,
     /// Level-1 item re-assignments.
     pub item_moves: Vec<(u32, u32)>,
-    /// Replacement coarsened graph per level (finest first), rebuilt
-    /// canonically from the grown base graph.
-    pub coarsened: Vec<BipartiteGraph>,
 }
 
 fn write_u64_vec(buf: &mut Vec<u8>, v: u64) {
@@ -261,10 +270,10 @@ fn parse_edges(payload: &[u8], count: usize, what: &str) -> io::Result<Vec<(u32,
     Ok(out)
 }
 
-/// Encodes a delta in the current (`HGHD` v1, CRC-framed) format.
+/// Encodes a delta in the current (`HGHD` v2, CRC-framed) format.
 pub fn write_delta<W: Write>(w: &mut W, d: &HierarchyDelta) -> io::Result<()> {
     DELTA.preamble(w)?;
-    let mut header = Vec::with_capacity(88);
+    let mut header = Vec::with_capacity(80);
     for v in [
         d.seq,
         d.base_users,
@@ -276,7 +285,6 @@ pub fn write_delta<W: Write>(w: &mut W, d: &HierarchyDelta) -> io::Result<()> {
         d.user_moves.len() as u64,
         d.item_moves.len() as u64,
         d.new_edges.len() as u64,
-        d.coarsened.len() as u64,
     ] {
         write_u64_vec(&mut header, v);
     }
@@ -285,13 +293,7 @@ pub fn write_delta<W: Write>(w: &mut W, d: &HierarchyDelta) -> io::Result<()> {
     write_section(w, &arrivals_payload(&d.new_users))?;
     write_section(w, &arrivals_payload(&d.new_items))?;
     write_section(w, &moves_payload(&d.user_moves))?;
-    write_section(w, &moves_payload(&d.item_moves))?;
-    for g in &d.coarsened {
-        let mut payload = Vec::new();
-        write_graph(&mut payload, g)?;
-        write_section(w, &payload)?;
-    }
-    Ok(())
+    write_section(w, &moves_payload(&d.item_moves))
 }
 
 /// Decodes a delta from an in-memory image, CRC-verifying every section
@@ -301,8 +303,8 @@ pub fn write_delta<W: Write>(w: &mut W, d: &HierarchyDelta) -> io::Result<()> {
 pub fn read_delta_bytes(bytes: &[u8]) -> io::Result<HierarchyDelta> {
     let mut cursor = DELTA.open(bytes)?;
     let header = cursor.next_section("delta header")?;
-    if header.len() != 88 {
-        return Err(bad_data(&format!("delta header: expected 88 bytes, got {}", header.len())));
+    if header.len() != 80 {
+        return Err(bad_data(&format!("delta header: expected 80 bytes, got {}", header.len())));
     }
     let word = |i: usize| u64::from_le_bytes(header[i * 8..(i + 1) * 8].try_into().unwrap());
     let seq = word(0);
@@ -315,10 +317,6 @@ pub fn read_delta_bytes(bytes: &[u8]) -> io::Result<HierarchyDelta> {
     let num_user_moves = word(7) as usize;
     let num_item_moves = word(8) as usize;
     let num_new_edges = word(9) as usize;
-    let num_levels = word(10) as usize;
-    if num_levels > 64 {
-        return Err(bad_data("delta: implausible level count"));
-    }
     let new_edges = parse_edges(cursor.next_section("delta edges")?, num_new_edges, "delta edges")?;
     let new_users =
         parse_arrivals(cursor.next_section("delta new users")?, num_new_users, "delta new users")?;
@@ -328,17 +326,6 @@ pub fn read_delta_bytes(bytes: &[u8]) -> io::Result<HierarchyDelta> {
         parse_moves(cursor.next_section("delta user moves")?, num_user_moves, "delta user moves")?;
     let item_moves =
         parse_moves(cursor.next_section("delta item moves")?, num_item_moves, "delta item moves")?;
-    let mut coarsened = Vec::with_capacity(num_levels);
-    for l in 0..num_levels {
-        let what = format!("delta level {} graph", l + 1);
-        let payload = cursor.next_section(&what)?;
-        let mut slice = payload;
-        let g = read_graph(&mut slice)?;
-        if !slice.is_empty() {
-            return Err(bad_data(&format!("{what}: {} trailing bytes", slice.len())));
-        }
-        coarsened.push(g);
-    }
     cursor.finish()?;
     Ok(HierarchyDelta {
         seq,
@@ -351,7 +338,6 @@ pub fn read_delta_bytes(bytes: &[u8]) -> io::Result<HierarchyDelta> {
         new_items,
         user_moves,
         item_moves,
-        coarsened,
     })
 }
 
@@ -405,8 +391,8 @@ fn corrupt(detail: String) -> HignnError {
 ///
 /// The cheap checks run **before** any mutation: base user/item counts,
 /// the base fingerprint (which also rejects a delta applied twice or out
-/// of order), arrival dimensions and cluster ranges, move ranges, and the
-/// replacement coarsened-graph shapes. After patching, the result must
+/// of order, and a model of another depth), arrival dimensions and
+/// cluster ranges, and move ranges. After patching, the result must
 /// pass the assignment-chain validation and fingerprint to
 /// `patched_fingerprint`, so a replica can never silently diverge from
 /// the ingesting writer; if either fails the patch is rolled back. A
@@ -436,13 +422,6 @@ pub fn apply_delta_to_base(
             delta.base_items,
             h.num_users(),
             h.num_items()
-        )));
-    }
-    if delta.coarsened.len() != h.num_levels() {
-        return Err(corrupt(format!(
-            "level count mismatch: delta has {}, hierarchy has {}",
-            delta.coarsened.len(),
-            h.num_levels()
         )));
     }
     if base_fingerprint != delta.base_fingerprint {
@@ -486,25 +465,9 @@ pub fn apply_delta_to_base(
             }
         }
     }
-    for (l, g) in delta.coarsened.iter().enumerate() {
-        let level = &h.levels()[l];
-        if g.num_left() != level.user_assignment.num_clusters()
-            || g.num_right() != level.item_assignment.num_clusters()
-        {
-            return Err(corrupt(format!(
-                "level {} coarsened graph is {}x{}, expected {}x{}",
-                l + 1,
-                g.num_left(),
-                g.num_right(),
-                level.user_assignment.num_clusters(),
-                level.item_assignment.num_clusters()
-            )));
-        }
-    }
-
     // ---- mutation (mirrors the ingesting engine bit for bit) ----
-    // The replaced assignments and graphs are kept, not dropped, so a
-    // late failure can put them back.
+    // The replaced assignments are kept, not dropped, so a late failure
+    // can put them back.
     let (old_users, old_items) = (h.num_users(), h.num_items());
     let (levels, num_users, num_items) = h.parts_mut();
     let l0 = &mut levels[0];
@@ -516,11 +479,6 @@ pub fn apply_delta_to_base(
         patched_assignment(&l0.item_assignment, &delta.new_items, &delta.item_moves);
     let old_user_assignment = std::mem::replace(&mut l0.user_assignment, patched_users);
     let old_item_assignment = std::mem::replace(&mut l0.item_assignment, patched_items);
-    let old_coarsened: Vec<BipartiteGraph> = levels
-        .iter_mut()
-        .zip(&delta.coarsened)
-        .map(|(level, g)| std::mem::replace(&mut level.coarsened, g.clone()))
-        .collect();
     *num_users += delta.new_users.len();
     *num_items += delta.new_items.len();
 
@@ -540,9 +498,6 @@ pub fn apply_delta_to_base(
         });
     if verdict.is_err() {
         let (levels, num_users, num_items) = h.parts_mut();
-        for (level, g) in levels.iter_mut().zip(old_coarsened) {
-            level.coarsened = g;
-        }
         let l0 = &mut levels[0];
         l0.user_assignment = old_user_assignment;
         l0.item_assignment = old_item_assignment;
@@ -770,15 +725,8 @@ impl IngestEngine {
         levels[0].item_assignment = Assignment::new(ia, ki);
         *num_users = new_u;
         *num_items = new_i;
-
-        // Re-coarsen the whole chain canonically from the grown graph
-        // (G^l = coarsen(G^{l-1}, A_l)) — cheap, and exactly the
-        // training-time semantics. Upper-level embeddings stay frozen.
-        for l in 0..levels.len() {
-            let (below, at) = levels.split_at_mut(l);
-            let finer = below.last().map_or(&self.graph, |b| &b.coarsened);
-            at[0].coarsened = coarsen(finer, &at[0].user_assignment, &at[0].item_assignment);
-        }
+        // Every level's coarse graph G^l stays as trained, like the
+        // frozen Z^{l+1} that was learned on it.
 
         self.hierarchy
             .validate()
@@ -812,7 +760,6 @@ impl IngestEngine {
             new_items,
             user_moves,
             item_moves,
-            coarsened: self.hierarchy.levels().iter().map(|l| l.coarsened.clone()).collect(),
         };
         Ok((report, delta))
     }
@@ -1259,6 +1206,7 @@ mod tests {
     #[test]
     fn sequential_deltas_have_monotone_seq_and_chain() {
         let (h, g) = tiny();
+        let base = h.clone();
         let mut replica = h.clone();
         let mut engine = IngestEngine::new(h, g, IngestConfig::default()).unwrap();
         let batches: Vec<Vec<(u32, u32, f32)>> = vec![
@@ -1274,12 +1222,56 @@ mod tests {
             apply_delta(&mut replica, &delta).unwrap();
         }
         assert_eq!(hierarchy_bytes(&replica), hierarchy_bytes(engine.hierarchy()));
-        // Coarsened totals match the grown graph (weight conservation
-        // through the whole chain).
-        let total = engine.graph().total_weight();
-        for level in engine.hierarchy().levels() {
-            assert!((level.coarsened.total_weight() - total).abs() < 1e-6);
+        // Every level's coarse graph is still the trained one, edge for
+        // edge and weight bit for weight bit, on writer and replica.
+        let edge_bits = |g: &BipartiteGraph| -> (usize, usize, Vec<(u32, u32, u32)>) {
+            let edges = g.edges().iter().map(|&(u, i, w)| (u, i, w.to_bits())).collect();
+            (g.num_left(), g.num_right(), edges)
+        };
+        for (l, trained) in base.levels().iter().enumerate() {
+            let want = edge_bits(&trained.coarsened);
+            let writer = &engine.hierarchy().levels()[l].coarsened;
+            assert_eq!(edge_bits(writer), want, "writer, level {}", l + 1);
+            assert_eq!(edge_bits(&replica.levels()[l].coarsened), want, "replica, level {}", l + 1);
         }
+    }
+
+    /// Encoded size of `d` under HGHD 2: preamble, six CRC-framed
+    /// sections, an 80-byte header, a dim word per arrival section, and
+    /// nothing that grows with the model.
+    fn pinned_delta_len(d: &HierarchyDelta, dim: usize) -> usize {
+        let arrivals = d.new_users.len() + d.new_items.len();
+        let moves = d.user_moves.len() + d.item_moves.len();
+        176 + 12 * d.new_edges.len() + (4 + 4 * dim) * arrivals + 8 * moves
+    }
+
+    #[test]
+    fn delta_size_is_linear_in_the_batch() {
+        let (h, g) = tiny();
+        let dim = h.levels()[0].user_embeddings.cols();
+        let mut engine = IngestEngine::new(h, g, IngestConfig::default()).unwrap();
+        let batches: Vec<Vec<(u32, u32, f32)>> = vec![
+            vec![],
+            vec![(2, 0, 1.0), (3, 1, 1.0), (2, 4, 1.0)],
+            vec![(0, 5, 1.0), (4, 2, 2.0)],
+        ];
+        let encoded_len = |d: &HierarchyDelta| {
+            let mut bytes = Vec::new();
+            write_delta(&mut bytes, d).unwrap();
+            bytes.len()
+        };
+        let mut last = None;
+        for batch in &batches {
+            let (_, delta) = engine.ingest(batch).unwrap();
+            assert_eq!(encoded_len(&delta), pinned_delta_len(&delta, dim), "delta {}", delta.seq);
+            last = Some(delta);
+        }
+        // The tiny model moves nobody; the move sections are sized the
+        // same way whatever their content.
+        let mut moved = last.unwrap();
+        moved.user_moves.push((0, 1));
+        moved.item_moves.extend([(1, 1), (2, 0)]);
+        assert_eq!(encoded_len(&moved), pinned_delta_len(&moved, dim));
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub struct Level {
     pub user_assignment: Assignment,
     /// `C_i^l`: right-side assignment.
     pub item_assignment: Assignment,
-    /// The coarsened graph `G^l`.
+    /// `G^l` as trained; ingestion leaves it, like `Z^{l+1}`, unchanged.
     pub coarsened: BipartiteGraph,
     /// Mean unsupervised loss per training epoch (diagnostic).
     pub epoch_losses: Vec<f32>,
@@ -166,7 +166,7 @@ impl Hierarchy {
 
     /// Crate-private mutable access for the streaming ingest path
     /// ([`crate::ingest::apply_delta`]), which appends level-1 vertices
-    /// and swaps coarsened graphs, then revalidates via
+    /// and patches level-1 assignments, then revalidates via
     /// [`Hierarchy::validate`]. Not public: external code must go
     /// through the delta protocol so the chain invariants cannot be
     /// silently broken.

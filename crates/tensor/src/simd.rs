@@ -37,12 +37,12 @@ pub const FORCE_PORTABLE_ENV: &str = "HIGNN_FORCE_PORTABLE_SIMD";
 /// Which implementation backs the kernels of this module in this process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdBackend {
-    /// `core::arch` AVX2 intrinsics, on a CPU that reports AVX2 and FMA
-    /// (the kernels use the AVX2 half only: no FMA).
-    Avx2Fma,
+    /// `core::arch` AVX2 intrinsics, on a CPU that reports AVX2 (no
+    /// kernel uses FMA).
+    Avx2,
     /// Portable fallback, no vector intrinsics: [`crate::matrix`]'s
     /// register-tiled matmuls and scalar loops, with the same bits as
-    /// [`SimdBackend::Avx2Fma`].
+    /// [`SimdBackend::Avx2`].
     Portable,
 }
 
@@ -50,7 +50,7 @@ impl SimdBackend {
     /// Stable name for benchmark output and CI assertions.
     pub fn name(self) -> &'static str {
         match self {
-            SimdBackend::Avx2Fma => "avx2+fma",
+            SimdBackend::Avx2 => "avx2",
             SimdBackend::Portable => "portable",
         }
     }
@@ -66,8 +66,8 @@ pub fn backend() -> SimdBackend {
         }
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                return SimdBackend::Avx2Fma;
+            if is_x86_feature_detected!("avx2") {
+                return SimdBackend::Avx2;
             }
         }
         SimdBackend::Portable
@@ -104,7 +104,7 @@ pub fn mm_nn(
     assert!(a.len() >= m * kk && b.len() >= kk * n && out.len() >= m * n, "mm_nn: short slice");
     assert!(carry.is_none_or(|c| c.len() >= n), "mm_nn: carry shorter than a row");
     #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
+    if backend() == SimdBackend::Avx2 {
         // SAFETY: backend() proved avx2; the asserts above are the
         // bounds the kernel's unchecked reads and stores rely on.
         unsafe { avx2::mm_nn(a, m, kk, b, n, carry, out) };
@@ -121,7 +121,7 @@ pub fn mm_nn(
 pub fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
     assert!(a.len() >= kk * m && b.len() >= kk * n && out.len() >= m * n, "mm_tn: short slice");
     #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
+    if backend() == SimdBackend::Avx2 {
         // SAFETY: backend() proved avx2; the assert above is the bound
         // the kernel's unchecked reads and stores rely on.
         unsafe { avx2::mm_tn(a, kk, m, b, n, out) };
@@ -147,7 +147,7 @@ pub fn gather_mean_pool(src: &[f32], cols: usize, idx: &[usize], group: usize, o
         panic!("gather_mean_pool: index {bad} out of bounds ({} rows)", src.len() / cols.max(1));
     }
     #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
+    if backend() == SimdBackend::Avx2 {
         // SAFETY: backend() proved avx2; the asserts above bound every
         // row the kernel reads through a raw pointer and `out`.
         unsafe { avx2::gather_mean_pool(src, cols, idx, group, out) };
@@ -160,7 +160,7 @@ pub fn gather_mean_pool(src: &[f32], cols: usize, idx: &[usize], group: usize, o
 /// is scaled, like any value that is not positive).
 pub fn leaky_relu(x: &mut [f32], alpha: f32) {
     #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
+    if backend() == SimdBackend::Avx2 {
         // SAFETY: backend() proved avx2.
         unsafe { avx2::leaky_relu(x, alpha) };
         return;
@@ -178,7 +178,7 @@ pub fn leaky_relu(x: &mut [f32], alpha: f32) {
 pub fn leaky_relu_bwd(g: &mut [f32], x: &[f32], alpha: f32) {
     assert_eq!(g.len(), x.len(), "leaky_relu_bwd: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if backend() == SimdBackend::Avx2Fma {
+    if backend() == SimdBackend::Avx2 {
         // SAFETY: backend() proved avx2; equal lengths asserted.
         unsafe { avx2::leaky_relu_bwd(g, x, alpha) };
         return;
@@ -250,7 +250,7 @@ impl PackedRows {
         assert_eq!(out.len(), self.rows, "sq_dists: one output per packed row");
         let packed = self.data.as_slice();
         #[cfg(target_arch = "x86_64")]
-        if backend() == SimdBackend::Avx2Fma {
+        if backend() == SimdBackend::Avx2 {
             // SAFETY: backend() proved avx2; `pack` sized `packed` to
             // `rows.div_ceil(8) * cols * 8` and the asserts above tie
             // `out` and `point` to those same `rows` and `cols`.
@@ -576,7 +576,7 @@ mod tests {
     fn backend_is_cached_and_named() {
         let b = backend();
         assert_eq!(b, backend(), "backend must be stable across calls");
-        assert!(matches!(b.name(), "avx2+fma" | "portable"));
+        assert!(matches!(b.name(), "avx2" | "portable"));
         // CI's portable step exports the variable and runs this test: a
         // fallback that silently failed to engage must fail there.
         if std::env::var_os(FORCE_PORTABLE_ENV).is_some_and(|v| v != "0") {

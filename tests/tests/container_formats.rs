@@ -101,7 +101,6 @@ fn cases(tag: &str) -> (PathBuf, CheckpointStore, Vec<Case>) {
         new_items: vec![],
         user_moves: vec![],
         item_moves: vec![],
-        coarsened: vec![],
     };
     save_delta(&delta, &empty).unwrap();
 
@@ -181,6 +180,8 @@ fn assert_refused(case: &Case, store: &CheckpointStore, damage: &[u8], needles: 
 
 #[test]
 fn every_container_rejects_every_version_but_its_own() {
+    // `current - 1` is each format's predecessor: HGHI 1, checkpoint 4,
+    // and the HGHD 1 delta that still shipped coarse graphs.
     let (dir, store, cases) = cases("version");
     for case in &cases {
         let clean = std::fs::read(&case.file).unwrap();

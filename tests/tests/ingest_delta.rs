@@ -98,6 +98,28 @@ fn delta_corruption_corpus_fails_closed() {
     assert!(read_delta_bytes(&padded).is_err());
 }
 
+/// HGHD 2 carries nothing that grows with the model: each delta cut
+/// against the trained base is exactly
+/// `176 + 12·E + (4 + 4d)·(U + I) + 8·(M_u + M_i)` bytes.
+#[test]
+fn trained_base_deltas_are_sized_by_the_batch_alone() {
+    let (h, g, batch1, batch2) = trained_base();
+    let dim = h.levels()[0].user_embeddings.cols();
+    let mut writer = IngestEngine::new(h, g, IngestConfig::default()).unwrap();
+    let mut arrived = 0;
+    for batch in [&batch1, &batch2] {
+        let (_, d) = writer.ingest(batch).unwrap();
+        let arrivals = d.new_users.len() + d.new_items.len();
+        let moves = d.user_moves.len() + d.item_moves.len();
+        let mut wire = Vec::new();
+        write_delta(&mut wire, &d).unwrap();
+        let pinned = 176 + 12 * d.new_edges.len() + (4 + 4 * dim) * arrivals + 8 * moves;
+        assert_eq!(wire.len(), pinned, "delta {}", d.seq);
+        arrived += arrivals;
+    }
+    assert!(arrived > 0, "the holdout introduced no vertices");
+}
+
 #[test]
 fn apply_delta_is_exact_and_idempotence_is_refused() {
     let (base, delta, patched) = ingest_once();
