@@ -223,9 +223,7 @@ mod tests {
 
     #[test]
     fn from_iter_still_panics_for_tests() {
-        let r = std::panic::catch_unwind(|| {
-            ExpArgs::from_iter(vec!["--bogus".to_string()])
-        });
+        let r = std::thread::spawn(|| ExpArgs::from_iter(vec!["--bogus".to_string()])).join();
         assert!(r.is_err());
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! Every failure surfaces as a [`HignnError`], which the binary maps to
 //! a distinct exit code: 2 usage/config, 3 I/O, 4 corruption, 5
-//! divergence, 6 injected fault (`main.rs`).
+//! divergence (non-finite training, always checked), 6 injected fault
+//! (`main.rs`).
 
 use crate::opts::Opts;
 use hignn::checkpoint::CheckpointStore;
 use hignn::io::{load_hierarchy, save_hierarchy};
 use hignn::prelude::*;
-use hignn::stack::GuardPolicy;
 use hignn_graph::edgelist::{read_edge_list_with, LinePolicy, ParsedEdgeList};
 use hignn_graph::GraphStats;
 use hignn_serve::{
@@ -31,9 +31,7 @@ USAGE:
   hignn train    --edges FILE --out MODEL [--levels 3] [--alpha 5]
                  [--dim 32] [--epochs 4] [--seed 0] [--no-normalize]
                  [--objective edge|contrastive|cluster]
-                 [--threads N] [--checkpoint DIR | --resume DIR]
-                 [--on-divergence abort|rollback|off] [--lenient]
-                 [--deadline-secs N] [--max-retries N]
+                 [--threads N] [--checkpoint DIR | --resume DIR] [--lenient]
                  [--metrics FILE.json] [--log-format plain|json]
   hignn info     --model MODEL
   hignn embed    --model MODEL --side user|item --out FILE.hgmx
@@ -66,16 +64,10 @@ CRASH RECOVERY:
   crash, rerun the same command with --resume DIR to continue from the
   last durable level. The resumed model is identical to an
   uninterrupted run. Checkpoints are CRC-checked and fingerprinted
-  against the training inputs.
-
-SUPERVISED EXECUTION:
-  A worker panic never loses the run: the failed shard is re-executed
-  deterministically (bitwise-identical result). Transient I/O errors at
-  the durable write sites retry with exponential backoff; --max-retries N
-  sets the budget (default 3). --deadline-secs N arms a watchdog that,
-  when the build exceeds N seconds at an epoch or level boundary,
-  checkpoints-and-aborts with exit code 7 instead of hanging — rerun
-  with --resume to continue byte-identically.
+  against the training inputs. --resume DIR equally continues a run
+  stopped by an I/O error or by `timeout`. Every epoch's loss and
+  parameters, and every level's embeddings, are checked for NaN/Inf; a
+  non-finite value stops the run with exit code 5.
 
 OBSERVABILITY:
   --metrics FILE.json writes a schema-stable JSON run report
@@ -116,8 +108,8 @@ STREAMING (DESIGN.md §14):
   --no-normalize must match how the model was trained.
 
 EXIT CODES:
-  0 ok | 2 usage/config | 3 I/O | 4 corrupt data | 5 diverged
-  6 injected fault | 7 deadline exceeded (checkpointed; resumable)
+  0 ok | 2 usage/config | 3 I/O | 4 corrupt data | 5 diverged (NaN/Inf)
+  6 injected fault
 
 FORMATS:
   edges  : text lines `left right [weight]` (tab/space/comma separated,
@@ -178,8 +170,7 @@ fn stats(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
 fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
     usage(opts.assert_known(&[
         "edges", "out", "levels", "alpha", "dim", "epochs", "seed", "no-normalize", "objective",
-        "threads", "checkpoint", "resume", "on-divergence", "lenient", "fault", "metrics",
-        "log-format", "deadline-secs", "max-retries", "retry-base-ms",
+        "threads", "checkpoint", "resume", "lenient", "fault", "metrics", "log-format",
     ]))?;
     let model_path = usage(opts.require("out"))?.to_string();
     let levels: usize = usage(opts.get_or("levels", 3))?;
@@ -207,44 +198,9 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
         (None, Some(d)) => (Some(d.to_string()), false),
         (None, None) => (None, false),
     };
-    let guard = match opts.get("on-divergence").unwrap_or("abort") {
-        "off" => GuardPolicy::Off,
-        "abort" => GuardPolicy::Abort,
-        "rollback" => GuardPolicy::Rollback { max_retries: 2 },
-        other => {
-            return Err(HignnError::Config(format!(
-                "--on-divergence must be abort, rollback, or off; got `{other}`"
-            )));
-        }
-    };
     // Hidden fault-injection hook for the crash-recovery test harness;
     // deliberately undocumented in USAGE.
     let fault = opts.get("fault").map(FaultPlan::parse).transpose().map_err(HignnError::Config)?;
-
-    // Supervised-execution knobs: watchdog deadline and transient-I/O
-    // retry budget (both validated before any filesystem access).
-    let deadline_secs: Option<u64> = opts.get("deadline-secs").map(str::parse).transpose().map_err(
-        |_| HignnError::Config("--deadline-secs must be a positive integer".into()),
-    )?;
-    let max_retries: Option<u32> = opts.get("max-retries").map(str::parse).transpose().map_err(
-        |_| HignnError::Config("--max-retries must be a non-negative integer".into()),
-    )?;
-    let mut retry = match max_retries {
-        Some(n) => RetryPolicy::with_max_retries(n),
-        None => RetryPolicy::default(),
-    };
-    // Hidden test-harness knob (like --fault): overrides the backoff
-    // base so fault-injection tests never wall-sleep.
-    if let Some(ms) = opts.get("retry-base-ms") {
-        let ms: u64 = ms.parse().map_err(|_| {
-            HignnError::Config("--retry-base-ms must be a non-negative integer".into())
-        })?;
-        retry.base_delay = std::time::Duration::from_millis(ms);
-    }
-    // The CLI's own durable writes (model save, metrics report) ride the
-    // same retry layer as the checkpoint sites inside the build.
-    let io_arm = IoFaultArm::from_plan(fault);
-    let sleeper = WallSleeper;
 
     // Observability: both knobs validate (and thus can exit 2) before
     // any filesystem access. Recording is inert — it never changes the
@@ -282,7 +238,6 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
         .normalize(!opts.flag("no-normalize"))
         .seed(seed)
         .threads(threads)
-        .guard(guard)
         .resume(resume);
     if let Some(dir) = &ckpt_dir {
         builder = builder.checkpoint_dir(dir);
@@ -290,10 +245,6 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
     if let Some(fault) = fault {
         builder = builder.fault(fault);
     }
-    if let Some(secs) = deadline_secs {
-        builder = builder.deadline(std::time::Duration::from_secs(secs));
-    }
-    builder = builder.retry_policy(retry);
     let spec = builder.build()?;
 
     let parsed = load_edges(opts, out)?;
@@ -338,12 +289,7 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
             ),
         );
     }
-    with_retry(&retry, &sleeper, WriteSite::SaveHierarchy.name(), || {
-        if let Some(arm) = &io_arm {
-            arm.check(WriteSite::SaveHierarchy)?;
-        }
-        save_hierarchy(&model_path, &hierarchy).map_err(|e| HignnError::io(&model_path, e))
-    })?;
+    save_hierarchy(&model_path, &hierarchy).map_err(|e| HignnError::io(&model_path, e))?;
     emit(out, format!("saved model to {model_path}"));
     if let Some(path) = &metrics_path {
         let report = hignn_obs::report::render(
@@ -356,12 +302,7 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
             ],
         );
         hignn_obs::set_enabled(false);
-        with_retry(&retry, &sleeper, WriteSite::MetricsReport.name(), || {
-            if let Some(arm) = &io_arm {
-                arm.check(WriteSite::MetricsReport)?;
-            }
-            std::fs::write(path, &report).map_err(|e| HignnError::io(path, e))
-        })?;
+        std::fs::write(path, &report).map_err(|e| HignnError::io(path, e))?;
         emit(out, format!("wrote metrics report to {path}"));
     }
     Ok(())
@@ -863,7 +804,18 @@ mod tests {
         let flag = ["--", "math"].concat();
         let train = ["train", "--edges", "e.tsv", "--out", "m.hgh", &flag, "bitwise"];
         let topk = ["topk", "--model", "m.hgh", "--user", "0", &flag, "bitwise"];
-        for args in [&train[..], &topk[..]] {
+        // The removed divergence, deadline and retry knobs, each with a
+        // value that was once valid.
+        let removed = [
+            ("--on-divergence", "rollback"),
+            ("--deadline-secs", "60"),
+            ("--max-retries", "3"),
+            ("--retry-base-ms", "0"),
+        ];
+        let supervision = removed
+            .map(|(flag, value)| ["train", "--edges", "e.tsv", "--out", "m.hgh", flag, value]);
+        for args in [&train[..], &topk[..]].into_iter().chain(supervision.iter().map(|a| &a[..])) {
+            let flag = args[5];
             let (res, _) = run_args(args);
             let err = res.unwrap_err();
             assert_eq!(err.exit_code(), 2, "{flag} on `{}` must exit 2: {err}", args[0]);
@@ -912,117 +864,6 @@ mod tests {
 
         let _ = std::fs::remove_file(edges);
         let _ = std::fs::remove_file(model);
-        let _ = std::fs::remove_dir_all(&ckpt);
-    }
-
-    #[test]
-    fn bad_supervision_flags_are_usage_errors() {
-        for args in [
-            ["train", "--edges", "e.tsv", "--out", "m.hgh", "--deadline-secs", "abc"],
-            ["train", "--edges", "e.tsv", "--out", "m.hgh", "--deadline-secs", "0"],
-            ["train", "--edges", "e.tsv", "--out", "m.hgh", "--max-retries", "-1"],
-        ] {
-            let (res, _) = run_args(&args);
-            let err = res.unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{args:?} must exit 2, got: {err}");
-        }
-    }
-
-    #[test]
-    fn transient_fault_at_model_save_recovers_bitwise_within_retries() {
-        let edges = temp_path("ts_edges.tsv");
-        let clean = temp_path("ts_clean.hgh");
-        let faulted = temp_path("ts_faulted.hgh");
-        let edges_s = edges.to_str().unwrap();
-
-        let (res, _) = run_args(&["generate", "--out", edges_s, "--scale", "0.04", "--seed", "9"]);
-        assert!(res.is_ok(), "{res:?}");
-        let base = [
-            "train", "--edges", edges_s, "--levels", "1", "--dim", "8", "--epochs", "1",
-            "--alpha", "6", "--seed", "3",
-        ];
-        let mut clean_args = base.to_vec();
-        clean_args.extend(["--out", clean.to_str().unwrap()]);
-        let (res, _) = run_args(&clean_args);
-        assert!(res.is_ok(), "{res:?}");
-
-        // Two injected transient failures at the model-save site, budget
-        // of three retries: the run must succeed and write identical
-        // bytes (zero backoff base so the test never wall-sleeps).
-        let mut fault_args = base.to_vec();
-        fault_args.extend([
-            "--out", faulted.to_str().unwrap(), "--fault", "io-error=save-hierarchy:2",
-            "--max-retries", "3", "--retry-base-ms", "0",
-        ]);
-        let (res, _) = run_args(&fault_args);
-        assert!(res.is_ok(), "retries must absorb the fault: {res:?}");
-        let a = std::fs::read(&clean).unwrap();
-        let b = std::fs::read(&faulted).unwrap();
-        assert_eq!(a, b, "retried model save must be bitwise identical");
-
-        // Same fault beyond the retry budget: documented I/O exit.
-        let mut exhausted = base.to_vec();
-        exhausted.extend([
-            "--out", faulted.to_str().unwrap(), "--fault", "io-error=save-hierarchy:5",
-            "--max-retries", "1", "--retry-base-ms", "0",
-        ]);
-        let (res, _) = run_args(&exhausted);
-        assert_eq!(res.unwrap_err().exit_code(), 3, "exhausted retries exit 3");
-
-        for p in [edges, clean, faulted] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn deadline_expiry_exits_7_and_resume_completes_byte_identically() {
-        let edges = temp_path("dl_edges.tsv");
-        let clean = temp_path("dl_clean.hgh");
-        let resumed = temp_path("dl_resumed.hgh");
-        let ckpt = temp_path("dl_ckpt");
-        let edges_s = edges.to_str().unwrap();
-        let ckpt_s = ckpt.to_str().unwrap();
-
-        let (res, _) = run_args(&["generate", "--out", edges_s, "--scale", "0.04", "--seed", "9"]);
-        assert!(res.is_ok(), "{res:?}");
-        let base = [
-            "train", "--edges", edges_s, "--levels", "2", "--dim", "8", "--epochs", "2",
-            "--alpha", "6", "--seed", "3",
-        ];
-        let mut clean_args = base.to_vec();
-        clean_args.extend(["--out", clean.to_str().unwrap()]);
-        let (res, _) = run_args(&clean_args);
-        assert!(res.is_ok(), "{res:?}");
-
-        // A virtual 1-hour stall after level 2 epoch 0 trips a 60s
-        // deadline without any real waiting: graceful abort, exit 7,
-        // level 1 already durable.
-        let mut dead = base.to_vec();
-        dead.extend([
-            "--out", resumed.to_str().unwrap(), "--checkpoint", ckpt_s,
-            "--deadline-secs", "60", "--fault", "stall=2:0:3600000",
-        ]);
-        let (res, text) = run_args(&dead);
-        let err = res.unwrap_err();
-        assert_eq!(err.exit_code(), 7, "deadline abort must exit 7: {err}");
-        assert!(err.to_string().contains("--resume"), "{err}");
-        assert!(!resumed.exists(), "aborted run must not have written a model");
-        assert!(!text.contains("saved model"), "{text}");
-
-        // Resume without the deadline: finishes and matches the
-        // undeadlined model byte for byte.
-        let mut resume_args = base.to_vec();
-        resume_args.extend(["--out", resumed.to_str().unwrap(), "--resume", ckpt_s]);
-        let (res, text) = run_args(&resume_args);
-        assert!(res.is_ok(), "{res:?}");
-        assert!(text.contains("resuming from checkpoint: 1/2"), "{text}");
-        let a = std::fs::read(&clean).unwrap();
-        let b = std::fs::read(&resumed).unwrap();
-        assert_eq!(a, b, "deadline-aborted + resumed model differs from undeadlined run");
-
-        for p in [edges, clean, resumed] {
-            let _ = std::fs::remove_file(p);
-        }
         let _ = std::fs::remove_dir_all(&ckpt);
     }
 

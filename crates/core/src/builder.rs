@@ -42,16 +42,13 @@
 //! ```
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use crate::checkpoint::{CheckpointStore, FaultPlan};
 use crate::error::HignnError;
 use crate::objective::ObjectiveSpec;
-use crate::retry::RetryPolicy;
 use crate::sage::{Aggregator, BipartiteSageConfig};
 use crate::stack::{
-    build_hierarchy_with, BuildOptions, ClusterCounts, GuardPolicy, Hierarchy, HignnConfig,
-    KMeansAlgo,
+    build_hierarchy_with, BuildOptions, ClusterCounts, Hierarchy, HignnConfig, KMeansAlgo,
 };
 use crate::trainer::SageTrainConfig;
 use hignn_graph::{BipartiteGraph, SamplingMode};
@@ -66,12 +63,9 @@ use hignn_tensor::Matrix;
 pub struct HignnBuilder {
     cfg: HignnConfig,
     threads: usize,
-    guard: GuardPolicy,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
     fault: Option<FaultPlan>,
-    deadline: Option<Duration>,
-    retry: RetryPolicy,
 }
 
 impl Default for HignnBuilder {
@@ -87,12 +81,9 @@ impl HignnBuilder {
         HignnBuilder {
             cfg: HignnConfig::default(),
             threads: 1,
-            guard: GuardPolicy::Off,
             checkpoint_dir: None,
             resume: false,
             fault: None,
-            deadline: None,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -243,12 +234,6 @@ impl HignnBuilder {
         self
     }
 
-    /// Numeric-health policy on NaN/Inf during training.
-    pub fn guard(mut self, guard: GuardPolicy) -> Self {
-        self.guard = guard;
-        self
-    }
-
     /// Persist per-level checkpoints under `dir` (created on demand).
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
@@ -264,29 +249,6 @@ impl HignnBuilder {
     /// Injects a deliberate fault (testing only).
     pub fn fault(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Watchdog deadline over the whole build. On expiry the run
-    /// performs a graceful checkpoint-and-abort with exit code 7
-    /// instead of hanging; `--resume` then continues byte-identically.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Retry budget for transient I/O faults at the durable write
-    /// sites (exponential backoff; see [`RetryPolicy`]). The CLI's
-    /// `--max-retries` flag lands here.
-    pub fn max_retries(mut self, max_retries: u32) -> Self {
-        self.retry = RetryPolicy::with_max_retries(max_retries);
-        self
-    }
-
-    /// Full retry policy, for callers that also tune the backoff
-    /// schedule (the test harness drives this with a zero base delay).
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -366,20 +328,12 @@ impl HignnBuilder {
         if fault_needs_store && self.checkpoint_dir.is_none() {
             return err("checkpoint faults require a checkpoint directory".into());
         }
-        if let Some(d) = self.deadline {
-            if d.is_zero() {
-                return err("deadline must be positive (zero would abort before any work)".into());
-            }
-        }
         Ok(TrainSpec {
             cfg: self.cfg,
             threads: self.threads,
-            guard: self.guard,
             checkpoint_dir: self.checkpoint_dir,
             resume: self.resume,
             fault: self.fault,
-            deadline: self.deadline,
-            retry: self.retry,
         })
     }
 }
@@ -391,12 +345,9 @@ impl HignnBuilder {
 pub struct TrainSpec {
     cfg: HignnConfig,
     threads: usize,
-    guard: GuardPolicy,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
     fault: Option<FaultPlan>,
-    deadline: Option<Duration>,
-    retry: RetryPolicy,
 }
 
 impl TrainSpec {
@@ -410,11 +361,6 @@ impl TrainSpec {
         self.threads
     }
 
-    /// Numeric-health policy.
-    pub fn guard(&self) -> GuardPolicy {
-        self.guard
-    }
-
     /// Checkpoint directory, if checkpointing is enabled.
     pub fn checkpoint_dir(&self) -> Option<&Path> {
         self.checkpoint_dir.as_deref()
@@ -426,6 +372,7 @@ impl TrainSpec {
     }
 
     /// Builds the full hierarchy (Algorithm 1) under this spec.
+    /// Non-finite training is [`HignnError::Diverged`] (exit code 5).
     pub fn run(
         &self,
         graph: &BipartiteGraph,
@@ -439,12 +386,8 @@ impl TrainSpec {
         let opts = BuildOptions {
             checkpoint: store.as_ref(),
             resume: self.resume,
-            guard: self.guard,
             fault: self.fault,
             threads: self.threads,
-            deadline: self.deadline,
-            retry: self.retry,
-            sleeper: None,
         };
         build_hierarchy_with(graph, user_feats, item_feats, &self.cfg, &opts)
     }

@@ -365,96 +365,12 @@ pub enum FaultPlan {
         /// XOR mask (zero is promoted to 1).
         mask: u8,
     },
-    /// Panic inside worker shard `shard` the first time it is
-    /// dispatched for epoch `epoch` of level `level` (spec:
-    /// `worker-panic=L:E:S`). Fires exactly once; the supervised
-    /// executor must recover by deterministic re-execution, so this
-    /// fault — unlike the crash family — is expected to leave the run
-    /// *successful and bitwise identical* to an uninjected one.
-    WorkerPanic {
-        /// 1-based hierarchy level.
-        level: usize,
-        /// 0-based epoch within that level.
-        epoch: usize,
-        /// 0-based gradient shard to poison.
-        shard: usize,
-    },
-    /// Fail the first `failures` write attempts at `site` with a
-    /// transient I/O error (`ErrorKind::Interrupted`), then let the
-    /// site succeed (spec: `io-error=SITE:N`). With `failures` within
-    /// the retry budget the run recovers bitwise identically; beyond it
-    /// the run exits with the I/O code, leaving a resumable checkpoint.
-    TransientIo {
-        /// Which named write site to poison.
-        site: WriteSite,
-        /// How many consecutive attempts fail before the site heals.
-        failures: u32,
-    },
-    /// Advance the watchdog's *virtual* clock by `virtual_ms` after
-    /// epoch `epoch` of level `level` completes (spec: `stall=L:E:MS`).
-    /// Simulates a stalled level against `--deadline-secs` without any
-    /// real sleeping; a no-op when no watchdog deadline is configured.
-    StallEpoch {
-        /// 1-based hierarchy level.
-        level: usize,
-        /// 0-based epoch within that level.
-        epoch: usize,
-        /// Virtual milliseconds the stall appears to take.
-        virtual_ms: u64,
-    },
-}
-
-/// A named write site where [`FaultPlan::TransientIo`] can fire and
-/// where the retry layer keeps per-site counters. The four sites are
-/// every durable write the runtime performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriteSite {
-    /// A level record write (`CheckpointStore::save_level`).
-    SaveLevel,
-    /// The checkpoint meta commit point (`CheckpointStore::write_meta`).
-    WriteMeta,
-    /// The final HGHI hierarchy save (`io::save_hierarchy`).
-    SaveHierarchy,
-    /// The CLI's metrics run-report emission.
-    MetricsReport,
-}
-
-impl WriteSite {
-    /// Every named write site, for matrix-style test campaigns.
-    pub const ALL: [WriteSite; 4] =
-        [WriteSite::SaveLevel, WriteSite::WriteMeta, WriteSite::SaveHierarchy, WriteSite::MetricsReport];
-
-    /// The site's counter/context name (e.g. `checkpoint.save_level`).
-    pub fn name(self) -> &'static str {
-        match self {
-            WriteSite::SaveLevel => "checkpoint.save_level",
-            WriteSite::WriteMeta => "checkpoint.write_meta",
-            WriteSite::SaveHierarchy => "io.save_hierarchy",
-            WriteSite::MetricsReport => "obs.metrics_report",
-        }
-    }
-
-    /// The site's `--fault io-error=SITE:N` spec token.
-    pub fn spec_token(self) -> &'static str {
-        match self {
-            WriteSite::SaveLevel => "save-level",
-            WriteSite::WriteMeta => "write-meta",
-            WriteSite::SaveHierarchy => "save-hierarchy",
-            WriteSite::MetricsReport => "metrics-report",
-        }
-    }
-
-    fn parse_token(s: &str) -> Option<WriteSite> {
-        WriteSite::ALL.into_iter().find(|site| site.spec_token() == s)
-    }
 }
 
 impl FaultPlan {
     /// Parses the hidden CLI `--fault` spec. Formats:
     /// `crash-after-level=L`, `crash-after-epoch=L:E`, `truncate=L:N`,
-    /// `corrupt=L:OFFSET:MASK`, `worker-panic=L:E:S`,
-    /// `io-error=SITE:N` (SITE ∈ save-level, write-meta,
-    /// save-hierarchy, metrics-report), `stall=L:E:MS`.
+    /// `corrupt=L:OFFSET:MASK`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let (kind, rest) = spec
             .split_once('=')
@@ -478,29 +394,9 @@ impl FaultPlan {
                 offset: int(off, "offset")?,
                 mask: int(mask, "mask")? as u8,
             }),
-            ("worker-panic", [l, e, s]) => Ok(FaultPlan::WorkerPanic {
-                level: int(l, "level")? as usize,
-                epoch: int(e, "epoch")? as usize,
-                shard: int(s, "shard")? as usize,
-            }),
-            ("io-error", [site, n]) => Ok(FaultPlan::TransientIo {
-                site: WriteSite::parse_token(site).ok_or_else(|| {
-                    format!(
-                        "fault spec '{spec}': unknown write site '{site}' (expected \
-                         save-level, write-meta, save-hierarchy, or metrics-report)"
-                    )
-                })?,
-                failures: int(n, "failure count")? as u32,
-            }),
-            ("stall", [l, e, ms]) => Ok(FaultPlan::StallEpoch {
-                level: int(l, "level")? as usize,
-                epoch: int(e, "epoch")? as usize,
-                virtual_ms: int(ms, "milliseconds")?,
-            }),
             _ => Err(format!(
                 "unknown fault spec '{spec}' (expected crash-after-level=L, \
-                 crash-after-epoch=L:E, truncate=L:N, corrupt=L:OFFSET:MASK, \
-                 worker-panic=L:E:S, io-error=SITE:N, or stall=L:E:MS)"
+                 crash-after-epoch=L:E, truncate=L:N, or corrupt=L:OFFSET:MASK)"
             )),
         }
     }
@@ -677,34 +573,14 @@ mod tests {
         assert!(FaultPlan::parse("explode=1").is_err());
         assert!(FaultPlan::parse("truncate=1").is_err());
         assert!(FaultPlan::parse("crash-after-level=x").is_err());
-    }
-
-    #[test]
-    fn chaos_fault_spec_parsing() {
-        assert_eq!(
-            FaultPlan::parse("worker-panic=1:0:2"),
-            Ok(FaultPlan::WorkerPanic { level: 1, epoch: 0, shard: 2 })
-        );
-        assert_eq!(
-            FaultPlan::parse("io-error=save-level:2"),
-            Ok(FaultPlan::TransientIo { site: WriteSite::SaveLevel, failures: 2 })
-        );
-        assert_eq!(
-            FaultPlan::parse("io-error=metrics-report:1"),
-            Ok(FaultPlan::TransientIo { site: WriteSite::MetricsReport, failures: 1 })
-        );
-        assert_eq!(
-            FaultPlan::parse("stall=2:1:10000"),
-            Ok(FaultPlan::StallEpoch { level: 2, epoch: 1, virtual_ms: 10000 })
-        );
-        assert!(FaultPlan::parse("io-error=ramdisk:1").is_err(), "unknown site must be rejected");
-        assert!(FaultPlan::parse("worker-panic=1:0").is_err());
-        // Every site round-trips through its spec token.
-        for site in WriteSite::ALL {
-            assert_eq!(
-                FaultPlan::parse(&format!("io-error={}:3", site.spec_token())),
-                Ok(FaultPlan::TransientIo { site, failures: 3 })
-            );
+        // The removed in-process recovery faults are refused, and the
+        // error names the four that remain.
+        for removed in ["worker-panic=1:0:2", "io-error=save-level:2", "stall=2:1:10000"] {
+            let err = FaultPlan::parse(removed).unwrap_err();
+            assert!(err.contains("unknown fault spec"), "{removed}: {err}");
+            for survivor in ["crash-after-level=", "crash-after-epoch=", "truncate=", "corrupt="] {
+                assert!(err.contains(survivor), "{removed}: {err} should list {survivor}");
+            }
         }
     }
 

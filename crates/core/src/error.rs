@@ -29,8 +29,8 @@ pub enum HignnError {
         /// Why it failed.
         detail: String,
     },
-    /// Training produced a non-finite loss or parameter and the
-    /// configured policy said to stop. Exit code 5.
+    /// Training produced a non-finite loss, parameter or embedding.
+    /// Checked on every build; exit code 5.
     Diverged {
         /// 1-based hierarchy level that diverged.
         level: usize,
@@ -47,20 +47,6 @@ pub enum HignnError {
     FaultInjected {
         /// Where the simulated crash happened.
         description: String,
-    },
-    /// The build's watchdog deadline expired and the run performed a
-    /// graceful checkpoint-and-abort: every completed level is durable
-    /// and the run is resumable. Exit code 7 — distinct from a crash so
-    /// supervisors can tell "slow but healthy, resume me" from every
-    /// failure class.
-    DeadlineExceeded {
-        /// Total elapsed build time (including injected virtual delay)
-        /// when the watchdog fired, in milliseconds.
-        elapsed_ms: u64,
-        /// The configured deadline, in milliseconds.
-        deadline_ms: u64,
-        /// Hierarchy levels durably completed before the abort.
-        levels_done: usize,
     },
 }
 
@@ -90,7 +76,7 @@ impl HignnError {
 
     /// The process exit code the `hignn` binary uses for this error.
     /// Distinct per failure class: 2 usage/config, 3 I/O, 4 corruption,
-    /// 5 divergence, 6 injected fault, 7 deadline exceeded.
+    /// 5 divergence, 6 injected fault.
     pub fn exit_code(&self) -> i32 {
         match self {
             HignnError::Config(_) => 2,
@@ -98,38 +84,6 @@ impl HignnError {
             HignnError::Corrupt { .. } => 4,
             HignnError::Diverged { .. } => 5,
             HignnError::FaultInjected { .. } => 6,
-            HignnError::DeadlineExceeded { .. } => 7,
-        }
-    }
-
-    /// Whether this error is *transient* — plausibly cured by retrying
-    /// the same operation — as opposed to *fatal*, where a retry would
-    /// deterministically fail again (corruption, bad config) or hide a
-    /// real problem (divergence).
-    ///
-    /// The split is the admission policy of [`crate::retry::with_retry`]:
-    /// only transient errors are retried. The taxonomy is deliberately
-    /// conservative — an I/O error qualifies only when its kind is one
-    /// the OS documents as momentary (`EINTR`-style interruption,
-    /// timeouts, would-block, busy/quota conditions a supervisor can
-    /// clear); everything else stays fatal so retries never mask a
-    /// genuinely broken disk path.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            HignnError::Io { source, .. } => matches!(
-                source.kind(),
-                io::ErrorKind::Interrupted
-                    | io::ErrorKind::TimedOut
-                    | io::ErrorKind::WouldBlock
-                    | io::ErrorKind::ResourceBusy
-                    | io::ErrorKind::QuotaExceeded
-                    | io::ErrorKind::StorageFull
-            ),
-            HignnError::Corrupt { .. }
-            | HignnError::Diverged { .. }
-            | HignnError::Config(_)
-            | HignnError::FaultInjected { .. }
-            | HignnError::DeadlineExceeded { .. } => false,
         }
     }
 }
@@ -144,17 +98,12 @@ impl fmt::Display for HignnError {
             HignnError::Diverged { level, epoch, detail } => write!(
                 f,
                 "training diverged at level {level}, epoch {epoch}: {detail} \
-                 (rerun with a checkpoint directory to enable rollback)"
+                 (check the inputs for NaN/Inf; levels already checkpointed stay resumable)"
             ),
             HignnError::Config(msg) => write!(f, "{msg}"),
             HignnError::FaultInjected { description } => {
                 write!(f, "injected fault: {description}")
             }
-            HignnError::DeadlineExceeded { elapsed_ms, deadline_ms, levels_done } => write!(
-                f,
-                "watchdog deadline exceeded: {elapsed_ms}ms elapsed against a {deadline_ms}ms \
-                 deadline; {levels_done} level(s) checkpointed — resume with --resume to continue"
-            ),
         }
     }
 }
@@ -180,30 +129,9 @@ mod tests {
             HignnError::corrupt("f", "bad crc"),
             HignnError::Diverged { level: 1, epoch: 2, detail: "NaN".into() },
             HignnError::FaultInjected { description: "crash".into() },
-            HignnError::DeadlineExceeded { elapsed_ms: 10, deadline_ms: 5, levels_done: 1 },
         ];
-        let mut codes: Vec<i32> = errors.iter().map(HignnError::exit_code).collect();
-        codes.sort_unstable();
-        codes.dedup();
-        assert_eq!(codes.len(), errors.len(), "exit codes must be distinct");
-        assert!(!codes.contains(&0) && !codes.contains(&1));
-    }
-
-    #[test]
-    fn transient_classification_follows_the_documented_taxonomy() {
-        let transient = |kind| HignnError::io("f", io::Error::new(kind, "x")).is_transient();
-        assert!(transient(io::ErrorKind::Interrupted));
-        assert!(transient(io::ErrorKind::TimedOut));
-        assert!(transient(io::ErrorKind::StorageFull));
-        assert!(!transient(io::ErrorKind::NotFound));
-        assert!(!transient(io::ErrorKind::PermissionDenied));
-        // InvalidData promotes to Corrupt, which is fatal by definition.
-        assert!(!transient(io::ErrorKind::InvalidData));
-        assert!(!HignnError::Config("x".into()).is_transient());
-        assert!(!HignnError::corrupt("f", "bad crc").is_transient());
-        assert!(!HignnError::Diverged { level: 1, epoch: 0, detail: "NaN".into() }.is_transient());
-        assert!(!HignnError::DeadlineExceeded { elapsed_ms: 2, deadline_ms: 1, levels_done: 0 }
-            .is_transient());
+        let codes: Vec<i32> = errors.iter().map(HignnError::exit_code).collect();
+        assert_eq!(codes, [2, 3, 4, 5, 6], "one distinct code per failure class");
     }
 
     #[test]

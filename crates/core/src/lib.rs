@@ -31,7 +31,7 @@
 //!   vertices, incremental cluster maintenance with bounded re-coarsen,
 //!   and the CRC-framed `HGHD` delta format for replica catch-up.
 //! * [`checkpoint`] — crash-safe per-level training checkpoints, resume,
-//!   and a deterministic fault-injection harness.
+//!   and the crash and damage faults that prove it.
 //! * [`error`] — structured errors with distinct process exit codes.
 //! * [`model`] — trained model with fold-in inference for unseen users.
 //! * [`recommend`] — top-K recommendation and evaluation utilities.
@@ -67,7 +67,7 @@
 //!     .build()
 //!     .expect("validated configuration")
 //!     .run(&graph, &user_feats, &item_feats)
-//!     .expect("infallible without checkpointing or guard");
+//!     .expect("finite inputs and no checkpointing");
 //! assert_eq!(hierarchy.hierarchical_users().rows(), 20);
 //! ```
 
@@ -84,19 +84,15 @@ pub mod model;
 pub mod objective;
 pub mod predictor;
 pub mod recommend;
-pub mod retry;
 pub mod sage;
 pub mod stack;
-pub mod supervise;
 pub mod taxonomy;
 pub mod trainer;
 
 /// Convenient re-exports of the main API surface.
 pub mod prelude {
     pub use crate::builder::{HignnBuilder, TrainSpec};
-    pub use crate::checkpoint::{
-        run_fingerprint, CheckpointMeta, CheckpointStore, FaultPlan, WriteSite,
-    };
+    pub use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore, FaultPlan};
     pub use crate::error::HignnError;
     pub use crate::ingest::{
         apply_delta, hierarchy_fingerprint, load_delta, read_delta_bytes, save_delta, write_delta,
@@ -109,17 +105,15 @@ pub mod prelude {
     pub use crate::predictor::{CvrPredictor, FeatureBlocks, PredictorConfig, Sample};
     pub use crate::sage::{Aggregator, BipartiteSage, BipartiteSageConfig};
     pub use crate::stack::{
-        build_hierarchy, build_hierarchy_with, BuildOptions, ClusterCounts, GuardPolicy,
-        Hierarchy, HignnConfig, KMeansAlgo, Level,
+        build_hierarchy, build_hierarchy_with, BuildOptions, ClusterCounts, Hierarchy, HignnConfig,
+        KMeansAlgo, Level,
     };
     pub use crate::taxonomy::{build_taxonomy, Taxonomy, TaxonomyConfig, Topic};
     pub use crate::model::HignnModel;
     pub use crate::recommend::{evaluate_top_k, recommend_top_k, TopKReport};
-    pub use crate::retry::{with_retry, RecordingSleeper, RetryPolicy, Sleeper, WallSleeper};
-    pub use crate::supervise::{IoFaultArm, PanicOnce, Watchdog};
     pub use crate::trainer::{
-        train_unsupervised, train_unsupervised_checked, train_with_objective, EpochHooks,
-        SageTrainConfig, TrainError, TrainGuard, TrainedSage,
+        train_unsupervised, train_unsupervised_checked, train_with_objective, SageTrainConfig,
+        TrainError, TrainedSage,
     };
     pub use hignn_tensor::ParallelExecutor;
 }

@@ -3,7 +3,7 @@
 //! [`crate::trainer::train_unsupervised_checked`] owns everything a loss
 //! does *not* care about — epoch shuffling, minibatching, gradient
 //! sharding, the per-shard RNG streams, workspace pooling, the optimizer
-//! step, and supervision hooks. What happens *inside* one shard's tape is
+//! step, and the finiteness check. What happens *inside* one shard's tape is
 //! delegated to an [`Objective`]: it draws its negatives, embeds its
 //! vertices, and composes the scalar loss [`hignn_tensor::Var`] that the
 //! substrate differentiates. New training scenarios are a trait impl,
@@ -38,8 +38,7 @@
 //! only on its inputs — graph, features, config, that RNG — never on
 //! thread scheduling, pointer values, or iteration order of unordered
 //! containers. Obeying this makes any new objective automatically
-//! bit-identical across worker counts and automatically compatible with
-//! the chaos harness's re-execution recovery.
+//! bit-identical across worker counts and across crash + resume.
 
 use crate::sage::{BipartiteSage, FeatureSource};
 use crate::trainer::SageTrainConfig;

@@ -11,14 +11,10 @@
 //! preference* `z_u^H = CONCAT(z_u^1, ..., z_u^L)` and *hierarchical item
 //! attractiveness* `z_i^H` by chasing each vertex up its cluster chain.
 
-use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore, FaultPlan, WriteSite};
+use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore, FaultPlan};
 use crate::error::HignnError;
-use crate::retry::{with_retry, RetryPolicy, Sleeper, WallSleeper};
 use crate::sage::BipartiteSageConfig;
-use crate::supervise::{IoFaultArm, PanicOnce, Watchdog};
-use crate::trainer::{
-    train_unsupervised_checked, EpochHooks, SageTrainConfig, TrainError, TrainGuard,
-};
+use crate::trainer::{train_unsupervised_checked, SageTrainConfig, TrainError};
 use hignn_cluster::ch_index::select_k_by_ch;
 use hignn_cluster::kmeans::{kmeans_with, mean_by_cluster, KMeansConfig};
 use hignn_cluster::streaming::single_pass_kmeans;
@@ -370,29 +366,9 @@ fn pick_counts(
     }
 }
 
-/// What to do when [`TrainGuard`] detects a non-finite loss or
-/// parameter during a level's training.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GuardPolicy {
-    /// No per-epoch checks (the pre-guard behaviour).
-    Off,
-    /// Check every epoch; stop the whole build with
-    /// [`HignnError::Diverged`] on the first NaN/Inf.
-    Abort,
-    /// Check every epoch; on divergence, roll back to the last
-    /// completed level (the last checkpoint) and retrain the failed
-    /// level with a perturbed RNG stream, up to `max_retries` times
-    /// before giving up with [`HignnError::Diverged`].
-    Rollback {
-        /// Retraining attempts per level before aborting.
-        max_retries: usize,
-    },
-}
-
-/// Options for [`build_hierarchy_with`]: checkpointing, resume,
-/// divergence policy, fault injection, and the supervised execution
-/// runtime's knobs (watchdog deadline, transient-I/O retry policy).
-#[derive(Clone, Copy)]
+/// Options for [`build_hierarchy_with`]: checkpointing, resume, fault
+/// injection and the worker count.
+#[derive(Clone, Copy, Debug)]
 pub struct BuildOptions<'a> {
     /// Where to persist per-level checkpoints (`None` = no
     /// checkpointing, the plain [`build_hierarchy`] behaviour).
@@ -401,8 +377,6 @@ pub struct BuildOptions<'a> {
     /// Requires `checkpoint` and a meta record whose fingerprint
     /// matches the current inputs.
     pub resume: bool,
-    /// Numeric-health policy.
-    pub guard: GuardPolicy,
     /// Deliberate fault to inject (testing only).
     pub fault: Option<FaultPlan>,
     /// Worker threads for training, inference, and clustering. Purely
@@ -411,47 +385,11 @@ pub struct BuildOptions<'a> {
     /// because all work decomposition is derived from the config, never
     /// from this knob.
     pub threads: usize,
-    /// Watchdog deadline over the whole build (real time plus any
-    /// injected virtual delay). When it expires at an epoch or level
-    /// boundary the build performs a graceful checkpoint-and-abort with
-    /// [`HignnError::DeadlineExceeded`] (exit code 7); `None` disables
-    /// the watchdog.
-    pub deadline: Option<std::time::Duration>,
-    /// Retry policy for transient faults at the checkpoint write sites.
-    pub retry: RetryPolicy,
-    /// Injectable waiting between retries. `None` = real
-    /// [`WallSleeper`] sleeping; tests pass a
-    /// [`crate::retry::RecordingSleeper`] so nothing wall-sleeps.
-    pub sleeper: Option<&'a dyn Sleeper>,
 }
 
 impl Default for BuildOptions<'_> {
     fn default() -> Self {
-        BuildOptions {
-            checkpoint: None,
-            resume: false,
-            guard: GuardPolicy::Off,
-            fault: None,
-            threads: 1,
-            deadline: None,
-            retry: RetryPolicy::default(),
-            sleeper: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for BuildOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuildOptions")
-            .field("checkpoint", &self.checkpoint.is_some())
-            .field("resume", &self.resume)
-            .field("guard", &self.guard)
-            .field("fault", &self.fault)
-            .field("threads", &self.threads)
-            .field("deadline", &self.deadline)
-            .field("retry", &self.retry)
-            .field("sleeper", &if self.sleeper.is_some() { "injected" } else { "wall" })
-            .finish()
+        BuildOptions { checkpoint: None, resume: false, fault: None, threads: 1 }
     }
 }
 
@@ -464,35 +402,23 @@ fn coarse_exhausted(g: &BipartiteGraph) -> bool {
 /// Seed of level `level`'s clustering RNG. Each level derives its own
 /// stream (rather than sharing one sequential generator) so that a
 /// resumed build replays the exact stream of an uninterrupted one.
-/// `retry > 0` perturbs the stream for [`GuardPolicy::Rollback`].
-fn level_rng_seed(base: u64, level: usize, retry: u64) -> u64 {
-    (base ^ 0xC1A5)
-        .wrapping_add(((level - 1) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(retry.wrapping_mul(0x5851_F42D_4C95_7F2D))
-}
-
-enum LevelFailure {
-    NonFinite { epoch: usize, detail: String },
-    Injected { description: String },
-    Deadline,
+fn level_rng_seed(base: u64, level: usize) -> u64 {
+    (base ^ 0xC1A5).wrapping_add(((level - 1) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Trains, clusters, and coarsens one level. Returns the level plus the
 /// next level's input features. Pure function of its arguments —
 /// the determinism that makes checkpoint/resume byte-identical.
-#[allow(clippy::too_many_arguments)]
 fn build_one_level(
     g: &BipartiteGraph,
     xu: &Matrix,
     xi: &Matrix,
     cfg: &HignnConfig,
     level: usize,
-    retry: u64,
     exec: &ParallelExecutor,
-    guard: TrainGuard,
-    hooks: EpochHooks<'_>,
-) -> Result<(Level, Matrix, Matrix), LevelFailure> {
-    let mut rng = StdRng::seed_from_u64(level_rng_seed(cfg.seed, level, retry));
+    crash_after_epoch: Option<usize>,
+) -> Result<(Level, Matrix, Matrix), HignnError> {
+    let mut rng = StdRng::seed_from_u64(level_rng_seed(cfg.seed, level));
     // (Z_u^l, Z_i^l) <- BG(G^{l-1}, X_u^{l-1}, X_i^{l-1})
     let sage_cfg = BipartiteSageConfig { input_dim: xu.cols(), ..cfg.sage.clone() };
     // Trainable feature tables only make sense at level 1 (raw
@@ -508,20 +434,18 @@ fn build_one_level(
     if g.num_edges() < 2000 {
         train_cfg.epochs = (train_cfg.epochs * 4).min(60);
     }
-    let train_seed = cfg
-        .seed
-        .wrapping_add(level as u64)
-        .wrapping_add(retry.wrapping_mul(0xA24B_AED4_963E_E407));
+    let train_seed = cfg.seed.wrapping_add(level as u64);
     // Algorithm-1 phase spans: `level{l}.{train,embed,cluster,coarsen}`.
     let trained = {
         let _span = hignn_obs::span_owned(format!("level{level}.train"));
         train_unsupervised_checked(
-            g, xu, xi, sage_cfg, &train_cfg, train_seed, exec, guard, hooks,
+            g, xu, xi, sage_cfg, &train_cfg, train_seed, exec, crash_after_epoch,
         )
         .map_err(|e| match e {
-            TrainError::NonFinite { epoch, detail } => LevelFailure::NonFinite { epoch, detail },
-            TrainError::Injected { description, .. } => LevelFailure::Injected { description },
-            TrainError::DeadlineExceeded { .. } => LevelFailure::Deadline,
+            TrainError::NonFinite { epoch, detail } => HignnError::Diverged { level, epoch, detail },
+            TrainError::Injected { description, .. } => HignnError::FaultInjected {
+                description: format!("level {level}: {description}"),
+            },
         })
     }?;
     let (mut zu, mut zi) = {
@@ -532,8 +456,9 @@ fn build_one_level(
         zu.l2_normalize_rows();
         zi.l2_normalize_rows();
     }
-    if guard.enabled && !(zu.all_finite() && zi.all_finite()) {
-        return Err(LevelFailure::NonFinite {
+    if !(zu.all_finite() && zi.all_finite()) {
+        return Err(HignnError::Diverged {
+            level,
             epoch: train_cfg.epochs.saturating_sub(1),
             detail: "non-finite level embedding after inference".into(),
         });
@@ -589,9 +514,14 @@ fn build_one_level(
 /// Builds the full HiGNN hierarchy over `graph` (Algorithm 1).
 ///
 /// Stops early (returning fewer levels) if a coarsened graph becomes too
-/// small to cluster further or loses all edges. Infallible convenience
-/// wrapper over [`build_hierarchy_with`] with default options (no
-/// checkpointing, no guard, no faults).
+/// small to cluster further or loses all edges. Convenience wrapper
+/// over [`build_hierarchy_with`] with default options (no
+/// checkpointing, no faults).
+///
+/// # Panics
+/// If training produces a non-finite loss, parameter or embedding
+/// ([`HignnError::Diverged`]); call [`build_hierarchy_with`] to get
+/// that as an error instead.
 pub fn build_hierarchy(
     graph: &BipartiteGraph,
     user_feats: &Matrix,
@@ -599,11 +529,12 @@ pub fn build_hierarchy(
     cfg: &HignnConfig,
 ) -> Hierarchy {
     build_hierarchy_with(graph, user_feats, item_feats, cfg, &BuildOptions::default())
-        .expect("infallible without checkpointing, guard, or fault injection")
+        .expect("build_hierarchy: training diverged")
 }
 
 /// [`build_hierarchy`] with crash safety: per-level checkpointing,
-/// resume, numeric-health guards, and (for tests) fault injection.
+/// resume, and (for tests) fault injection. Non-finite training is
+/// always checked and returned as [`HignnError::Diverged`].
 ///
 /// With `opts.checkpoint` set, every completed level is persisted
 /// atomically before the next begins, and `opts.resume` continues an
@@ -625,24 +556,6 @@ pub fn build_hierarchy_with(
         return Err(HignnError::Config("resume requires a checkpoint directory".into()));
     }
 
-    // Arm the supervised execution runtime: the deadline watchdog, the
-    // injectable transient-I/O fault, and the injectable sleeper for
-    // the retry layer's backoff.
-    let watchdog = opts.deadline.map(Watchdog::new);
-    let io_arm = IoFaultArm::from_plan(opts.fault);
-    let wall = WallSleeper;
-    let sleeper: &dyn Sleeper = opts.sleeper.unwrap_or(&wall);
-    // Retry-wrapped durable write: checks the armed fault first so
-    // injected faults exercise exactly the path a real flaky disk hits.
-    let durable_write = |site: WriteSite, op: &mut dyn FnMut() -> Result<(), HignnError>| {
-        with_retry(&opts.retry, sleeper, site.name(), || {
-            if let Some(arm) = &io_arm {
-                arm.check(site)?;
-            }
-            op()
-        })
-    };
-
     let fingerprint = run_fingerprint(graph, user_feats, item_feats, cfg);
     // The meta commit point, carrying the observability counters so far
     // (empty when metrics are off) so a resumed run continues them.
@@ -655,14 +568,12 @@ pub fn build_hierarchy_with(
             threads: opts.threads.max(1) as u64,
             objective: cfg.train.objective.kind().id(),
         };
-        durable_write(WriteSite::WriteMeta, &mut || {
-            let snapshot = if hignn_obs::enabled() {
-                hignn_obs::global().snapshot()
-            } else {
-                hignn_obs::MetricsSnapshot::default()
-            };
-            store.write_meta(&meta, &snapshot)
-        })
+        let snapshot = if hignn_obs::enabled() {
+            hignn_obs::global().snapshot()
+        } else {
+            hignn_obs::MetricsSnapshot::default()
+        };
+        store.write_meta(&meta, &snapshot)
     };
     let mut levels: Vec<Level> = Vec::with_capacity(cfg.levels);
     if let Some(store) = opts.checkpoint {
@@ -704,68 +615,16 @@ pub fn build_hierarchy_with(
 
     let resumed_done = levels.last().is_some_and(|l| coarse_exhausted(&l.coarsened));
     let start = levels.len() + 1;
-    let guard = match opts.guard {
-        GuardPolicy::Off => TrainGuard::default(),
-        _ => TrainGuard::checking(),
-    };
     let exec = ParallelExecutor::new(opts.threads);
 
     if !resumed_done {
         for level in start..=cfg.levels {
-            // Level-boundary watchdog check: completed levels are
-            // durable, so expiring here is the cleanest abort point.
-            if let Some(w) = &watchdog {
-                if w.expired() {
-                    return Err(w.abort_error(levels.len()));
-                }
-            }
             let crash_after_epoch = match opts.fault {
                 Some(FaultPlan::CrashAfterEpoch { level: fl, epoch }) if fl == level => Some(epoch),
                 _ => None,
             };
-            let panic_once = match opts.fault {
-                Some(FaultPlan::WorkerPanic { level: fl, epoch, shard }) if fl == level => {
-                    Some(PanicOnce::new(epoch, shard))
-                }
-                _ => None,
-            };
-            let stall_after_epoch = match opts.fault {
-                Some(FaultPlan::StallEpoch { level: fl, epoch, virtual_ms }) if fl == level => {
-                    Some((epoch, virtual_ms))
-                }
-                _ => None,
-            };
-            let hooks = EpochHooks {
-                crash_after_epoch,
-                panic_once: panic_once.as_ref(),
-                stall_after_epoch,
-                watchdog: watchdog.as_ref(),
-            };
-            let mut retry: u64 = 0;
-            let (built, new_xu, new_xi) = loop {
-                match build_one_level(&g, &xu, &xi, cfg, level, retry, &exec, guard, hooks) {
-                    Ok(out) => break out,
-                    Err(LevelFailure::Injected { description }) => {
-                        return Err(HignnError::FaultInjected {
-                            description: format!("level {level}: {description}"),
-                        });
-                    }
-                    Err(LevelFailure::Deadline) => {
-                        // Mid-level expiry: the partial level is
-                        // discarded (exactly like a crash there) and
-                        // every completed level is already durable —
-                        // graceful checkpoint-and-abort.
-                        let w = watchdog.as_ref().expect("deadline failure requires a watchdog");
-                        return Err(w.abort_error(levels.len()));
-                    }
-                    Err(LevelFailure::NonFinite { epoch, detail }) => match opts.guard {
-                        GuardPolicy::Rollback { max_retries } if (retry as usize) < max_retries => {
-                            retry += 1;
-                        }
-                        _ => return Err(HignnError::Diverged { level, epoch, detail }),
-                    },
-                }
-            };
+            let (built, new_xu, new_xi) =
+                build_one_level(&g, &xu, &xi, cfg, level, &exec, crash_after_epoch)?;
 
             // Count the level before the meta commit point so the
             // checkpointed counter snapshot includes it.
@@ -775,11 +634,8 @@ pub fn build_hierarchy_with(
             if let Some(store) = opts.checkpoint {
                 // Level record first, then the meta commit point: a
                 // crash in between leaves an orphan level file that a
-                // resumed run simply overwrites. Both writes ride the
-                // transient-retry layer; the atomic temp+rename
-                // protocol makes a failed attempt invisible, so a
-                // retried write is bitwise identical to a first-try one.
-                durable_write(WriteSite::SaveLevel, &mut || store.save_level(level, &built))?;
+                // resumed run simply overwrites.
+                store.save_level(level, &built)?;
                 commit_meta(store, level)?;
             }
             match opts.fault {

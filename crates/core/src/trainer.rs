@@ -26,8 +26,8 @@
 //! selected by [`SageTrainConfig::objective`] (Eq. 5 edge reconstruction
 //! by default). This module owns the substrate — shuffling, batching,
 //! gradient sharding, RNG streams, workspace pooling, the optimizer and
-//! supervision hooks — and [`train_with_objective`] is the generic entry
-//! point the convenience wrappers delegate to.
+//! the per-epoch finiteness check — and [`train_with_objective`] is the
+//! generic entry point the convenience wrappers delegate to.
 //!
 //! ## Data-parallel execution
 //!
@@ -46,7 +46,6 @@
 
 use crate::objective::{Objective, ObjectiveCtx, ObjectiveSpec, ShardBatch};
 use crate::sage::{with_null_row, BipartiteSage, BipartiteSageConfig};
-use crate::supervise::{PanicOnce, Watchdog};
 use hignn_graph::BipartiteGraph;
 use hignn_obs as obs;
 use hignn_tensor::nn::{Activation, Mlp};
@@ -55,7 +54,7 @@ use hignn_tensor::parallel::{reduce_gradients, ParallelExecutor};
 use hignn_tensor::{Gradients, Matrix, ParamStore, Tape, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// Hyper-parameters for unsupervised GraphSAGE training.
 #[derive(Clone, Debug)]
@@ -224,31 +223,12 @@ impl TrainedSage {
     }
 }
 
-/// Per-epoch numeric-health checks for training.
-///
-/// When enabled, every epoch's mean loss and every parameter matrix are
-/// checked for finiteness (via `Matrix::all_finite`); the first NaN/Inf
-/// stops training with [`TrainError::NonFinite`] instead of silently
-/// poisoning all downstream levels. What happens next (abort the run or
-/// roll back to the last checkpoint) is decided by the caller's
-/// divergence policy — see `crate::stack::GuardPolicy`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TrainGuard {
-    /// Run the per-epoch checks.
-    pub enabled: bool,
-}
-
-impl TrainGuard {
-    /// A guard that checks every epoch.
-    pub fn checking() -> Self {
-        TrainGuard { enabled: true }
-    }
-}
-
 /// Why [`train_unsupervised_checked`] stopped early.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TrainError {
-    /// A non-finite loss or parameter appeared.
+    /// A non-finite loss or parameter appeared. Every epoch's mean loss
+    /// and every parameter matrix are checked, so the first NaN/Inf
+    /// stops training instead of silently poisoning the levels above.
     NonFinite {
         /// 0-based epoch at which it was detected.
         epoch: usize,
@@ -262,44 +242,17 @@ pub enum TrainError {
         /// Human-readable description of the injected fault.
         description: String,
     },
-    /// The build watchdog's deadline expired at an epoch boundary.
-    DeadlineExceeded {
-        /// 0-based epoch after which the deadline was observed.
-        epoch: usize,
-    },
-}
-
-/// Per-level supervision hooks threaded into
-/// [`train_unsupervised_checked`] by the build loop: fault injection
-/// (simulated crash, one-shot worker panic, virtual stall) and the
-/// watchdog deadline, all checked at deterministic points so none of
-/// them can change the numbers of a surviving run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EpochHooks<'a> {
-    /// Simulated crash after this 0-based epoch (fault injection).
-    pub crash_after_epoch: Option<usize>,
-    /// One-shot injected worker panic, recovered by the executor's
-    /// deterministic re-execution (fault injection).
-    pub panic_once: Option<&'a PanicOnce>,
-    /// `(epoch, virtual_ms)`: advance the watchdog's virtual clock
-    /// after that epoch completes (fault injection; no real sleep).
-    pub stall_after_epoch: Option<(usize, u64)>,
-    /// Deadline watchdog checked after every epoch; expiry stops
-    /// training with [`TrainError::DeadlineExceeded`].
-    pub watchdog: Option<&'a Watchdog>,
-}
-
-impl<'a> EpochHooks<'a> {
-    /// Hooks with only a simulated crash (the PR 1-era harness shape).
-    pub fn crash_after(epoch: Option<usize>) -> Self {
-        EpochHooks { crash_after_epoch: epoch, ..Default::default() }
-    }
 }
 
 /// Trains one bipartite GraphSAGE level on `graph` with the unsupervised
-/// loss, returning the trained module. Infallible convenience wrapper
-/// over [`train_unsupervised_checked`] with the guard disabled and a
-/// single-threaded executor (bit-identical to any other thread count).
+/// loss, returning the trained module. Convenience wrapper over
+/// [`train_unsupervised_checked`] with a single-threaded executor
+/// (bit-identical to any other thread count) and no injected fault.
+///
+/// # Panics
+/// If an epoch's mean loss or a parameter becomes non-finite
+/// ([`TrainError::NonFinite`]); call [`train_unsupervised_checked`] to
+/// get that as an error instead.
 pub fn train_unsupervised(
     graph: &BipartiteGraph,
     user_feats: &Matrix,
@@ -316,10 +269,9 @@ pub fn train_unsupervised(
         cfg,
         seed,
         &ParallelExecutor::single(),
-        TrainGuard::default(),
-        EpochHooks::default(),
+        None,
     )
-    .expect("training cannot fail with the guard disabled and no fault injection")
+    .expect("train_unsupervised: training diverged")
 }
 
 /// Forward/backward for one shard of a minibatch on a private tape,
@@ -347,10 +299,11 @@ fn shard_pass(
     (loss_val * weight, grads)
 }
 
-/// Like [`train_unsupervised`], but with an explicit executor, per-epoch
-/// numeric-health checks ([`TrainGuard`]) and supervision hooks
-/// ([`EpochHooks`]: fault injection and the watchdog deadline). The loss
-/// is instantiated from [`SageTrainConfig::objective`].
+/// Like [`train_unsupervised`], but with an explicit executor, the
+/// non-finite check returned as [`TrainError::NonFinite`], and an
+/// optional simulated crash after the 0-based epoch `crash_after_epoch`
+/// (fault injection, [`TrainError::Injected`]). The loss is
+/// instantiated from [`SageTrainConfig::objective`].
 ///
 /// `exec` controls only physical concurrency: any worker count yields
 /// bit-identical parameters (see the module docs for why).
@@ -363,8 +316,7 @@ pub fn train_unsupervised_checked(
     cfg: &SageTrainConfig,
     seed: u64,
     exec: &ParallelExecutor,
-    guard: TrainGuard,
-    hooks: EpochHooks<'_>,
+    crash_after_epoch: Option<usize>,
 ) -> Result<TrainedSage, TrainError> {
     assert!(graph.num_edges() > 0, "train_unsupervised: graph has no edges");
     let objective = cfg.objective.instantiate(graph);
@@ -377,8 +329,7 @@ pub fn train_unsupervised_checked(
         objective.as_ref(),
         seed,
         exec,
-        guard,
-        hooks,
+        crash_after_epoch,
     )
 }
 
@@ -397,8 +348,7 @@ pub fn train_with_objective(
     objective: &dyn Objective,
     seed: u64,
     exec: &ParallelExecutor,
-    guard: TrainGuard,
-    hooks: EpochHooks<'_>,
+    crash_after_epoch: Option<usize>,
 ) -> Result<TrainedSage, TrainError> {
     assert!(graph.num_edges() > 0, "train_unsupervised: graph has no edges");
     let kind = objective.kind();
@@ -478,14 +428,6 @@ pub fn train_with_objective(
                 cfg,
             };
             let shard_results: Vec<(f32, Gradients)> = exec.map(num_shards, |s| {
-                // Chaos harness: a one-shot injected panic here is
-                // caught by the executor and the shard re-executed —
-                // by then the trigger is spent, and the re-run must be
-                // bitwise identical (all shard state derives from
-                // (seed, epoch, batch, shard), never the schedule).
-                if let Some(p) = hooks.panic_once {
-                    p.fire_if_match(epoch, s);
-                }
                 let lo = s * shard_len;
                 let hi = (lo + shard_len).min(n);
                 let mut shard_rng = StdRng::seed_from_u64(shard_seed(
@@ -494,13 +436,7 @@ pub fn train_with_objective(
                     batch_idx as u64,
                     s as u64,
                 ));
-                // Poison recovery, not propagation: a worker panic while
-                // holding this lock leaves the pool structurally intact
-                // (RefCell borrow flags unwind cleanly, buckets hold only
-                // cleared buffers), and pool contents never reach the
-                // numbers — leases are zeroed or fully overwritten — so a
-                // re-executed shard is bitwise identical either way.
-                let ws = workspaces[s].lock().unwrap_or_else(PoisonError::into_inner);
+                let ws = workspaces[s].lock().expect("workspace lock poisoned");
                 let shard_batch = ShardBatch {
                     users: &users[lo..hi],
                     items: &items[lo..hi],
@@ -593,37 +529,23 @@ pub fn train_with_objective(
             ]);
         }
 
-        if guard.enabled {
-            if !mean_loss.is_finite() {
-                return Err(TrainError::NonFinite {
-                    epoch,
-                    detail: format!("mean epoch loss = {mean_loss}"),
-                });
-            }
-            if !store.all_finite() {
-                return Err(TrainError::NonFinite {
-                    epoch,
-                    detail: "non-finite parameter after optimizer step".into(),
-                });
-            }
+        if !mean_loss.is_finite() {
+            return Err(TrainError::NonFinite {
+                epoch,
+                detail: format!("mean epoch loss = {mean_loss}"),
+            });
         }
-        if hooks.crash_after_epoch == Some(epoch) {
+        if !store.all_finite() {
+            return Err(TrainError::NonFinite {
+                epoch,
+                detail: "non-finite parameter after optimizer step".into(),
+            });
+        }
+        if crash_after_epoch == Some(epoch) {
             return Err(TrainError::Injected {
                 epoch,
                 description: format!("simulated crash after epoch {epoch}"),
             });
-        }
-        // Injected stall first (it models this epoch having been slow),
-        // then the watchdog check that would observe it.
-        if let Some((stall_epoch, virtual_ms)) = hooks.stall_after_epoch {
-            if stall_epoch == epoch {
-                if let Some(w) = hooks.watchdog {
-                    w.advance_ms(virtual_ms);
-                }
-            }
-        }
-        if hooks.watchdog.is_some_and(Watchdog::expired) {
-            return Err(TrainError::DeadlineExceeded { epoch });
         }
     }
 
@@ -634,18 +556,12 @@ pub fn train_with_objective(
     if obs::enabled() {
         let total = workspaces.iter().fold(
             hignn_tensor::WorkspaceStats::default(),
-            |acc, ws| acc.merge(&ws.lock().unwrap_or_else(PoisonError::into_inner).stats()),
+            |acc, ws| acc.merge(&ws.lock().expect("workspace lock poisoned").stats()),
         );
         obs::counter_add("workspace.leases", total.leases);
         obs::counter_add("workspace.fresh_allocs", total.fresh_allocs);
         obs::gauge_set("workspace.retained_buffers", total.retained_buffers as f64);
         obs::gauge_set("workspace.retained_elems", total.retained_elems as f64);
-        // Process-wide count of worker panics the executor recovered by
-        // re-execution (a gauge: the counter lives in hignn-tensor).
-        obs::gauge_set(
-            "parallel.recovered_panics",
-            hignn_tensor::parallel::recovered_panics() as f64,
-        );
     }
 
     Ok(TrainedSage { sage, scorer, store, feature_params, epoch_losses })

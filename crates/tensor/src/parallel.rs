@@ -27,59 +27,10 @@
 //! associative, but the addition order here never changes. This is what
 //! lets a training checkpoint written at one thread count resume
 //! byte-identically at any other.
-//!
-//! ## Panic isolation
-//!
-//! A panic inside one task must not lose the whole run (a multi-hour
-//! hierarchy build at production scale *will* see the occasional
-//! poisoned worker). [`ParallelExecutor::map`] therefore wraps every
-//! task in `catch_unwind`: a panicking index is recorded, the surviving
-//! workers keep draining the queue, and after the scope joins, each
-//! failed index is **re-executed once** on the calling thread. Because
-//! results are keyed by logical index — never by schedule — a retried
-//! task is bitwise identical to one that never failed, so recovery
-//! composes with the determinism contract above. A task that panics
-//! again on re-execution is deterministic in its failure; its payload
-//! is re-raised so the bug surfaces instead of looping.
-//!
-//! Result slots recover from mutex poisoning (`PoisonError::into_inner`)
-//! rather than propagating it: the slot value is a plain `Option<T>`
-//! written in one assignment, so a poisoned lock only means *some* task
-//! panicked — the data inside is either `None` (re-execute) or a fully
-//! written `Some` (use it).
-//!
-//! Callers must confine a task's side effects to state that a
-//! re-execution fully rewrites (buffer pools that zero or overwrite
-//! every leased buffer qualify; append-only logs do not).
 
 use crate::param::Gradients;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// Worker panics recovered by re-execution since process start, across
-/// all executors. Observability surfaces this as `parallel.recovered_panics`;
-/// tests use it to assert an injected panic actually fired.
-static RECOVERED_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// Total worker panics recovered by deterministic re-execution since
-/// process start.
-pub fn recovered_panics() -> u64 {
-    RECOVERED_PANICS.load(Ordering::Relaxed)
-}
-
-/// Re-executes a task whose first run panicked. One retry: a second
-/// panic is deterministic (same index, same inputs) and is re-raised.
-fn reexecute<T, F>(f: &F, i: usize) -> T
-where
-    F: Fn(usize) -> T + Sync,
-{
-    RECOVERED_PANICS.fetch_add(1, Ordering::Relaxed);
-    match catch_unwind(AssertUnwindSafe(|| f(i))) {
-        Ok(value) => value,
-        Err(payload) => resume_unwind(payload),
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A scoped-thread worker pool of fixed width.
 ///
@@ -150,56 +101,44 @@ impl ParallelExecutor {
     /// thread.
     ///
     /// # Panics
-    /// A panic inside `f` is isolated and the index re-executed once on
-    /// the calling thread (see the module docs); only a task that
-    /// panics *again* on re-execution propagates, with its original
-    /// payload.
+    /// If `f` panics: once every worker has stopped, a panicking
+    /// worker's payload is re-raised on the calling thread.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         if self.workers == 1 || n <= 1 {
-            // Inline path: same isolation contract as the threaded one,
-            // so a 1-worker run recovers from exactly the faults an
-            // N-worker run does (the 1-vs-N bit-identity includes
-            // recovery behaviour).
-            return (0..n)
-                .map(|i| match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(value) => value,
-                    Err(_) => reexecute(&f, i),
-                })
-                .collect();
+            return (0..n).map(f).collect();
         }
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(n) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Isolate the task: on panic the slot stays `None`
-                    // and this worker keeps draining the queue; the
-                    // index is re-executed after the scope joins.
-                    if let Ok(value) = catch_unwind(AssertUnwindSafe(|| f(i))) {
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-                    }
-                });
+            let workers: Vec<_> = (0..self.workers.min(n))
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let value = f(i);
+                        *slots[i].lock().expect("a slot is locked only to store its value") =
+                            Some(value);
+                    })
+                })
+                .collect();
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
         slots
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                // Poison recovery, not propagation: the slot holds a
-                // plain Option written in a single assignment, so a
-                // poisoned lock cannot hold a torn value.
-                match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    Some(value) => value,
-                    None => reexecute(&f, i),
-                }
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("a slot is locked only to store its value")
+                    .expect("every index below n was claimed by a worker that returned")
             })
             .collect()
     }
@@ -314,81 +253,15 @@ mod tests {
         assert!(ParallelExecutor::available().workers() >= 1);
     }
 
-    /// Runs `body` with the default panic hook silenced, so injected
-    /// panics do not spam the test output. The hook and the
-    /// [`recovered_panics`] counter are process-global, so every
-    /// panic-injecting test runs one at a time behind this lock.
-    fn quiet_panics<R>(body: impl FnOnce() -> R) -> R {
-        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        // A test that failed inside `body` poisons the lock; it guards
-        // no data, so the next test may still take it.
-        let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = body();
-        std::panic::set_hook(hook);
-        out
-    }
-
     #[test]
-    fn panicking_task_is_reexecuted_bitwise_identically() {
-        use std::sync::atomic::AtomicBool;
-        let expected: Vec<usize> = (0..37).map(|i| i * 3).collect();
-        quiet_panics(|| {
-            for workers in [1usize, 2, 4] {
-                for victim in [0usize, 17, 36] {
-                    let armed = AtomicBool::new(true);
-                    let before = recovered_panics();
-                    let got = ParallelExecutor::new(workers).map(37, |i| {
-                        if i == victim && armed.swap(false, Ordering::Relaxed) {
-                            panic!("injected worker panic at index {i}");
-                        }
-                        i * 3
-                    });
-                    assert_eq!(got, expected, "workers={workers} victim={victim}");
-                    assert_eq!(
-                        recovered_panics() - before,
-                        1,
-                        "exactly one recovery expected (workers={workers} victim={victim})"
-                    );
-                }
+    #[should_panic(expected = "task 3 failed")]
+    fn a_panicking_task_propagates_its_payload() {
+        ParallelExecutor::new(2).map(8, |i| {
+            if i == 3 {
+                panic!("task 3 failed");
             }
+            i
         });
-    }
-
-    #[test]
-    fn surviving_workers_finish_the_queue_after_a_panic() {
-        use std::sync::atomic::AtomicBool;
-        // One early injected panic at 4 workers must not lose any of the
-        // remaining indices (the poisoned worker's queue share migrates).
-        quiet_panics(|| {
-            let armed = AtomicBool::new(true);
-            let got = ParallelExecutor::new(4).map(64, |i| {
-                if i == 1 && armed.swap(false, Ordering::Relaxed) {
-                    panic!("early injected panic");
-                }
-                i
-            });
-            assert_eq!(got, (0..64).collect::<Vec<_>>());
-        });
-    }
-
-    #[test]
-    fn deterministic_panic_propagates_after_one_reexecution() {
-        let attempts = AtomicUsize::new(0);
-        let result = quiet_panics(|| {
-            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                ParallelExecutor::new(2).map(8, |i| {
-                    if i == 3 {
-                        attempts.fetch_add(1, Ordering::Relaxed);
-                        panic!("always fails");
-                    }
-                    i
-                })
-            }))
-        });
-        assert!(result.is_err(), "a deterministic panic must still surface");
-        assert_eq!(attempts.load(Ordering::Relaxed), 2, "initial attempt + one re-execution");
     }
 
     #[test]

@@ -1,4 +1,3 @@
 //! Shared helpers for the integration tests in tests/tests/*.rs.
 
 pub mod strategies;
-pub mod support;

@@ -261,40 +261,30 @@ fn every_truncation_is_detected_on_resume() {
 }
 
 // ---------------------------------------------------------------------
-// Numeric-health guard: poisoned inputs surface as structured
-// divergence errors, under both policies.
+// The finiteness check is always on: poisoned inputs surface as a
+// structured divergence error (exit 5) with default options, through
+// both the options path and the builder the benchmark uses.
 
 #[test]
 fn nan_features_trigger_divergence_abort() {
     let (g, _uf, if_, cfg) = small_setup();
     let uf = Matrix::from_vec(g.num_left(), 8, vec![f32::NAN; g.num_left() * 8]);
-    let err = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions { guard: GuardPolicy::Abort, ..Default::default() },
-    )
-    .unwrap_err();
+    let err = build_hierarchy_with(&g, &uf, &if_, &cfg, &BuildOptions::default()).unwrap_err();
     assert_eq!(err.exit_code(), 5, "expected divergence, got: {err}");
     assert!(err.to_string().contains("level 1"), "{err}");
-}
 
-#[test]
-fn rollback_retries_then_gives_up_on_persistent_nan() {
-    // NaN inputs diverge on every retry, so Rollback must eventually
-    // give up with the same structured error instead of looping.
-    let (g, _uf, if_, cfg) = small_setup();
-    let uf = Matrix::from_vec(g.num_left(), 8, vec![f32::NAN; g.num_left() * 8]);
-    let err = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions { guard: GuardPolicy::Rollback { max_retries: 2 }, ..Default::default() },
-    )
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 5, "expected divergence after retries, got: {err}");
+    let err = HignnBuilder::new()
+        .levels(cfg.levels)
+        .sage_config(cfg.sage.clone())
+        .train_config(cfg.train.clone())
+        .alpha_decay(4.0)
+        .seed(cfg.seed)
+        .build()
+        .expect("valid configuration")
+        .run(&g, &uf, &if_)
+        .unwrap_err();
+    assert!(matches!(err, HignnError::Diverged { level: 1, .. }), "expected Diverged: {err}");
+    assert_eq!(err.exit_code(), 5);
 }
 
 // ---------------------------------------------------------------------

@@ -99,49 +99,6 @@ fn four_threads_produce_the_identical_hghi_file() {
 }
 
 // ---------------------------------------------------------------------
-// Panic recovery composes with the determinism contract: a worker panic
-// injected into any shard of any epoch is re-executed deterministically,
-// so the final model is bitwise identical to an uninjected run — at 1
-// thread (inline recovery) and at 4 threads (surviving workers drain
-// the queue, the failed shard re-runs after the join).
-
-#[test]
-fn injected_worker_panic_is_bitwise_invisible_at_1_and_4_threads() {
-    hignn_integration_tests::support::silence_injected_panics();
-    let baseline = build_at(1);
-    let (g, uf, if_, cfg) = small_setup();
-    for threads in [1usize, 4] {
-        for (level, epoch, shard) in [(1, 0, 0), (1, 1, 3), (1, 2, 7), (2, 0, 2)] {
-            let before = hignn_tensor::parallel::recovered_panics();
-            let h = build_hierarchy_with(
-                &g,
-                &uf,
-                &if_,
-                &cfg,
-                &BuildOptions {
-                    fault: Some(FaultPlan::WorkerPanic { level, epoch, shard }),
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|e| {
-                panic!("panic at L{level} E{epoch} S{shard} ({threads} threads) must recover: {e}")
-            });
-            assert_eq!(
-                hignn_tensor::parallel::recovered_panics() - before,
-                1,
-                "L{level} E{epoch} S{shard} ({threads} threads): panic must fire exactly once"
-            );
-            assert_eq!(
-                serialize(&h),
-                baseline,
-                "recovered build diverged at L{level} E{epoch} S{shard}, {threads} threads"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Observability inertness: metrics recording may not change a bit of
 // the built hierarchy, at any thread count (DESIGN.md §10).
 

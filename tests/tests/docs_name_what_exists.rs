@@ -2,8 +2,10 @@
 //! name binaries and files that are in the repository: every
 //! `--bin NAME`, every backticked `crates/…` / `tests/…` / `vendor/…`
 //! path, and every backticked bare `*.json` / `*.txt` file name (read as
-//! a file in the repository root). `benchmark/README.md` and CHANGES.md
-//! are history and are not scanned.
+//! a file in the repository root). Every `--flag` they name must be one
+//! the CLI's USAGE, the bench argument parser or `benchmark/run.sh`
+//! accepts, or one of a few cargo flags. `benchmark/README.md` and
+//! CHANGES.md are history and are not scanned.
 
 use std::path::{Path, PathBuf};
 
@@ -68,4 +70,63 @@ fn every_binary_and_file_the_docs_name_exists() {
     }
     assert!(checked > 40, "the scan found only {checked} names: is it still reading the docs?");
     assert!(missing.is_empty(), "the docs name things that do not exist:\n{}", missing.join("\n"));
+}
+
+/// Every `--flag` in `text`: two dashes not preceded by a word character
+/// or a dash, then a lowercase letter, then letters, digits and dashes.
+fn flags(text: &str) -> Vec<&str> {
+    text.match_indices("--")
+        .filter(|&(at, _)| {
+            !text[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+                && text[at + 2..].starts_with(|c: char| c.is_ascii_lowercase())
+        })
+        .map(|(at, _)| {
+            let len = text[at + 2..]
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                .unwrap_or(text.len() - at - 2);
+            text[at..at + 2 + len].trim_end_matches('-')
+        })
+        .collect()
+}
+
+/// Flags the docs may name without a home in the program: cargo's own,
+/// and the hidden `--fault` of `hignn train`.
+const CARGO_AND_HIDDEN_FLAGS: [&str; 6] =
+    ["--release", "--bin", "--workspace", "--test", "--ignored", "--fault"];
+
+#[test]
+fn every_flag_the_docs_name_is_accepted_somewhere() {
+    let root = repo_root();
+    let read = |path: &str| {
+        std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let commands = read("crates/cli/src/commands.rs");
+    let usage_start = commands.find("pub const USAGE").expect("commands.rs defines USAGE");
+    let usage_len = commands[usage_start..].find("\";").expect("USAGE is one string literal");
+    let usage = &commands[usage_start..usage_start + usage_len];
+    let (bench_args, run_sh) = (read("crates/bench/src/args.rs"), read("benchmark/run.sh"));
+    let mut known: Vec<&str> = [usage, bench_args.as_str(), run_sh.as_str()]
+        .into_iter()
+        .flat_map(flags)
+        .collect();
+    known.extend(CARGO_AND_HIDDEN_FLAGS);
+
+    let mut missing = Vec::new();
+    let mut checked = 0usize;
+    for doc in DOCS {
+        for (n, line) in read(doc).lines().enumerate() {
+            for flag in flags(line) {
+                checked += 1;
+                if !known.contains(&flag) {
+                    missing.push(format!("{doc}:{}: {flag}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 40, "the scan found only {checked} flags: is it still reading the docs?");
+    assert!(
+        missing.is_empty(),
+        "the docs name flags that no USAGE, bench parser or benchmark/run.sh accepts:\n{}",
+        missing.join("\n")
+    );
 }

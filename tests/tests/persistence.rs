@@ -1,15 +1,17 @@
 //! Cross-crate integration: save a trained hierarchy, reload it, and
 //! verify downstream consumers (predictor features, taxonomy-style
-//! assignments) behave identically.
+//! assignments) behave identically; and a checkpoint write that fails
+//! leaves no record behind.
 
 use hignn::io::{read_hierarchy_bytes, write_hierarchy};
 use hignn::prelude::*;
 use hignn_baselines::Variant;
 use hignn_datasets::taobao::{generate_taobao, TaobaoConfig};
+use hignn_datasets::InteractionDataset;
 use hignn_graph::SamplingMode;
 use hignn_metrics::auc;
 
-fn tiny() -> (hignn_datasets::InteractionDataset, Hierarchy) {
+fn tiny_inputs() -> (InteractionDataset, HignnConfig) {
     let ds = generate_taobao(&TaobaoConfig {
         num_users: 200,
         num_items: 120,
@@ -40,8 +42,53 @@ fn tiny() -> (hignn_datasets::InteractionDataset, Hierarchy) {
         normalize: true,
         seed: 92,
     };
+    (ds, cfg)
+}
+
+fn tiny() -> (InteractionDataset, Hierarchy) {
+    let (ds, cfg) = tiny_inputs();
     let h = build_hierarchy(&ds.graph, &ds.user_features, &ds.item_features, &cfg);
     (ds, h)
+}
+
+fn serialize(h: &Hierarchy) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_hierarchy(&mut buf, h).expect("in-memory write cannot fail");
+    buf
+}
+
+#[test]
+fn a_failed_checkpoint_write_leaves_no_record_and_a_rerun_recovers() {
+    let (ds, cfg) = tiny_inputs();
+    let build = |opts: &BuildOptions<'_>| {
+        build_hierarchy_with(&ds.graph, &ds.user_features, &ds.item_features, &cfg, opts)
+    };
+    let clean = serialize(&build(&BuildOptions::default()).unwrap());
+    // A directory where a record's sibling temp file goes makes that
+    // write fail before anything is renamed into place: first the
+    // fresh run's meta record, then level 1's record.
+    for (blocked, resume) in [("meta.tmp", false), ("level_01.tmp", true)] {
+        let dir = std::env::temp_dir()
+            .join(format!("hignn_persist_{blocked}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::create(&dir).unwrap();
+        std::fs::create_dir(dir.join(blocked)).unwrap();
+        let err = build(&BuildOptions { checkpoint: Some(&store), ..Default::default() })
+            .unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{blocked}: expected an I/O error, got: {err}");
+        if resume {
+            // The meta commit point still says no level is done.
+            assert_eq!(store.read_meta().unwrap().0.levels_done, 0, "{blocked}");
+            assert!(!store.level_path(1).exists(), "{blocked}: a level record appeared");
+        } else {
+            assert!(!store.has_meta(), "a failed first meta write must leave no record");
+        }
+        std::fs::remove_dir(dir.join(blocked)).unwrap();
+        let rerun = build(&BuildOptions { checkpoint: Some(&store), resume, ..Default::default() })
+            .unwrap_or_else(|e| panic!("{blocked}: rerun (resume = {resume}) failed: {e}"));
+        assert_eq!(serialize(&rerun), clean, "{blocked}: rerun diverged from the clean run");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
