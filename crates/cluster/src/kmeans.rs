@@ -10,7 +10,9 @@
 //! [`hignn_tensor::parallel`]). Both O(n·k·d) distance scans — batch
 //! assignment and k-means++ seeding — go through [`PackedRows`], whose
 //! distances are bit-identical to the scalar [`nearest_centroid`] scan
-//! that single-point callers keep and the tests compare against.
+//! the tests compare against; so does the streaming estimator
+//! ([`crate::streaming::SequentialKMeans`]), which keeps its centroids
+//! packed between points.
 
 use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
 use hignn_tensor::{Matrix, PackedRows};
@@ -277,7 +279,7 @@ pub fn nearest_centroid(centroids: &Matrix, point: &[f32]) -> (usize, f32) {
 /// centroid is NaN deterministically maps to centroid 0 with reported
 /// distance `f32::INFINITY`.
 #[inline]
-fn nearest(dists: impl Iterator<Item = f32>) -> (usize, f32) {
+pub(crate) fn nearest(dists: impl Iterator<Item = f32>) -> (usize, f32) {
     let mut best = 0usize;
     let mut best_d = f32::INFINITY;
     for (c, d) in dists.enumerate() {

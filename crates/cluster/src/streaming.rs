@@ -6,9 +6,9 @@
 //! large-scale clustering"*, giving `O(M*K_u + N*K_i)`. [`SequentialKMeans`]
 //! implements that estimator (MacQueen-style running means).
 
-use crate::kmeans::{assign_all, kmeans_pp_seed, nearest_centroid};
+use crate::kmeans::{assign_all, kmeans_pp_seed, nearest};
 use hignn_tensor::parallel::ParallelExecutor;
-use hignn_tensor::Matrix;
+use hignn_tensor::{Matrix, PackedRows};
 use rand::Rng;
 
 /// MacQueen sequential (single-pass) K-means.
@@ -30,12 +30,18 @@ use rand::Rng;
 ///   [`Self::dead_clusters`] reports them and nothing reseeds them —
 ///   streaming ingestion needs stable cluster ids.
 /// * Non-finite points (any NaN/±inf feature) are routed
-///   deterministically by the NaN-last [`nearest_centroid`] and **never
-///   update a centre**: one bad row cannot poison a running mean and
-///   thereby corrupt every later assignment.
+///   deterministically by the NaN-last
+///   [`crate::kmeans::nearest_centroid`] rule and **never update a
+///   centre**: one bad row cannot poison a running mean and thereby
+///   corrupt every later assignment.
+/// * `packed` mirrors `centroids` row for row: every write to a centre
+///   goes to both, so [`Self::observe`] and [`Self::assign`] scan the
+///   mirror through [`PackedRows::sq_dists`], whose distances are
+///   bit-identical to the scalar `nearest_centroid` scan.
 #[derive(Clone, Debug)]
 pub struct SequentialKMeans {
     centroids: Matrix,
+    packed: PackedRows,
     counts: Vec<usize>,
 }
 
@@ -44,7 +50,7 @@ impl SequentialKMeans {
     pub fn new(seed_sample: &Matrix, k: usize, rng: &mut impl Rng) -> Self {
         let centroids = kmeans_pp_seed(seed_sample, k, rng);
         let counts = vec![0usize; centroids.rows()];
-        SequentialKMeans { centroids, counts }
+        Self::from_state(centroids, counts)
     }
 
     /// Reconstructs the estimator from persisted state — the entry
@@ -59,7 +65,8 @@ impl SequentialKMeans {
             centroids.rows(),
             "SequentialKMeans::from_state: one count per centroid"
         );
-        SequentialKMeans { centroids, counts }
+        let packed = PackedRows::pack(&centroids);
+        SequentialKMeans { centroids, packed, counts }
     }
 
     /// Consumes one point, returning its assigned cluster.
@@ -67,7 +74,7 @@ impl SequentialKMeans {
     /// A non-finite point is assigned (NaN-last, deterministic) but
     /// does **not** move the centre or bump its count.
     pub fn observe(&mut self, point: &[f32]) -> u32 {
-        let (c, _) = nearest_centroid(&self.centroids, point);
+        let c = self.assign(point) as usize;
         if !point.iter().all(|v| v.is_finite()) {
             return c as u32;
         }
@@ -78,6 +85,7 @@ impl SequentialKMeans {
         for (cv, &pv) in row.iter_mut().zip(point) {
             *cv += lr * (pv - *cv);
         }
+        self.packed.set_row(c, self.centroids.row(c));
         c as u32
     }
 
@@ -91,9 +99,12 @@ impl SequentialKMeans {
         &self.counts
     }
 
-    /// Assigns a point without updating centres.
+    /// Assigns a point without updating centres: the nearest centre,
+    /// NaN-last, lowest index on ties.
     pub fn assign(&self, point: &[f32]) -> u32 {
-        nearest_centroid(&self.centroids, point).0 as u32
+        let mut dists = vec![0f32; self.centroids.rows()];
+        self.packed.sq_dists(point, &mut dists);
+        nearest(dists.into_iter()).0 as u32
     }
 
     /// Overwrites one centre and its count with exact values (used
@@ -104,6 +115,7 @@ impl SequentialKMeans {
     pub fn set_center(&mut self, c: usize, center: &[f32], count: usize) {
         assert_eq!(center.len(), self.centroids.cols(), "set_center: dimension mismatch");
         self.centroids.set_row(c, center);
+        self.packed.set_row(c, center);
         self.counts[c] = count;
     }
 
@@ -236,6 +248,58 @@ mod tests {
         assert_eq!(c, 1);
         assert_eq!(skm.counts(), &[4, 5]);
         assert!(skm.centroids().row(1).iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn packed_mirror_assigns_like_the_scalar_scan() {
+        // 37 centres (four 8-lane blocks and a partial one) of odd width;
+        // a reference estimator steps beside the real one with the
+        // scalar `nearest_centroid` scan and the same update rule.
+        use crate::kmeans::nearest_centroid;
+        let (k, dim) = (37, 5);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut centroids =
+            Matrix::from_vec(k, dim, (0..k * dim).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        // Centres 30 and 4 coincide, so a point on them ties exactly.
+        let twin = centroids.row(30).to_vec();
+        centroids.set_row(4, &twin);
+        let mut skm = SequentialKMeans::from_state(centroids.clone(), vec![1; k]);
+        let (mut reference, mut counts) = (centroids, vec![1usize; k]);
+        for step in 0..300 {
+            let mut point: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.2..1.2)).collect();
+            if step % 7 == 0 {
+                point[2] = f32::NAN;
+            }
+            if step % 5 == 0 {
+                point = reference.row(4).to_vec();
+            }
+            let (want, _) = nearest_centroid(&reference, &point);
+            assert_eq!(skm.assign(&point) as usize, want, "assign, step {step}");
+            assert_eq!(skm.observe(&point) as usize, want, "observe, step {step}");
+            if point.iter().all(|v| v.is_finite()) {
+                counts[want] += 1;
+                let lr = 1.0 / counts[want] as f32;
+                for (c, &p) in reference.row_mut(want).iter_mut().zip(&point) {
+                    *c += lr * (p - *c);
+                }
+            }
+            if step % 13 == 0 {
+                let c = step % k;
+                let row: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                skm.set_center(c, &row, 3);
+                reference.set_row(c, &row);
+                counts[c] = 3;
+            }
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(skm.centroids()), bits(&reference), "centroids, step {step}");
+            assert_eq!(skm.counts(), &counts[..]);
+        }
+        let tied = SequentialKMeans::from_state(
+            Matrix::from_vec(3, 2, vec![2.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            vec![1; 3],
+        );
+        assert_eq!(tied.assign(&[1.0, 0.0]), 0, "equidistant from all three");
+        assert_eq!(tied.assign(&[0.0, 0.0]), 1, "on two coincident centres");
     }
 
     #[test]

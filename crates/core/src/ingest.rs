@@ -36,12 +36,19 @@
 //!   arrivals (level-1 cluster and row) and the level-1 moves — so its
 //!   size is linear in the batch, not the model.
 //!   Deltas carry base and patched hierarchy fingerprints
-//!   ([`hierarchy_fingerprint`]: one in-place pass over the hierarchy's
-//!   arrays, covering what the model file stores in the order it stores
-//!   it). Applying a delta to the wrong base — or applying it twice —
+//!   ([`hierarchy_fingerprint`]: a digest tree over what the model file
+//!   stores). Applying a delta to the wrong base — or applying it twice —
 //!   fails closed with [`HignnError::Corrupt`] before any mutation, and
 //!   a patch whose result does not match the writer's fingerprint is
 //!   rolled back, so a refused delta never leaves a trace.
+//!
+//! A batch costs what it carries, on both sides of the wire. The writer
+//! grows its graph with `BipartiteGraph::append_edges` (an in-place
+//! merge, bit-identical to rebuilding it with `from_edges`), and the
+//! estimators scan packed centroids. Writer and replica each carry a
+//! [`HierarchyDigest`], so the fingerprints hash only the arrivals' rows
+//! and the level-1 assignments; the replica's serving state is patched
+//! in place (`hignn_serve::ServeModel::apply_delta`).
 //!
 //! Upper-level embeddings `Z^{l+1}`, each level's coarse graph `G^l` and
 //! the GraphSAGE weights stay as trained; that staleness is deliberate
@@ -52,7 +59,7 @@
 //! level.
 
 use crate::error::HignnError;
-use crate::fingerprint::Fingerprint;
+pub use crate::fingerprint::{hierarchy_fingerprint, HierarchyDigest};
 use crate::io::{atomic_write, write_section, Container};
 use crate::stack::Hierarchy;
 use hignn_cluster::kmeans::mean_by_cluster;
@@ -69,37 +76,6 @@ const DELTA: Container =
 
 fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-// ---------------------------------------------------------------------
-// Hierarchy fingerprints.
-
-/// Order-sensitive 64-bit fingerprint of a hierarchy, computed in one
-/// pass over its arrays in place (the hasher is `fingerprint.rs`). It
-/// covers exactly what [`crate::io::write_hierarchy`] serialises, in the
-/// same order — user/item/level counts, then per level both embedding
-/// matrices with their shapes, both assignments with their cluster
-/// counts, the coarsened graph's dimensions and edges, and the loss
-/// history — so two hierarchies that serialise bit-identically
-/// fingerprint equal, and a difference in any one stored value changes
-/// the fingerprint. This is the identity the delta protocol's
-/// base/patched checks rely on.
-pub fn hierarchy_fingerprint(h: &Hierarchy) -> u64 {
-    let mut f = Fingerprint::new();
-    f.word(h.num_users() as u64);
-    f.word(h.num_items() as u64);
-    f.word(h.num_levels() as u64);
-    for level in h.levels() {
-        f.matrix(&level.user_embeddings);
-        f.matrix(&level.item_embeddings);
-        for a in [&level.user_assignment, &level.item_assignment] {
-            f.word(a.num_clusters() as u64);
-            f.u32s(a.as_slice());
-        }
-        f.graph(&level.coarsened);
-        f.f32s(&level.epoch_losses);
-    }
-    f.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -399,21 +375,22 @@ fn corrupt(detail: String) -> HignnError {
 /// delta that fails any check therefore leaves `h` bit-for-bit as it was
 /// and returns [`HignnError::Corrupt`].
 pub fn apply_delta(h: &mut Hierarchy, delta: &HierarchyDelta) -> Result<(), HignnError> {
-    let base = hierarchy_fingerprint(h);
-    apply_delta_to_base(h, base, delta)
+    apply_delta_to_base(h, &mut HierarchyDigest::new(h), delta)
 }
 
-/// [`apply_delta`] for a holder that already knows `h`'s fingerprint —
-/// a replica that verified it when the previous delta landed, as
-/// [`IngestEngine`] carries its own from batch to batch — and so skips
-/// one of the two full-model hashes. `base_fingerprint` must be
-/// [`hierarchy_fingerprint`]`(h)`; the patched hierarchy is re-hashed
-/// and compared whatever the caller claims.
+/// [`apply_delta`] for a holder that carries `h`'s [`HierarchyDigest`]
+/// from delta to delta, as a serving replica and [`IngestEngine`] do:
+/// the base check reads the digest, and the patched check advances it
+/// over the arrivals' rows and the level-1 assignments alone, so
+/// neither hashes the whole model. `digest` must be paired with `h`
+/// (see [`HierarchyDigest`]); it advances only when the patch is
+/// accepted, so after a refusal both are as they were.
 pub fn apply_delta_to_base(
     h: &mut Hierarchy,
-    base_fingerprint: u64,
+    digest: &mut HierarchyDigest,
     delta: &HierarchyDelta,
 ) -> Result<(), HignnError> {
+    let base_fingerprint = digest.value();
     // ---- read-only validation ----
     if delta.base_users != h.num_users() as u64 || delta.base_items != h.num_items() as u64 {
         return Err(corrupt(format!(
@@ -486,13 +463,15 @@ pub fn apply_delta_to_base(
         .validate()
         .map_err(|e| corrupt(format!("patched hierarchy invalid: {e}")))
         .and_then(|()| {
-            let patched = hierarchy_fingerprint(h);
-            if patched == delta.patched_fingerprint {
+            let patched = digest.advanced(h);
+            if patched.value() == delta.patched_fingerprint {
+                *digest = patched;
                 Ok(())
             } else {
                 Err(corrupt(format!(
-                    "patched fingerprint mismatch (delta says {:#018x}, got {patched:#018x})",
-                    delta.patched_fingerprint
+                    "patched fingerprint mismatch (delta says {:#018x}, got {:#018x})",
+                    delta.patched_fingerprint,
+                    patched.value()
                 )))
             }
         });
@@ -565,6 +544,9 @@ pub struct IngestReport {
 struct SideState {
     skm: SequentialKMeans,
     baseline: Matrix,
+    /// Each centroid's drift from its baseline, refreshed whenever
+    /// either moves — so a batch reads it instead of re-measuring all k.
+    drift: Vec<f32>,
 }
 
 impl SideState {
@@ -575,7 +557,25 @@ impl SideState {
         let centroids =
             mean_by_cluster(embeddings, assignment.as_slice(), assignment.num_clusters());
         let counts = assignment.sizes();
-        SideState { baseline: centroids.clone(), skm: SequentialKMeans::from_state(centroids, counts) }
+        let k = centroids.rows();
+        let mut side = SideState {
+            baseline: centroids.clone(),
+            skm: SequentialKMeans::from_state(centroids, counts),
+            drift: vec![0.0; k],
+        };
+        (0..k).for_each(|c| side.refresh_drift(c));
+        side
+    }
+
+    fn refresh_drift(&mut self, c: usize) {
+        self.drift[c] = self.skm.centroids().row_sq_dist(c, self.baseline.row(c));
+    }
+
+    /// Streams one arrival into the estimator: its cluster.
+    fn observe(&mut self, point: &[f32]) -> u32 {
+        let c = self.skm.observe(point);
+        self.refresh_drift(c as usize);
+        c
     }
 }
 
@@ -591,7 +591,7 @@ pub struct IngestEngine {
     users: SideState,
     items: SideState,
     seq: u64,
-    fingerprint: u64,
+    digest: HierarchyDigest,
 }
 
 impl IngestEngine {
@@ -627,8 +627,8 @@ impl IngestEngine {
         }
         let users = SideState::from_level(&l0.user_embeddings, &l0.user_assignment);
         let items = SideState::from_level(&l0.item_embeddings, &l0.item_assignment);
-        let fingerprint = hierarchy_fingerprint(&hierarchy);
-        Ok(IngestEngine { hierarchy, graph, cfg, users, items, seq: 0, fingerprint })
+        let digest = HierarchyDigest::new(&hierarchy);
+        Ok(IngestEngine { hierarchy, graph, cfg, users, items, seq: 0, digest })
     }
 
     /// The evolving hierarchy (read-only).
@@ -647,9 +647,12 @@ impl IngestEngine {
     }
 
     /// Ingests one append-only edge batch. Edge endpoints at or beyond
-    /// the current user/item counts declare new vertices (ids must be
-    /// dense extensions; a gap id that never appears in an edge becomes
-    /// an isolated zero-embedding vertex).
+    /// the current user/item counts declare new vertices. Each side may
+    /// grow by at most one vertex per edge in the batch: an id within
+    /// that bound may leave a gap (a gap id that never appears in an
+    /// edge becomes an isolated zero-embedding vertex), and an id past
+    /// it is refused with [`HignnError::Config`] before anything
+    /// changes, like a non-positive or non-finite weight.
     ///
     /// Returns what happened plus the [`HierarchyDelta`] that replays
     /// it on a replica of the pre-ingest hierarchy.
@@ -670,17 +673,25 @@ impl IngestEngine {
             new_u = new_u.max(u as usize + 1);
             new_i = new_i.max(i as usize + 1);
         }
+        for (side, old, new) in [("user", old_u, new_u), ("item", old_i, new_i)] {
+            if new - old > new_edges.len() {
+                return Err(HignnError::Config(format!(
+                    "ingest: a batch of {} edges cannot add {} {side}s (id {} against {old} \
+                     {side}s); a batch adds at most one vertex per edge on each side",
+                    new_edges.len(),
+                    new - old,
+                    new - 1
+                )));
+            }
+        }
 
-        // Rebuild the finest graph through the same deterministic
-        // `from_edges` path training used (merge parallel edges in
-        // input order, then sort).
-        let mut all_edges: Vec<(u32, u32, f32)> = self.graph.edges().to_vec();
-        all_edges.extend_from_slice(new_edges);
-        let graph = BipartiteGraph::from_edges(new_u, new_i, all_edges);
+        // Grow the finest graph in place, with the bits `from_edges`
+        // gives the whole edge list (parallel edges fold in input order).
+        self.graph.append_edges(new_u, new_i, new_edges);
 
         // Inductive level-1 embeddings for the new vertices: weighted
         // two-hop same-side means over the grown graph.
-        let (user_rows, item_rows) = self.infer_new_embeddings(&graph, old_u, old_i, new_u, new_i);
+        let (user_rows, item_rows) = self.infer_new_embeddings(old_u, old_i, new_u, new_i);
 
         // Stream each new vertex through the MacQueen estimator in id
         // order (users first) — the cluster it lands in is its level-1
@@ -688,15 +699,14 @@ impl IngestEngine {
         // drift.
         let new_users: Vec<NodeArrival> = user_rows
             .into_iter()
-            .map(|embedding| NodeArrival { cluster: self.users.skm.observe(&embedding), embedding })
+            .map(|embedding| NodeArrival { cluster: self.users.observe(&embedding), embedding })
             .collect();
         let new_items: Vec<NodeArrival> = item_rows
             .into_iter()
-            .map(|embedding| NodeArrival { cluster: self.items.skm.observe(&embedding), embedding })
+            .map(|embedding| NodeArrival { cluster: self.items.observe(&embedding), embedding })
             .collect();
 
         // Patch level 1: append embeddings and assignments.
-        self.graph = graph;
         let threshold = self.cfg.drift_threshold;
         let (levels, num_users, num_items) = self.hierarchy.parts_mut();
         let ku = levels[0].user_assignment.num_clusters();
@@ -731,9 +741,8 @@ impl IngestEngine {
         self.hierarchy
             .validate()
             .map_err(|e| HignnError::corrupt("ingest", format!("patched hierarchy invalid: {e}")))?;
-        let patched = hierarchy_fingerprint(&self.hierarchy);
-        let base_fingerprint = self.fingerprint;
-        self.fingerprint = patched;
+        let patched = self.digest.advanced(&self.hierarchy);
+        let base_fingerprint = std::mem::replace(&mut self.digest, patched).value();
         self.seq += 1;
 
         let report = IngestReport {
@@ -754,7 +763,7 @@ impl IngestEngine {
             base_users: old_u as u64,
             base_items: old_i as u64,
             base_fingerprint,
-            patched_fingerprint: patched,
+            patched_fingerprint: self.digest.value(),
             new_edges: new_edges.to_vec(),
             new_users,
             new_items,
@@ -772,12 +781,12 @@ impl IngestEngine {
     /// empty; keeps a zero row only if both fail.
     fn infer_new_embeddings(
         &self,
-        graph: &BipartiteGraph,
         old_u: usize,
         old_i: usize,
         new_u: usize,
         new_i: usize,
     ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        let graph = &self.graph;
         let l0 = &self.hierarchy.levels()[0];
         let dim = l0.user_embeddings.cols();
         let normalize = self.cfg.normalize;
@@ -861,8 +870,7 @@ fn drift_recoarsen(
     let mut max_drift = 0f32;
     let mut dirty = vec![false; k];
     let mut num_dirty = 0usize;
-    for (c, dirty_c) in dirty.iter_mut().enumerate() {
-        let d = side.skm.centroids().row_sq_dist(c, side.baseline.row(c));
+    for (dirty_c, &d) in dirty.iter_mut().zip(&side.drift) {
         if d.is_finite() && d > max_drift {
             max_drift = d;
         }
@@ -919,6 +927,7 @@ fn drift_recoarsen(
         }
         let committed = side.skm.centroids().row(c).to_vec();
         side.baseline.set_row(c, &committed);
+        side.refresh_drift(c);
     }
     (moves, num_dirty, max_drift)
 }

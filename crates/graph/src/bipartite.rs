@@ -16,6 +16,11 @@
 //! costs one linear pass. Both CSR sides are then filled by a stable
 //! counting placement, which leaves every slice in increasing
 //! neighbour order without a per-vertex sort.
+//!
+//! A streaming writer grows its graph with
+//! [`BipartiteGraph::append_edges`] instead: the same fold, applied to
+//! the batch alone and merged into the arrays in place, so a batch
+//! costs what it carries rather than a rebuild.
 
 /// Which side of the bipartite graph a vertex belongs to.
 ///
@@ -90,6 +95,73 @@ impl Csr {
         let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
         (&self.neighbors[lo..hi], &self.weights[lo..hi], &self.cum_weights[lo..hi])
     }
+
+    /// Flat index of `dst` in `src`'s slice if present, else where it
+    /// would go. A source beyond the table has an empty slice at the end.
+    fn find(&self, src: usize, dst: u32) -> Result<usize, usize> {
+        let Some(&hi) = self.offsets.get(src + 1) else {
+            return Err(self.neighbors.len());
+        };
+        let lo = self.offsets[src];
+        self.neighbors[lo..hi].binary_search(&dst).map(|k| lo + k).map_err(|k| lo + k)
+    }
+
+    /// Grows the table to `num_src` sources and inserts `new` — sorted
+    /// by `(src, dst)`, no pair already present — before the old
+    /// entries at `at` (from [`Csr::find`] on the old arrays). Prefix
+    /// sums of the grown slices are left to [`Csr::resum`].
+    fn insert(&mut self, num_src: usize, new: &[(u32, u32, f32)], at: &[usize]) {
+        insert_sorted(&mut self.neighbors, at, |j| new[j].1);
+        insert_sorted(&mut self.weights, at, |j| new[j].2);
+        insert_sorted(&mut self.cum_weights, at, |_| 0.0);
+        let old_len = self.offsets[self.offsets.len() - 1];
+        self.offsets.resize(num_src + 1, old_len);
+        // Each offset moves by the number of entries inserted before it.
+        let mut before = 0;
+        for (v, offset) in self.offsets.iter_mut().enumerate().skip(1) {
+            while before < new.len() && (new[before].0 as usize) < v {
+                before += 1;
+            }
+            *offset += before;
+        }
+    }
+
+    /// Recomputes `src`'s prefix sums the way [`Csr::build`] does.
+    fn resum(&mut self, src: usize) {
+        let (lo, hi) = (self.offsets[src], self.offsets[src + 1]);
+        let mut acc = 0.0;
+        for (cum, &w) in self.cum_weights[lo..hi].iter_mut().zip(&self.weights[lo..hi]) {
+            acc += w;
+            *cum = acc;
+        }
+    }
+}
+
+/// Inserts `item(j)` before old element `at[j]` (`at` ascending): one
+/// pass from the back moves every old element at most once.
+fn insert_sorted<T: Copy + Default>(v: &mut Vec<T>, at: &[usize], item: impl Fn(usize) -> T) {
+    let mut end = v.len();
+    v.resize(end + at.len(), T::default());
+    for (j, &pos) in at.iter().enumerate().rev() {
+        v.copy_within(pos..end, pos + j + 1);
+        v[pos + j] = item(j);
+        end = pos;
+    }
+}
+
+/// The sort key of an edge: `(left, right)` as one integer.
+fn key(&(l, r, _): &(u32, u32, f32)) -> u64 {
+    u64::from(l) << 32 | u64::from(r)
+}
+
+fn check_edges(num_left: usize, num_right: usize, edges: &[(u32, u32, f32)], check_weights: bool) {
+    for &(l, r, w) in edges {
+        assert!((l as usize) < num_left, "left vertex {l} out of range ({num_left})");
+        assert!((r as usize) < num_right, "right vertex {r} out of range ({num_right})");
+        if check_weights {
+            assert!(w > 0.0, "edge weight must be positive, got {w}");
+        }
+    }
 }
 
 /// A weighted bipartite graph `G = (U, I, E, S)`.
@@ -100,7 +172,6 @@ pub struct BipartiteGraph {
     edges: Vec<(u32, u32, f32)>,
     left: Csr,
     right: Csr,
-    total_weight: f64,
 }
 
 impl BipartiteGraph {
@@ -140,16 +211,10 @@ impl BipartiteGraph {
         check_weights: bool,
     ) -> Self {
         let mut edges: Vec<(u32, u32, f32)> = raw_edges.into_iter().collect();
-        for &(l, r, w) in &edges {
-            assert!((l as usize) < num_left, "left vertex {l} out of range ({num_left})");
-            assert!((r as usize) < num_right, "right vertex {r} out of range ({num_right})");
-            if check_weights {
-                assert!(w > 0.0, "edge weight must be positive, got {w}");
-            }
-        }
+        check_edges(num_left, num_right, &edges, check_weights);
         // Stable, so parallel edges stay in input order and their weights
         // fold left to right; an already sorted prefix is one run.
-        edges.sort_by_key(|&(l, r, _)| u64::from(l) << 32 | u64::from(r));
+        edges.sort_by_key(key);
         edges.dedup_by(|edge, kept| {
             let parallel = (edge.0, edge.1) == (kept.0, kept.1);
             if parallel {
@@ -159,8 +224,66 @@ impl BipartiteGraph {
         });
         let left = Csr::build(num_left, &edges, false);
         let right = Csr::build(num_right, &edges, true);
-        let total_weight = edges.iter().map(|&(_, _, w)| w as f64).sum();
-        BipartiteGraph { num_left, num_right, edges, left, right, total_weight }
+        BipartiteGraph { num_left, num_right, edges, left, right }
+    }
+
+    /// Grows the graph to `num_left x num_right` and merges `batch` into
+    /// it in place, with the bits of
+    /// `from_edges(num_left, num_right, self.edges() ++ batch)`:
+    ///
+    /// * the batch is stable-sorted alone, and each run of parallel
+    ///   edges folds in batch order onto the base weight if the pair
+    ///   exists (`w₀ + b₁ + b₂ …`), else onto its first edge;
+    /// * new pairs go into the edge list and both CSR sides with one
+    ///   backward merge per array, so an old entry moves at most once;
+    /// * `cum_weights` is re-summed only on the slices the batch touched.
+    ///
+    /// The cost is the batch's sort plus the array tails behind the
+    /// first insertion point, never a rebuild; the arrays grow in place.
+    ///
+    /// # Panics
+    /// Panics if a side would shrink, on out-of-range vertex ids or on
+    /// non-positive weights, before changing anything.
+    pub fn append_edges(&mut self, num_left: usize, num_right: usize, batch: &[(u32, u32, f32)]) {
+        assert!(
+            num_left >= self.num_left && num_right >= self.num_right,
+            "append_edges: {}x{} cannot shrink to {num_left}x{num_right}",
+            self.num_left,
+            self.num_right
+        );
+        check_edges(num_left, num_right, batch, true);
+        let mut sorted = batch.to_vec();
+        sorted.sort_by_key(key);
+        let mut inserts = Vec::new();
+        let mut touched = Vec::new();
+        for run in sorted.chunk_by(|a, b| key(a) == key(b)) {
+            let (l, r, first) = run[0];
+            touched.push((l, r));
+            match self.left.find(l as usize, r) {
+                Ok(k) => {
+                    let w = run.iter().fold(self.edges[k].2, |w, e| w + e.2);
+                    self.edges[k].2 = w;
+                    self.left.weights[k] = w;
+                    let k = self.right.find(r as usize, l).expect("both CSR sides hold every edge");
+                    self.right.weights[k] = w;
+                }
+                Err(_) => inserts.push((l, r, run[1..].iter().fold(first, |w, e| w + e.2))),
+            }
+        }
+        let at: Vec<usize> =
+            inserts.iter().map(|&(l, r, _)| self.left.find(l as usize, r).unwrap_err()).collect();
+        insert_sorted(&mut self.edges, &at, |j| inserts[j]);
+        self.left.insert(num_left, &inserts, &at);
+        let mut swapped: Vec<_> = inserts.iter().map(|&(l, r, w)| (r, l, w)).collect();
+        swapped.sort_unstable_by_key(key);
+        let at: Vec<usize> =
+            swapped.iter().map(|&(r, l, _)| self.right.find(r as usize, l).unwrap_err()).collect();
+        self.right.insert(num_right, &swapped, &at);
+        for &(l, r) in &touched {
+            self.left.resum(l as usize);
+            self.right.resum(r as usize);
+        }
+        (self.num_left, self.num_right) = (num_left, num_right);
     }
 
     /// Number of left vertices (users / queries).
@@ -191,9 +314,9 @@ impl BipartiteGraph {
         &self.edges
     }
 
-    /// Sum of all edge weights.
+    /// Sum of all edge weights, accumulated in edge-list order.
     pub fn total_weight(&self) -> f64 {
-        self.total_weight
+        self.edges.iter().map(|&(_, _, w)| w as f64).sum()
     }
 
     /// Edge density `|E| / (|U| * |I|)`.
@@ -305,6 +428,30 @@ mod tests {
         let g = BipartiteGraph::from_edges(1, 1, vec![(0, 0, 1.0), (0, 0, 2.5)]);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0, 0), Some(3.5));
+    }
+
+    #[test]
+    fn append_edges_folds_onto_base_weights_in_batch_order() {
+        let mut g = toy();
+        // (0, 1) exists with weight 2; (1, 0) is new and repeated; (3, 2)
+        // grows both sides.
+        let batch = [(0, 1, 0.1), (1, 0, 0.2), (0, 1, 0.3), (1, 0, 0.4), (3, 2, 1.0)];
+        g.append_edges(4, 3, &batch);
+        assert_eq!(g.edge_weight(0, 1), Some(2.0 + 0.1 + 0.3));
+        assert_eq!(g.edge_weight(1, 0), Some(0.2 + 0.4));
+        assert_eq!(g.neighbors(Side::Right, 0), (&[0, 1, 2][..], &[1.0, 0.2 + 0.4, 4.0][..]));
+        let (_, _, cum) = g.neighbors_cum(Side::Left, 1);
+        assert_eq!(cum, &[0.2 + 0.4, 0.2 + 0.4 + 3.0]);
+        g.append_edges(5, 3, &[]);
+        let all = toy().edges().iter().chain(&batch).copied().collect::<Vec<_>>();
+        assert_eq!(g.edges(), BipartiteGraph::from_edges(5, 3, all).edges());
+        assert_eq!(g.degree(Side::Left, 4), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot shrink")]
+    fn append_edges_never_shrinks() {
+        toy().append_edges(2, 2, &[]);
     }
 
     #[test]

@@ -7,6 +7,24 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
+/// Triples of ids and float bits.
+type Bits = Vec<(u32, u32, u32)>;
+
+/// Everything a graph stores, floats by bits: the edge list, both CSR
+/// sides' neighbours, weights and prefix sums, and the total weight.
+fn graph_bits(g: &BipartiteGraph) -> (Bits, Vec<Bits>, u64) {
+    let edges = g.edges().iter().map(|&(l, r, w)| (l, r, w.to_bits())).collect();
+    let mut slices = Vec::new();
+    for side in [Side::Left, Side::Right] {
+        for v in 0..g.num_vertices(side) {
+            let (nbrs, ws, cum) = g.neighbors_cum(side, v);
+            let slice = nbrs.iter().zip(ws).zip(cum);
+            slices.push(slice.map(|((&n, w), c)| (n, w.to_bits(), c.to_bits())).collect());
+        }
+    }
+    (edges, slices, g.total_weight().to_bits())
+}
+
 fn graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
     (2usize..10, 2usize..10)
         .prop_flat_map(|(nl, nr)| {
@@ -86,6 +104,36 @@ proptest! {
                     prop_assert_eq!(cum[k].to_bits(), acc.to_bits());
                 }
             }
+        }
+    }
+
+    /// `append_edges` is `from_edges` over the concatenated edge list,
+    /// bit for bit, after each of three appends in a row. Few distinct
+    /// endpoints, so batches repeat pairs among themselves and onto base
+    /// edges; batch ids reach past the base on both sides, and a batch
+    /// may be empty (which may still grow a side).
+    #[test]
+    fn append_edges_equals_from_edges_of_the_concatenation(
+        base in prop::collection::vec((0u32..4, 0u32..5, 0.1f32..5.0), 0..30),
+        batches in prop::collection::vec(
+            (prop::collection::vec((0u32..7, 0u32..8, 0.1f32..5.0), 0..12), 0usize..2),
+            3,
+        ),
+    ) {
+        let (mut nl, mut nr) = (4, 5);
+        let mut g = BipartiteGraph::from_edges(nl, nr, base.clone());
+        let mut all = base;
+        for (batch, spare) in &batches {
+            let widest = |side: fn(&(u32, u32, f32)) -> u32| {
+                batch.iter().map(|e| side(e) as usize + 1).max().unwrap_or(0)
+            };
+            nl = nl.max(widest(|e| e.0)) + spare;
+            nr = nr.max(widest(|e| e.1));
+            g.append_edges(nl, nr, batch);
+            all.extend_from_slice(batch);
+            let rebuilt = BipartiteGraph::from_edges(nl, nr, all.clone());
+            prop_assert_eq!((g.num_left(), g.num_right()), (nl, nr));
+            prop_assert_eq!(graph_bits(&g), graph_bits(&rebuilt));
         }
     }
 

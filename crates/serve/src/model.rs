@@ -2,10 +2,11 @@
 
 use crate::scorer::Scorer;
 use hignn::error::HignnError;
-use hignn::ingest::{hierarchy_fingerprint, HierarchyDelta};
+use hignn::ingest::{HierarchyDelta, HierarchyDigest};
 use hignn::io::read_hierarchy_bytes;
 use hignn::stack::Hierarchy;
 use hignn_tensor::Matrix;
+use std::collections::HashMap;
 use std::path::Path;
 
 /// A trained HGHI model prepared for serving.
@@ -34,11 +35,10 @@ pub struct ServeModel {
     node_reps: Vec<Matrix>,
     children: Vec<Vec<Vec<u32>>>,
     scorer: Scorer,
-    /// `hierarchy_fingerprint(&hierarchy)` once known: hashed on the
-    /// first delta, afterwards the patched fingerprint the last applied
-    /// delta was verified against. `apply_delta` is the only `&mut`
-    /// path to `hierarchy`, so it cannot go stale.
-    fingerprint: Option<u64>,
+    /// The hierarchy's digest once known: taken on the first delta,
+    /// then advanced by every delta that applies. `apply_delta` is the
+    /// only `&mut` path to `hierarchy`, so the two stay paired.
+    digest: Option<HierarchyDigest>,
 }
 
 impl std::fmt::Debug for ServeModel {
@@ -113,7 +113,7 @@ impl ServeModel {
             node_reps,
             children,
             scorer,
-            fingerprint: None,
+            digest: None,
         }
     }
 
@@ -165,21 +165,24 @@ impl ServeModel {
 
     /// Catches this replica up to an ingesting writer by applying a
     /// [`HierarchyDelta`] **in place** — no file reload, no full
-    /// feature recomputation.
+    /// feature recomputation, no full-model hash.
     ///
     /// The hierarchy patch itself is delegated to
     /// [`hignn::ingest::apply_delta_to_base`] (which checks the base
     /// before mutating and rolls the patch back if the result does not
-    /// fingerprint to what the writer stated). The base fingerprint is
-    /// the one the previous delta was verified against — like the
-    /// writer, a replica hashes its model once per delta, not twice. The
-    /// precomputed serving state is then maintained incrementally:
+    /// fingerprint to what the writer stated). Both checks read the
+    /// model's [`HierarchyDigest`], taken once on the first delta and
+    /// then advanced over each delta's arrival rows and level-1
+    /// assignments, like the writer's. The precomputed serving state is
+    /// then patched where the delta touched it:
     ///
     /// * `z^H` rows are appended for new vertices and recomputed only
     ///   for moved ones (an unmoved vertex's ancestor chain is
     ///   untouched, so its row is already exact);
-    /// * tier-1 children lists are re-derived from the patched level-1
-    ///   assignment; upper tiers are structurally frozen;
+    /// * tier-1 children lists stay sorted by id: an arrival is pushed
+    ///   onto its cluster's list (its id exceeds every older one), and a
+    ///   move takes the item out of one list and inserts it into
+    ///   another; upper tiers are structurally frozen;
     /// * representative features are recomputed only for *dirty* tier-1
     ///   nodes (clusters that gained or lost a member), and dirtiness
     ///   propagates up the item tree.
@@ -190,24 +193,25 @@ impl ServeModel {
     pub fn apply_delta(&mut self, delta: &HierarchyDelta) -> Result<(), HignnError> {
         let old_users = self.hierarchy.num_users();
         let old_items = self.hierarchy.num_items();
-        // Old cluster of every moved item, captured before the patch
-        // (a moved *new* item's pre-move cluster is its arrival record).
-        let l0_items = &self.hierarchy.levels()[0].item_assignment;
-        let old_move_clusters: Vec<u32> = delta
+        // The cluster each item move leaves, captured before the patch:
+        // the item's previous move in this delta, else its arrival record
+        // or base cluster. (`None` only for an out-of-range move, which
+        // the patch below refuses.)
+        let base_items = self.hierarchy.levels()[0].item_assignment.as_slice();
+        let mut latest = HashMap::new();
+        let move_from: Vec<Option<u32>> = delta
             .item_moves
             .iter()
-            .map(|&(v, _)| {
-                if (v as usize) < old_items {
-                    l0_items.cluster_of(v as usize)
-                } else {
-                    delta.new_items[v as usize - old_items].cluster
-                }
+            .map(|&(v, to)| {
+                latest.insert(v, to).or_else(|| match (v as usize).checked_sub(old_items) {
+                    None => Some(base_items[v as usize]),
+                    Some(new) => delta.new_items.get(new).map(|a| a.cluster),
+                })
             })
             .collect();
 
-        let base = *self.fingerprint.get_or_insert_with(|| hierarchy_fingerprint(&self.hierarchy));
-        hignn::ingest::apply_delta_to_base(&mut self.hierarchy, base, delta)?;
-        self.fingerprint = Some(delta.patched_fingerprint);
+        let digest = self.digest.get_or_insert_with(|| HierarchyDigest::new(&self.hierarchy));
+        hignn::ingest::apply_delta_to_base(&mut self.hierarchy, digest, delta)?;
 
         // --- z^H rows: append new vertices, recompute moved ones. ---
         let append_and_patch = |features: &mut Matrix,
@@ -244,20 +248,24 @@ impl ServeModel {
         );
 
         // --- Item tree: tier-1 membership changed; upper tiers are
-        // structurally frozen. ---
-        self.children[0] = self.hierarchy.levels()[0].item_assignment.members();
-
-        // Tier-1 nodes are dirty if they gained a new item or were on
-        // either end of a move.
-        let k1 = self.children[0].len();
-        let mut dirty = vec![false; k1];
-        let final_items = self.hierarchy.levels()[0].item_assignment.as_slice();
-        for i in old_items..self.hierarchy.num_items() {
-            dirty[final_items[i] as usize] = true;
+        // structurally frozen. A tier-1 node is dirty if it gained an
+        // arrival or was on either end of a move. ---
+        let kids = &mut self.children[0];
+        let mut dirty = vec![false; kids.len()];
+        for (i, arrival) in (old_items as u32..).zip(&delta.new_items) {
+            kids[arrival.cluster as usize].push(i);
+            dirty[arrival.cluster as usize] = true;
         }
-        for (&(_, to), &from) in delta.item_moves.iter().zip(&old_move_clusters) {
-            dirty[to as usize] = true;
+        for (&(v, to), from) in delta.item_moves.iter().zip(move_from) {
+            let from = from.expect("moves are range-checked before the patch applies");
+            let list = &mut kids[from as usize];
+            let at = list.binary_search(&v).expect("children mirror the level-1 assignment");
+            list.remove(at);
+            let list = &mut kids[to as usize];
+            let at = list.binary_search(&v).unwrap_err();
+            list.insert(at, v);
             dirty[from as usize] = true;
+            dirty[to as usize] = true;
         }
         // Recompute dirty representatives tier by tier, propagating
         // dirtiness through the (frozen) upper assignments. The

@@ -237,6 +237,22 @@ impl PackedRows {
         PackedRows { data, rows, cols }
     }
 
+    /// Overwrites packed row `i` with `row`, as if `pack` had seen it:
+    /// a holder whose rows change one at a time keeps its mirror
+    /// current in `O(cols)` instead of re-packing.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range or `row` has the wrong length.
+    pub fn set_row(&mut self, i: usize, row: &[f32]) {
+        assert!(i < self.rows, "set_row: row {i} out of range ({})", self.rows);
+        assert_eq!(row.len(), self.cols, "set_row: dimension mismatch");
+        let base = (i / LANES) * self.cols * LANES + i % LANES;
+        let packed = self.data.as_mut_slice();
+        for (t, &v) in row.iter().enumerate() {
+            packed[base + t * LANES] = v;
+        }
+    }
+
     /// Writes the squared Euclidean distance from `point` to row `i`
     /// into `out[i]`, bit-identical to `m.row_sq_dist(i, point)` on the
     /// packed matrix `m` (a NaN is a NaN in both; IEEE 754 does not
@@ -700,11 +716,22 @@ mod tests {
                 }
                 let point = pseudo(cols, 99);
                 let mut out = vec![f32::NAN; rows];
-                PackedRows::pack(&m).sq_dists(&point, &mut out);
+                let mut packed = PackedRows::pack(&m);
+                packed.sq_dists(&point, &mut out);
                 let want: Vec<f32> = (0..rows).map(|i| m.row_sq_dist(i, &point)).collect();
                 assert_same_bits(&out, &want, &format!("{rows}x{cols}"));
                 if cols == 0 {
                     assert!(out.iter().all(|d| d.to_bits() == 0), "empty sum is +0.0");
+                }
+                // Rewriting the last row in place equals packing the
+                // edited matrix afresh.
+                if rows > 0 {
+                    let row = pseudo(cols, 7);
+                    m.set_row(rows - 1, &row);
+                    packed.set_row(rows - 1, &row);
+                    packed.sq_dists(&point, &mut out);
+                    let want: Vec<f32> = (0..rows).map(|i| m.row_sq_dist(i, &point)).collect();
+                    assert_same_bits(&out, &want, &format!("{rows}x{cols} after set_row"));
                 }
             }
         }

@@ -6,8 +6,8 @@
 //! scratch.
 
 use hignn::ingest::{
-    apply_delta, hierarchy_fingerprint, read_delta_bytes, write_delta, HierarchyDelta,
-    IngestConfig, IngestEngine,
+    apply_delta, apply_delta_to_base, hierarchy_fingerprint, read_delta_bytes, write_delta,
+    HierarchyDelta, HierarchyDigest, IngestConfig, IngestEngine,
 };
 use hignn::io::{read_hierarchy_bytes, save_hierarchy, write_hierarchy};
 use hignn::prelude::*;
@@ -181,6 +181,39 @@ fn tampered_patched_fingerprint_is_refused_and_rolled_back() {
     assert_eq!(bits(&live), bits(&rebuilt));
 }
 
+/// The digest both sides carry is `hierarchy_fingerprint` from scratch
+/// after every delta of a chain. The writer's is the `patched_fingerprint`
+/// it stamps (and the next delta's base); the replica's is carried
+/// through `apply_delta_to_base`. A tampered delta leaves the replica's
+/// digest where it was, so the genuine delta still applies.
+#[test]
+fn carried_digests_equal_the_fingerprint_from_scratch() {
+    let (h, g, batch1, batch2) = trained_base();
+    let mut replica = h.clone();
+    let mut digest = HierarchyDigest::new(&replica);
+    let cfg = IngestConfig { drift_threshold: 1e-6, ..IngestConfig::default() };
+    let mut writer = IngestEngine::new(h, g, cfg).unwrap();
+    let (first, rest) = batch2.split_at(batch2.len() / 2);
+    let mut base = digest.value();
+    for batch in [&batch1[..], first, &[], rest] {
+        let (_, delta) = writer.ingest(batch).unwrap();
+        assert_eq!(delta.base_fingerprint, base, "delta {} chains", delta.seq);
+        assert_eq!(delta.patched_fingerprint, hierarchy_fingerprint(writer.hierarchy()));
+
+        let mut forged = delta.clone();
+        forged.patched_fingerprint ^= 1;
+        assert!(apply_delta_to_base(&mut replica, &mut digest, &forged).is_err());
+        assert_eq!(digest.value(), base, "a refused delta advanced the digest");
+        assert_eq!(digest.value(), hierarchy_fingerprint(&replica));
+
+        apply_delta_to_base(&mut replica, &mut digest, &delta).unwrap();
+        assert_eq!(digest.value(), hierarchy_fingerprint(&replica), "delta {}", delta.seq);
+        assert_eq!(digest.value(), delta.patched_fingerprint);
+        base = digest.value();
+    }
+    assert_eq!(bytes_of(&replica), bytes_of(writer.hierarchy()));
+}
+
 #[test]
 fn ingest_then_save_equals_save_then_ingest() {
     let (h, g, batch, _) = trained_base();
@@ -196,22 +229,72 @@ fn ingest_then_save_equals_save_then_ingest() {
     assert_eq!(live, cold, "ingestion must commute with persistence bitwise");
 }
 
+/// The in-place serving patch against `from_hierarchy` on the writer's
+/// hierarchy, after each delta of a chain: once with the default drift
+/// threshold (arrivals only) and once with a tiny one, which re-coarsens
+/// dirty clusters and so moves items between tier-1 children lists.
 #[test]
 fn serve_model_apply_delta_matches_full_rebuild_bitwise() {
+    let seed = 2020;
+    for drift_threshold in [IngestConfig::default().drift_threshold, 1e-6] {
+        let (h, g, batch1, batch2) = trained_base();
+        let mut live = ServeModel::from_hierarchy(h.clone(), seed);
+        let cfg = IngestConfig { drift_threshold, ..IngestConfig::default() };
+        let mut writer = IngestEngine::new(h, g, cfg).unwrap();
+        let mut item_moves = 0;
+        for batch in [&batch1, &batch2] {
+            let (_, delta) = writer.ingest(batch).unwrap();
+            item_moves += delta.item_moves.len();
+            live.apply_delta(&delta).unwrap();
+            let rebuilt = ServeModel::from_hierarchy(writer.hierarchy().clone(), seed);
+            let what = format!("threshold {drift_threshold}, delta {}", delta.seq);
+            assert_same_serving(&live, &rebuilt, &what);
+        }
+        if drift_threshold < 1e-3 {
+            assert!(item_moves > 0, "a tiny threshold moved no item");
+        }
+    }
+}
+
+/// The replica reads a delta's item moves before it patches. A move
+/// past the patched catalogue is refused (exit 4, nothing changed)
+/// rather than indexing out of bounds; an item moved away and back,
+/// which leaves the patched hierarchy and its fingerprint as they were,
+/// is followed through both moves.
+#[test]
+fn serve_replica_reads_untrusted_item_moves_safely() {
     let (base, delta, patched) = ingest_once();
     let seed = 2020;
-    let mut live = ServeModel::from_hierarchy(base, seed);
-    live.apply_delta(&delta).unwrap();
+    let mut live = ServeModel::from_hierarchy(base.clone(), seed);
+    let mut past = delta.clone();
+    past.item_moves.push(((base.num_items() + delta.new_items.len()) as u32, 0));
+    let err = live.apply_delta(&past).unwrap_err();
+    assert_eq!(err.exit_code(), 4, "{err}");
+    assert_eq!(bytes_of(live.hierarchy()), bytes_of(&base));
+
+    let level1 = &base.levels()[0].item_assignment;
+    let home = level1.cluster_of(0);
+    let away = (home + 1) % level1.num_clusters() as u32;
+    let mut round_trip = delta;
+    round_trip.item_moves.splice(0..0, [(0, away), (0, home)]);
+    live.apply_delta(&round_trip).unwrap();
     let rebuilt = ServeModel::from_hierarchy(patched, seed);
+    assert_same_serving(&live, &rebuilt, "item 0 moved away and back");
+}
+
+fn assert_same_serving(live: &ServeModel, rebuilt: &ServeModel, what: &str) {
     assert_eq!(
         live.user_features().data(),
         rebuilt.user_features().data(),
-        "incremental z_u^H differs from rebuild"
+        "incremental z_u^H differs from rebuild ({what})"
     );
-    assert_eq!(live.item_features().data(), rebuilt.item_features().data());
+    assert_eq!(live.item_features().data(), rebuilt.item_features().data(), "{what}");
     for l in 1..=live.num_levels() {
-        assert_eq!(live.children(l), rebuilt.children(l), "children at tier {l}");
-        assert_eq!(live.node_reps(l).data(), rebuilt.node_reps(l).data(), "reps at tier {l}");
+        assert_eq!(live.children(l), rebuilt.children(l), "children at tier {l} ({what})");
+        let bits = |m: &ServeModel| -> Vec<u32> {
+            m.node_reps(l).data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(live), bits(rebuilt), "reps at tier {l} ({what})");
     }
     // And the serving surface agrees bit for bit, old and new users.
     let k = 5.min(live.num_users());
@@ -221,9 +304,39 @@ fn serve_model_apply_delta_matches_full_rebuild_bitwise() {
             let b = rebuilt.top_k(user, k, beam).unwrap();
             let ab: Vec<(u32, u32)> = a.iter().map(|s| (s.item, s.score.to_bits())).collect();
             let bb: Vec<(u32, u32)> = b.iter().map(|s| (s.item, s.score.to_bits())).collect();
-            assert_eq!(ab, bb, "user {user} beam {beam}");
+            assert_eq!(ab, bb, "user {user} beam {beam} ({what})");
         }
     }
+}
+
+/// One edge naming an id billions past the end would ask for a
+/// billion-row CSR offset table and embedding matrix. A batch may add at
+/// most one vertex per edge on each side; past that it is a config
+/// error (exit 2) and nothing changes, while a gap within the bound is
+/// legal.
+#[test]
+fn a_batch_cannot_grow_a_side_past_one_vertex_per_edge() {
+    let (h, g, batch, _) = trained_base();
+    let (old_u, old_i) = (h.num_users() as u32, h.num_items() as u32);
+    let mut writer = IngestEngine::new(h, g, IngestConfig::default()).unwrap();
+    let (before, edges_before) = (bytes_of(writer.hierarchy()), writer.graph().edges().to_vec());
+    let far = [
+        vec![(0, u32::MAX - 1, 1.0)],
+        vec![(u32::MAX - 1, 0, 1.0)],
+        vec![(old_u + 2, 0, 1.0), (old_u, 0, 1.0)],
+    ];
+    for bad in &far {
+        let err = writer.ingest(bad).unwrap_err();
+        assert!(matches!(err, HignnError::Config(_)), "{bad:?}: {err}");
+        assert_eq!(err.exit_code(), 2);
+        assert_eq!(bytes_of(writer.hierarchy()), before, "{bad:?} changed the hierarchy");
+        assert_eq!(writer.graph().edges(), &edges_before[..], "{bad:?} changed the graph");
+        assert_eq!(writer.seq(), 0);
+    }
+    // Two edges may add two vertices per side, one of them a gap.
+    let (report, _) = writer.ingest(&[(old_u + 1, 0, 1.0), (0, old_i + 1, 1.0)]).unwrap();
+    assert_eq!((report.new_users, report.new_items), (2, 2));
+    writer.ingest(&batch).unwrap();
 }
 
 #[test]
