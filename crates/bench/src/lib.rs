@@ -15,8 +15,7 @@
 //! * `fig5_case_study` — Figure 5 (rendered topic tree).
 //! * `ab_taxonomy_ctr` — Section V.D.4 (taxonomy-matched recommendation CTR).
 //! * `topk_eval`, `ablation_quality` — extension experiments.
-//! * `objectives`, `ingest` — quality experiments (objective AUCs,
-//!   streaming staleness gap).
+//! * `ingest` — quality experiment (streaming staleness gap).
 
 #![warn(missing_docs)]
 

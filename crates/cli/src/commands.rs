@@ -30,7 +30,6 @@ USAGE:
   hignn stats    --edges FILE [--lenient]
   hignn train    --edges FILE --out MODEL [--levels 3] [--alpha 5]
                  [--dim 32] [--epochs 4] [--seed 0] [--no-normalize]
-                 [--objective edge|contrastive|cluster]
                  [--threads N] [--checkpoint DIR | --resume DIR] [--lenient]
                  [--metrics FILE.json] [--log-format plain|json]
   hignn info     --model MODEL
@@ -45,13 +44,6 @@ USAGE:
                  [--drift-threshold 0.05] [--no-normalize] [--lenient]
   hignn apply-delta --model MODEL --delta DELTA --out MODEL2
   hignn help
-
-OBJECTIVES:
-  --objective selects the per-level unsupervised loss: `edge` (the
-  paper's Eq. 5 edge reconstruction, default), `contrastive` (InfoNCE
-  cross-level alignment), or `cluster` (edge reconstruction plus a
-  centroid-tightening penalty). The objective is recorded in checkpoint
-  metadata, so --resume refuses to continue under a different one.
 
 THREADS:
   --threads N trains, infers, and clusters on N worker threads
@@ -93,7 +85,7 @@ SERVING:
   (default: all cores; any N is bitwise identical to 1) and reports
   p50/p99 latency, QPS, and recall@k against the exhaustive oracle.
 
-STREAMING (DESIGN.md §14):
+STREAMING (DESIGN.md §13):
   `ingest` appends a batch of new interactions (which may introduce new
   users and items — ids unseen in --base-edges declare new vertices) to
   a trained model without retraining: new vertices get inductive
@@ -169,7 +161,7 @@ fn stats(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
 
 fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
     usage(opts.assert_known(&[
-        "edges", "out", "levels", "alpha", "dim", "epochs", "seed", "no-normalize", "objective",
+        "edges", "out", "levels", "alpha", "dim", "epochs", "seed", "no-normalize",
         "threads", "checkpoint", "resume", "lenient", "fault", "metrics", "log-format",
     ]))?;
     let model_path = usage(opts.require("out"))?.to_string();
@@ -180,10 +172,6 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
     let seed: u64 = usage(opts.get_or("seed", 0))?;
     let default_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let threads: usize = usage(opts.get_or("threads", default_threads))?;
-    let objective = match opts.get("objective") {
-        Some(token) => ObjectiveSpec::parse(token).map_err(HignnError::Config)?,
-        None => ObjectiveSpec::default(),
-    };
 
     // Crash-safety options. `--resume DIR` implies checkpointing to DIR.
     let (ckpt_dir, resume) = match (opts.get("resume"), opts.get("checkpoint")) {
@@ -232,7 +220,6 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
         // Text edge lists carry no vertex features; use trainable random
         // tables (the featureless-graph treatment, see DESIGN.md §6).
         .trainable_features(true)
-        .objective(objective)
         .alpha_decay(alpha)
         .kmeans(KMeansAlgo::Lloyd)
         .normalize(!opts.flag("no-normalize"))
@@ -787,26 +774,17 @@ mod tests {
     }
 
     #[test]
-    fn bad_objective_is_a_usage_error() {
-        let (res, _) = run_args(&[
-            "train", "--edges", "e.tsv", "--out", "m.hgh", "--objective", "sideways",
-        ]);
-        let err = res.unwrap_err();
-        assert_eq!(err.exit_code(), 2, "--objective sideways must exit 2: {err}");
-        assert!(err.to_string().contains("objective"), "{err}");
-        assert!(err.to_string().contains("contrastive"), "should list valid tokens: {err}");
-    }
-
-    #[test]
     fn removed_math_flag_is_an_unknown_option() {
-        // Spelled in two pieces so a tree-wide grep for the removed flag
+        // Spelled in two pieces so a tree-wide grep for the removed flags
         // stays empty.
         let flag = ["--", "math"].concat();
+        let objective = ["--", "objective"].concat();
         let train = ["train", "--edges", "e.tsv", "--out", "m.hgh", &flag, "bitwise"];
         let topk = ["topk", "--model", "m.hgh", "--user", "0", &flag, "bitwise"];
-        // The removed divergence, deadline and retry knobs, each with a
-        // value that was once valid.
+        // The removed objective, divergence, deadline and retry knobs,
+        // each with a value that was once valid.
         let removed = [
+            (objective.as_str(), "edge"),
             ("--on-divergence", "rollback"),
             ("--deadline-secs", "60"),
             ("--max-retries", "3"),
@@ -821,50 +799,6 @@ mod tests {
             assert_eq!(err.exit_code(), 2, "{flag} on `{}` must exit 2: {err}", args[0]);
             assert!(err.to_string().contains(&format!("unknown option {flag}")), "{err}");
         }
-    }
-
-    #[test]
-    fn resume_with_different_objective_is_refused() {
-        let edges = temp_path("obj_edges.tsv");
-        let model = temp_path("obj_model.hgh");
-        let ckpt = temp_path("obj_ckpt");
-        let edges_s = edges.to_str().unwrap();
-        let ckpt_s = ckpt.to_str().unwrap();
-
-        let (res, _) = run_args(&["generate", "--out", edges_s, "--scale", "0.04", "--seed", "9"]);
-        assert!(res.is_ok(), "{res:?}");
-        let base = [
-            "train", "--edges", edges_s, "--out", model.to_str().unwrap(), "--levels", "2",
-            "--dim", "8", "--epochs", "1", "--alpha", "6", "--seed", "3",
-        ];
-        // Checkpoint one level under the default (edge) objective, crash.
-        let mut crash = base.to_vec();
-        crash.extend(["--checkpoint", ckpt_s, "--fault", "crash-after-level=1"]);
-        let (res, _) = run_args(&crash);
-        assert_eq!(res.unwrap_err().exit_code(), 6);
-
-        // Resuming under a different objective must be refused with a
-        // structured error naming both objectives, not a bare
-        // fingerprint mismatch.
-        let mut resume = base.to_vec();
-        resume.extend(["--resume", ckpt_s, "--objective", "contrastive"]);
-        let (res, _) = run_args(&resume);
-        let err = res.unwrap_err();
-        assert_eq!(err.exit_code(), 2, "objective mismatch is a config error: {err}");
-        let msg = err.to_string();
-        assert!(msg.contains("objective"), "{msg}");
-        assert!(msg.contains("`edge`") && msg.contains("`contrastive`"), "{msg}");
-
-        // The matching objective still resumes fine.
-        let mut ok = base.to_vec();
-        ok.extend(["--resume", ckpt_s, "--objective", "edge"]);
-        let (res, text) = run_args(&ok);
-        assert!(res.is_ok(), "{res:?}");
-        assert!(text.contains("resuming from checkpoint: 1/2"), "{text}");
-
-        let _ = std::fs::remove_file(edges);
-        let _ = std::fs::remove_file(model);
-        let _ = std::fs::remove_dir_all(&ckpt);
     }
 
     #[test]

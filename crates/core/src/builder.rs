@@ -45,7 +45,6 @@ use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{CheckpointStore, FaultPlan};
 use crate::error::HignnError;
-use crate::objective::ObjectiveSpec;
 use crate::sage::{Aggregator, BipartiteSageConfig};
 use crate::stack::{
     build_hierarchy_with, BuildOptions, ClusterCounts, Hierarchy, HignnConfig, KMeansAlgo,
@@ -184,14 +183,6 @@ impl HignnBuilder {
         self
     }
 
-    /// Training objective (default: Eq. 5 edge reconstruction). The
-    /// choice is recorded in checkpoint metadata, so a resumed run must
-    /// use the same objective.
-    pub fn objective(mut self, objective: ObjectiveSpec) -> Self {
-        self.cfg.train.objective = objective;
-        self
-    }
-
     /// Replaces the whole training sub-config at once.
     pub fn train_config(mut self, train: SageTrainConfig) -> Self {
         self.cfg.train = train;
@@ -283,23 +274,6 @@ impl HignnBuilder {
         }
         if self.cfg.train.grad_shards == 0 {
             return err("grad_shards must be at least 1".into());
-        }
-        match self.cfg.train.objective {
-            ObjectiveSpec::EdgeReconstruction => {}
-            ObjectiveSpec::HierarchicalContrastive { temperature } => {
-                if !(temperature.is_finite() && temperature > 0.0) {
-                    return err(format!(
-                        "contrastive temperature must be finite and positive, got {temperature}"
-                    ));
-                }
-            }
-            ObjectiveSpec::ClusterConstraint { lambda } => {
-                if !(lambda.is_finite() && lambda >= 0.0) {
-                    return err(format!(
-                        "cluster-constraint lambda must be finite and non-negative, got {lambda}"
-                    ));
-                }
-            }
         }
         match &self.cfg.cluster_counts {
             ClusterCounts::AlphaDecay { alpha } => {
@@ -450,15 +424,6 @@ mod tests {
             (small_builder().learning_rate(f32::NAN), "learning rate"),
             (small_builder().learning_rate(-1.0), "learning rate"),
             (small_builder().grad_shards(0), "grad_shards"),
-            (
-                small_builder()
-                    .objective(ObjectiveSpec::HierarchicalContrastive { temperature: f32::NAN }),
-                "temperature",
-            ),
-            (
-                small_builder().objective(ObjectiveSpec::ClusterConstraint { lambda: -1.0 }),
-                "lambda",
-            ),
             (small_builder().alpha_decay(1.0), "alpha"),
             (small_builder().fixed_counts(vec![]), "cluster counts"),
             (small_builder().ch_select(vec![]), "divisor"),
@@ -486,20 +451,5 @@ mod tests {
             assert_eq!(l1.user_assignment.as_slice(), l4.user_assignment.as_slice());
             assert_eq!(l1.item_assignment.as_slice(), l4.item_assignment.as_slice());
         }
-    }
-
-    #[test]
-    fn objective_selection_reaches_the_spec() {
-        let spec = small_builder()
-            .objective(ObjectiveSpec::ClusterConstraint { lambda: 0.25 })
-            .build()
-            .unwrap();
-        assert_eq!(
-            spec.config().train.objective,
-            ObjectiveSpec::ClusterConstraint { lambda: 0.25 }
-        );
-        // Default stays edge reconstruction.
-        let spec = small_builder().build().unwrap();
-        assert_eq!(spec.config().train.objective, ObjectiveSpec::EdgeReconstruction);
     }
 }

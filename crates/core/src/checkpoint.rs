@@ -9,18 +9,18 @@
 //! <dir>/meta.hgck      := "HGCK" u32(version=5) section(meta)
 //! meta                 := u64(fingerprint) u64(seed)
 //!                         u64(levels_total) u64(levels_done)
-//!                         u64(threads) u64(objective) u64(0)
+//!                         u64(threads) u64(0) u64(0)
 //!                         metrics_snapshot
 //! <dir>/level_NN.hgcl  := "HGCL" u32(version=5) section(level)
 //! ```
 //!
-//! `objective` is load-bearing: resuming under another loss would
-//! splice two hierarchies into one, so [`CheckpointStore::load_state`]
-//! refuses a mismatch with a config error naming both sides. The
-//! seventh word is always `0`: it once named the math tier, and `1`
-//! marked the removed fast-math tier. There is one numeric contract
-//! now, so [`CheckpointStore::read_meta`] refuses any other value with
-//! a config error (exit 2). `threads` and the
+//! The sixth and seventh words are reserved and always `0`. The sixth
+//! once named the training objective, with `1` and `2` for the removed
+//! contrastive and cluster-constraint losses; the seventh once named the
+//! math tier, with `1` for the removed fast-math tier. Eq. 5 is the one
+//! loss and there is one numeric contract now, so
+//! [`CheckpointStore::read_meta`] refuses any other value in either word
+//! with a config error (exit 2). `threads` and the
 //! [`hignn_obs::MetricsSnapshot`] (the observability counters at
 //! checkpoint time, so a resumed run continues them) are provenance
 //! only: they never enter the fingerprint and cannot change the resumed
@@ -75,11 +75,6 @@ pub struct CheckpointMeta {
     /// only — resuming at a different thread count is fully supported
     /// and yields identical bytes).
     pub threads: u64,
-    /// Stable id of the training objective the run used
-    /// ([`crate::objective::ObjectiveKind::id`]). Load-bearing:
-    /// [`CheckpointStore::load_state`] refuses to resume under a
-    /// different objective.
-    pub objective: u64,
 }
 
 /// A directory of per-level training checkpoints.
@@ -130,7 +125,7 @@ impl CheckpointStore {
             meta.levels_total,
             meta.levels_done,
             meta.threads,
-            meta.objective,
+            0,
             0,
         ] {
             payload.extend_from_slice(&word.to_le_bytes());
@@ -140,8 +135,10 @@ impl CheckpointStore {
     }
 
     /// Reads and validates the meta record and its embedded metrics
-    /// snapshot. A seventh word other than `0` (a run written under the
-    /// removed fast-math tier) is a config error, exit 2.
+    /// snapshot. A sixth word other than `0` (a run trained under a
+    /// removed objective) or a seventh word other than `0` (a run
+    /// written under the removed fast-math tier) is a config error,
+    /// exit 2.
     pub fn read_meta(&self) -> Result<(CheckpointMeta, MetricsSnapshot), HignnError> {
         let path = self.meta_path();
         let bytes = fs::read(&path).map_err(|e| HignnError::io_path(&path, e))?;
@@ -163,7 +160,6 @@ impl CheckpointStore {
             levels_total: word(2),
             levels_done: word(3),
             threads: word(4),
-            objective: word(5),
         };
         if meta.levels_done > meta.levels_total {
             return Err(corrupt(format!(
@@ -173,6 +169,15 @@ impl CheckpointStore {
         }
         let snapshot = MetricsSnapshot::decode(&payload[META_FIXED_LEN..])
             .map_err(|e| corrupt(format!("bad metrics snapshot: {e}")))?;
+        if word(5) != 0 {
+            return Err(HignnError::Config(format!(
+                "checkpoint in {} was trained under a removed objective (objective word {}: \
+                 1 was `contrastive`, 2 was `cluster`); this build trains only the Eq. 5 \
+                 edge loss and cannot resume it",
+                self.dir.display(),
+                word(5),
+            )));
+        }
         if word(6) != 0 {
             return Err(HignnError::Config(format!(
                 "checkpoint in {} was written under the removed fast-math tier (math word \
@@ -200,15 +205,8 @@ impl CheckpointStore {
     }
 
     /// Loads the resumable state for a run with the given inputs:
-    /// validates the meta record against `expected_objective` (the
-    /// current run's [`crate::objective::ObjectiveKind::id`]),
-    /// `expected_fingerprint`, and `levels_total`, then loads every
-    /// completed level.
-    ///
-    /// The objective check runs before the fingerprint: a mismatched
-    /// objective also fails the fingerprint (it is part of the config),
-    /// but checking it separately yields an error that names the two
-    /// objectives instead of a bare fingerprint diff.
+    /// validates the meta record against `expected_fingerprint` and
+    /// `levels_total`, then loads every completed level.
     ///
     /// When metrics are enabled, the meta record's snapshot counters
     /// are added into the global registry so the resumed run's report
@@ -218,22 +216,8 @@ impl CheckpointStore {
         &self,
         expected_fingerprint: u64,
         levels_total: usize,
-        expected_objective: u64,
     ) -> Result<(CheckpointMeta, Vec<Level>), HignnError> {
         let (meta, snapshot) = self.read_meta()?;
-        if meta.objective != expected_objective {
-            let describe = |id: u64| match crate::objective::ObjectiveKind::from_id(id) {
-                Some(kind) => format!("`{}`", kind.name()),
-                None => format!("unknown objective id {id}"),
-            };
-            return Err(HignnError::Config(format!(
-                "checkpoint in {} was trained with objective {} but the current run uses \
-                 objective {}; refusing to resume (a hierarchy must be built under one loss)",
-                self.dir.display(),
-                describe(meta.objective),
-                describe(expected_objective),
-            )));
-        }
         if meta.fingerprint != expected_fingerprint {
             return Err(HignnError::Config(format!(
                 "checkpoint in {} was written for different inputs \
@@ -428,7 +412,6 @@ mod tests {
             levels_total: 3,
             levels_done: 1,
             threads: 4,
-            objective: 2,
         };
         store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
         assert!(store.has_meta());
@@ -454,7 +437,6 @@ mod tests {
             levels_total: 2,
             levels_done: 2,
             threads: 1,
-            objective: 1,
         };
         let snap = MetricsSnapshot {
             counters: vec![("train.batches".into(), 120), ("train.epochs".into(), 6)],
@@ -464,33 +446,60 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn load_state_refuses_objective_mismatch_before_fingerprint() {
-        let dir = std::env::temp_dir().join(format!("hignn_ckpt_obj_{}", std::process::id()));
-        let store = CheckpointStore::create(&dir).unwrap();
-        let meta = CheckpointMeta {
-            fingerprint: 0x1111,
+    /// Hand-writes a meta record whose seven fixed words are `words`.
+    fn write_raw_meta(dir: &Path, words: [u64; 7]) {
+        let mut payload = Vec::with_capacity(META_FIXED_LEN + 4);
+        for w in words {
+            payload.extend_from_slice(&w.to_le_bytes());
+        }
+        payload.extend_from_slice(&MetricsSnapshot::default().encode());
+        write_record(&dir.join("meta.hgck"), &META, &payload).unwrap();
+    }
+
+    /// Asserts that `store` refuses to resume with a config error whose
+    /// message contains `needle`, leaving the directory byte-identical
+    /// with no file added. The fingerprint passed is wrong too, so the
+    /// refusal must come before the fingerprint check.
+    fn assert_refused_untouched(store: &CheckpointStore, needle: &str) {
+        let dir = store.dir();
+        let before = std::fs::read(dir.join("meta.hgck")).unwrap();
+        let err = store.load_state(0x4444, 2).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "expected a config error: {err}");
+        assert!(err.to_string().contains(needle), "{err} should mention {needle:?}");
+        let after = std::fs::read(dir.join("meta.hgck")).unwrap();
+        assert_eq!(before, after, "a refused resume must not touch the directory");
+        assert_eq!(std::fs::read_dir(dir).unwrap().count(), 1, "no file was added");
+    }
+
+    /// With every reserved word back at 0, a wrong fingerprint is
+    /// refused and the right one resumes.
+    fn assert_zero_words_resume(store: &CheckpointStore) {
+        write_raw_meta(store.dir(), [0x3333, 1, 2, 0, 1, 0, 0]);
+        let err = store.load_state(0x4444, 2).unwrap_err();
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+        let (got, levels) = store.load_state(0x3333, 2).unwrap();
+        let want = CheckpointMeta {
+            fingerprint: 0x3333,
             seed: 1,
             levels_total: 2,
             levels_done: 0,
             threads: 1,
-            objective: 0,
         };
-        store.write_meta(&meta, &MetricsSnapshot::default()).unwrap();
-        // Wrong objective AND wrong fingerprint: the objective error
-        // must win, naming both losses.
-        let err = store.load_state(0x2222, 2, 1).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "objective mismatch is a config error: {err}");
-        let msg = err.to_string();
-        assert!(msg.contains("objective"), "{msg}");
-        assert!(msg.contains("`edge`") && msg.contains("`contrastive`"), "{msg}");
-        // Matching objective falls through to the fingerprint check.
-        let err = store.load_state(0x2222, 2, 0).unwrap_err();
-        assert!(err.to_string().contains("fingerprint"), "{err}");
-        // Everything matching loads (no levels done, so no level files).
-        let (got, levels) = store.load_state(0x1111, 2, 0).unwrap();
-        assert_eq!(got, meta);
+        assert_eq!(got, want);
         assert!(levels.is_empty());
+    }
+
+    #[test]
+    fn load_state_refuses_removed_objective_word_before_fingerprint() {
+        let dir = std::env::temp_dir().join(format!("hignn_ckpt_obj_{}", std::process::id()));
+        let store = CheckpointStore::create(&dir).unwrap();
+        // Metas as the removed contrastive (1) and cluster (2) objectives
+        // wrote them: sixth word 1 or 2.
+        for removed in [1, 2] {
+            write_raw_meta(&dir, [0x3333, 1, 2, 0, 1, removed, 0]);
+            assert_refused_untouched(&store, "removed objective");
+        }
+        assert_zero_words_resume(&store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -499,38 +508,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hignn_ckpt_math_{}", std::process::id()));
         let store = CheckpointStore::create(&dir).unwrap();
         // A meta as the removed fast-math tier wrote it: seventh word 1.
-        let write_meta_word = |math: u64| {
-            let mut payload = Vec::with_capacity(META_FIXED_LEN + 4);
-            for w in [0x3333u64, 1, 2, 0, 1, 0, math] {
-                payload.extend_from_slice(&w.to_le_bytes());
-            }
-            payload.extend_from_slice(&MetricsSnapshot::default().encode());
-            write_record(&dir.join("meta.hgck"), &META, &payload).unwrap();
-        };
-        write_meta_word(1);
-        let before = std::fs::read(dir.join("meta.hgck")).unwrap();
-        // Matching objective, wrong fingerprint: the tier refusal wins.
-        let err = store.load_state(0x4444, 2, 0).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "a fast-math checkpoint is a config error: {err}");
-        assert!(err.to_string().contains("removed fast-math tier"), "{err}");
-        let after = std::fs::read(dir.join("meta.hgck")).unwrap();
-        assert_eq!(before, after, "a refused resume must not touch the directory");
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no file was added");
-        // Word 0 falls through to the fingerprint check, and resumes.
-        write_meta_word(0);
-        let err = store.load_state(0x4444, 2, 0).unwrap_err();
-        assert!(err.to_string().contains("fingerprint"), "{err}");
-        let (got, levels) = store.load_state(0x3333, 2, 0).unwrap();
-        let want = CheckpointMeta {
-            fingerprint: 0x3333,
-            seed: 1,
-            levels_total: 2,
-            levels_done: 0,
-            threads: 1,
-            objective: 0,
-        };
-        assert_eq!(got, want);
-        assert!(levels.is_empty());
+        write_raw_meta(&dir, [0x3333, 1, 2, 0, 1, 0, 1]);
+        assert_refused_untouched(&store, "removed fast-math tier");
+        assert_zero_words_resume(&store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -81,7 +81,6 @@ mod fingerprint;
 pub mod ingest;
 pub mod io;
 pub mod model;
-pub mod objective;
 pub mod predictor;
 pub mod recommend;
 pub mod sage;
@@ -98,10 +97,6 @@ pub mod prelude {
         apply_delta, hierarchy_fingerprint, load_delta, read_delta_bytes, save_delta, write_delta,
         HierarchyDelta, IngestConfig, IngestEngine, IngestReport, NodeArrival,
     };
-    pub use crate::objective::{
-        ClusterConstraint, EdgeReconstruction, HierarchicalContrastive, Objective, ObjectiveCtx,
-        ObjectiveKind, ObjectiveSpec, ShardBatch,
-    };
     pub use crate::predictor::{CvrPredictor, FeatureBlocks, PredictorConfig, Sample};
     pub use crate::sage::{Aggregator, BipartiteSage, BipartiteSageConfig};
     pub use crate::stack::{
@@ -112,8 +107,7 @@ pub mod prelude {
     pub use crate::model::HignnModel;
     pub use crate::recommend::{evaluate_top_k, recommend_top_k, TopKReport};
     pub use crate::trainer::{
-        train_unsupervised, train_unsupervised_checked, train_with_objective, SageTrainConfig,
-        TrainError, TrainedSage,
+        train_unsupervised, train_unsupervised_checked, SageTrainConfig, TrainError, TrainedSage,
     };
     pub use hignn_tensor::ParallelExecutor;
 }

@@ -566,7 +566,6 @@ pub fn build_hierarchy_with(
             levels_total: cfg.levels as u64,
             levels_done: levels_done as u64,
             threads: opts.threads.max(1) as u64,
-            objective: cfg.train.objective.kind().id(),
         };
         let snapshot = if hignn_obs::enabled() {
             hignn_obs::global().snapshot()
@@ -578,8 +577,7 @@ pub fn build_hierarchy_with(
     let mut levels: Vec<Level> = Vec::with_capacity(cfg.levels);
     if let Some(store) = opts.checkpoint {
         if opts.resume {
-            let (_meta, loaded) =
-                store.load_state(fingerprint, cfg.levels, cfg.train.objective.kind().id())?;
+            let (_meta, loaded) = store.load_state(fingerprint, cfg.levels)?;
             levels = loaded;
             if hignn_obs::log_enabled() {
                 hignn_obs::log_event(

@@ -14,7 +14,7 @@ use crate::stack::{build_hierarchy, Hierarchy, HignnConfig};
 use hignn_graph::{BipartiteGraph, Side};
 use hignn_text::Bm25Index;
 use hignn_tensor::Matrix;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Configuration of taxonomy construction.
@@ -150,7 +150,7 @@ impl Taxonomy {
 
 /// The topic holding most of a query's click mass (ties: smaller topic
 /// id). A NaN mass never wins.
-fn strongest_topic(clicks: &HashMap<usize, f64>) -> Option<usize> {
+fn strongest_topic(clicks: &BTreeMap<usize, f64>) -> Option<usize> {
     clicks
         .iter()
         .max_by(|a, b| b.1.is_nan().cmp(&a.1.is_nan()).then(a.1.total_cmp(b.1)).then(b.0.cmp(a.0)))
@@ -197,8 +197,8 @@ pub fn build_taxonomy(
             items[assignment.cluster_of(i) as usize].push(i as u32);
         }
         // Click mass per (query, topic).
-        let mut query_topic_clicks: Vec<HashMap<usize, f64>> =
-            vec![HashMap::new(); graph.num_left()];
+        let mut query_topic_clicks: Vec<BTreeMap<usize, f64>> =
+            vec![BTreeMap::new(); graph.num_left()];
         let mut topic_clicks = vec![0f64; k];
         for &(q, i, w) in graph.edges() {
             let t = assignment.cluster_of(i as usize) as usize;
@@ -234,7 +234,8 @@ pub fn build_taxonomy(
                 let pop = (1.0 + mass).ln() / (1.0 + topic_clicks[t]).ln().max(1e-9);
                 let rel_t = bm25.score(&query_tokens[q], t).min(cfg.max_relevance);
                 // Softmax concentration (Eq. 16) over the topics the query
-                // actually reaches plus t itself.
+                // actually reaches plus t itself, summed in ascending topic
+                // id so the f64 total is the same in every process.
                 let mut denom = 1.0f64;
                 for &other in clicks.keys() {
                     denom += bm25.score(&query_tokens[q], other).min(cfg.max_relevance).exp();
@@ -356,9 +357,9 @@ mod tests {
 
     #[test]
     fn strongest_topic_ignores_nan_mass_and_breaks_ties_low() {
-        let clicks = HashMap::from([(0, f64::NAN), (1, 2.0), (2, 2.0), (3, -f64::NAN)]);
+        let clicks = BTreeMap::from([(0, f64::NAN), (1, 2.0), (2, 2.0), (3, -f64::NAN)]);
         assert_eq!(strongest_topic(&clicks), Some(1));
-        assert_eq!(strongest_topic(&HashMap::new()), None);
+        assert_eq!(strongest_topic(&BTreeMap::new()), None);
         // The description ranking applies the same policy to NaN scores.
         let scored = vec![(f64::NAN, 0), (0.25, 3), (0.25, 2), (-f64::NAN, 1), (0.81, 4)];
         assert_eq!(rank_descriptions(scored.clone(), 3), vec![4, 2, 3]);

@@ -19,16 +19,6 @@
 //! paired with positives by row gathering, which keeps the per-batch cost
 //! at ~2x the positive-only cost instead of `(Q_u + Q_i)`x.
 //!
-//! ## Pluggable objectives
-//!
-//! The loss itself is no longer hard-wired: what happens inside one
-//! shard's tape is delegated to a [`crate::objective::Objective`]
-//! selected by [`SageTrainConfig::objective`] (Eq. 5 edge reconstruction
-//! by default). This module owns the substrate — shuffling, batching,
-//! gradient sharding, RNG streams, workspace pooling, the optimizer and
-//! the per-epoch finiteness check — and [`train_with_objective`] is the
-//! generic entry point the convenience wrappers delegate to.
-//!
 //! ## Data-parallel execution
 //!
 //! Each minibatch is split into [`SageTrainConfig::grad_shards`] logical
@@ -38,22 +28,24 @@
 //! [`Tape`] with a shard-local RNG seeded from
 //! `(seed, epoch, batch, shard)`, and the per-shard gradients are
 //! combined by [`hignn_tensor::parallel::reduce_gradients`] in a fixed
-//! tree order before a single optimizer step. Because the decomposition
-//! and every RNG stream depend only on the configuration — never on the
-//! worker count — an N-thread run is bit-identical to a 1-thread run.
+//! tree order before a single optimizer step. A shard's Eq. 5 pass draws
+//! only from its `(seed, epoch, batch, shard)` RNG and builds its tape
+//! ops in one fixed order. Because the decomposition and every RNG stream
+//! depend only on the configuration — never on the worker count — an
+//! N-thread run is bit-identical to a 1-thread run.
 //! There is one numeric tier: every kernel the tape and the optimizer
 //! call has the naive oracle's bits (no FMA; DESIGN.md §9).
 
-use crate::objective::{Objective, ObjectiveCtx, ObjectiveSpec, ShardBatch};
-use crate::sage::{with_null_row, BipartiteSage, BipartiteSageConfig};
-use hignn_graph::BipartiteGraph;
+use crate::sage::{with_null_row, BipartiteSage, BipartiteSageConfig, FeatureSource};
+use hignn_graph::{BipartiteGraph, NegativeSampler, Side};
 use hignn_obs as obs;
 use hignn_tensor::nn::{Activation, Mlp};
 use hignn_tensor::optim::{Adam, Optimizer};
 use hignn_tensor::parallel::{reduce_gradients, ParallelExecutor};
-use hignn_tensor::{Gradients, Matrix, ParamStore, Tape, Workspace};
+use hignn_tensor::{Gradients, Matrix, ParamStore, Tape, Var, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Hyper-parameters for unsupervised GraphSAGE training.
@@ -94,9 +86,6 @@ pub struct SageTrainConfig {
     /// changes results, while changing the worker count does not. The
     /// executor runs up to this many shards concurrently.
     pub grad_shards: usize,
-    /// Which loss trains the level. [`ObjectiveSpec::EdgeReconstruction`]
-    /// (the paper's Eq. 5) by default; see [`crate::objective`].
-    pub objective: ObjectiveSpec,
 }
 
 impl Default for SageTrainConfig {
@@ -113,7 +102,6 @@ impl Default for SageTrainConfig {
             scorer_hidden: vec![64],
             trainable_features: false,
             grad_shards: 8,
-            objective: ObjectiveSpec::EdgeReconstruction,
         }
     }
 }
@@ -274,22 +262,114 @@ pub fn train_unsupervised(
     .expect("train_unsupervised: training diverged")
 }
 
-/// Forward/backward for one shard of a minibatch on a private tape,
-/// with the loss composition delegated to `objective`.
+/// What every shard of one minibatch reads, shared immutably across
+/// workers.
+struct BatchCtx<'a> {
+    store: &'a ParamStore,
+    sage: &'a BipartiteSage,
+    scorer: &'a Mlp,
+    graph: &'a BipartiteGraph,
+    user_src: FeatureSource<'a>,
+    item_src: FeatureSource<'a>,
+    cfg: &'a SageTrainConfig,
+    /// Degree-biased `P_n(u)`, built once per run.
+    neg_user_sampler: &'a NegativeSampler,
+    /// Degree-biased `P_n(i)`, built once per run.
+    neg_item_sampler: &'a NegativeSampler,
+    /// User endpoint of each positive edge.
+    users: &'a [usize],
+    /// Item endpoint of each positive edge.
+    items: &'a [usize],
+    /// Transformed positive edge weights `ln(1 + S(u,i))`.
+    weights: &'a [f32],
+    /// Batch-wide negative-pair weight `γ` (identical across shards of a
+    /// batch regardless of decomposition).
+    gamma: f32,
+}
+
+/// Pairs every positive row with `q` pool draws: returns parallel
+/// `(pool_idx, pos_idx)` index vectors of length `n * q`.
+fn gather_pairs(n: usize, q: usize, pool: usize, rng: &mut StdRng) -> (Vec<usize>, Vec<usize>) {
+    let mut pool_idx = Vec::with_capacity(n * q);
+    let mut pos_idx = Vec::with_capacity(n * q);
+    for k in 0..n {
+        for _ in 0..q {
+            pool_idx.push(rng.gen_range(0..pool));
+            pos_idx.push(k);
+        }
+    }
+    (pool_idx, pos_idx)
+}
+
+/// Builds the Eq. 5 loss of the positive edges `shard` on `tape`.
 ///
-/// Returns the shard's loss and gradients, both already scaled by
-/// `weight` (= shard rows / batch rows), so the caller just sums losses
-/// and tree-reduces gradients in shard order.
+/// The draw and op order is fixed: sample the negative user pool, then
+/// the negative item pool; embed positive users, positive items,
+/// negative users, negative items; score the positives; pair and score
+/// the negative users, then the negative items.
+fn eq5_shard_loss(
+    ctx: &BatchCtx<'_>,
+    tape: &mut Tape<'_>,
+    shard: Range<usize>,
+    rng: &mut StdRng,
+) -> Var {
+    let cfg = ctx.cfg;
+    let (users, items) = (&ctx.users[shard.clone()], &ctx.items[shard.clone()]);
+    let n = users.len();
+    let pool = cfg.neg_pool.max(cfg.neg_users.max(cfg.neg_items));
+    let neg_users: Vec<usize> = ctx.neg_user_sampler.sample_many(pool, rng);
+    let neg_items: Vec<usize> = ctx.neg_item_sampler.sample_many(pool, rng);
+
+    let (graph, us, is) = (ctx.graph, ctx.user_src, ctx.item_src);
+    let zu = ctx.sage.embed_batch_src(tape, graph, Side::Left, users, us, is, rng);
+    let zi = ctx.sage.embed_batch_src(tape, graph, Side::Right, items, us, is, rng);
+    let zun = ctx.sage.embed_batch_src(tape, graph, Side::Left, &neg_users, us, is, rng);
+    let zin = ctx.sage.embed_batch_src(tape, graph, Side::Right, &neg_items, us, is, rng);
+
+    // Positive scores.
+    let w_col = tape.input(Matrix::column_vector(&ctx.weights[shard]));
+    let pos_in = tape.concat_cols(&[zu, zi, w_col]);
+    let pos_logits = ctx.scorer.forward(tape, pos_in);
+    let pos_loss = tape.bce_with_logits(pos_logits, &vec![1.0f32; n]);
+
+    // Negative pairs: each positive edge's vertex against Q pool draws.
+    let (pool_idx, pos_idx) = gather_pairs(n, cfg.neg_users, pool, rng);
+    let zun_g = tape.gather_rows(zun, &pool_idx);
+    let zi_g = tape.gather_rows(zi, &pos_idx);
+    let g_col = tape.input(Matrix::full(pool_idx.len(), 1, ctx.gamma));
+    let negu_in = tape.concat_cols(&[zun_g, zi_g, g_col]);
+    let negu_logits = ctx.scorer.forward(tape, negu_in);
+    let negu_loss = tape.bce_with_logits(negu_logits, &vec![0.0f32; pool_idx.len()]);
+
+    let (pool_idx, pos_idx) = gather_pairs(n, cfg.neg_items, pool, rng);
+    let zin_g = tape.gather_rows(zin, &pool_idx);
+    let zu_g = tape.gather_rows(zu, &pos_idx);
+    let g_col = tape.input(Matrix::full(pool_idx.len(), 1, ctx.gamma));
+    let negi_in = tape.concat_cols(&[zu_g, zin_g, g_col]);
+    let negi_logits = ctx.scorer.forward(tape, negi_in);
+    let negi_loss = tape.bce_with_logits(negi_logits, &vec![0.0f32; pool_idx.len()]);
+
+    // J = pos + Q_u * E[neg_u] + Q_i * E[neg_i].
+    let negu_scaled = tape.scale(negu_loss, cfg.neg_users as f32);
+    let negi_scaled = tape.scale(negi_loss, cfg.neg_items as f32);
+    let loss = tape.add(pos_loss, negu_scaled);
+    tape.add(loss, negi_scaled)
+}
+
+/// Forward/backward for one shard of a minibatch on a private tape.
+///
+/// Returns the shard's loss and gradients, both already scaled by the
+/// shard's share of the batch rows, so the caller just sums losses and
+/// tree-reduces gradients in shard order.
 fn shard_pass(
-    ctx: &ObjectiveCtx<'_>,
-    objective: &dyn Objective,
+    ctx: &BatchCtx<'_>,
     ws: &Workspace,
-    batch: &ShardBatch<'_>,
-    weight: f32,
+    shard: Range<usize>,
     rng: &mut StdRng,
 ) -> (f32, Gradients) {
+    let weight = shard.len() as f32 / ctx.users.len() as f32;
     let mut tape = Tape::with_workspace(ctx.store, ws);
-    let loss = objective.shard_loss(ctx, &mut tape, batch, rng);
+    let loss = eq5_shard_loss(ctx, &mut tape, shard, rng);
     let loss_val = tape.scalar(loss);
     let mut grads = tape.backward(loss);
     // Hand every node buffer back to the shard's workspace so the next
@@ -302,8 +382,7 @@ fn shard_pass(
 /// Like [`train_unsupervised`], but with an explicit executor, the
 /// non-finite check returned as [`TrainError::NonFinite`], and an
 /// optional simulated crash after the 0-based epoch `crash_after_epoch`
-/// (fault injection, [`TrainError::Injected`]). The loss is
-/// instantiated from [`SageTrainConfig::objective`].
+/// (fault injection, [`TrainError::Injected`]).
 ///
 /// `exec` controls only physical concurrency: any worker count yields
 /// bit-identical parameters (see the module docs for why).
@@ -319,39 +398,8 @@ pub fn train_unsupervised_checked(
     crash_after_epoch: Option<usize>,
 ) -> Result<TrainedSage, TrainError> {
     assert!(graph.num_edges() > 0, "train_unsupervised: graph has no edges");
-    let objective = cfg.objective.instantiate(graph);
-    train_with_objective(
-        graph,
-        user_feats,
-        item_feats,
-        sage_cfg,
-        cfg,
-        objective.as_ref(),
-        seed,
-        exec,
-        crash_after_epoch,
-    )
-}
-
-/// The generic training substrate: trains one bipartite GraphSAGE level
-/// under an explicit [`Objective`]. [`train_unsupervised`] and
-/// [`train_unsupervised_checked`] delegate here after instantiating the
-/// configured objective; callers with a custom `Objective` impl call
-/// this directly.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_objective(
-    graph: &BipartiteGraph,
-    user_feats: &Matrix,
-    item_feats: &Matrix,
-    sage_cfg: BipartiteSageConfig,
-    cfg: &SageTrainConfig,
-    objective: &dyn Objective,
-    seed: u64,
-    exec: &ParallelExecutor,
-    crash_after_epoch: Option<usize>,
-) -> Result<TrainedSage, TrainError> {
-    assert!(graph.num_edges() > 0, "train_unsupervised: graph has no edges");
-    let kind = objective.kind();
+    let neg_user_sampler = NegativeSampler::degree_biased(graph, Side::Left);
+    let neg_item_sampler = NegativeSampler::degree_biased(graph, Side::Right);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
     let sage = BipartiteSage::new(&mut store, "sage", sage_cfg, &mut rng);
@@ -369,12 +417,12 @@ pub fn train_with_objective(
         None
     };
     let user_src = match feature_params {
-        Some((u, _)) => crate::sage::FeatureSource::Trainable(u),
-        None => crate::sage::FeatureSource::Fixed(&uf),
+        Some((u, _)) => FeatureSource::Trainable(u),
+        None => FeatureSource::Fixed(&uf),
     };
     let item_src = match feature_params {
-        Some((_, i)) => crate::sage::FeatureSource::Trainable(i),
-        None => crate::sage::FeatureSource::Fixed(&if_),
+        Some((_, i)) => FeatureSource::Trainable(i),
+        None => FeatureSource::Fixed(&if_),
     };
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
@@ -418,7 +466,7 @@ pub fn train_with_objective(
             // configured shard count, never on the worker count.
             let shard_len = n.div_ceil(cfg.grad_shards.max(1));
             let num_shards = n.div_ceil(shard_len);
-            let ctx = ObjectiveCtx {
+            let ctx = BatchCtx {
                 store: &store,
                 sage: &sage,
                 scorer: &scorer,
@@ -426,6 +474,12 @@ pub fn train_with_objective(
                 user_src,
                 item_src,
                 cfg,
+                neg_user_sampler: &neg_user_sampler,
+                neg_item_sampler: &neg_item_sampler,
+                users: &users,
+                items: &items,
+                weights: &weights,
+                gamma,
             };
             let shard_results: Vec<(f32, Gradients)> = exec.map(num_shards, |s| {
                 let lo = s * shard_len;
@@ -437,20 +491,7 @@ pub fn train_with_objective(
                     s as u64,
                 ));
                 let ws = workspaces[s].lock().expect("workspace lock poisoned");
-                let shard_batch = ShardBatch {
-                    users: &users[lo..hi],
-                    items: &items[lo..hi],
-                    weights: &weights[lo..hi],
-                    gamma,
-                };
-                shard_pass(
-                    &ctx,
-                    objective,
-                    &ws,
-                    &shard_batch,
-                    (hi - lo) as f32 / n as f32,
-                    &mut shard_rng,
-                )
+                shard_pass(&ctx, &ws, lo..hi, &mut shard_rng)
             });
 
             // Losses sum in shard order; gradients reduce by a fixed
@@ -476,17 +517,14 @@ pub fn train_with_objective(
             // and the clock pair — are sampled every [`OBS_SAMPLE`]-th
             // batch (`batch_start` is only `Some` on sampled batches).
             if obs::enabled() {
-                let counters =
-                    [("train.batches", 1u64), ("train.edges", n as u64), (kind.obs_batches(), 1)];
+                let counters = [("train.batches", 1u64), ("train.edges", n as u64)];
                 if let Some(t0) = batch_start {
                     let grad_norm = grad_l2_norm(&grads);
                     obs::record_batch(
                         &counters,
                         &[
                             ("train.batch_loss", batch_loss),
-                            (kind.obs_batch_loss(), batch_loss),
                             ("train.grad_norm", grad_norm),
-                            (kind.obs_grad_norm(), grad_norm),
                             ("train.batch_seconds", t0.elapsed().as_secs_f64()),
                         ],
                         &[],
@@ -494,10 +532,7 @@ pub fn train_with_objective(
                 } else {
                     obs::record_batch(
                         &counters,
-                        &[
-                            ("train.batch_loss", batch_loss),
-                            (kind.obs_batch_loss(), batch_loss),
-                        ],
+                        &[("train.batch_loss", batch_loss)],
                         &[],
                     );
                 }
@@ -518,7 +553,6 @@ pub fn train_with_objective(
         if obs::enabled() {
             obs::counter_add("train.epochs", 1);
             obs::series_push("train.epoch_loss", mean_loss as f64);
-            obs::series_push(kind.obs_epoch_loss(), mean_loss as f64);
             obs::gauge_set("train.last_epoch_loss", mean_loss as f64);
         }
         if obs::log_enabled() {
@@ -708,6 +742,33 @@ mod tests {
         tcfg.epochs = 2;
         let trained = train_unsupervised(&g, &uf, &if_, scfg, &tcfg, 53);
         assert!(trained.store.all_finite());
+    }
+
+    #[test]
+    fn degenerate_weight_edges_train() {
+        // Near-zero edge weights + WeightBiased neighbour sampling: the
+        // degenerate-weight regime the sampler's uniform fallback guards
+        // (the all-zero case itself is covered in hignn-graph, where the
+        // unchecked constructor lives), exercised here through the Eq. 5
+        // loss's sampler call sites.
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut edges = Vec::new();
+        for u in 0..12u32 {
+            for _ in 0..4 {
+                edges.push((u, rng.gen_range(0..12u32), 1e-30));
+            }
+        }
+        let g = BipartiteGraph::from_edges(12, 12, edges);
+        let uf = init::xavier_uniform(12, 8, &mut rng);
+        let if_ = init::xavier_uniform(12, 8, &mut rng);
+        let (mut scfg, mut tcfg) = small_cfg();
+        scfg.sampling = SamplingMode::WeightBiased;
+        tcfg.epochs = 2;
+        let trained = train_unsupervised(&g, &uf, &if_, scfg, &tcfg, 64);
+        assert!(
+            trained.store.all_finite(),
+            "non-finite parameters on a degenerate-weight graph"
+        );
     }
 
     #[test]

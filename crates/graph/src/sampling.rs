@@ -173,10 +173,9 @@ impl NegativeSampler {
     }
 
     /// Side-generic constructor with the conventional `deg^0.75` unigram
-    /// smoothing — the `P_n` every shipped training objective draws
-    /// negatives from. Objective implementations build their samplers
-    /// through this (one call per side) instead of hard-coding the power
-    /// at each trainer call site.
+    /// smoothing — the `P_n` the Eq. 5 training loss draws negatives
+    /// from. The trainer builds its samplers through this (one call per
+    /// side) instead of hard-coding the power at its call site.
     pub fn degree_biased(graph: &BipartiteGraph, side: Side) -> Self {
         Self::new(graph, side, 0.75)
     }
@@ -366,8 +365,8 @@ mod tests {
 
     #[test]
     fn objective_constructor_path_keeps_zero_weight_fallback() {
-        // Regression at the objective-facing call site: training
-        // objectives build their samplers with `degree_biased` and embed
+        // Regression at the trainer-facing call site: the Eq. 5 loss
+        // builds its samplers with `degree_biased` and embeds
         // through weight-biased neighbour sampling. On a graph whose
         // incident weights are all zero, both must stay panic-free (PR 5
         // uniform fallback) and deterministic.

@@ -38,7 +38,6 @@
 pub mod bm25;
 pub mod coarsen;
 pub mod eq5;
-pub mod infonce;
 pub mod kmeans;
 pub mod linalg;
 pub mod mlp;

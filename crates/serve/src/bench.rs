@@ -1,7 +1,6 @@
 //! Measurement helpers for the serving engine: latency/QPS sweeps over
 //! thread counts and recall-vs-beam-width sweeps against the exhaustive
-//! oracle. Shared by the `serve` bench bin and the CLI's `serve-bench`
-//! subcommand so both report identical numbers.
+//! oracle, as the CLI's `serve-bench` subcommand reports them.
 
 use crate::engine::{BeamWidth, TopKRequest};
 use crate::model::ServeModel;

@@ -101,15 +101,9 @@ enum Op {
     SumAll(usize),
     /// Sum of squared entries, producing a `1 x 1` scalar (L2 penalty).
     SumSquares(usize),
-    /// Per-row dot product of two `n x d` matrices, producing `n x 1`.
-    DotRows(usize, usize),
     /// Mean binary cross entropy with logits against fixed targets;
     /// produces a `1 x 1` scalar. `weights` optionally reweights samples.
     BceWithLogits { logits: usize, targets: Vec<f32>, weights: Option<Vec<f32>> },
-    /// Grouped InfoNCE: softmax cross-entropy of one positive logit
-    /// against `group` negative logits per anchor (logits pre-scaled by
-    /// `inv_temp`), averaged over anchors into a `1 x 1` scalar.
-    InfoNce { pos: usize, neg: usize, group: usize, inv_temp: f32 },
 }
 
 /// Where a node's forward value lives: owned by the tape, or borrowed
@@ -511,18 +505,6 @@ impl<'s> Tape<'s> {
         self.push(Stored::Owned(value), Op::SumSquares(x.id))
     }
 
-    /// Per-row dot product of two `n x d` matrices → `n x 1`.
-    pub fn dot_rows(&mut self, a: Var, b: Var) -> Var {
-        let mut out = self.mat_zeroed(a.rows, 1);
-        let (am, bm) = (self.value(a), self.value(b));
-        assert_eq!(am.shape(), bm.shape(), "dot_rows: shape mismatch");
-        for i in 0..am.rows() {
-            let d: f32 = am.row(i).iter().zip(bm.row(i)).map(|(x, y)| x * y).sum();
-            out.set(i, 0, d);
-        }
-        self.push(Stored::Owned(out), Op::DotRows(a.id, b.id))
-    }
-
     /// Mean binary cross entropy with logits (scalar).
     ///
     /// `logits` must be `n x 1` and `targets.len() == n`. Uses the
@@ -562,51 +544,6 @@ impl<'s> Tape<'s> {
                 targets: targets.to_vec(),
                 weights: weights.map(|w| w.to_vec()),
             },
-        )
-    }
-
-    /// Grouped InfoNCE loss (scalar).
-    ///
-    /// `pos` is `n x 1` (one positive similarity per anchor) and `neg` is
-    /// `(n * group) x 1`, anchor `i`'s negatives occupying rows
-    /// `i*group .. (i+1)*group`. Each anchor contributes the softmax
-    /// cross-entropy of its positive against its negatives with logits
-    /// divided by `temperature`:
-    ///
-    /// ```text
-    /// loss_i = logsumexp([p_i, n_i1, .., n_ik] / τ) - p_i / τ
-    /// ```
-    ///
-    /// and the result is the mean over anchors. Uses the max-shifted
-    /// log-sum-exp, so arbitrarily large similarities stay finite.
-    pub fn info_nce(&mut self, pos: Var, neg: Var, group: usize, temperature: f32) -> Var {
-        assert_eq!(pos.cols, 1, "info_nce: pos must be n x 1");
-        assert_eq!(neg.cols, 1, "info_nce: neg must be (n*group) x 1");
-        assert!(group >= 1, "info_nce: group must be at least 1");
-        assert!(
-            temperature.is_finite() && temperature > 0.0,
-            "info_nce: temperature must be positive and finite"
-        );
-        assert_eq!(neg.rows, pos.rows * group, "info_nce: neg rows must be pos rows * group");
-        let inv_temp = 1.0 / temperature;
-        let (pm, nm) = (self.value(pos), self.value(neg));
-        let mut total = 0.0f64;
-        for i in 0..pos.rows {
-            let p = pm.get(i, 0) * inv_temp;
-            let mut m = p;
-            for r in 0..group {
-                m = m.max(nm.get(i * group + r, 0) * inv_temp);
-            }
-            let mut s = (p - m).exp();
-            for r in 0..group {
-                s += (nm.get(i * group + r, 0) * inv_temp - m).exp();
-            }
-            total += (m + s.ln() - p) as f64;
-        }
-        let value = self.mat_full(1, 1, (total / pos.rows.max(1) as f64) as f32);
-        self.push(
-            Stored::Owned(value),
-            Op::InfoNce { pos: pos.id, neg: neg.id, group, inv_temp },
         )
     }
 
@@ -832,23 +769,6 @@ impl<'s> Tape<'s> {
                     accum(&mut grads, *src, gs, self.ws);
                     self.reclaim_mat(g);
                 }
-                Op::DotRows(a, b) => {
-                    let (am, bm) = (self.nval(*a), self.nval(*b));
-                    let mut ga = self.mat_zeroed(am.rows(), am.cols());
-                    let mut gb = self.mat_zeroed(bm.rows(), bm.cols());
-                    for i in 0..am.rows() {
-                        let gi = g.get(i, 0);
-                        for (o, &bv) in ga.row_mut(i).iter_mut().zip(bm.row(i)) {
-                            *o = gi * bv;
-                        }
-                        for (o, &av) in gb.row_mut(i).iter_mut().zip(am.row(i)) {
-                            *o = gi * av;
-                        }
-                    }
-                    accum(&mut grads, *a, ga, self.ws);
-                    accum(&mut grads, *b, gb, self.ws);
-                    self.reclaim_mat(g);
-                }
                 Op::BceWithLogits { logits, targets, weights } => {
                     let lm = self.nval(*logits);
                     let n = targets.len().max(1) as f32;
@@ -860,33 +780,6 @@ impl<'s> Tape<'s> {
                         gl.set(i, 0, scale * w * (y - t));
                     }
                     accum(&mut grads, *logits, gl, self.ws);
-                    self.reclaim_mat(g);
-                }
-                Op::InfoNce { pos, neg, group, inv_temp } => {
-                    let (pm, nm) = (self.nval(*pos), self.nval(*neg));
-                    let scale = g.get(0, 0) * inv_temp / pm.rows().max(1) as f32;
-                    let mut gp = self.mat_zeroed(pm.rows(), 1);
-                    let mut gn = self.mat_zeroed(nm.rows(), 1);
-                    for i in 0..pm.rows() {
-                        let p = pm.get(i, 0) * inv_temp;
-                        let mut m = p;
-                        for r in 0..*group {
-                            m = m.max(nm.get(i * group + r, 0) * inv_temp);
-                        }
-                        let ep = (p - m).exp();
-                        let mut s = ep;
-                        for r in 0..*group {
-                            s += (nm.get(i * group + r, 0) * inv_temp - m).exp();
-                        }
-                        // d/d logit = softmax - onehot(positive).
-                        gp.set(i, 0, scale * (ep / s - 1.0));
-                        for r in 0..*group {
-                            let e = (nm.get(i * group + r, 0) * inv_temp - m).exp();
-                            gn.set(i * group + r, 0, scale * (e / s));
-                        }
-                    }
-                    accum(&mut grads, *pos, gp, self.ws);
-                    accum(&mut grads, *neg, gn, self.ws);
                     self.reclaim_mat(g);
                 }
             }
@@ -1175,21 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_rows_and_sigmoid_gradients_check() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let mut store = ParamStore::new();
-        let a = store.add("a", xavier_uniform(4, 3, &mut rng));
-        let b = store.add("b", xavier_uniform(4, 3, &mut rng));
-        check_param_grads(&store, &[a, b], 1e-2, 2e-2, move |t| {
-            let av = t.param(a);
-            let bv = t.param(b);
-            let d = t.dot_rows(av, bv);
-            let s = t.sigmoid(d);
-            t.mean_all(s)
-        });
-    }
-
-    #[test]
     fn max_pool_forward_and_gradients() {
         let store = ParamStore::new();
         let mut t = Tape::new(&store);
@@ -1286,57 +1164,5 @@ mod tests {
         // -log(sigmoid(0)) = ln 2; -log(1 - sigmoid(2)) = ln(1 + e^2).
         let manual = ((2.0f32).ln() + (1.0 + (2.0f32).exp()).ln()) / 2.0;
         assert!((t.scalar(loss) - manual).abs() < 1e-5, "{} vs {}", t.scalar(loss), expected);
-    }
-
-    #[test]
-    fn info_nce_matches_manual_computation() {
-        // One anchor, two negatives, τ = 0.5: loss = lse([p,n1,n2]/τ) - p/τ.
-        let store = ParamStore::new();
-        let mut t = Tape::new(&store);
-        let pos = t.input(Matrix::column_vector(&[1.0]));
-        let neg = t.input(Matrix::column_vector(&[0.5, -0.25]));
-        let loss = t.info_nce(pos, neg, 2, 0.5);
-        let (p, n1, n2) = (2.0f64, 1.0f64, -0.5f64);
-        let manual = (p.exp() + n1.exp() + n2.exp()).ln() - p;
-        assert!(
-            (t.scalar(loss) as f64 - manual).abs() < 1e-6,
-            "{} vs {manual}",
-            t.scalar(loss)
-        );
-    }
-
-    #[test]
-    fn info_nce_is_stable_at_extreme_logits() {
-        let store = ParamStore::new();
-        let mut t = Tape::new(&store);
-        let pos = t.input(Matrix::column_vector(&[400.0, -400.0]));
-        let neg = t.input(Matrix::column_vector(&[-400.0, 400.0]));
-        let loss = t.info_nce(pos, neg, 1, 1.0);
-        assert!(t.scalar(loss).is_finite());
-        // Anchor 0 is trivially right (≈0 loss), anchor 1 trivially
-        // wrong (≈800 nats): the mean sits near 400.
-        assert!((t.scalar(loss) - 400.0).abs() < 1.0, "{}", t.scalar(loss));
-        let grads = t.backward(loss);
-        drop(grads);
-    }
-
-    #[test]
-    fn info_nce_gradients_check() {
-        // Similarities produced by dot_rows over two parameter tables, the
-        // exact graph shape the contrastive objective builds.
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut store = ParamStore::new();
-        let a = store.add("a", xavier_uniform(3, 4, &mut rng));
-        let b = store.add("b", xavier_uniform(3, 4, &mut rng));
-        let npool = store.add("npool", xavier_uniform(6, 4, &mut rng));
-        check_param_grads(&store, &[a, b, npool], 1e-2, 2e-2, move |t| {
-            let av = t.param(a);
-            let bv = t.param(b);
-            let nv = t.param(npool);
-            let pos = t.dot_rows(av, bv);
-            let a_rep = t.gather_rows(av, &[0, 0, 1, 1, 2, 2]);
-            let neg = t.dot_rows(a_rep, nv);
-            t.info_nce(pos, neg, 2, 0.4)
-        });
     }
 }

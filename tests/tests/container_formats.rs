@@ -82,7 +82,7 @@ fn cases(tag: &str) -> (PathBuf, CheckpointStore, Vec<Case>) {
     assert_eq!(build_hierarchy_with(&g, &uf, &if_, &cfg, &crash).unwrap_err().exit_code(), 6);
     let fingerprint = run_fingerprint(&g, &uf, &if_, &cfg);
     let load_state = |store: CheckpointStore| -> Load {
-        Box::new(move || store.load_state(fingerprint, 2, 0).map(|_| ()))
+        Box::new(move || store.load_state(fingerprint, 2).map(|_| ()))
     };
 
     let model = dir.join("model.hgh");

@@ -15,7 +15,8 @@
 //!   thread count and still reproduces the uninterrupted run
 //!   byte-for-byte (composing with the PR 1 crash-recovery harness);
 //! * the `HIGNN_TEST_THREADS` env knob lets CI re-run the same assertion
-//!   across its thread matrix.
+//!   across its thread matrix;
+//! * two `build_taxonomy` runs in one process give the same topics.
 
 use hignn::io::write_hierarchy;
 use hignn::prelude::*;
@@ -268,13 +269,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Objective-refactor parity: the `EdgeReconstruction` objective is the
-// Eq. 5 loss *extracted* from the pre-objective trainer, and extraction
-// must not move a single bit. The golden hash below is the FNV-1a of
-// the serialised `build_at(1)` hierarchy captured on the commit
-// immediately before the `Objective` trait was introduced; the default
-// configuration (objective = EdgeReconstruction) must keep reproducing
-// it forever, at 1 and 4 threads.
+// Golden parity of the Eq. 5 trainer: the hash below is the FNV-1a of
+// the serialised `build_at(1)` hierarchy, captured before the trainer's
+// loss was first refactored. A refactor of the trainer must keep
+// reproducing it, at 1 and 4 threads.
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -291,9 +289,9 @@ fn edge_reconstruction_matches_pre_refactor_golden() {
     assert_eq!(
         fnv1a(&bytes),
         6_834_896_770_852_577_748,
-        "EdgeReconstruction diverged from the pre-refactor trainer (1 thread)"
+        "the Eq. 5 trainer diverged from the pre-refactor golden (1 thread)"
     );
-    assert_eq!(build_at(4), bytes, "EdgeReconstruction diverged at 4 threads");
+    assert_eq!(build_at(4), bytes, "the Eq. 5 trainer diverged at 4 threads");
 }
 
 #[test]
@@ -327,4 +325,29 @@ fn grad_shards_change_bits_but_threads_never_do() {
         "different shard counts should (in general) give different bits — if this ever \
          fails spuriously, the fixture is degenerate, not the engine"
     );
+}
+
+// ---------------------------------------------------------------------
+// Section V under the same contract: two `build_taxonomy` runs in one
+// process must agree on every topic. The Eq. 16 denominator is an f64
+// sum over the topics a query reaches, so it must run in a fixed key
+// order; a per-instance hash order would differ between the two runs.
+
+#[test]
+fn taxonomy_is_identical_across_runs_in_one_process() {
+    use hignn_integration_tests::taxonomy_fixture::{tiny_qi, tiny_taxonomy};
+    let ds = tiny_qi(10);
+    let (a, b) = (tiny_taxonomy(&ds, 5), tiny_taxonomy(&ds, 5));
+    assert_eq!(a.num_levels(), b.num_levels());
+    for level in 1..=a.num_levels() {
+        let (ta, tb) = (a.level_topics(level), b.level_topics(level));
+        assert_eq!(ta.len(), tb.len(), "level {level} topic count");
+        for (x, y) in ta.iter().zip(tb) {
+            let at = format!("level {level} topic {}", x.id);
+            assert_eq!(x.items, y.items, "{at}: items");
+            assert_eq!(x.queries, y.queries, "{at}: queries");
+            assert_eq!(x.description, y.description, "{at}: description");
+            assert_eq!(x.description_queries, y.description_queries, "{at}: description queries");
+        }
+    }
 }

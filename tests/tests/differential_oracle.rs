@@ -760,60 +760,6 @@ proptest! {
     }
 }
 
-// ---- 7b. grouped InfoNCE: forward + gradients vs the f64 oracle ---------
-//
-// The contrastive objective's `info_nce` tape op is checked against the
-// naive `f64` reference in `hignn_oracle::infonce`: forward loss within
-// tolerance, and both logit gradients against central finite
-// differences.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn info_nce_loss_and_gradients_match_finite_differences(
-        (n, group) in (1usize..8, 1usize..5),
-        temperature in 0.2f64..2.0,
-        seed in proptest::arbitrary::any::<u64>(),
-    ) {
-        use hignn_oracle::infonce::InfoNceSetup;
-        use rand::Rng;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pos_vals: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-        let neg_vals: Vec<f32> = (0..n * group).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-
-        let mut store = ParamStore::new();
-        let pos_id = store.add("nce.pos", Matrix::from_vec(n, 1, pos_vals.clone()));
-        let neg_id = store.add("nce.neg", Matrix::from_vec(n * group, 1, neg_vals.clone()));
-        let mut tape = Tape::new(&store);
-        let p = tape.param(pos_id);
-        let m = tape.param(neg_id);
-        let loss = tape.info_nce(p, m, group, temperature as f32);
-        let loss_val = tape.scalar(loss) as f64;
-
-        let mut oracle = InfoNceSetup {
-            pos: pos_vals.iter().map(|&v| v as f64).collect(),
-            neg: neg_vals.iter().map(|&v| v as f64).collect(),
-            group,
-            temperature,
-        };
-        let oracle_loss = oracle.loss();
-        prop_assert!(
-            (loss_val - oracle_loss).abs() <= 1e-4 * (1.0 + oracle_loss.abs()),
-            "InfoNCE forward diverged: tape {} vs oracle {}", loss_val, oracle_loss
-        );
-
-        let grads = tape.backward(loss);
-        let gp = grads.get(pos_id).expect("no gradient for positive logits");
-        let gn = grads.get(neg_id).expect("no gradient for negative logits");
-        let fd_pos: Vec<Vec<f64>> = oracle.fd_grad_pos(1e-5).into_iter().map(|v| vec![v]).collect();
-        let fd_neg: Vec<Vec<f64>> = oracle.fd_grad_neg(1e-5).into_iter().map(|v| vec![v]).collect();
-        grad_close(gp, &fd_pos, 1e-3, "info_nce positive logits").unwrap();
-        grad_close(gn, &fd_neg, 1e-3, "info_nce negative logits").unwrap();
-    }
-}
-
 // ---- 8. Tiled kernels, fused gather + pool, pooled tape: bitwise --------
 //
 // The matmul kernels process 4x16 output panels on AVX2 (4x8 blocks on
