@@ -1,9 +1,8 @@
 //! The `hignn` subcommands.
 //!
-//! Every failure surfaces as a [`HignnError`], which the binary maps to
-//! a distinct exit code: 2 usage/config, 3 I/O, 4 corruption, 5
-//! divergence (non-finite training, always checked), 6 injected fault
-//! (`main.rs`).
+//! Every failure surfaces as a [`HignnError`], which the binary
+//! (`main.rs`) maps to a distinct exit code: 2 usage/config, 3 I/O,
+//! 4 corruption, 5 divergence (non-finite training, always checked).
 
 use crate::opts::Opts;
 use hignn::checkpoint::CheckpointStore;
@@ -101,7 +100,6 @@ STREAMING (DESIGN.md §13):
 
 EXIT CODES:
   0 ok | 2 usage/config | 3 I/O | 4 corrupt data | 5 diverged (NaN/Inf)
-  6 injected fault
 
 FORMATS:
   edges  : text lines `left right [weight]` (tab/space/comma separated,
@@ -162,7 +160,7 @@ fn stats(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
 fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
     usage(opts.assert_known(&[
         "edges", "out", "levels", "alpha", "dim", "epochs", "seed", "no-normalize",
-        "threads", "checkpoint", "resume", "lenient", "fault", "metrics", "log-format",
+        "threads", "checkpoint", "resume", "lenient", "metrics", "log-format",
     ]))?;
     let model_path = usage(opts.require("out"))?.to_string();
     let levels: usize = usage(opts.get_or("levels", 3))?;
@@ -186,10 +184,6 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
         (None, Some(d)) => (Some(d.to_string()), false),
         (None, None) => (None, false),
     };
-    // Hidden fault-injection hook for the crash-recovery test harness;
-    // deliberately undocumented in USAGE.
-    let fault = opts.get("fault").map(FaultPlan::parse).transpose().map_err(HignnError::Config)?;
-
     // Observability: both knobs validate (and thus can exit 2) before
     // any filesystem access. Recording is inert — it never changes the
     // trained model — so flipping these alters no result bytes.
@@ -228,9 +222,6 @@ fn train(opts: &Opts, out: &mut dyn Write) -> Result<(), HignnError> {
         .resume(resume);
     if let Some(dir) = &ckpt_dir {
         builder = builder.checkpoint_dir(dir);
-    }
-    if let Some(fault) = fault {
-        builder = builder.fault(fault);
     }
     let spec = builder.build()?;
 
@@ -700,29 +691,37 @@ mod tests {
         let (res, _) = run_args(&clean_args);
         assert!(res.is_ok(), "{res:?}");
 
-        // Crash after level 1's checkpoint (hidden --fault flag).
-        let mut crash_args = base.to_vec();
         let ckpt_s = ckpt.to_str().unwrap();
-        crash_args.extend([
-            "--out", resumed.to_str().unwrap(), "--checkpoint", ckpt_s,
-            "--fault", "crash-after-level=1",
-        ]);
-        let (res, _) = run_args(&crash_args);
-        let err = res.unwrap_err();
-        assert_eq!(err.exit_code(), 6, "expected injected-fault exit, got: {err}");
-        assert!(!resumed.exists(), "crashed run must not have written a model");
+        for threads in ["1", "4"] {
+            // Die after level 1's checkpoint: a directory where level 2's
+            // temp file goes makes its write fail (exit 3).
+            let _ = std::fs::remove_dir_all(&ckpt);
+            std::fs::create_dir_all(ckpt.join("level_02.tmp")).unwrap();
+            let mut crash_args = base.to_vec();
+            crash_args.extend([
+                "--out", resumed.to_str().unwrap(), "--checkpoint", ckpt_s, "--threads", threads,
+            ]);
+            let (res, _) = run_args(&crash_args);
+            let err = res.unwrap_err();
+            assert_eq!(err.exit_code(), 3, "expected an I/O exit, got: {err}");
+            assert!(!resumed.exists(), "crashed run must not have written a model");
+            std::fs::remove_dir(ckpt.join("level_02.tmp")).unwrap();
 
-        // Resume and finish.
-        let mut resume_args = base.to_vec();
-        resume_args.extend(["--out", resumed.to_str().unwrap(), "--resume", ckpt_s]);
-        let (res, text) = run_args(&resume_args);
-        assert!(res.is_ok(), "{res:?}");
-        assert!(text.contains("resuming from checkpoint: 1/2"), "{text}");
+            // Resume and finish.
+            let mut resume_args = base.to_vec();
+            resume_args.extend([
+                "--out", resumed.to_str().unwrap(), "--resume", ckpt_s, "--threads", threads,
+            ]);
+            let (res, text) = run_args(&resume_args);
+            assert!(res.is_ok(), "{res:?}");
+            assert!(text.contains("resuming from checkpoint: 1/2"), "{text}");
 
-        // Byte-for-byte identical to the uninterrupted model.
-        let a = std::fs::read(&clean).unwrap();
-        let b = std::fs::read(&resumed).unwrap();
-        assert_eq!(a, b, "resumed model differs from uninterrupted run");
+            // Byte-for-byte identical to the uninterrupted model.
+            let a = std::fs::read(&clean).unwrap();
+            let b = std::fs::read(&resumed).unwrap();
+            assert_eq!(a, b, "resumed model differs from uninterrupted run ({threads} threads)");
+            std::fs::remove_file(&resumed).unwrap();
+        }
 
         // Resuming with a different seed is refused (fingerprint).
         let mut wrong = base.to_vec();
@@ -754,19 +753,25 @@ mod tests {
             "train", "--edges", edges_s, "--out", model.to_str().unwrap(), "--levels", "2",
             "--dim", "8", "--epochs", "1", "--alpha", "6", "--seed", "3",
         ];
-        // Corrupt the level-1 checkpoint after writing it, then crash.
-        let mut crash = base.to_vec();
-        crash.extend(["--checkpoint", ckpt_s, "--fault", "corrupt=1:100:64"]);
-        let (res, _) = run_args(&crash);
-        assert_eq!(res.unwrap_err().exit_code(), 6);
+        // A checkpointed run, then bit rot in its level-1 record.
+        let mut checkpointed = base.to_vec();
+        checkpointed.extend(["--checkpoint", ckpt_s]);
+        let (res, _) = run_args(&checkpointed);
+        assert!(res.is_ok(), "{res:?}");
+        let level = ckpt.join("level_01.hgcl");
+        let mut bytes = std::fs::read(&level).unwrap();
+        bytes[100] ^= 64;
+        std::fs::write(&level, &bytes).unwrap();
 
         // Resume must detect the corruption (exit 4), never panic or
         // silently produce a wrong model.
-        let mut resume = base.to_vec();
-        resume.extend(["--resume", ckpt_s]);
-        let (res, _) = run_args(&resume);
-        let err = res.unwrap_err();
-        assert_eq!(err.exit_code(), 4, "expected corruption exit, got: {err}");
+        for threads in ["1", "4"] {
+            let mut resume = base.to_vec();
+            resume.extend(["--resume", ckpt_s, "--threads", threads]);
+            let (res, _) = run_args(&resume);
+            let err = res.unwrap_err();
+            assert_eq!(err.exit_code(), 4, "expected corruption exit, got: {err}");
+        }
 
         let _ = std::fs::remove_file(edges);
         let _ = std::fs::remove_file(model);
@@ -779,12 +784,14 @@ mod tests {
         // stays empty.
         let flag = ["--", "math"].concat();
         let objective = ["--", "objective"].concat();
+        let fault = ["--", "fault"].concat();
         let train = ["train", "--edges", "e.tsv", "--out", "m.hgh", &flag, "bitwise"];
         let topk = ["topk", "--model", "m.hgh", "--user", "0", &flag, "bitwise"];
-        // The removed objective, divergence, deadline and retry knobs,
-        // each with a value that was once valid.
+        // The removed objective, fault-injection, divergence, deadline
+        // and retry knobs, each with a value that was once valid.
         let removed = [
             (objective.as_str(), "edge"),
+            (fault.as_str(), "crash-after-level=1"),
             ("--on-divergence", "rollback"),
             ("--deadline-secs", "60"),
             ("--max-retries", "3"),

@@ -14,8 +14,7 @@ fn main() {
     if let Err(e) = hignn_cli::run(&opts, &mut stdout) {
         eprintln!("error: {e}");
         // Distinct exit codes per failure class: 2 usage/config, 3 I/O,
-        // 4 corrupt data, 5 diverged (non-finite training), 6 injected
-        // fault.
+        // 4 corrupt data, 5 diverged (non-finite training).
         std::process::exit(e.exit_code());
     }
 }

@@ -43,7 +43,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::{CheckpointStore, FaultPlan};
+use crate::checkpoint::CheckpointStore;
 use crate::error::HignnError;
 use crate::sage::{Aggregator, BipartiteSageConfig};
 use crate::stack::{
@@ -64,7 +64,6 @@ pub struct HignnBuilder {
     threads: usize,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
-    fault: Option<FaultPlan>,
 }
 
 impl Default for HignnBuilder {
@@ -82,7 +81,6 @@ impl HignnBuilder {
             threads: 1,
             checkpoint_dir: None,
             resume: false,
-            fault: None,
         }
     }
 
@@ -237,12 +235,6 @@ impl HignnBuilder {
         self
     }
 
-    /// Injects a deliberate fault (testing only).
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
     // --- finalisation ----------------------------------------------------
 
     /// Validates every knob at once and freezes the configuration.
@@ -295,19 +287,11 @@ impl HignnBuilder {
         if self.resume && self.checkpoint_dir.is_none() {
             return err("resume requires a checkpoint directory".into());
         }
-        let fault_needs_store = matches!(
-            self.fault,
-            Some(FaultPlan::TruncateCheckpoint { .. } | FaultPlan::CorruptCheckpoint { .. })
-        );
-        if fault_needs_store && self.checkpoint_dir.is_none() {
-            return err("checkpoint faults require a checkpoint directory".into());
-        }
         Ok(TrainSpec {
             cfg: self.cfg,
             threads: self.threads,
             checkpoint_dir: self.checkpoint_dir,
             resume: self.resume,
-            fault: self.fault,
         })
     }
 }
@@ -321,7 +305,6 @@ pub struct TrainSpec {
     threads: usize,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
-    fault: Option<FaultPlan>,
 }
 
 impl TrainSpec {
@@ -360,7 +343,6 @@ impl TrainSpec {
         let opts = BuildOptions {
             checkpoint: store.as_ref(),
             resume: self.resume,
-            fault: self.fault,
             threads: self.threads,
         };
         build_hierarchy_with(graph, user_feats, item_feats, &self.cfg, &opts)

@@ -1,5 +1,4 @@
-//! Crash-safe checkpointing for hierarchy training, plus a
-//! deterministic fault-injection harness.
+//! Crash-safe checkpointing for hierarchy training.
 //!
 //! A [`CheckpointStore`] is a directory holding one meta record and one
 //! record per completed hierarchy level, both in the container layout
@@ -33,11 +32,6 @@
 //! directory that resumes cleanly. The `fingerprint` ties a checkpoint
 //! to its exact inputs (graph, features, config), so resuming against
 //! different data is refused instead of silently producing a chimera.
-//!
-//! [`FaultPlan`] describes one deliberate, deterministic fault —
-//! a simulated crash or checkpoint damage — and is threaded through
-//! [`crate::stack::build_hierarchy_with`] by integration tests and the
-//! hidden `--fault` CLI flag to prove the recovery story end to end.
 
 use crate::error::HignnError;
 use crate::fingerprint::Fingerprint;
@@ -244,33 +238,6 @@ impl CheckpointStore {
         }
         Ok((meta, levels))
     }
-
-    /// Fault-harness helper: truncates level `idx`'s record to
-    /// `keep_bytes`, simulating a torn write that bypassed the atomic
-    /// rename (e.g. damage after the fact).
-    pub fn truncate_level(&self, idx: usize, keep_bytes: u64) -> Result<(), HignnError> {
-        let path = self.level_path(idx);
-        let f = fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|e| HignnError::io_path(&path, e))?;
-        f.set_len(keep_bytes).map_err(|e| HignnError::io_path(&path, e))
-    }
-
-    /// Fault-harness helper: XORs the byte at `offset` in level `idx`'s
-    /// record with `mask`, simulating bit rot. `offset` wraps modulo
-    /// the file length; a zero `mask` is promoted to `0x01` so the
-    /// byte always actually changes.
-    pub fn corrupt_level(&self, idx: usize, offset: u64, mask: u8) -> Result<(), HignnError> {
-        let path = self.level_path(idx);
-        let mut bytes = fs::read(&path).map_err(|e| HignnError::io_path(&path, e))?;
-        if bytes.is_empty() {
-            return Err(HignnError::corrupt(path.display().to_string(), "empty level record"));
-        }
-        let at = (offset % bytes.len() as u64) as usize;
-        bytes[at] ^= if mask == 0 { 1 } else { mask };
-        fs::write(&path, &bytes).map_err(|e| HignnError::io_path(&path, e))
-    }
 }
 
 /// Atomically writes a one-section record of kind `container`.
@@ -311,91 +278,6 @@ pub fn run_fingerprint(
     // build, and automatically covers every field (including the seed).
     f.bytes(format!("{cfg:?}").as_bytes());
     f.finish()
-}
-
-/// One deliberate, deterministic fault to inject during
-/// [`crate::stack::build_hierarchy_with`] — the test harness for the
-/// crash-recovery machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultPlan {
-    /// Simulate a crash immediately after level `l`'s checkpoint is
-    /// durably written (spec: `crash-after-level=L`).
-    CrashAfterLevel(usize),
-    /// Simulate a crash after epoch `epoch` (0-based) of level `level`
-    /// completes, before the level is checkpointed (spec:
-    /// `crash-after-epoch=L:E`).
-    CrashAfterEpoch {
-        /// 1-based hierarchy level.
-        level: usize,
-        /// 0-based epoch within that level.
-        epoch: usize,
-    },
-    /// After level `level`'s checkpoint is written, truncate it to
-    /// `keep_bytes` and crash (spec: `truncate=L:N`).
-    TruncateCheckpoint {
-        /// 1-based hierarchy level.
-        level: usize,
-        /// Bytes to keep.
-        keep_bytes: u64,
-    },
-    /// After level `level`'s checkpoint is written, XOR one byte at
-    /// `offset` (modulo file length) with `mask` and crash (spec:
-    /// `corrupt=L:OFFSET:MASK`).
-    CorruptCheckpoint {
-        /// 1-based hierarchy level.
-        level: usize,
-        /// Byte offset to damage (wraps modulo file length).
-        offset: u64,
-        /// XOR mask (zero is promoted to 1).
-        mask: u8,
-    },
-}
-
-impl FaultPlan {
-    /// Parses the hidden CLI `--fault` spec. Formats:
-    /// `crash-after-level=L`, `crash-after-epoch=L:E`, `truncate=L:N`,
-    /// `corrupt=L:OFFSET:MASK`.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let (kind, rest) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("fault spec '{spec}' has no '='"))?;
-        let nums: Vec<&str> = rest.split(':').collect();
-        let int = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse::<u64>().map_err(|_| format!("fault spec '{spec}': bad {what} '{s}'"))
-        };
-        match (kind, nums.as_slice()) {
-            ("crash-after-level", [l]) => Ok(FaultPlan::CrashAfterLevel(int(l, "level")? as usize)),
-            ("crash-after-epoch", [l, e]) => Ok(FaultPlan::CrashAfterEpoch {
-                level: int(l, "level")? as usize,
-                epoch: int(e, "epoch")? as usize,
-            }),
-            ("truncate", [l, n]) => Ok(FaultPlan::TruncateCheckpoint {
-                level: int(l, "level")? as usize,
-                keep_bytes: int(n, "byte count")?,
-            }),
-            ("corrupt", [l, off, mask]) => Ok(FaultPlan::CorruptCheckpoint {
-                level: int(l, "level")? as usize,
-                offset: int(off, "offset")?,
-                mask: int(mask, "mask")? as u8,
-            }),
-            _ => Err(format!(
-                "unknown fault spec '{spec}' (expected crash-after-level=L, \
-                 crash-after-epoch=L:E, truncate=L:N, or corrupt=L:OFFSET:MASK)"
-            )),
-        }
-    }
-
-    /// Deterministic single-byte corruption derived from `seed`: a
-    /// convenience for fuzz-style tests that want many distinct
-    /// (offset, mask) pairs without hand-picking them.
-    pub fn seeded_corruption(level: usize, seed: u64) -> FaultPlan {
-        // SplitMix64 finalizer — uniform and cheap.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        FaultPlan::CorruptCheckpoint { level, offset: z >> 8, mask: (z & 0xFF) as u8 }
-    }
 }
 
 #[cfg(test)]
@@ -530,46 +412,6 @@ mod tests {
         let err = store.read_meta().unwrap_err();
         assert_eq!(err.exit_code(), 4, "expected corruption, got: {err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fault_spec_parsing() {
-        assert_eq!(
-            FaultPlan::parse("crash-after-level=2"),
-            Ok(FaultPlan::CrashAfterLevel(2))
-        );
-        assert_eq!(
-            FaultPlan::parse("crash-after-epoch=1:4"),
-            Ok(FaultPlan::CrashAfterEpoch { level: 1, epoch: 4 })
-        );
-        assert_eq!(
-            FaultPlan::parse("truncate=1:100"),
-            Ok(FaultPlan::TruncateCheckpoint { level: 1, keep_bytes: 100 })
-        );
-        assert_eq!(
-            FaultPlan::parse("corrupt=2:37:255"),
-            Ok(FaultPlan::CorruptCheckpoint { level: 2, offset: 37, mask: 255 })
-        );
-        assert!(FaultPlan::parse("explode=1").is_err());
-        assert!(FaultPlan::parse("truncate=1").is_err());
-        assert!(FaultPlan::parse("crash-after-level=x").is_err());
-        // The removed in-process recovery faults are refused, and the
-        // error names the four that remain.
-        for removed in ["worker-panic=1:0:2", "io-error=save-level:2", "stall=2:1:10000"] {
-            let err = FaultPlan::parse(removed).unwrap_err();
-            assert!(err.contains("unknown fault spec"), "{removed}: {err}");
-            for survivor in ["crash-after-level=", "crash-after-epoch=", "truncate=", "corrupt="] {
-                assert!(err.contains(survivor), "{removed}: {err} should list {survivor}");
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_corruptions_differ_by_seed() {
-        let a = FaultPlan::seeded_corruption(1, 1);
-        let b = FaultPlan::seeded_corruption(1, 2);
-        assert_ne!(a, b);
-        assert_eq!(a, FaultPlan::seeded_corruption(1, 1), "must be deterministic");
     }
 
     #[test]

@@ -42,12 +42,6 @@ pub enum HignnError {
     /// Invalid configuration or usage (bad flag combination,
     /// mismatched resume inputs). Exit code 2.
     Config(String),
-    /// A deliberately injected fault from a
-    /// [`crate::checkpoint::FaultPlan`] (testing only). Exit code 6.
-    FaultInjected {
-        /// Where the simulated crash happened.
-        description: String,
-    },
 }
 
 impl HignnError {
@@ -76,14 +70,13 @@ impl HignnError {
 
     /// The process exit code the `hignn` binary uses for this error.
     /// Distinct per failure class: 2 usage/config, 3 I/O, 4 corruption,
-    /// 5 divergence, 6 injected fault.
+    /// 5 divergence.
     pub fn exit_code(&self) -> i32 {
         match self {
             HignnError::Config(_) => 2,
             HignnError::Io { .. } => 3,
             HignnError::Corrupt { .. } => 4,
             HignnError::Diverged { .. } => 5,
-            HignnError::FaultInjected { .. } => 6,
         }
     }
 }
@@ -101,9 +94,6 @@ impl fmt::Display for HignnError {
                  (check the inputs for NaN/Inf; levels already checkpointed stay resumable)"
             ),
             HignnError::Config(msg) => write!(f, "{msg}"),
-            HignnError::FaultInjected { description } => {
-                write!(f, "injected fault: {description}")
-            }
         }
     }
 }
@@ -128,10 +118,9 @@ mod tests {
             HignnError::io("f", io::Error::new(io::ErrorKind::NotFound, "gone")),
             HignnError::corrupt("f", "bad crc"),
             HignnError::Diverged { level: 1, epoch: 2, detail: "NaN".into() },
-            HignnError::FaultInjected { description: "crash".into() },
         ];
         let codes: Vec<i32> = errors.iter().map(HignnError::exit_code).collect();
-        assert_eq!(codes, [2, 3, 4, 5, 6], "one distinct code per failure class");
+        assert_eq!(codes, [2, 3, 4, 5], "one distinct code per failure class");
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! * [`ingest`] — streaming edge ingestion: inductive inference for new
 //!   vertices, incremental cluster maintenance with bounded re-coarsen,
 //!   and the CRC-framed `HGHD` delta format for replica catch-up.
-//! * [`checkpoint`] — crash-safe per-level training checkpoints, resume,
-//!   and the crash and damage faults that prove it.
+//! * [`checkpoint`] — crash-safe per-level training checkpoints and resume.
 //! * [`error`] — structured errors with distinct process exit codes.
 //! * [`model`] — trained model with fold-in inference for unseen users.
 //! * [`recommend`] — top-K recommendation and evaluation utilities.
@@ -91,7 +90,7 @@ pub mod trainer;
 /// Convenient re-exports of the main API surface.
 pub mod prelude {
     pub use crate::builder::{HignnBuilder, TrainSpec};
-    pub use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore, FaultPlan};
+    pub use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore};
     pub use crate::error::HignnError;
     pub use crate::ingest::{
         apply_delta, hierarchy_fingerprint, load_delta, read_delta_bytes, save_delta, write_delta,

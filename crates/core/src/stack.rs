@@ -11,7 +11,7 @@
 //! preference* `z_u^H = CONCAT(z_u^1, ..., z_u^L)` and *hierarchical item
 //! attractiveness* `z_i^H` by chasing each vertex up its cluster chain.
 
-use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore, FaultPlan};
+use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore};
 use crate::error::HignnError;
 use crate::sage::BipartiteSageConfig;
 use crate::trainer::{train_unsupervised_checked, SageTrainConfig, TrainError};
@@ -19,7 +19,7 @@ use hignn_cluster::ch_index::select_k_by_ch;
 use hignn_cluster::kmeans::{kmeans_with, mean_by_cluster, KMeansConfig};
 use hignn_cluster::streaming::single_pass_kmeans;
 use hignn_graph::{coarsen, Assignment, BipartiteGraph};
-use hignn_tensor::parallel::{ParallelExecutor, ROW_CHUNK};
+use hignn_tensor::parallel::ParallelExecutor;
 use hignn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -246,56 +246,18 @@ impl Hierarchy {
 
     /// Hierarchical embeddings of all users (`num_users x user_dim`).
     pub fn hierarchical_users(&self) -> Matrix {
-        self.hierarchical_users_with(&ParallelExecutor::single())
-    }
-
-    /// [`Hierarchy::hierarchical_users`] with an explicit executor. Each
-    /// user's chain walk is independent, so extraction runs over fixed
-    /// row chunks merged in chunk order — bit-identical at any worker
-    /// count.
-    pub fn hierarchical_users_with(&self, exec: &ParallelExecutor) -> Matrix {
-        let dim = self.user_dim();
-        let mut out = Matrix::zeros(self.num_users, dim);
-        let chunks = exec.map_chunks(self.num_users, ROW_CHUNK, |_, range| {
-            let mut block = Matrix::zeros(range.len(), dim);
-            for (local, u) in range.enumerate() {
-                block.set_row(local, &self.hierarchical_user(u));
-            }
-            block
-        });
-        let mut row = 0;
-        for block in &chunks {
-            for r in 0..block.rows() {
-                out.set_row(row, block.row(r));
-                row += 1;
-            }
+        let mut out = Matrix::zeros(self.num_users, self.user_dim());
+        for u in 0..self.num_users {
+            out.set_row(u, &self.hierarchical_user(u));
         }
         out
     }
 
     /// Hierarchical embeddings of all items (`num_items x item_dim`).
     pub fn hierarchical_items(&self) -> Matrix {
-        self.hierarchical_items_with(&ParallelExecutor::single())
-    }
-
-    /// [`Hierarchy::hierarchical_items`] with an explicit executor;
-    /// bit-identical at any worker count.
-    pub fn hierarchical_items_with(&self, exec: &ParallelExecutor) -> Matrix {
-        let dim = self.item_dim();
-        let mut out = Matrix::zeros(self.num_items, dim);
-        let chunks = exec.map_chunks(self.num_items, ROW_CHUNK, |_, range| {
-            let mut block = Matrix::zeros(range.len(), dim);
-            for (local, i) in range.enumerate() {
-                block.set_row(local, &self.hierarchical_item(i));
-            }
-            block
-        });
-        let mut row = 0;
-        for block in &chunks {
-            for r in 0..block.rows() {
-                out.set_row(row, block.row(r));
-                row += 1;
-            }
+        let mut out = Matrix::zeros(self.num_items, self.item_dim());
+        for i in 0..self.num_items {
+            out.set_row(i, &self.hierarchical_item(i));
         }
         out
     }
@@ -366,8 +328,8 @@ fn pick_counts(
     }
 }
 
-/// Options for [`build_hierarchy_with`]: checkpointing, resume, fault
-/// injection and the worker count.
+/// Options for [`build_hierarchy_with`]: checkpointing, resume and the
+/// worker count.
 #[derive(Clone, Copy, Debug)]
 pub struct BuildOptions<'a> {
     /// Where to persist per-level checkpoints (`None` = no
@@ -377,8 +339,6 @@ pub struct BuildOptions<'a> {
     /// Requires `checkpoint` and a meta record whose fingerprint
     /// matches the current inputs.
     pub resume: bool,
-    /// Deliberate fault to inject (testing only).
-    pub fault: Option<FaultPlan>,
     /// Worker threads for training, inference, and clustering. Purely
     /// physical: any value produces bit-identical hierarchies (and
     /// checkpoints written at one thread count resume at any other),
@@ -389,7 +349,7 @@ pub struct BuildOptions<'a> {
 
 impl Default for BuildOptions<'_> {
     fn default() -> Self {
-        BuildOptions { checkpoint: None, resume: false, fault: None, threads: 1 }
+        BuildOptions { checkpoint: None, resume: false, threads: 1 }
     }
 }
 
@@ -416,7 +376,6 @@ fn build_one_level(
     cfg: &HignnConfig,
     level: usize,
     exec: &ParallelExecutor,
-    crash_after_epoch: Option<usize>,
 ) -> Result<(Level, Matrix, Matrix), HignnError> {
     let mut rng = StdRng::seed_from_u64(level_rng_seed(cfg.seed, level));
     // (Z_u^l, Z_i^l) <- BG(G^{l-1}, X_u^{l-1}, X_i^{l-1})
@@ -438,15 +397,9 @@ fn build_one_level(
     // Algorithm-1 phase spans: `level{l}.{train,embed,cluster,coarsen}`.
     let trained = {
         let _span = hignn_obs::span_owned(format!("level{level}.train"));
-        train_unsupervised_checked(
-            g, xu, xi, sage_cfg, &train_cfg, train_seed, exec, crash_after_epoch,
+        train_unsupervised_checked(g, xu, xi, sage_cfg, &train_cfg, train_seed, exec).map_err(
+            |TrainError::NonFinite { epoch, detail }| HignnError::Diverged { level, epoch, detail },
         )
-        .map_err(|e| match e {
-            TrainError::NonFinite { epoch, detail } => HignnError::Diverged { level, epoch, detail },
-            TrainError::Injected { description, .. } => HignnError::FaultInjected {
-                description: format!("level {level}: {description}"),
-            },
-        })
     }?;
     let (mut zu, mut zi) = {
         let _span = hignn_obs::span_owned(format!("level{level}.embed"));
@@ -516,7 +469,7 @@ fn build_one_level(
 /// Stops early (returning fewer levels) if a coarsened graph becomes too
 /// small to cluster further or loses all edges. Convenience wrapper
 /// over [`build_hierarchy_with`] with default options (no
-/// checkpointing, no faults).
+/// checkpointing).
 ///
 /// # Panics
 /// If training produces a non-finite loss, parameter or embedding
@@ -532,9 +485,9 @@ pub fn build_hierarchy(
         .expect("build_hierarchy: training diverged")
 }
 
-/// [`build_hierarchy`] with crash safety: per-level checkpointing,
-/// resume, and (for tests) fault injection. Non-finite training is
-/// always checked and returned as [`HignnError::Diverged`].
+/// [`build_hierarchy`] with crash safety: per-level checkpointing and
+/// resume. Non-finite training is always checked and returned as
+/// [`HignnError::Diverged`].
 ///
 /// With `opts.checkpoint` set, every completed level is persisted
 /// atomically before the next begins, and `opts.resume` continues an
@@ -617,12 +570,7 @@ pub fn build_hierarchy_with(
 
     if !resumed_done {
         for level in start..=cfg.levels {
-            let crash_after_epoch = match opts.fault {
-                Some(FaultPlan::CrashAfterEpoch { level: fl, epoch }) if fl == level => Some(epoch),
-                _ => None,
-            };
-            let (built, new_xu, new_xi) =
-                build_one_level(&g, &xu, &xi, cfg, level, &exec, crash_after_epoch)?;
+            let (built, new_xu, new_xi) = build_one_level(&g, &xu, &xi, cfg, level, &exec)?;
 
             // Count the level before the meta commit point so the
             // checkpointed counter snapshot includes it.
@@ -635,36 +583,6 @@ pub fn build_hierarchy_with(
                 // resumed run simply overwrites.
                 store.save_level(level, &built)?;
                 commit_meta(store, level)?;
-            }
-            match opts.fault {
-                Some(FaultPlan::CrashAfterLevel(fl)) if fl == level => {
-                    return Err(HignnError::FaultInjected {
-                        description: format!("simulated crash after level {level} checkpoint"),
-                    });
-                }
-                Some(FaultPlan::TruncateCheckpoint { level: fl, keep_bytes }) if fl == level => {
-                    let store = opts.checkpoint.ok_or_else(|| {
-                        HignnError::Config("truncate fault requires a checkpoint directory".into())
-                    })?;
-                    store.truncate_level(level, keep_bytes)?;
-                    return Err(HignnError::FaultInjected {
-                        description: format!(
-                            "truncated level {level} checkpoint to {keep_bytes} bytes and crashed"
-                        ),
-                    });
-                }
-                Some(FaultPlan::CorruptCheckpoint { level: fl, offset, mask }) if fl == level => {
-                    let store = opts.checkpoint.ok_or_else(|| {
-                        HignnError::Config("corrupt fault requires a checkpoint directory".into())
-                    })?;
-                    store.corrupt_level(level, offset, mask)?;
-                    return Err(HignnError::FaultInjected {
-                        description: format!(
-                            "corrupted level {level} checkpoint at offset {offset} and crashed"
-                        ),
-                    });
-                }
-                _ => {}
             }
 
             if hignn_obs::log_enabled() {

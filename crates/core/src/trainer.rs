@@ -223,19 +223,12 @@ pub enum TrainError {
         /// What was non-finite (e.g. `mean epoch loss = NaN`).
         detail: String,
     },
-    /// A fault plan asked for a simulated crash at this point.
-    Injected {
-        /// 0-based epoch after which the crash fired.
-        epoch: usize,
-        /// Human-readable description of the injected fault.
-        description: String,
-    },
 }
 
 /// Trains one bipartite GraphSAGE level on `graph` with the unsupervised
 /// loss, returning the trained module. Convenience wrapper over
 /// [`train_unsupervised_checked`] with a single-threaded executor
-/// (bit-identical to any other thread count) and no injected fault.
+/// (bit-identical to any other thread count).
 ///
 /// # Panics
 /// If an epoch's mean loss or a parameter becomes non-finite
@@ -257,7 +250,6 @@ pub fn train_unsupervised(
         cfg,
         seed,
         &ParallelExecutor::single(),
-        None,
     )
     .expect("train_unsupervised: training diverged")
 }
@@ -379,14 +371,11 @@ fn shard_pass(
     (loss_val * weight, grads)
 }
 
-/// Like [`train_unsupervised`], but with an explicit executor, the
-/// non-finite check returned as [`TrainError::NonFinite`], and an
-/// optional simulated crash after the 0-based epoch `crash_after_epoch`
-/// (fault injection, [`TrainError::Injected`]).
+/// Like [`train_unsupervised`], but with an explicit executor and the
+/// non-finite check returned as [`TrainError::NonFinite`].
 ///
 /// `exec` controls only physical concurrency: any worker count yields
 /// bit-identical parameters (see the module docs for why).
-#[allow(clippy::too_many_arguments)]
 pub fn train_unsupervised_checked(
     graph: &BipartiteGraph,
     user_feats: &Matrix,
@@ -395,7 +384,6 @@ pub fn train_unsupervised_checked(
     cfg: &SageTrainConfig,
     seed: u64,
     exec: &ParallelExecutor,
-    crash_after_epoch: Option<usize>,
 ) -> Result<TrainedSage, TrainError> {
     assert!(graph.num_edges() > 0, "train_unsupervised: graph has no edges");
     let neg_user_sampler = NegativeSampler::degree_biased(graph, Side::Left);
@@ -573,12 +561,6 @@ pub fn train_unsupervised_checked(
             return Err(TrainError::NonFinite {
                 epoch,
                 detail: "non-finite parameter after optimizer step".into(),
-            });
-        }
-        if crash_after_epoch == Some(epoch) {
-            return Err(TrainError::Injected {
-                epoch,
-                description: format!("simulated crash after epoch {epoch}"),
             });
         }
     }

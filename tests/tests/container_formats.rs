@@ -9,6 +9,7 @@ use hignn::ingest::{load_delta, save_delta, HierarchyDelta};
 use hignn::io::load_hierarchy;
 use hignn::prelude::*;
 use hignn_graph::{BipartiteGraph, SamplingMode};
+use hignn_integration_tests::crash_after_level;
 use hignn_serve::{ServeModel, DEFAULT_SCORER_SEED};
 use hignn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
@@ -74,12 +75,10 @@ fn cases(tag: &str) -> (PathBuf, CheckpointStore, Vec<Case>) {
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::create(dir.join("ck")).unwrap();
     let (g, uf, if_, cfg) = small_setup();
-    let crash = BuildOptions {
-        checkpoint: Some(&store),
-        fault: Some(FaultPlan::CrashAfterLevel(1)),
-        ..Default::default()
-    };
-    assert_eq!(build_hierarchy_with(&g, &uf, &if_, &cfg, &crash).unwrap_err().exit_code(), 6);
+    crash_after_level(&store, 1, || {
+        let opts = BuildOptions { checkpoint: Some(&store), ..Default::default() };
+        build_hierarchy_with(&g, &uf, &if_, &cfg, &opts)
+    });
     let fingerprint = run_fingerprint(&g, &uf, &if_, &cfg);
     let load_state = |store: CheckpointStore| -> Load {
         Box::new(move || store.load_state(fingerprint, 2).map(|_| ()))

@@ -1,22 +1,27 @@
 //! Crash-safety integration tests: checkpoint/resume determinism,
-//! fault injection, corruption detection, and format fuzzing.
+//! corruption detection, and format fuzzing.
 //!
-//! These drive the whole recovery story at the library level (the CLI
-//! tests in `hignn-cli` cover the same story end to end through the
-//! binary's flags and exit codes):
+//! These drive the whole recovery story at the library level with real
+//! faults: a blocked write, bytes edited on disk, and files a crash
+//! leaves beside the commit point (the CLI tests in `hignn-cli` cover
+//! the same story through the binary's flags and exit codes, and
+//! `kill_resume` kills the process itself):
 //!
-//! * a build killed after any level — or mid-level — and resumed from
-//!   its checkpoint produces a hierarchy **byte-identical** to an
-//!   uninterrupted run;
-//! * every injected checkpoint corruption or truncation is detected as
-//!   a checksum/format error (exit class 4), never a panic and never a
-//!   silently wrong hierarchy;
+//! * a build that dies after any level and is resumed from its
+//!   checkpoint produces a hierarchy **byte-identical** to an
+//!   uninterrupted run, at 1 and at 4 threads;
+//! * every truncation of a level record and every byte flipped in it is
+//!   detected as a checksum/format error (exit class 4), never a panic
+//!   and never a silently wrong hierarchy;
+//! * an orphan level record and a torn temp file beside the meta commit
+//!   point are ignored and overwritten;
 //! * the `HGHI` codec round-trips arbitrary synthetic hierarchies
 //!   (property-tested) and rejects truncation at every 64-byte boundary.
 
 use hignn::io::{read_hierarchy_bytes, write_hierarchy};
 use hignn::prelude::*;
 use hignn_graph::{Assignment, BipartiteGraph, SamplingMode};
+use hignn_integration_tests::crash_after_level;
 use hignn_tensor::{init, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -61,10 +66,28 @@ fn small_setup() -> (BipartiteGraph, Matrix, Matrix, HignnConfig) {
     (g, uf, if_, cfg)
 }
 
+/// `small_setup`'s build under `cfg`, checkpointed into `store`.
+fn checkpointed(
+    cfg: &HignnConfig,
+    store: &CheckpointStore,
+    resume: bool,
+    threads: usize,
+) -> Result<Hierarchy, HignnError> {
+    let (g, uf, if_, _) = small_setup();
+    let opts = BuildOptions { checkpoint: Some(store), resume, threads };
+    build_hierarchy_with(&g, &uf, &if_, cfg, &opts)
+}
+
 fn serialize(h: &Hierarchy) -> Vec<u8> {
     let mut buf = Vec::new();
     write_hierarchy(&mut buf, h).expect("in-memory write cannot fail");
     buf
+}
+
+/// The serialised uninterrupted, uncheckpointed build.
+fn clean_bytes() -> Vec<u8> {
+    let (g, uf, if_, cfg) = small_setup();
+    serialize(&build_hierarchy_with(&g, &uf, &if_, &cfg, &BuildOptions::default()).unwrap())
 }
 
 /// A unique scratch directory per test (parallel test binaries share
@@ -76,188 +99,147 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// Resume-after-kill reproduces the uninterrupted run byte-for-byte.
+// Resume after a crash reproduces the uninterrupted run byte-for-byte.
 
 #[test]
 fn resume_after_crash_at_each_level_is_byte_identical() {
-    let (g, uf, if_, cfg) = small_setup();
-    let clean = build_hierarchy_with(&g, &uf, &if_, &cfg, &BuildOptions::default()).unwrap();
-    let clean_bytes = serialize(&clean);
-
-    for crash_level in 1..=2usize {
-        let dir = scratch(&format!("lvl{crash_level}"));
+    let (_, _, _, cfg) = small_setup();
+    let clean = clean_bytes();
+    for threads in [1usize, 4] {
+        // Dies after level 1: level 2's write is blocked, so level 2 is
+        // lost entirely and must be retrained from scratch on resume.
+        let dir = scratch(&format!("lvl1_t{threads}"));
         let store = CheckpointStore::create(&dir).unwrap();
-        let err = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions {
-                checkpoint: Some(&store),
-                fault: Some(FaultPlan::CrashAfterLevel(crash_level)),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 6, "expected injected fault, got: {err}");
+        crash_after_level(&store, 1, || checkpointed(&cfg, &store, false, threads));
+        let resumed = checkpointed(&cfg, &store, true, threads).unwrap();
+        assert_eq!(serialize(&resumed), clean, "crash after level 1, {threads} threads");
+        let _ = std::fs::remove_dir_all(&dir);
 
-        let resumed = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions { checkpoint: Some(&store), resume: true, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(
-            serialize(&resumed),
-            clean_bytes,
-            "resume after crash at level {crash_level} diverged from the uninterrupted run"
-        );
+        // Dies after level 2's commit, before the model is written:
+        // resume loads every level and trains nothing.
+        let dir = scratch(&format!("lvl2_t{threads}"));
+        let store = CheckpointStore::create(&dir).unwrap();
+        assert_eq!(serialize(&checkpointed(&cfg, &store, false, threads).unwrap()), clean);
+        let resumed = checkpointed(&cfg, &store, true, threads).unwrap();
+        assert_eq!(serialize(&resumed), clean, "crash after level 2, {threads} threads");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
-fn resume_after_mid_level_crash_is_byte_identical() {
-    let (g, uf, if_, cfg) = small_setup();
-    let clean = build_hierarchy_with(&g, &uf, &if_, &cfg, &BuildOptions::default()).unwrap();
-
-    // Die inside level 2's training loop: level 1 is durable, level 2 is
-    // lost entirely and must be retrained from scratch on resume.
-    let dir = scratch("midlvl");
-    let store = CheckpointStore::create(&dir).unwrap();
-    let err = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions {
-            checkpoint: Some(&store),
-            fault: Some(FaultPlan::CrashAfterEpoch { level: 2, epoch: 0 }),
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 6, "expected injected fault, got: {err}");
-
-    let resumed = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions { checkpoint: Some(&store), resume: true, ..Default::default() },
-    )
-    .unwrap();
-    assert_eq!(serialize(&resumed), serialize(&clean));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn resume_refuses_different_inputs() {
-    let (g, uf, if_, cfg) = small_setup();
+    let (_, _, _, cfg) = small_setup();
     let dir = scratch("fingerprint");
     let store = CheckpointStore::create(&dir).unwrap();
-    let _ = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions {
-            checkpoint: Some(&store),
-            fault: Some(FaultPlan::CrashAfterLevel(1)),
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
+    crash_after_level(&store, 1, || checkpointed(&cfg, &store, false, 1));
 
     // Same graph, different seed: a different run. Resuming must be
     // refused (config error), not silently splice two runs together.
     let mut other = cfg.clone();
     other.seed = cfg.seed + 1;
-    let err = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &other,
-        &BuildOptions { checkpoint: Some(&store), resume: true, ..Default::default() },
-    )
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 2, "expected config refusal, got: {err}");
-    assert!(err.to_string().contains("fingerprint"), "{err}");
+    for threads in [1usize, 4] {
+        let err = checkpointed(&other, &store, true, threads).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "expected config refusal, got: {err}");
+        assert!(err.to_string().contains("fingerprint"), "{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ---------------------------------------------------------------------
-// Injected damage is always detected — never a panic, never a silently
-// wrong result.
-
 #[test]
-fn every_seeded_corruption_is_detected_on_resume() {
-    let (g, uf, if_, cfg) = small_setup();
-    let dir = scratch("corrupt");
-    for seed in 0..16u64 {
-        let store = CheckpointStore::create(&dir).unwrap();
-        let err = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions {
-                checkpoint: Some(&store),
-                fault: Some(FaultPlan::seeded_corruption(1, seed)),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 6, "seed {seed}: expected injected fault, got: {err}");
+fn resume_ignores_orphan_and_torn_residue() {
+    let (_, _, _, cfg) = small_setup();
+    let clean = clean_bytes();
+    // A complete level-2 record from another run (a different seed).
+    let mut other = cfg.clone();
+    other.seed = cfg.seed + 1;
+    let other_dir = scratch("residue_other");
+    let other_store = CheckpointStore::create(&other_dir).unwrap();
+    checkpointed(&other, &other_store, false, 1).unwrap();
+    let orphan = std::fs::read(other_store.level_path(2)).unwrap();
+    let _ = std::fs::remove_dir_all(&other_dir);
 
-        let resume = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions { checkpoint: Some(&store), resume: true, ..Default::default() },
-        );
-        let err = resume.expect_err(&format!("seed {seed}: corruption went undetected"));
-        assert_eq!(err.exit_code(), 4, "seed {seed}: expected corruption, got: {err}");
+    for threads in [1usize, 4] {
+        let dir = scratch(&format!("residue_t{threads}"));
+        let store = CheckpointStore::create(&dir).unwrap();
+        crash_after_level(&store, 1, || checkpointed(&cfg, &store, false, threads));
+        // What a crash between level 2's rename and the meta commit
+        // leaves, plus a temp file torn mid-write by an earlier crash.
+        std::fs::write(store.level_path(2), &orphan).unwrap();
+        std::fs::write(store.level_path(2).with_extension("tmp"), b"HGCL\x05\0\0\0torn").unwrap();
+
+        let resumed = checkpointed(&cfg, &store, true, threads).unwrap();
+        assert_eq!(serialize(&resumed), clean, "residue changed the resumed run ({threads} threads)");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        assert_ne!(std::fs::read(store.level_path(2)).unwrap(), orphan, "orphan not overwritten");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+// ---------------------------------------------------------------------
+// Damage to a durable level record is always detected — never a panic,
+// never a silently wrong result — and a refused resume touches nothing.
+
+/// Builds once to the directory a crash after level 1 leaves, then for
+/// each damaged copy `damage` makes of the pristine `level_01.hgcl`:
+/// writes it, asserts resume at 1 and 4 threads is refused as corrupt
+/// (exit 4) without touching the record, and restores the record.
+/// Finally resumes the restored directory, which must still finish to
+/// the clean run's bytes.
+fn assert_every_damage_refused(tag: &str, damage: impl Fn(&[u8]) -> Vec<(String, Vec<u8>)>) {
+    let (_, _, _, cfg) = small_setup();
+    let dir = scratch(tag);
+    let store = CheckpointStore::create(&dir).unwrap();
+    crash_after_level(&store, 1, || checkpointed(&cfg, &store, false, 1));
+    let level = store.level_path(1);
+    let pristine = std::fs::read(&level).unwrap();
+    for (what, damaged) in damage(&pristine) {
+        std::fs::write(&level, &damaged).unwrap();
+        for threads in [1usize, 4] {
+            let err = checkpointed(&cfg, &store, true, threads)
+                .expect_err(&format!("{what}: damage went undetected"));
+            assert_eq!(err.exit_code(), 4, "{what}: expected corruption, got: {err}");
+        }
+        assert_eq!(std::fs::read(&level).unwrap(), damaged, "{what}: a refused resume wrote");
+        std::fs::write(&level, &pristine).unwrap();
+    }
+    let resumed = checkpointed(&cfg, &store, true, 2).unwrap();
+    assert_eq!(serialize(&resumed), clean_bytes(), "{tag}: restored checkpoint diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_byte_flip_is_detected_on_resume() {
+    // Every 97th byte, from the magic through the CRC, each flipped
+    // under a different single-bit mask.
+    assert_every_damage_refused("corrupt", |pristine| {
+        let flips: Vec<_> = (0..pristine.len())
+            .step_by(97)
+            .enumerate()
+            .map(|(k, at)| {
+                let mut bytes = pristine.to_vec();
+                bytes[at] ^= 1 << (k % 8);
+                (format!("flip at byte {at} of {}", pristine.len()), bytes)
+            })
+            .collect();
+        assert!(flips.len() >= 16, "only {} flips", flips.len());
+        flips
+    });
 }
 
 #[test]
 fn every_truncation_is_detected_on_resume() {
-    let (g, uf, if_, cfg) = small_setup();
-    let dir = scratch("trunc");
     // 0 = empty file; small values cut inside magic/version/length;
     // larger ones cut inside the CRC-protected payload.
-    for keep_bytes in [0u64, 3, 4, 8, 15, 16, 64, 500] {
-        let store = CheckpointStore::create(&dir).unwrap();
-        let err = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions {
-                checkpoint: Some(&store),
-                fault: Some(FaultPlan::TruncateCheckpoint { level: 1, keep_bytes }),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 6, "keep {keep_bytes}: expected injected fault, got: {err}");
-
-        let resume = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions { checkpoint: Some(&store), resume: true, ..Default::default() },
-        );
-        let err = resume.expect_err(&format!("keep {keep_bytes}: truncation went undetected"));
-        assert_eq!(err.exit_code(), 4, "keep {keep_bytes}: expected corruption, got: {err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    assert_every_damage_refused("trunc", |pristine| {
+        [0usize, 3, 4, 8, 15, 16, 64, 500]
+            .map(|keep| (format!("keep {keep} bytes"), pristine[..keep].to_vec()))
+            .to_vec()
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -11,9 +11,9 @@
 //!   the identical HGHI v2 file;
 //! * property test: any thread count in 1..=8 reproduces the 1-thread
 //!   hierarchy byte-for-byte;
-//! * a build checkpointed at one thread count resumes at a *different*
-//!   thread count and still reproduces the uninterrupted run
-//!   byte-for-byte (composing with the PR 1 crash-recovery harness);
+//! * a build checkpointed at one thread count, and stopped by a blocked
+//!   level write, resumes at a *different* thread count and still
+//!   reproduces the uninterrupted run byte-for-byte;
 //! * the `HIGNN_TEST_THREADS` env knob lets CI re-run the same assertion
 //!   across its thread matrix;
 //! * two `build_taxonomy` runs in one process give the same topics.
@@ -21,6 +21,7 @@
 use hignn::io::write_hierarchy;
 use hignn::prelude::*;
 use hignn_graph::{BipartiteGraph, SamplingMode};
+use hignn_integration_tests::crash_after_level;
 use hignn_tensor::{init, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,10 +144,9 @@ fn hierarchy_fields_match_across_thread_counts() {
         assert_eq!(a.item_assignment.as_slice(), b.item_assignment.as_slice(), "level {l} C_i");
         assert_eq!(a.epoch_losses, b.epoch_losses, "level {l} losses");
     }
-    // The hierarchical extraction is thread-independent too.
-    let exec = ParallelExecutor::new(4);
-    assert_eq!(h1.hierarchical_users().data(), h4.hierarchical_users_with(&exec).data());
-    assert_eq!(h1.hierarchical_items().data(), h4.hierarchical_items_with(&exec).data());
+    // So is the hierarchical extraction.
+    assert_eq!(h1.hierarchical_users().data(), h4.hierarchical_users().data());
+    assert_eq!(h1.hierarchical_items().data(), h4.hierarchical_items().data());
 }
 
 // ---------------------------------------------------------------------
@@ -180,36 +180,15 @@ fn checkpoint_written_at_4_threads_resumes_at_1_and_2() {
     for resume_threads in [1usize, 2] {
         let dir = scratch(&format!("x{resume_threads}"));
         let store = CheckpointStore::create(&dir).unwrap();
-        let err = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions {
-                checkpoint: Some(&store),
-                fault: Some(FaultPlan::CrashAfterLevel(1)),
-                threads: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 6, "expected injected fault, got: {err}");
+        crash_after_level(&store, 1, || {
+            let opts = BuildOptions { checkpoint: Some(&store), threads: 4, ..Default::default() };
+            build_hierarchy_with(&g, &uf, &if_, &cfg, &opts)
+        });
         // Provenance: the interrupted run recorded its worker count.
         assert_eq!(store.read_meta().unwrap().0.threads, 4);
 
-        let resumed = build_hierarchy_with(
-            &g,
-            &uf,
-            &if_,
-            &cfg,
-            &BuildOptions {
-                checkpoint: Some(&store),
-                resume: true,
-                threads: resume_threads,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let opts = BuildOptions { checkpoint: Some(&store), resume: true, threads: resume_threads };
+        let resumed = build_hierarchy_with(&g, &uf, &if_, &cfg, &opts).unwrap();
         assert_eq!(
             serialize(&resumed),
             clean_bytes,
@@ -217,41 +196,6 @@ fn checkpoint_written_at_4_threads_resumes_at_1_and_2() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn mid_level_crash_under_parallel_trainer_recovers() {
-    // Die inside level 2's (data-parallel) training loop at 4 threads;
-    // resume at 2 threads must retrain level 2 to the same bits.
-    let (g, uf, if_, cfg) = small_setup();
-    let clean_bytes = build_at(1);
-    let dir = scratch("midlvl_par");
-    let store = CheckpointStore::create(&dir).unwrap();
-    let err = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions {
-            checkpoint: Some(&store),
-            fault: Some(FaultPlan::CrashAfterEpoch { level: 2, epoch: 0 }),
-            threads: 4,
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 6, "expected injected fault, got: {err}");
-
-    let resumed = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions { checkpoint: Some(&store), resume: true, threads: 2, ..Default::default() },
-    )
-    .unwrap();
-    assert_eq!(serialize(&resumed), clean_bytes);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

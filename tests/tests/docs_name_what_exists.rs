@@ -89,10 +89,8 @@ fn flags(text: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Flags the docs may name without a home in the program: cargo's own,
-/// and the hidden `--fault` of `hignn train`.
-const CARGO_AND_HIDDEN_FLAGS: [&str; 6] =
-    ["--release", "--bin", "--workspace", "--test", "--ignored", "--fault"];
+/// Flags the docs may name without a home in the program: cargo's own.
+const CARGO_FLAGS: [&str; 5] = ["--release", "--bin", "--workspace", "--test", "--ignored"];
 
 #[test]
 fn every_flag_the_docs_name_is_accepted_somewhere() {
@@ -109,7 +107,7 @@ fn every_flag_the_docs_name_is_accepted_somewhere() {
         .into_iter()
         .flat_map(flags)
         .collect();
-    known.extend(CARGO_AND_HIDDEN_FLAGS);
+    known.extend(CARGO_FLAGS);
 
     let mut missing = Vec::new();
     let mut checked = 0usize;

@@ -11,9 +11,10 @@
 //! serialises on one mutex (this file is its own test binary, so no
 //! other workspace test shares the process).
 
-use hignn::checkpoint::{CheckpointStore, FaultPlan};
+use hignn::checkpoint::CheckpointStore;
 use hignn::prelude::*;
 use hignn_graph::{BipartiteGraph, SamplingMode};
+use hignn_integration_tests::crash_after_level;
 use hignn_obs::{LogFormat, MetricsSnapshot};
 use hignn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
@@ -89,28 +90,21 @@ fn resumed_run_continues_counters_to_clean_run_totals() {
     hignn_obs::set_enabled(false);
     assert!(!clean_totals.is_empty(), "clean run recorded nothing");
 
-    // Crash after level 1's checkpoint, in a "process" of its own
-    // (simulated by resetting the registry afterwards).
+    // Die after level 1's checkpoint (level 2's write is blocked), in a
+    // "process" of its own (simulated by resetting the registry
+    // afterwards).
     let dir = scratch("crash");
     let store = CheckpointStore::create(&dir).unwrap();
     hignn_obs::global().reset();
     hignn_obs::set_enabled(true);
-    let err = build_hierarchy_with(
-        &g,
-        &uf,
-        &if_,
-        &cfg,
-        &BuildOptions {
-            checkpoint: Some(&store),
-            fault: Some(FaultPlan::CrashAfterLevel(1)),
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
-    assert_eq!(err.exit_code(), 6, "expected injected fault: {err}");
+    crash_after_level(&store, 1, || {
+        let opts = BuildOptions { checkpoint: Some(&store), ..Default::default() };
+        build_hierarchy_with(&g, &uf, &if_, &cfg, &opts)
+    });
     hignn_obs::set_enabled(false);
 
-    // The durable meta carries the counters recorded up to the crash.
+    // The durable meta carries the counters committed with level 1;
+    // level 2's counters died with the "process".
     let (_meta, snap) = store.read_meta().unwrap();
     assert!(
         snap.counters.iter().any(|(k, v)| k == "stack.levels_built" && *v == 1),

@@ -9,6 +9,7 @@ use hignn_baselines::Variant;
 use hignn_datasets::taobao::{generate_taobao, TaobaoConfig};
 use hignn_datasets::InteractionDataset;
 use hignn_graph::SamplingMode;
+use hignn_integration_tests::crash_after_level;
 use hignn_metrics::auc;
 
 fn tiny_inputs() -> (InteractionDataset, HignnConfig) {
@@ -64,31 +65,34 @@ fn a_failed_checkpoint_write_leaves_no_record_and_a_rerun_recovers() {
         build_hierarchy_with(&ds.graph, &ds.user_features, &ds.item_features, &cfg, opts)
     };
     let clean = serialize(&build(&BuildOptions::default()).unwrap());
-    // A directory where a record's sibling temp file goes makes that
-    // write fail before anything is renamed into place: first the
-    // fresh run's meta record, then level 1's record.
-    for (blocked, resume) in [("meta.tmp", false), ("level_01.tmp", true)] {
-        let dir = std::env::temp_dir()
-            .join(format!("hignn_persist_{blocked}_{}", std::process::id()));
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("hignn_persist_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::create(&dir).unwrap();
-        std::fs::create_dir(dir.join(blocked)).unwrap();
-        let err = build(&BuildOptions { checkpoint: Some(&store), ..Default::default() })
-            .unwrap_err();
-        assert_eq!(err.exit_code(), 3, "{blocked}: expected an I/O error, got: {err}");
-        if resume {
-            // The meta commit point still says no level is done.
-            assert_eq!(store.read_meta().unwrap().0.levels_done, 0, "{blocked}");
-            assert!(!store.level_path(1).exists(), "{blocked}: a level record appeared");
-        } else {
-            assert!(!store.has_meta(), "a failed first meta write must leave no record");
-        }
-        std::fs::remove_dir(dir.join(blocked)).unwrap();
-        let rerun = build(&BuildOptions { checkpoint: Some(&store), resume, ..Default::default() })
-            .unwrap_or_else(|e| panic!("{blocked}: rerun (resume = {resume}) failed: {e}"));
-        assert_eq!(serialize(&rerun), clean, "{blocked}: rerun diverged from the clean run");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        CheckpointStore::create(dir).unwrap()
+    };
+    let checkpointed = |store, resume| BuildOptions { checkpoint: Some(store), resume, threads: 1 };
+
+    // A directory where the fresh run's meta temp file goes makes the
+    // first commit fail before anything is renamed into place.
+    let store = scratch("meta");
+    let blocker = store.dir().join("meta.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    let err = build(&checkpointed(&store, false)).unwrap_err();
+    assert_eq!(err.exit_code(), 3, "expected an I/O error, got: {err}");
+    assert!(!store.has_meta(), "a failed first meta write must leave no record");
+    std::fs::remove_dir(&blocker).unwrap();
+    let rerun = build(&checkpointed(&store, false)).unwrap();
+    assert_eq!(serialize(&rerun), clean, "a fresh rerun diverged from the clean run");
+    let _ = std::fs::remove_dir_all(store.dir());
+
+    // The same for level 1's record: the meta still says no level is
+    // done, and resuming starts from level 1.
+    let store = scratch("level");
+    crash_after_level(&store, 0, || build(&checkpointed(&store, false)));
+    assert!(!store.level_path(1).exists(), "a level record appeared");
+    let rerun = build(&checkpointed(&store, true)).unwrap();
+    assert_eq!(serialize(&rerun), clean, "the resumed rerun diverged from the clean run");
+    let _ = std::fs::remove_dir_all(store.dir());
 }
 
 #[test]
