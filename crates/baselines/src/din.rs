@@ -13,7 +13,7 @@
 
 use hignn::predictor::Sample;
 use hignn_tensor::nn::{Activation, Mlp};
-use hignn_tensor::optim::{Adam, Optimizer};
+use hignn_tensor::optim::Adam;
 use hignn_tensor::{init, stable_sigmoid, Matrix, ParamId, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,11 +204,6 @@ impl DinModel {
             out.extend((0..chunk.len()).map(|k| stable_sigmoid(lm.get(k, 0))));
         }
         out
-    }
-
-    /// Number of trainable scalars.
-    pub fn num_parameters(&self) -> usize {
-        self.store.num_scalars()
     }
 }
 

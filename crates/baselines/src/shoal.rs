@@ -25,11 +25,6 @@ impl ShoalTaxonomy {
     pub fn num_levels(&self) -> usize {
         self.item_levels.len()
     }
-
-    /// Item assignment at `level` (1-based).
-    pub fn item_assignment(&self, level: usize) -> &[u32] {
-        &self.item_levels[level - 1]
-    }
 }
 
 /// Builds the SHOAL taxonomy by cutting one agglomerative dendrogram over
@@ -69,13 +64,13 @@ mod tests {
         let tax = build_shoal(&blob_feats(), &[6, 3, 2]);
         assert_eq!(tax.num_levels(), 3);
         assert_eq!(tax.level_counts, vec![6, 3, 2]);
-        assert_eq!(tax.item_assignment(1).len(), 18);
+        assert_eq!(tax.item_levels[0].len(), 18);
     }
 
     #[test]
     fn level_3_recovers_blobs_nested_in_level_2() {
         let tax = build_shoal(&blob_feats(), &[3, 2]);
-        let fine = tax.item_assignment(1);
+        let fine = &tax.item_levels[0];
         // Finest cut at 3 recovers the 3 blobs exactly.
         for b in 0..3 {
             let first = fine[b * 6];
@@ -83,7 +78,7 @@ mod tests {
         }
         // Coarser level merges blobs (2 clusters), and is a coarsening of
         // the finer one: same fine cluster -> same coarse cluster.
-        let coarse = tax.item_assignment(2);
+        let coarse = &tax.item_levels[1];
         for i in 0..18 {
             for j in 0..18 {
                 if fine[i] == fine[j] {

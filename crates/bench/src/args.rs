@@ -15,7 +15,7 @@
 //! backtrace at the user.
 
 /// The usage line shown by `--help` and on every usage error.
-pub const USAGE: &str = "usage: <bin> [--scale F] [--seed N] [--levels L] [--quick]";
+pub(crate) const USAGE: &str = "usage: <bin> [--scale F] [--seed N] [--levels L] [--quick]";
 
 /// Parsed experiment arguments.
 #[derive(Clone, Debug)]
@@ -55,23 +55,11 @@ impl ExpArgs {
         })
     }
 
-    /// Parses from an explicit iterator, panicking on malformed input.
-    /// Kept for tests and non-CLI callers; binaries should go through
-    /// [`ExpArgs::parse`] for proper usage errors.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(args: impl IntoIterator<Item = String>) -> Self {
-        match Self::try_from_iter(args) {
-            Ok(Ok(args)) => args,
-            Ok(Err(msg)) => panic!("{msg}"),
-            Err(Help) => panic!("--help requested from from_iter"),
-        }
-    }
-
     /// Parses from an explicit iterator without any process side
     /// effects. `Err(Help)` means `--help`/`-h` was given; the inner
     /// `Result` carries either the parsed arguments or a one-line
     /// description of the usage error.
-    pub fn try_from_iter(
+    pub(crate) fn try_from_iter(
         args: impl IntoIterator<Item = String>,
     ) -> Result<Result<Self, String>, Help> {
         let mut out = ExpArgs::default();
@@ -129,7 +117,7 @@ impl ExpArgs {
 
 /// Marker for `--help`: not an error, but not parsed arguments either.
 #[derive(Clone, Copy, Debug)]
-pub struct Help;
+pub(crate) struct Help;
 
 /// Pulls the value following a flag, or reports the flag as dangling.
 fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
@@ -219,11 +207,5 @@ mod tests {
         assert!(parse(&["-h"]).is_err());
         // --help wins even after valid flags.
         assert!(parse(&["--scale", "1.0", "--help"]).is_err());
-    }
-
-    #[test]
-    fn from_iter_still_panics_for_tests() {
-        let r = std::thread::spawn(|| ExpArgs::from_iter(vec!["--bogus".to_string()])).join();
-        assert!(r.is_err());
     }
 }

@@ -122,7 +122,7 @@ pub fn din_auc(ds: &InteractionDataset, replicate: bool, seed: u64) -> f64 {
 
 /// Word2vec query/item features for the taxonomy pipeline (shared latent
 /// space, Section V.B).
-pub fn taxonomy_features(ds: &QueryItemDataset, dim: usize, seed: u64) -> (Matrix, Matrix) {
+pub(crate) fn taxonomy_features(ds: &QueryItemDataset, dim: usize, seed: u64) -> (Matrix, Matrix) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x71);
     let cfg = Word2VecConfig { dim, epochs: 2, ..Default::default() };
     let corpus = ds.corpus();
@@ -143,7 +143,7 @@ fn counts_u64(ds: &QueryItemDataset) -> Vec<u64> {
 
 /// Taxonomy configuration following Section V (L = 4, shared weights,
 /// CH-guided cluster counts).
-pub fn taxonomy_config(input_dim: usize, levels: usize, seed: u64) -> TaxonomyConfig {
+pub(crate) fn taxonomy_config(input_dim: usize, levels: usize, seed: u64) -> TaxonomyConfig {
     TaxonomyConfig {
         hignn: HignnConfig {
             levels,

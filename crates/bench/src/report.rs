@@ -21,7 +21,7 @@ impl Table {
     }
 
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -60,11 +60,6 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Formats a percentage lift with sign.
-pub fn pct(v: f64) -> String {
-    format!("{v:+.2}%")
-}
-
 /// Prints a section banner.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
@@ -95,7 +90,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(f3(0.87), "0.870");
-        assert_eq!(pct(2.25), "+2.25%");
-        assert_eq!(pct(-1.0), "-1.00%");
     }
 }

@@ -22,7 +22,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 
 /// Usage text printed by `hignn help`.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 hignn — Hierarchical Bipartite Graph Neural Networks (ICDE 2020)
 
 USAGE:

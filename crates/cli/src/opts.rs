@@ -44,7 +44,7 @@ impl Opts {
     }
 
     /// A required string option.
-    pub fn require(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn require(&self, key: &str) -> Result<&str, String> {
         self.values
             .get(key)
             .map(String::as_str)
@@ -52,12 +52,12 @@ impl Opts {
     }
 
     /// An optional string option.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
 
     /// An optional parsed option with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -67,13 +67,13 @@ impl Opts {
     }
 
     /// True when the boolean flag was given.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
 
     /// Rejects any option or flag not in `allowed`, so a typo'd flag
     /// fails loudly instead of being silently ignored.
-    pub fn assert_known(&self, allowed: &[&str]) -> Result<(), String> {
+    pub(crate) fn assert_known(&self, allowed: &[&str]) -> Result<(), String> {
         let given = self.values.keys().map(String::as_str).chain(self.flags.iter().map(String::as_str));
         for key in given {
             if !allowed.contains(&key) {

@@ -31,29 +31,12 @@ pub struct Dendrogram {
 }
 
 impl Dendrogram {
-    /// Number of leaves (input points).
-    pub fn n_leaves(&self) -> usize {
-        self.n_leaves
-    }
-
-    /// Merge steps in ascending distance order.
-    pub fn merges(&self) -> &[Merge] {
-        &self.merges
-    }
-
     /// Cuts the dendrogram into exactly `k` clusters (clamped to
     /// `1..=n_leaves`), returning a leaf assignment with contiguous ids.
     pub fn cut_k(&self, k: usize) -> Vec<u32> {
         let k = k.clamp(1, self.n_leaves.max(1));
         let merges_to_apply = self.n_leaves.saturating_sub(k);
         self.cut_after(merges_to_apply)
-    }
-
-    /// Cuts at a distance threshold: all merges with
-    /// `distance <= threshold` are applied.
-    pub fn cut_distance(&self, threshold: f64) -> Vec<u32> {
-        let count = self.merges.iter().take_while(|m| m.distance <= threshold).count();
-        self.cut_after(count)
     }
 
     fn cut_after(&self, merge_count: usize) -> Vec<u32> {
@@ -250,10 +233,10 @@ mod tests {
     fn merges_closest_first() {
         let data = points(&[0.0, 1.0, 10.0]);
         let dend = average_linkage(&data);
-        assert_eq!(dend.n_leaves(), 3);
-        assert_eq!(dend.merges().len(), 2);
+        assert_eq!(dend.n_leaves, 3);
+        assert_eq!(dend.merges.len(), 2);
         // First merge: points 0 and 1 at distance 1.
-        let first = dend.merges()[0];
+        let first = dend.merges[0];
         assert!((first.distance - 1.0).abs() < 1e-6);
         assert_eq!(first.size, 2);
     }
@@ -261,7 +244,7 @@ mod tests {
     #[test]
     fn nan_point_merges_last_instead_of_panicking() {
         let dend = average_linkage(&points(&[0.0, 1.0, f32::NAN, 10.0]));
-        let d: Vec<f64> = dend.merges().iter().map(|m| m.distance).collect();
+        let d: Vec<f64> = dend.merges.iter().map(|m| m.distance).collect();
         assert_eq!(d.len(), 3);
         assert!(d[0] == 1.0 && d[1] == 9.5 && d[2].is_nan(), "{d:?}");
         // Cutting before the NaN merge isolates the NaN point.
@@ -289,21 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn cut_distance_threshold() {
-        let data = points(&[0.0, 1.0, 10.0]);
-        let dend = average_linkage(&data);
-        let near = dend.cut_distance(2.0);
-        assert_eq!(near[0], near[1]);
-        assert_ne!(near[0], near[2]);
-        let all = dend.cut_distance(100.0);
-        assert!(all.iter().all(|&x| x == all[0]));
-    }
-
-    #[test]
     fn average_linkage_distance_grows() {
         let data = points(&[0.0, 1.0, 2.0, 3.0, 10.0, 11.0]);
         let dend = average_linkage(&data);
-        let distances: Vec<f64> = dend.merges().iter().map(|m| m.distance).collect();
+        let distances: Vec<f64> = dend.merges.iter().map(|m| m.distance).collect();
         for w in distances.windows(2) {
             assert!(w[0] <= w[1] + 1e-9, "distances not sorted: {distances:?}");
         }
@@ -312,7 +284,7 @@ mod tests {
     #[test]
     fn single_point() {
         let dend = average_linkage(&points(&[5.0]));
-        assert_eq!(dend.n_leaves(), 1);
+        assert_eq!(dend.n_leaves, 1);
         assert_eq!(dend.cut_k(1), vec![0]);
     }
 

@@ -51,7 +51,7 @@ pub struct KMeansResult {
 
 impl KMeansResult {
     /// Number of clusters.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.centroids.rows()
     }
 }

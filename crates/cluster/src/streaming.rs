@@ -47,7 +47,7 @@ pub struct SequentialKMeans {
 
 impl SequentialKMeans {
     /// Seeds `k` centres from `seed_sample` (k-means++).
-    pub fn new(seed_sample: &Matrix, k: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(seed_sample: &Matrix, k: usize, rng: &mut impl Rng) -> Self {
         let centroids = kmeans_pp_seed(seed_sample, k, rng);
         let counts = vec![0usize; centroids.rows()];
         Self::from_state(centroids, counts)
@@ -92,11 +92,6 @@ impl SequentialKMeans {
     /// Current centroids.
     pub fn centroids(&self) -> &Matrix {
         &self.centroids
-    }
-
-    /// Points consumed per cluster.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
     }
 
     /// Assigns a point without updating centres: the nearest centre,
@@ -198,7 +193,7 @@ mod tests {
         // Running mean starting from seed 0: after 2,4,6 -> mean of [2,4,6]
         // because the first observation resets toward (0 + (2-0)/1) = 2.
         assert!((skm.centroids().get(0, 0) - 4.0).abs() < 1e-5);
-        assert_eq!(skm.counts(), &[3]);
+        assert_eq!(skm.counts, [3]);
     }
 
     #[test]
@@ -240,13 +235,13 @@ mod tests {
         let c = skm.observe(&[f32::NAN, 1.0]);
         assert_eq!(c, 0, "NaN-last routing is deterministic");
         assert_eq!(skm.centroids(), &before, "centre must not absorb NaN");
-        assert_eq!(skm.counts(), &[4, 4], "counts must not change");
+        assert_eq!(skm.counts, [4, 4], "counts must not change");
         // assign() follows the same policy.
         assert_eq!(skm.assign(&[f32::NAN, f32::NAN]), 0);
         // Later finite points still stream normally.
         let c = skm.observe(&[9.0, 9.0]);
         assert_eq!(c, 1);
-        assert_eq!(skm.counts(), &[4, 5]);
+        assert_eq!(skm.counts, [4, 5]);
         assert!(skm.centroids().row(1).iter().all(|v| v.is_finite()));
     }
 
@@ -292,7 +287,7 @@ mod tests {
             }
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(skm.centroids()), bits(&reference), "centroids, step {step}");
-            assert_eq!(skm.counts(), &counts[..]);
+            assert_eq!(skm.counts, counts);
         }
         let tied = SequentialKMeans::from_state(
             Matrix::from_vec(3, 2, vec![2.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
@@ -315,7 +310,7 @@ mod tests {
         for i in 0..data.rows() {
             skm.observe(data.row(i));
         }
-        assert_eq!(skm.counts()[2], 0);
+        assert_eq!(skm.counts[2], 0);
         assert_eq!(skm.centroids().get(2, 0), 1000.0, "dead centre keeps its seed");
         assert_eq!(skm.dead_clusters(), vec![2]);
     }

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 use crate::checkpoint::CheckpointStore;
 use crate::error::HignnError;
-use crate::sage::{Aggregator, BipartiteSageConfig};
+use crate::sage::BipartiteSageConfig;
 use crate::stack::{
     build_hierarchy_with, BuildOptions, ClusterCounts, Hierarchy, HignnConfig, KMeansAlgo,
 };
@@ -130,18 +130,6 @@ impl HignnBuilder {
         self
     }
 
-    /// Neighbourhood aggregator (mean in the paper).
-    pub fn aggregator(mut self, agg: Aggregator) -> Self {
-        self.cfg.sage.aggregator = agg;
-        self
-    }
-
-    /// Share weights across sides (query-item variant, Section V.B).
-    pub fn shared_weights(mut self, shared: bool) -> Self {
-        self.cfg.sage.shared_weights = shared;
-        self
-    }
-
     /// Replaces the whole GraphSAGE sub-config at once.
     pub fn sage_config(mut self, sage: BipartiteSageConfig) -> Self {
         self.cfg.sage = sage;
@@ -174,13 +162,6 @@ impl HignnBuilder {
         self
     }
 
-    /// Gradient shards per batch. Part of the numeric contract: changing
-    /// it changes results (unlike [`HignnBuilder::threads`]).
-    pub fn grad_shards(mut self, shards: usize) -> Self {
-        self.cfg.train.grad_shards = shards;
-        self
-    }
-
     /// Replaces the whole training sub-config at once.
     pub fn train_config(mut self, train: SageTrainConfig) -> Self {
         self.cfg.train = train;
@@ -192,18 +173,6 @@ impl HignnBuilder {
     /// Cluster-count strategy `K_l = K_{l-1} / alpha`.
     pub fn alpha_decay(mut self, alpha: f64) -> Self {
         self.cfg.cluster_counts = ClusterCounts::AlphaDecay { alpha };
-        self
-    }
-
-    /// Explicit `(K_u, K_i)` per level.
-    pub fn fixed_counts(mut self, counts: Vec<(usize, usize)>) -> Self {
-        self.cfg.cluster_counts = ClusterCounts::Fixed(counts);
-        self
-    }
-
-    /// Calinski-Harabasz-guided cluster-count selection (Eq. 13).
-    pub fn ch_select(mut self, divisors: Vec<f64>) -> Self {
-        self.cfg.cluster_counts = ClusterCounts::ChSelect { divisors };
         self
     }
 
@@ -298,7 +267,7 @@ impl HignnBuilder {
 
 /// A validated, frozen training configuration produced by
 /// [`HignnBuilder::build`]. Running it is deterministic in everything
-/// except [`TrainSpec::threads`], which is purely physical.
+/// except [`HignnBuilder::threads`], which is purely physical.
 #[derive(Clone, Debug)]
 pub struct TrainSpec {
     cfg: HignnConfig,
@@ -313,19 +282,9 @@ impl TrainSpec {
         &self.cfg
     }
 
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Checkpoint directory, if checkpointing is enabled.
     pub fn checkpoint_dir(&self) -> Option<&Path> {
         self.checkpoint_dir.as_deref()
-    }
-
-    /// Whether the run resumes from the checkpoint directory.
-    pub fn resume(&self) -> bool {
-        self.resume
     }
 
     /// Builds the full hierarchy (Algorithm 1) under this spec.
@@ -395,6 +354,12 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_knobs() {
+        // Knobs without a setter of their own are set on the config.
+        let with = |set: fn(&mut HignnConfig)| {
+            let mut b = small_builder();
+            set(&mut b.cfg);
+            b
+        };
         let cases: Vec<(HignnBuilder, &str)> = vec![
             (small_builder().levels(0), "levels"),
             (small_builder().threads(0), "threads"),
@@ -405,10 +370,10 @@ mod tests {
             (small_builder().batch_edges(0), "batch_edges"),
             (small_builder().learning_rate(f32::NAN), "learning rate"),
             (small_builder().learning_rate(-1.0), "learning rate"),
-            (small_builder().grad_shards(0), "grad_shards"),
+            (with(|c| c.train.grad_shards = 0), "grad_shards"),
             (small_builder().alpha_decay(1.0), "alpha"),
-            (small_builder().fixed_counts(vec![]), "cluster counts"),
-            (small_builder().ch_select(vec![]), "divisor"),
+            (with(|c| c.cluster_counts = ClusterCounts::Fixed(vec![])), "cluster counts"),
+            (with(|c| c.cluster_counts = ClusterCounts::ChSelect { divisors: vec![] }), "divisor"),
             (small_builder().resume(true), "checkpoint"),
         ];
         for (builder, needle) in cases {

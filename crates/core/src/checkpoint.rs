@@ -107,7 +107,7 @@ impl CheckpointStore {
     /// Atomically writes the meta record. `snapshot` is the
     /// observability counters to embed (empty when metrics are off) so
     /// a resumed run continues them.
-    pub fn write_meta(
+    pub(crate) fn write_meta(
         &self,
         meta: &CheckpointMeta,
         snapshot: &MetricsSnapshot,
@@ -184,12 +184,12 @@ impl CheckpointStore {
     }
 
     /// Atomically writes the record for 1-based level `idx`.
-    pub fn save_level(&self, idx: usize, level: &Level) -> Result<(), HignnError> {
+    pub(crate) fn save_level(&self, idx: usize, level: &Level) -> Result<(), HignnError> {
         write_record(&self.level_path(idx), &LEVEL, &encode_level(level))
     }
 
     /// Reads and CRC-validates the record for 1-based level `idx`.
-    pub fn load_level(&self, idx: usize) -> Result<Level, HignnError> {
+    pub(crate) fn load_level(&self, idx: usize) -> Result<Level, HignnError> {
         let path = self.level_path(idx);
         let bytes = fs::read(&path).map_err(|e| HignnError::io_path(&path, e))?;
         let what = format!("checkpoint level {idx}");

@@ -38,7 +38,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
 static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {

@@ -64,7 +64,7 @@ impl HignnError {
     }
 
     /// Builds a [`HignnError::Corrupt`].
-    pub fn corrupt(what: impl Into<String>, detail: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(what: impl Into<String>, detail: impl Into<String>) -> Self {
         HignnError::Corrupt { what: what.into(), detail: detail.into() }
     }
 

@@ -70,7 +70,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 /// Current delta format version.
-pub const DELTA_FORMAT_VERSION: u32 = 2;
+pub(crate) const DELTA_FORMAT_VERSION: u32 = 2;
 const DELTA: Container =
     Container { magic: b"HGHD", version: DELTA_FORMAT_VERSION, name: "delta" };
 

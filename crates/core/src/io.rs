@@ -217,7 +217,7 @@ pub fn read_hierarchy_bytes(bytes: &[u8]) -> io::Result<Hierarchy> {
 
 fn write_assignment<W: Write>(w: &mut W, a: &Assignment) -> io::Result<()> {
     write_u64(w, a.num_clusters() as u64)?;
-    write_u64(w, a.len() as u64)?;
+    write_u64(w, a.num_vertices() as u64)?;
     for &c in a.as_slice() {
         w.write_all(&c.to_le_bytes())?;
     }
@@ -276,8 +276,8 @@ fn read_level<R: Read>(r: &mut R) -> io::Result<Level> {
             .map_err(|_| bad_data("hierarchy: truncated loss history"))?;
         epoch_losses.push(f32::from_le_bytes(buf));
     }
-    if user_assignment.len() != user_embeddings.rows()
-        || item_assignment.len() != item_embeddings.rows()
+    if user_assignment.num_vertices() != user_embeddings.rows()
+        || item_assignment.num_vertices() != item_embeddings.rows()
     {
         return Err(bad_data("hierarchy: level shape mismatch"));
     }

@@ -74,7 +74,7 @@
 
 pub mod builder;
 pub mod checkpoint;
-pub mod crc32;
+mod crc32;
 pub mod error;
 mod fingerprint;
 pub mod ingest;

@@ -94,11 +94,6 @@ impl HignnModel {
         }
     }
 
-    /// The training graph.
-    pub fn graph(&self) -> &BipartiteGraph {
-        &self.graph
-    }
-
     /// Folds new users into the trained hierarchy.
     ///
     /// `new_user_edges[k]` lists the `k`-th new user's clicked items as
@@ -224,7 +219,7 @@ mod tests {
         let if_ = init::xavier_uniform(30, 8, &mut rng);
         let model = HignnModel::train(&g, &uf, &if_, &cfg(2));
         assert_eq!(model.level_models.len(), model.hierarchy.num_levels());
-        assert_eq!(model.graph().num_left(), 30);
+        assert_eq!(model.graph.num_left(), 30);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! lr 1e-3, batch 1024, L2 regularisation).
 
 use hignn_tensor::nn::{Activation, Mlp};
-use hignn_tensor::optim::{Adam, Optimizer};
+use hignn_tensor::optim::Adam;
 use hignn_tensor::{stable_sigmoid, Matrix, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,7 +63,7 @@ impl<'a> FeatureBlocks<'a> {
     }
 
     /// Assembles the input matrix for a slice of samples.
-    pub fn assemble(&self, samples: &[Sample]) -> Matrix {
+    pub(crate) fn assemble(&self, samples: &[Sample]) -> Matrix {
         let d = self.input_dim();
         let mut out = Matrix::zeros(samples.len(), d);
         for (k, s) in samples.iter().enumerate() {
@@ -180,11 +180,6 @@ impl CvrPredictor {
             out.extend((0..chunk.len()).map(|k| stable_sigmoid(logits.get(k, 0))));
         }
         out
-    }
-
-    /// Number of trainable scalars.
-    pub fn num_parameters(&self) -> usize {
-        self.store.num_scalars()
     }
 }
 

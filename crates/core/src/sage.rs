@@ -71,7 +71,7 @@ impl Default for BipartiteSageConfig {
 
 /// Where a side's input features come from during minibatch training.
 #[derive(Clone, Copy, Debug)]
-pub enum FeatureSource<'a> {
+pub(crate) enum FeatureSource<'a> {
     /// Constant features (must include the null zero row).
     Fixed(&'a Matrix),
     /// Trainable feature table registered in the parameter store (must
@@ -143,18 +143,13 @@ impl BipartiteSage {
         BipartiteSage { cfg, user_steps, item_steps }
     }
 
-    /// The module's configuration.
-    pub fn config(&self) -> &BipartiteSageConfig {
-        &self.cfg
-    }
-
     /// Number of aggregation steps `P`.
-    pub fn num_steps(&self) -> usize {
+    pub(crate) fn num_steps(&self) -> usize {
         self.cfg.fanouts.len()
     }
 
     /// Output embedding dimensionality.
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.cfg.dim
     }
 
@@ -169,38 +164,13 @@ impl BipartiteSage {
     /// sampled neighbourhoods (training path; gradients flow into all
     /// step parameters).
     ///
-    /// `user_feats` / `item_feats` must carry one extra zero row at index
-    /// `n` (see [`with_null_row`]) used for isolated vertices.
+    /// Each side's input features are fixed or trainable. Fixed features
+    /// must carry one extra zero row at index `n` (see [`with_null_row`])
+    /// used for isolated vertices; trainable features are parameter
+    /// matrices (with null row) that receive gradients — the standard
+    /// treatment when vertices carry no informative raw features.
     #[allow(clippy::too_many_arguments)]
-    pub fn embed_batch(
-        &self,
-        tape: &mut Tape,
-        graph: &BipartiteGraph,
-        side: Side,
-        batch: &[usize],
-        user_feats: &Matrix,
-        item_feats: &Matrix,
-        rng: &mut impl Rng,
-    ) -> Var {
-        debug_assert_eq!(user_feats.rows(), graph.num_left() + 1, "user_feats must include null row");
-        debug_assert_eq!(item_feats.rows(), graph.num_right() + 1, "item_feats must include null row");
-        self.embed_batch_src(
-            tape,
-            graph,
-            side,
-            batch,
-            FeatureSource::Fixed(user_feats),
-            FeatureSource::Fixed(item_feats),
-            rng,
-        )
-    }
-
-    /// Like [`BipartiteSage::embed_batch`] but with either fixed or
-    /// trainable input features per side. Trainable features are
-    /// parameter matrices (with null row) that receive gradients — the
-    /// standard treatment when vertices carry no informative raw features.
-    #[allow(clippy::too_many_arguments)]
-    pub fn embed_batch_src(
+    pub(crate) fn embed_batch(
         &self,
         tape: &mut Tape,
         graph: &BipartiteGraph,
@@ -330,7 +300,7 @@ impl BipartiteSage {
     /// neighbourhood aggregation and the dense update are embarrassingly
     /// row-parallel, so they run over fixed [`ROW_CHUNK`]-row chunks
     /// merged in chunk order — bit-identical at any worker count.
-    pub fn embed_all_with(
+    pub(crate) fn embed_all_with(
         &self,
         store: &ParamStore,
         graph: &BipartiteGraph,
@@ -437,7 +407,7 @@ pub fn neighborhood_mean(
 /// [`neighborhood_mean`] with an explicit executor: vertices are
 /// aggregated in fixed [`ROW_CHUNK`]-sized chunks merged in chunk order,
 /// so the result is bit-identical at any worker count.
-pub fn neighborhood_mean_with(
+pub(crate) fn neighborhood_mean_with(
     graph: &BipartiteGraph,
     side: Side,
     opposite_embeddings: &Matrix,
@@ -521,7 +491,7 @@ fn sample_layer(
 }
 
 /// Appends one zero row (the null-vertex feature) to a feature matrix.
-pub fn with_null_row(feats: &Matrix) -> Matrix {
+pub(crate) fn with_null_row(feats: &Matrix) -> Matrix {
     let zero = Matrix::zeros(1, feats.cols());
     Matrix::concat_rows(&[feats, &zero])
 }
@@ -570,11 +540,12 @@ mod tests {
         let uf = with_null_row(&feats(4, 4, 2));
         let if_ = with_null_row(&feats(3, 4, 3));
         let mut tape = Tape::new(&store);
-        let z = sage.embed_batch(&mut tape, &g, Side::Left, &[0, 1, 3], &uf, &if_, &mut rng);
+        let (fixed_u, fixed_i) = (FeatureSource::Fixed(&uf), FeatureSource::Fixed(&if_));
+        let z = sage.embed_batch(&mut tape, &g, Side::Left, &[0, 1, 3], fixed_u, fixed_i, &mut rng);
         assert_eq!((z.rows(), z.cols()), (3, 6));
         assert!(tape.value(z).all_finite());
         // Item side too.
-        let zi = sage.embed_batch(&mut tape, &g, Side::Right, &[0, 2], &uf, &if_, &mut rng);
+        let zi = sage.embed_batch(&mut tape, &g, Side::Right, &[0, 2], fixed_u, fixed_i, &mut rng);
         assert_eq!((zi.rows(), zi.cols()), (2, 6));
     }
 
@@ -587,7 +558,8 @@ mod tests {
         let uf = with_null_row(&feats(4, 4, 5));
         let if_ = with_null_row(&feats(3, 4, 6));
         let mut tape = Tape::new(&store);
-        let z = sage.embed_batch(&mut tape, &g, Side::Left, &[0, 1, 2], &uf, &if_, &mut rng);
+        let (fixed_u, fixed_i) = (FeatureSource::Fixed(&uf), FeatureSource::Fixed(&if_));
+        let z = sage.embed_batch(&mut tape, &g, Side::Left, &[0, 1, 2], fixed_u, fixed_i, &mut rng);
         let loss = tape.sum_squares(z);
         let grads = tape.backward(loss);
         // Both user steps must receive gradients; item step 1 as well
@@ -661,7 +633,7 @@ mod tests {
         let mut s2 = ParamStore::new();
         let cfg = BipartiteSageConfig { shared_weights: true, ..toy_cfg() };
         let _ = BipartiteSage::new(&mut s2, "b", cfg, &mut rng);
-        assert_eq!(s2.len() * 2, s1.len());
+        assert_eq!(s2.num_scalars() * 2, s1.num_scalars());
     }
 
     #[test]

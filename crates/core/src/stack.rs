@@ -135,25 +135,25 @@ impl Hierarchy {
         if self.levels.is_empty() {
             return Err("no levels".into());
         }
-        if self.levels[0].user_assignment.len() != self.num_users {
+        if self.levels[0].user_assignment.num_vertices() != self.num_users {
             return Err(format!(
                 "level 1 covers {} users, expected {}",
-                self.levels[0].user_assignment.len(),
+                self.levels[0].user_assignment.num_vertices(),
                 self.num_users
             ));
         }
-        if self.levels[0].item_assignment.len() != self.num_items {
+        if self.levels[0].item_assignment.num_vertices() != self.num_items {
             return Err(format!(
                 "level 1 covers {} items, expected {}",
-                self.levels[0].item_assignment.len(),
+                self.levels[0].item_assignment.num_vertices(),
                 self.num_items
             ));
         }
         for w in self.levels.windows(2) {
-            if w[0].user_assignment.num_clusters() != w[1].user_assignment.len() {
+            if w[0].user_assignment.num_clusters() != w[1].user_assignment.num_vertices() {
                 return Err("user assignment chain mismatch".into());
             }
-            if w[0].item_assignment.num_clusters() != w[1].item_assignment.len() {
+            if w[0].item_assignment.num_clusters() != w[1].item_assignment.num_vertices() {
                 return Err("item assignment chain mismatch".into());
             }
         }

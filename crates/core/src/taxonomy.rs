@@ -76,11 +76,6 @@ impl Taxonomy {
         &self.topics[level - 1]
     }
 
-    /// The level-`level` topic id of an original item.
-    pub fn item_topic(&self, level: usize, item: usize) -> usize {
-        self.hierarchy.item_clusters_at(level).cluster_of(item) as usize
-    }
-
     /// Original-item topic assignment for a whole level (cluster ids).
     pub fn item_assignment(&self, level: usize) -> Vec<u32> {
         let a = self.hierarchy.item_clusters_at(level);
@@ -102,7 +97,7 @@ impl Taxonomy {
             return Vec::new();
         }
         let assignment = &self.hierarchy.levels()[level - 1].item_assignment;
-        (0..assignment.len())
+        (0..assignment.num_vertices())
             .filter(|&c| assignment.cluster_of(c) as usize == topic_id)
             .collect()
     }
@@ -386,7 +381,6 @@ mod tests {
         let a = tax.item_assignment(1);
         for (i, &t) in a.iter().enumerate() {
             assert!(tax.level_topics(1)[t as usize].items.contains(&(i as u32)));
-            assert_eq!(tax.item_topic(1, i), t as usize);
         }
     }
 
@@ -403,6 +397,7 @@ mod tests {
     fn descriptions_come_from_in_topic_queries() {
         let (g, qf, if_, texts, qt, it) = blocky();
         let tax = build_taxonomy(&g, &qf, &if_, &texts, &qt, &it, &tiny_cfg(2));
+        let a2 = tax.item_assignment(2);
         for t in tax.level_topics(2) {
             for &q in &t.description_queries {
                 // Any describing query must actually click into the topic.
@@ -410,7 +405,7 @@ mod tests {
                     .edges()
                     .iter()
                     .filter(|&&(eq, i, _)| {
-                        eq == q && tax.item_topic(2, i as usize) == t.id
+                        eq == q && a2[i as usize] as usize == t.id
                     })
                     .map(|&(_, _, w)| w as f64)
                     .sum();

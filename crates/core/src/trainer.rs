@@ -40,7 +40,7 @@ use crate::sage::{with_null_row, BipartiteSage, BipartiteSageConfig, FeatureSour
 use hignn_graph::{BipartiteGraph, NegativeSampler, Side};
 use hignn_obs as obs;
 use hignn_tensor::nn::{Activation, Mlp};
-use hignn_tensor::optim::{Adam, Optimizer};
+use hignn_tensor::optim::Adam;
 use hignn_tensor::parallel::{reduce_gradients, ParallelExecutor};
 use hignn_tensor::{Gradients, Matrix, ParamStore, Tape, Var, Workspace};
 use rand::rngs::StdRng;
@@ -169,7 +169,7 @@ impl TrainedSage {
 
     /// [`TrainedSage::embed_all`] with an explicit executor; bit-identical
     /// at any worker count.
-    pub fn embed_all_with(
+    pub(crate) fn embed_all_with(
         &self,
         graph: &BipartiteGraph,
         user_feats: &Matrix,
@@ -191,7 +191,11 @@ impl TrainedSage {
     /// Scores user-item pairs (higher = more likely connected), given
     /// already-computed embeddings; used by tests and link-prediction
     /// evaluations.
-    pub fn score_pairs(
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "HGHI 3 (ROADMAP item 22) lets serving score with this head")
+    )]
+    pub(crate) fn score_pairs(
         &self,
         zu: &Matrix,
         zi: &Matrix,
@@ -313,10 +317,10 @@ fn eq5_shard_loss(
     let neg_items: Vec<usize> = ctx.neg_item_sampler.sample_many(pool, rng);
 
     let (graph, us, is) = (ctx.graph, ctx.user_src, ctx.item_src);
-    let zu = ctx.sage.embed_batch_src(tape, graph, Side::Left, users, us, is, rng);
-    let zi = ctx.sage.embed_batch_src(tape, graph, Side::Right, items, us, is, rng);
-    let zun = ctx.sage.embed_batch_src(tape, graph, Side::Left, &neg_users, us, is, rng);
-    let zin = ctx.sage.embed_batch_src(tape, graph, Side::Right, &neg_items, us, is, rng);
+    let zu = ctx.sage.embed_batch(tape, graph, Side::Left, users, us, is, rng);
+    let zi = ctx.sage.embed_batch(tape, graph, Side::Right, items, us, is, rng);
+    let zun = ctx.sage.embed_batch(tape, graph, Side::Left, &neg_users, us, is, rng);
+    let zin = ctx.sage.embed_batch(tape, graph, Side::Right, &neg_items, us, is, rng);
 
     // Positive scores.
     let w_col = tape.input(Matrix::column_vector(&ctx.weights[shard]));

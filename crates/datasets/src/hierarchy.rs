@@ -18,12 +18,11 @@ pub struct TopicHierarchy {
     children: Vec<Vec<usize>>,
     level: Vec<usize>,
     level_ranges: Vec<std::ops::Range<usize>>,
-    names: Vec<String>,
     token_pools: Vec<Vec<String>>,
 }
 
-/// Word roots used to compose pseudo-realistic topic names and token
-/// pools (deterministic in the node id).
+/// Word roots used to compose pseudo-realistic token pools
+/// (deterministic in the node id).
 const ROOTS: &[&str] = &[
     "home", "kitchen", "beauty", "care", "clean", "sport", "outdoor", "baby", "garden", "pet",
     "phone", "audio", "camp", "beach", "dress", "shoe", "skin", "hair", "health", "smart",
@@ -36,7 +35,7 @@ impl TopicHierarchy {
     /// `branching.len()` is the depth below the root. For example
     /// `&[5, 4, 3]` creates 5 level-1 topics, 20 level-2 topics, and 60
     /// leaf topics.
-    pub fn new(branching: &[usize]) -> Self {
+    pub(crate) fn new(branching: &[usize]) -> Self {
         assert!(!branching.is_empty(), "TopicHierarchy: need at least one level");
         assert!(branching.iter().all(|&b| b > 0), "TopicHierarchy: zero branching");
         let mut parent = vec![0usize];
@@ -62,17 +61,6 @@ impl TopicHierarchy {
             frontier = next;
         }
         let n = parent.len();
-        let names = (0..n)
-            .map(|id| {
-                if id == 0 {
-                    "root".to_owned()
-                } else {
-                    let a = ROOTS[id % ROOTS.len()];
-                    let b = ROOTS[(id * 7 + 3) % ROOTS.len()];
-                    format!("{a}-{b}-{id}")
-                }
-            })
-            .collect();
         // Token pool per node: a few tokens distinctive to the node.
         let token_pools = (0..n)
             .map(|id| {
@@ -84,12 +72,7 @@ impl TopicHierarchy {
                     .collect()
             })
             .collect();
-        TopicHierarchy { parent, children, level, level_ranges, names, token_pools }
-    }
-
-    /// Total number of nodes, including the root.
-    pub fn num_nodes(&self) -> usize {
-        self.parent.len()
+        TopicHierarchy { parent, children, level, level_ranges, token_pools }
     }
 
     /// Depth below the root (number of branching levels).
@@ -103,7 +86,7 @@ impl TopicHierarchy {
     }
 
     /// Ids of the leaf topics (deepest level).
-    pub fn leaves(&self) -> std::ops::Range<usize> {
+    pub(crate) fn leaves(&self) -> std::ops::Range<usize> {
         self.level_ranges[self.depth()].clone()
     }
 
@@ -112,24 +95,19 @@ impl TopicHierarchy {
         self.leaves().len()
     }
 
-    /// Parent of `node` (the root is its own parent).
-    pub fn parent(&self, node: usize) -> usize {
-        self.parent[node]
-    }
-
     /// Children of `node`.
-    pub fn children(&self, node: usize) -> &[usize] {
+    pub(crate) fn children(&self, node: usize) -> &[usize] {
         &self.children[node]
     }
 
     /// Level of `node` (0 = root).
-    pub fn level(&self, node: usize) -> usize {
+    pub(crate) fn level(&self, node: usize) -> usize {
         self.level[node]
     }
 
     /// The ancestor of `node` at `level` (walks up; `level` must not
     /// exceed the node's own level).
-    pub fn ancestor_at_level(&self, node: usize, level: usize) -> usize {
+    pub(crate) fn ancestor_at_level(&self, node: usize, level: usize) -> usize {
         assert!(level <= self.level[node], "ancestor_at_level: node is above level");
         let mut cur = node;
         while self.level[cur] > level {
@@ -139,52 +117,24 @@ impl TopicHierarchy {
     }
 
     /// True when `ancestor` lies on the root path of `node` (inclusive).
-    pub fn is_ancestor(&self, ancestor: usize, node: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_ancestor(&self, ancestor: usize, node: usize) -> bool {
         if self.level[ancestor] > self.level[node] {
             return false;
         }
         self.ancestor_at_level(node, self.level[ancestor]) == ancestor
     }
 
-    /// All leaves under `node`.
-    pub fn leaves_under(&self, node: usize) -> Vec<usize> {
-        if self.level[node] == self.depth() {
-            return vec![node];
-        }
-        let mut out = Vec::new();
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            if self.level[n] == self.depth() {
-                out.push(n);
-            } else {
-                stack.extend_from_slice(&self.children[n]);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Human-readable name of `node`.
-    pub fn name(&self, node: usize) -> &str {
-        &self.names[node]
-    }
-
     /// Distinctive tokens of `node` itself.
-    pub fn own_tokens(&self, node: usize) -> &[String] {
+    #[cfg(test)]
+    pub(crate) fn own_tokens(&self, node: usize) -> &[String] {
         &self.token_pools[node]
     }
 
     /// Samples `count` tokens for content attached to `node`: mostly the
     /// node's own tokens, mixed with ancestor tokens with decreasing
     /// probability — this plants the hierarchical co-occurrence signal
-    /// word2vec and HiGNN pick up. Equivalent to
-    /// [`TopicHierarchy::sample_tokens_with`] at `own_prob = 0.6`,
-    /// `generic_prob = 0.0`.
-    pub fn sample_tokens(&self, node: usize, count: usize, rng: &mut impl Rng) -> Vec<String> {
-        self.sample_tokens_with(node, count, 0.6, 0.0, rng)
-    }
-
-    /// Token sampling with explicit ambiguity controls.
+    /// word2vec and HiGNN pick up — under explicit ambiguity controls.
     ///
     /// * `own_prob` — probability of stopping at each node while walking
     ///   toward the root (lower = more ancestor mixing, more ambiguous
@@ -197,7 +147,7 @@ impl TopicHierarchy {
     /// knobs reproduce that — the taxonomy experiments rely on them so
     /// that fixed text embeddings (SHOAL) genuinely underdetermine the
     /// topic while click structure (HiGNN) resolves it.
-    pub fn sample_tokens_with(
+    pub(crate) fn sample_tokens(
         &self,
         node: usize,
         count: usize,
@@ -231,7 +181,7 @@ mod tests {
     #[test]
     fn shape_of_tree() {
         let h = TopicHierarchy::new(&[3, 2]);
-        assert_eq!(h.num_nodes(), 1 + 3 + 6);
+        assert_eq!(h.parent.len(), 1 + 3 + 6);
         assert_eq!(h.depth(), 2);
         assert_eq!(h.num_leaves(), 6);
         assert_eq!(h.level_nodes(1), 1..4);
@@ -241,12 +191,12 @@ mod tests {
     #[test]
     fn parent_child_consistency() {
         let h = TopicHierarchy::new(&[2, 3]);
-        for node in 1..h.num_nodes() {
-            let p = h.parent(node);
+        for node in 1..h.parent.len() {
+            let p = h.parent[node];
             assert!(h.children(p).contains(&node));
             assert_eq!(h.level(node), h.level(p) + 1);
         }
-        assert_eq!(h.parent(0), 0);
+        assert_eq!(h.parent[0], 0);
     }
 
     #[test]
@@ -258,10 +208,7 @@ mod tests {
         assert!(h.is_ancestor(l1, leaf));
         assert!(h.is_ancestor(0, leaf));
         assert!(!h.is_ancestor(leaf, l1));
-        let under = h.leaves_under(l1);
-        assert_eq!(under.len(), 4);
-        assert!(under.iter().all(|&l| h.is_ancestor(l1, l)));
-        assert_eq!(h.leaves_under(leaf), vec![leaf]);
+        assert_eq!(h.leaves().filter(|&l| h.is_ancestor(l1, l)).count(), 4);
     }
 
     #[test]
@@ -269,20 +216,11 @@ mod tests {
         let h = TopicHierarchy::new(&[2, 2]);
         let mut rng = StdRng::seed_from_u64(1);
         let leaf = h.leaves().start;
-        let toks = h.sample_tokens(leaf, 1000, &mut rng);
-        let own: Vec<&String> = h.own_tokens(leaf).iter().collect();
+        let toks = h.sample_tokens(leaf, 1000, 0.6, 0.0, &mut rng);
+        let own = h.own_tokens(leaf);
         let own_frac =
             toks.iter().filter(|t| own.contains(t)).count() as f64 / toks.len() as f64;
         assert!(own_frac > 0.5, "own fraction {own_frac}");
-    }
-
-    #[test]
-    fn names_are_unique() {
-        let h = TopicHierarchy::new(&[4, 4]);
-        let mut names: Vec<&str> = (0..h.num_nodes()).map(|n| h.name(n)).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), h.num_nodes());
     }
 
     #[test]

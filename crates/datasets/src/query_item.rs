@@ -160,7 +160,7 @@ pub fn generate_query_item(cfg: &QueryItemConfig) -> QueryItemDataset {
             u.powf(-0.7).min(60.0)
         });
         let mut tokens =
-            hierarchy.sample_tokens_with(leaf, cfg.title_tokens, 0.4, 0.2, &mut rng);
+            hierarchy.sample_tokens(leaf, cfg.title_tokens, 0.4, 0.2, &mut rng);
         let type_pool = &category_tokens[category as usize];
         for slot in tokens.iter_mut() {
             if rng.gen_range(0.0..1.0) < 0.45 {
@@ -207,7 +207,7 @@ pub fn generate_query_item(cfg: &QueryItemConfig) -> QueryItemDataset {
         });
         query_texts.push(
             hierarchy
-                .sample_tokens_with(node, cfg.query_tokens, 0.55, 0.2, &mut rng)
+                .sample_tokens(node, cfg.query_tokens, 0.55, 0.2, &mut rng)
                 .join(" "),
         );
     }

@@ -328,12 +328,6 @@ impl BipartiteGraph {
         }
     }
 
-    /// Degree of vertex `v` on `side`.
-    pub fn degree(&self, side: Side, v: usize) -> usize {
-        let csr = self.csr(side);
-        csr.offsets[v + 1] - csr.offsets[v]
-    }
-
     /// Neighbour ids (on the opposite side) and their edge weights.
     pub fn neighbors(&self, side: Side, v: usize) -> (&[u32], &[f32]) {
         let (n, w, _) = self.csr(side).slice(v);
@@ -419,8 +413,8 @@ mod tests {
         let (n, w) = g.neighbors(Side::Right, 1);
         assert_eq!(n, &[0, 1]);
         assert_eq!(w, &[2.0, 3.0]);
-        assert_eq!(g.degree(Side::Left, 1), 1);
-        assert_eq!(g.degree(Side::Right, 0), 2);
+        assert_eq!(g.degrees(Side::Left)[1], 1);
+        assert_eq!(g.degrees(Side::Right)[0], 2);
     }
 
     #[test]
@@ -445,7 +439,7 @@ mod tests {
         g.append_edges(5, 3, &[]);
         let all = toy().edges().iter().chain(&batch).copied().collect::<Vec<_>>();
         assert_eq!(g.edges(), BipartiteGraph::from_edges(5, 3, all).edges());
-        assert_eq!(g.degree(Side::Left, 4), 0);
+        assert_eq!(g.degrees(Side::Left)[4], 0);
     }
 
     #[test]
@@ -472,7 +466,7 @@ mod tests {
     #[test]
     fn isolated_vertices_have_empty_slices() {
         let g = BipartiteGraph::from_edges(3, 3, vec![(0, 0, 1.0)]);
-        assert_eq!(g.degree(Side::Left, 2), 0);
+        assert_eq!(g.degrees(Side::Left)[2], 0);
         let (n, w) = g.neighbors(Side::Left, 2);
         assert!(n.is_empty() && w.is_empty());
     }

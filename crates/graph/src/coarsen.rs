@@ -52,13 +52,8 @@ impl Assignment {
     }
 
     /// Number of assigned vertices.
-    pub fn len(&self) -> usize {
+    pub fn num_vertices(&self) -> usize {
         self.assignment.len()
-    }
-
-    /// True when no vertices are assigned.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
     }
 
     /// Raw assignment slice.
@@ -91,7 +86,7 @@ impl Assignment {
     pub fn compose(&self, coarser: &Assignment) -> Assignment {
         assert_eq!(
             self.num_clusters,
-            coarser.len(),
+            coarser.num_vertices(),
             "compose: coarser assignment must cover this assignment's clusters"
         );
         let assignment = self
@@ -114,8 +109,8 @@ pub fn coarsen(
         hignn_obs::counter_add("graph.coarsen_calls", 1);
         hignn_obs::counter_add("graph.coarsen_edges_in", graph.num_edges() as u64);
     }
-    assert_eq!(left.len(), graph.num_left(), "left assignment size mismatch");
-    assert_eq!(right.len(), graph.num_right(), "right assignment size mismatch");
+    assert_eq!(left.num_vertices(), graph.num_left(), "left assignment size mismatch");
+    assert_eq!(right.num_vertices(), graph.num_right(), "right assignment size mismatch");
     BipartiteGraph::from_edges(
         left.num_clusters(),
         right.num_clusters(),

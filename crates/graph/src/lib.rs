@@ -16,7 +16,7 @@
 //! let g = BipartiteGraph::from_edges(4, 2, vec![
 //!     (0, 0, 1.0), (1, 0, 2.0), (2, 1, 1.0), (3, 1, 4.0),
 //! ]);
-//! assert_eq!(g.degree(Side::Right, 0), 2);
+//! assert_eq!(g.degrees(Side::Right), vec![2, 2]);
 //!
 //! // Merge users pairwise, keep items.
 //! let c = coarsen(

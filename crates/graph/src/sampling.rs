@@ -15,7 +15,7 @@ use rand::Rng;
 /// Callers append one zero row at this index to the opposite side's
 /// feature matrix, so isolated vertices aggregate a zero vector instead of
 /// noise.
-pub fn null_vertex(graph: &BipartiteGraph, side: Side) -> usize {
+pub(crate) fn null_vertex(graph: &BipartiteGraph, side: Side) -> usize {
     graph.num_vertices(side.opposite())
 }
 
@@ -138,16 +138,6 @@ impl AliasTable {
             self.alias[i]
         }
     }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True when the table is empty (never true for constructed tables).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
 }
 
 /// Degree-biased negative sampler over one side of a bipartite graph.
@@ -163,7 +153,7 @@ pub struct NegativeSampler {
 
 impl NegativeSampler {
     /// Builds a sampler for vertices on `side` of `graph`.
-    pub fn new(graph: &BipartiteGraph, side: Side, power: f64) -> Self {
+    pub(crate) fn new(graph: &BipartiteGraph, side: Side, power: f64) -> Self {
         let weights: Vec<f64> = graph
             .degrees(side)
             .iter()
@@ -180,24 +170,9 @@ impl NegativeSampler {
         Self::new(graph, side, 0.75)
     }
 
-    /// Draws one negative vertex id.
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        self.table.sample(rng)
-    }
-
     /// Draws `n` negative vertex ids.
     pub fn sample_many(&self, n: usize, rng: &mut impl Rng) -> Vec<usize> {
         (0..n).map(|_| self.table.sample(rng)).collect()
-    }
-
-    /// Draws `n` negative vertex ids from a private stream derived from
-    /// `seed`. For callers that need sampler determinism without an RNG
-    /// of their own (shard workers derive `seed` from their logical
-    /// coordinates); identical `(n, seed)` always yields identical draws.
-    pub fn sample_many_seeded(&self, n: usize, seed: u64) -> Vec<usize> {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.sample_many(n, &mut rng)
     }
 }
 
@@ -318,7 +293,7 @@ mod tests {
         let table = AliasTable::new(&[5.0]);
         let mut rng = StdRng::seed_from_u64(6);
         assert_eq!(table.sample(&mut rng), 0);
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.prob.len(), 1);
     }
 
     #[test]
@@ -353,17 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_sampling_is_deterministic_and_seed_sensitive() {
-        let g = toy();
-        let s = NegativeSampler::degree_biased(&g, Side::Left);
-        assert_eq!(s.sample_many_seeded(64, 7), s.sample_many_seeded(64, 7));
-        assert_ne!(s.sample_many_seeded(64, 7), s.sample_many_seeded(64, 8));
-        // Matches an external StdRng with the same seed.
-        let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(s.sample_many_seeded(64, 7), s.sample_many(64, &mut rng));
-    }
-
-    #[test]
     fn objective_constructor_path_keeps_zero_weight_fallback() {
         // Regression at the trainer-facing call site: the Eq. 5 loss
         // builds its samplers with `degree_biased` and embeds
@@ -377,8 +341,9 @@ mod tests {
         );
         let users = NegativeSampler::degree_biased(&g, Side::Left);
         let items = NegativeSampler::degree_biased(&g, Side::Right);
-        assert_eq!(users.sample_many_seeded(32, 5), users.sample_many_seeded(32, 5));
-        assert_eq!(items.sample_many_seeded(32, 5), items.sample_many_seeded(32, 5));
+        let draw = |s: &NegativeSampler| s.sample_many(32, &mut StdRng::seed_from_u64(5));
+        assert_eq!(draw(&users), draw(&users));
+        assert_eq!(draw(&items), draw(&items));
         let mut rng = StdRng::seed_from_u64(13);
         let s = sample_neighbors(
             &g,

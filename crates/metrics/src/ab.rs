@@ -60,7 +60,7 @@ pub fn lift_pct(old: f64, new: f64) -> f64 {
 
 impl AbComparison {
     /// UV lift in percent.
-    pub fn uv_lift(&self) -> f64 {
+    pub(crate) fn uv_lift(&self) -> f64 {
         lift_pct(
             self.control.unique_clicked_visitors as f64,
             self.treatment.unique_clicked_visitors as f64,
@@ -78,7 +78,7 @@ impl AbComparison {
     }
 
     /// CVR lift in percent.
-    pub fn cvr_lift(&self) -> f64 {
+    pub(crate) fn cvr_lift(&self) -> f64 {
         lift_pct(self.control.cvr(), self.treatment.cvr())
     }
 }

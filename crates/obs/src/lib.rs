@@ -86,13 +86,6 @@ pub fn gauge_set(name: &str, value: f64) {
     }
 }
 
-/// Record a sample into global histogram `name` (no-op when disabled).
-pub fn histogram_record(name: &str, value: f64) {
-    if enabled() {
-        global().histogram_record(name, value);
-    }
-}
-
 /// Flush a batch of counter deltas, histogram samples, and series
 /// appends into the global registry under one lock acquisition (no-op
 /// when disabled). See [`Registry::record_batch`].
@@ -145,7 +138,7 @@ mod tests {
         global().reset();
         counter_add("c", 1);
         gauge_set("g", 1.0);
-        histogram_record("h", 1.0);
+        record_batch(&[], &[("h", 1.0)], &[]);
         series_push("s", 1.0);
         drop(span("sp"));
         assert_eq!(global().counter_get("c"), 0);
@@ -161,7 +154,7 @@ mod tests {
         set_enabled(true);
         global().reset();
         counter_add("c", 2);
-        histogram_record("h", 0.5);
+        record_batch(&[], &[("h", 0.5)], &[]);
         {
             let _sp = span("sp");
         }

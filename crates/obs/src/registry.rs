@@ -43,7 +43,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Bucket key reserved for exactly-zero samples.
-    pub const ZERO_BUCKET: i32 = i32::MIN;
+    pub(crate) const ZERO_BUCKET: i32 = i32::MIN;
 
     fn record(&mut self, v: f64) {
         if !v.is_finite() {
@@ -63,7 +63,7 @@ impl Histogram {
     }
 
     /// Mean of finite samples, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 }
@@ -81,7 +81,7 @@ pub struct SpanStat {
 
 impl SpanStat {
     /// Total accumulated seconds.
-    pub fn total_seconds(&self) -> f64 {
+    pub(crate) fn total_seconds(&self) -> f64 {
         self.total_nanos as f64 / 1e9
     }
 }
@@ -105,7 +105,7 @@ pub struct Registry {
 
 impl Registry {
     /// Create an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -116,7 +116,7 @@ impl Registry {
     }
 
     /// Add `delta` to the monotone counter `name`.
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&self, name: &str, delta: u64) {
         let mut g = self.lock();
         let c = g.counters.entry(name.to_owned()).or_insert(0);
         *c = c.saturating_add(delta);
@@ -128,22 +128,14 @@ impl Registry {
     }
 
     /// Set the last-value gauge `name`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&self, name: &str, value: f64) {
         self.lock().gauges.insert(name.to_owned(), value);
     }
 
     /// Read a gauge, if ever set.
-    pub fn gauge_get(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge_get(&self, name: &str) -> Option<f64> {
         self.lock().gauges.get(name).copied()
-    }
-
-    /// Record one sample into histogram `name`.
-    pub fn histogram_record(&self, name: &str, value: f64) {
-        self.lock()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
     }
 
     /// Record a whole batch of metric mutations under a single lock
@@ -152,7 +144,7 @@ impl Registry {
     /// many times per iteration (e.g. the per-minibatch block in the
     /// trainer) should collect their updates and flush them through
     /// this entry point.
-    pub fn record_batch(
+    pub(crate) fn record_batch(
         &self,
         counters: &[(&str, u64)],
         histograms: &[(&str, f64)],
@@ -172,12 +164,13 @@ impl Registry {
     }
 
     /// Read a snapshot of histogram `name`, if any samples were recorded.
-    pub fn histogram_get(&self, name: &str) -> Option<Histogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram_get(&self, name: &str) -> Option<Histogram> {
         self.lock().histograms.get(name).cloned()
     }
 
     /// Append one value to the ordered series `name`.
-    pub fn series_push(&self, name: &str, value: f64) {
+    pub(crate) fn series_push(&self, name: &str, value: f64) {
         self.lock()
             .series
             .entry(name.to_owned())
@@ -186,12 +179,13 @@ impl Registry {
     }
 
     /// Read a copy of series `name` (empty when never written).
-    pub fn series_get(&self, name: &str) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn series_get(&self, name: &str) -> Vec<f64> {
         self.lock().series.get(name).cloned().unwrap_or_default()
     }
 
     /// Record one completed span of `nanos` wall-clock nanoseconds.
-    pub fn span_record(&self, name: &str, nanos: u64) {
+    pub(crate) fn span_record(&self, name: &str, nanos: u64) {
         let mut g = self.lock();
         let s = g.spans.entry(name.to_owned()).or_default();
         s.count += 1;
@@ -297,7 +291,7 @@ mod tests {
     fn histogram_buckets_and_non_finite() {
         let r = Registry::new();
         for v in [0.0, 0.15, 0.2, 1.5, f64::NAN, f64::INFINITY] {
-            r.histogram_record("h", v);
+            r.record_batch(&[], &[("h", v)], &[]);
         }
         let h = r.histogram_get("h").unwrap();
         assert_eq!(h.count, 4);
@@ -340,8 +334,8 @@ mod tests {
         single.counter_add("c", 2);
         single.counter_add("c", 3);
         single.counter_add("d", 1);
-        single.histogram_record("h", 0.5);
-        single.histogram_record("h", 1.5);
+        single.record_batch(&[], &[("h", 0.5)], &[]);
+        single.record_batch(&[], &[("h", 1.5)], &[]);
         single.series_push("s", 1.0);
         single.series_push("s", 2.0);
         assert_eq!(batched.counter_get("c"), single.counter_get("c"));

@@ -9,7 +9,7 @@
 use crate::registry::{Histogram, Registry, SpanStat};
 
 /// Identifier stamped into every report's top-level `schema` key.
-pub const SCHEMA: &str = "hignn-metrics/v1";
+pub(crate) const SCHEMA: &str = "hignn-metrics/v1";
 
 /// Escape a string for inclusion inside a JSON string literal.
 pub(crate) fn escape(s: &str) -> String {
@@ -95,7 +95,7 @@ fn render_map<V>(entries: &std::collections::BTreeMap<String, V>, f: impl Fn(&V)
 ///
 /// `extras` are caller-supplied top-level entries (e.g. `command`,
 /// `seed`); each value must already be valid JSON (use
-/// [`json_str`]/[`json_u64`]/[`json_num`] to build them). Extras are
+/// [`json_str`]/[`json_u64`] to build them). Extras are
 /// emitted before the metric sections, in the order given.
 pub fn render(registry: &Registry, extras: &[(&str, String)]) -> String {
     registry.with_sorted(|counters, gauges, histograms, series, spans| {
@@ -131,11 +131,6 @@ pub fn json_u64(v: u64) -> String {
     v.to_string()
 }
 
-/// Build a JSON number for use as an extras value (`null` if non-finite).
-pub fn json_num(v: f64) -> String {
-    json_f64(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +141,7 @@ mod tests {
         r.counter_add("b", 2);
         r.counter_add("a", 1);
         r.gauge_set("g", 0.5);
-        r.histogram_record("h", 0.25);
+        r.record_batch(&[], &[("h", 0.25)], &[]);
         r.series_push("s", 1.0);
         r.span_record("sp", 2_000_000_000);
         let json = render(&r, &[("command", json_str("train")), ("seed", json_u64(7))]);

@@ -29,7 +29,7 @@ fn average_length(docs: &[Vec<u32>]) -> f64 {
 }
 
 /// BM25 score of `query` against `docs[doc_id]` with explicit `k1`/`b`.
-pub fn score_with_params(
+pub(crate) fn score_with_params(
     query: &[u32],
     docs: &[Vec<u32>],
     doc_id: usize,
@@ -55,7 +55,7 @@ pub fn score_with_params(
 }
 
 /// BM25 score with the standard parameters `k1 = 1.2`, `b = 0.75`.
-pub fn score(query: &[u32], docs: &[Vec<u32>], doc_id: usize) -> f64 {
+pub(crate) fn score(query: &[u32], docs: &[Vec<u32>], doc_id: usize) -> f64 {
     score_with_params(query, docs, doc_id, 1.2, 0.75)
 }
 

@@ -151,7 +151,7 @@ impl Eq5Setup {
     }
 
     /// `(rows, cols)` of a parameter tensor (biases are `1 x d`).
-    pub fn param_shape(&self, p: Eq5Param) -> (usize, usize) {
+    pub(crate) fn param_shape(&self, p: Eq5Param) -> (usize, usize) {
         let (m, is_bias) = self.param_ref(p);
         if is_bias { (1, m[0].len()) } else { (m.len(), m[0].len()) }
     }
@@ -193,7 +193,7 @@ impl Eq5Setup {
 
     /// Central finite difference `∂J/∂θ[r][c] ≈ (J(θ+ε) - J(θ-ε)) / 2ε`
     /// for a single entry. The setup is restored afterwards.
-    pub fn central_diff(&mut self, p: Eq5Param, r: usize, c: usize, eps: f64) -> f64 {
+    pub(crate) fn central_diff(&mut self, p: Eq5Param, r: usize, c: usize, eps: f64) -> f64 {
         let original = *self.entry_mut(p, r, c);
         *self.entry_mut(p, r, c) = original + eps;
         let plus = self.loss();

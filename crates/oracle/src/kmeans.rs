@@ -33,7 +33,7 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
 
 /// Index and squared distance of the nearest centroid; the first
 /// minimum wins ties (strict `<` scan in centroid order).
-pub fn nearest(centroids: &Rows32, point: &[f32]) -> (usize, f32) {
+pub(crate) fn nearest(centroids: &Rows32, point: &[f32]) -> (usize, f32) {
     let mut best = 0usize;
     let mut best_d = f32::MAX;
     for (c, centroid) in centroids.iter().enumerate() {
@@ -95,7 +95,7 @@ pub fn mean_by_cluster(points: &Rows32, assignment: &[u32], k: usize) -> Rows32 
 /// already-updated rows `< c` and the old rows `>= c`, exactly like the
 /// optimized loop. Distance ties pick the later point index (matching
 /// `Iterator::max_by`, which keeps the last maximum).
-pub fn update(
+pub(crate) fn update(
     points: &Rows32,
     assignment: &[u32],
     centroids: &Rows32,
@@ -130,7 +130,7 @@ pub fn update(
 /// optimized loop's convergence rule: stop when the relative inertia
 /// improvement over the previous iteration falls below `tol`, then
 /// re-assign against the final centroids.
-pub fn lloyd(
+pub(crate) fn lloyd(
     points: &Rows32,
     initial_centroids: Rows32,
     max_iters: usize,

@@ -45,8 +45,8 @@ pub mod sage;
 
 /// A dense row-major `f32` matrix as a plain vector of rows — the only
 /// "tensor type" the bitwise oracles use.
-pub type Rows32 = Vec<Vec<f32>>;
+pub(crate) type Rows32 = Vec<Vec<f32>>;
 
 /// A dense row-major `f64` matrix as a plain vector of rows — used by
 /// the `f64` oracles ([`sage`], [`eq5`]).
-pub type Rows64 = Vec<Vec<f64>>;
+pub(crate) type Rows64 = Vec<Vec<f64>>;

@@ -68,7 +68,7 @@ pub fn matmul_tn(a: &Rows32, b: &Rows32) -> Rows32 {
 }
 
 /// `(rows, cols)` of a row-major matrix, checking that it is not ragged.
-pub fn shape(m: &Rows32) -> (usize, usize) {
+pub(crate) fn shape(m: &Rows32) -> (usize, usize) {
     let cols = m.first().map_or(0, |r| r.len());
     for r in m {
         assert_eq!(r.len(), cols, "ragged matrix");

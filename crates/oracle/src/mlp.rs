@@ -25,7 +25,7 @@ pub struct DenseLayer {
 
 /// `y = x W + b` with the classic loops: accumulate over the input
 /// dimension, then add the bias once.
-pub fn dense(x: &Rows32, layer: &DenseLayer) -> Rows32 {
+pub(crate) fn dense(x: &Rows32, layer: &DenseLayer) -> Rows32 {
     let (m, k) = shape(x);
     let (k2, n) = shape(&layer.w);
     assert_eq!(k, k2, "dense: input dim {k} vs weight rows {k2}");
@@ -44,7 +44,7 @@ pub fn dense(x: &Rows32, layer: &DenseLayer) -> Rows32 {
 }
 
 /// Elementwise leaky ReLU, `v if v > 0 else slope * v`.
-pub fn leaky_relu(x: &Rows32, slope: f32) -> Rows32 {
+pub(crate) fn leaky_relu(x: &Rows32, slope: f32) -> Rows32 {
     x.iter()
         .map(|row| row.iter().map(|&v| if v > 0.0 { v } else { slope * v }).collect())
         .collect()

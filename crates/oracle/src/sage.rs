@@ -25,7 +25,7 @@ pub struct SageStep {
 /// Unweighted neighbourhood mean of the opposite side's embeddings.
 /// `adjacency[v]` lists the opposite-side neighbours of vertex `v`;
 /// vertices with no neighbours aggregate to a zero vector.
-pub fn neighborhood_mean(adjacency: &[Vec<usize>], opposite: &Rows64, dim: usize) -> Rows64 {
+pub(crate) fn neighborhood_mean(adjacency: &[Vec<usize>], opposite: &Rows64, dim: usize) -> Rows64 {
     let mut out = vec![vec![0.0f64; dim]; adjacency.len()];
     for (v, nbrs) in adjacency.iter().enumerate() {
         if nbrs.is_empty() {

@@ -45,7 +45,7 @@ fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
 }
 
 /// Fraction of `exact`'s items that `approx` recovered.
-pub fn recall_at_k(approx: &[u32], exact: &[u32]) -> f64 {
+pub(crate) fn recall_at_k(approx: &[u32], exact: &[u32]) -> f64 {
     if exact.is_empty() {
         return 1.0;
     }

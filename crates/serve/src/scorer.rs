@@ -67,17 +67,12 @@ impl Scorer {
     /// Builds the head for the given feature dimensions, initialising
     /// weights from `seed` (He-uniform hidden layers, Xavier output,
     /// zero biases — the workspace's standard `Mlp` initialisation).
-    pub fn new(user_dim: usize, item_dim: usize, seed: u64) -> Scorer {
+    pub(crate) fn new(user_dim: usize, item_dim: usize, seed: u64) -> Scorer {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let dims = [user_dim + item_dim, HIDDEN[0], HIDDEN[1], 1];
         let mlp = Mlp::new(&mut store, "serve.scorer", &dims, Activation::LeakyRelu, &mut rng);
         Scorer { store, mlp, user_dim, item_dim }
-    }
-
-    /// Input dimensionality (`user_dim + item_dim`).
-    pub fn in_dim(&self) -> usize {
-        self.user_dim + self.item_dim
     }
 
     /// Scores `user_row` against the feature rows `feats[id]` for each
@@ -176,7 +171,7 @@ mod tests {
     /// The reference `score_against` replaced: the MLP on materialised
     /// `[user | item]` rows.
     fn materialised_scores(s: &Scorer, user: &[f32], feats: &Matrix, ids: &[u32]) -> Vec<f32> {
-        let mut x = Matrix::zeros(ids.len(), s.in_dim());
+        let mut x = Matrix::zeros(ids.len(), s.user_dim + s.item_dim);
         for (r, &id) in ids.iter().enumerate() {
             x.row_mut(r)[..s.user_dim].copy_from_slice(user);
             x.row_mut(r)[s.user_dim..].copy_from_slice(feats.row(id as usize));

@@ -21,7 +21,7 @@ pub trait Ranker {
 }
 
 /// The boxed scoring function wrapped by [`ScoreFnRanker`].
-pub type ScoreFn<'a> = Box<dyn Fn(usize, &[u32]) -> Vec<f32> + 'a>;
+pub(crate) type ScoreFn<'a> = Box<dyn Fn(usize, &[u32]) -> Vec<f32> + 'a>;
 
 /// Wraps any scoring closure as a ranker.
 pub struct ScoreFnRanker<'a> {

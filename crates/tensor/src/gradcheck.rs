@@ -11,7 +11,7 @@ use crate::tape::{Tape, Var};
 
 /// Computes the numerical gradient of `f` (a scalar-valued forward pass)
 /// with respect to parameter `id`, via central differences with step `eps`.
-pub fn numerical_grad(
+pub(crate) fn numerical_grad(
     store: &ParamStore,
     id: ParamId,
     eps: f32,

@@ -7,7 +7,7 @@ use crate::matrix::Matrix;
 use rand::Rng;
 
 /// Uniform initialisation in `[-limit, limit]`.
-pub fn uniform(rows: usize, cols: usize, limit: f32, rng: &mut impl Rng) -> Matrix {
+pub(crate) fn uniform(rows: usize, cols: usize, limit: f32, rng: &mut impl Rng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-limit..=limit))
 }
 

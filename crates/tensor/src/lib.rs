@@ -21,7 +21,7 @@
 //!   contract: work is decomposed into thread-count-independent shards
 //!   and reduced in a fixed tree order, so an N-worker run is
 //!   bit-identical to a 1-worker run.
-//! * [`optim`] — SGD (+momentum) and Adam with decoupled weight decay.
+//! * [`optim`] — Adam with decoupled weight decay.
 //! * [`nn`] — [`nn::Linear`] / [`nn::Mlp`] building blocks.
 //! * [`gradcheck`] — finite-difference gradient verification used by the
 //!   test suite for every op.
@@ -31,7 +31,7 @@
 //! ```
 //! use hignn_tensor::{Matrix, ParamStore, Tape};
 //! use hignn_tensor::nn::{Activation, Mlp};
-//! use hignn_tensor::optim::{Adam, Optimizer};
+//! use hignn_tensor::optim::Adam;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);

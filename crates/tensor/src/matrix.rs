@@ -105,11 +105,6 @@ impl Matrix {
         Matrix { rows: 1, cols: values.len(), data: values.to_vec() }
     }
 
-    /// Creates a 1 x n row matrix taking ownership of `values` (no copy).
-    pub fn row_from_vec(values: Vec<f32>) -> Self {
-        Matrix { rows: 1, cols: values.len(), data: values }
-    }
-
     /// Creates an n x 1 column matrix from a slice.
     pub fn column_vector(values: &[f32]) -> Self {
         Matrix { rows: values.len(), cols: 1, data: values.to_vec() }
@@ -118,15 +113,6 @@ impl Matrix {
     /// Creates an n x 1 column matrix taking ownership of `values` (no copy).
     pub fn column_from_vec(values: Vec<f32>) -> Self {
         Matrix { rows: values.len(), cols: 1, data: values }
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Number of rows.
@@ -149,14 +135,8 @@ impl Matrix {
 
     /// Total number of entries.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// True when the matrix has no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Raw row-major data.
@@ -204,11 +184,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Iterator over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Copies `src` into row `i`.
     pub fn set_row(&mut self, i: usize, src: &[f32]) {
         assert_eq!(src.len(), self.cols);
@@ -226,7 +201,7 @@ impl Matrix {
 
     /// [`Matrix::matmul`] writing into a caller-provided output matrix
     /// (overwrites every entry; `out` need not be zeroed).
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} * {}x{}",
@@ -290,7 +265,7 @@ impl Matrix {
     /// [`Matrix::matmul_nt`] writing into a caller-provided output matrix
     /// (overwrites every entry; `out` need not be zeroed) and using the
     /// per-thread pack scratch.
-    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) {
         NT_PACK.with(|cell| {
             self.matmul_nt_into_scratch(rhs, out, &mut cell.borrow_mut());
         });
@@ -300,7 +275,7 @@ impl Matrix {
     /// into a caller-provided aligned scratch buffer (lease it from a
     /// [`crate::Workspace`] on the training hot path; contents are
     /// overwritten).
-    pub fn matmul_nt_into_scratch(&self, rhs: &Matrix, out: &mut Matrix, scratch: &mut AlignedBuf) {
+    pub(crate) fn matmul_nt_into_scratch(&self, rhs: &Matrix, out: &mut Matrix, scratch: &mut AlignedBuf) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_nt: {}x{} * ({}x{})^T",
@@ -323,7 +298,7 @@ impl Matrix {
 
     /// [`Matrix::matmul_tn`] writing into a caller-provided output matrix
     /// (overwrites every entry; `out` need not be zeroed).
-    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn: ({}x{})^T * {}x{}",
@@ -376,33 +351,11 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Elementwise difference `self - rhs`.
-    pub fn sub(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "sub: shape mismatch");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard: shape mismatch");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
     /// In-place `self += rhs`.
-    pub fn add_assign(&mut self, rhs: &Matrix) {
+    pub(crate) fn add_assign(&mut self, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "add_assign: shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
-        }
-    }
-
-    /// In-place `self += alpha * rhs` (axpy).
-    pub fn scaled_add_assign(&mut self, alpha: f32, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "scaled_add_assign: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
         }
     }
 
@@ -413,20 +366,13 @@ impl Matrix {
     }
 
     /// In-place scale.
-    pub fn scale_assign(&mut self, alpha: f32) {
+    pub(crate) fn scale_assign(&mut self, alpha: f32) {
         for a in &mut self.data {
             *a *= alpha;
         }
     }
 
-    /// Adds a `1 x cols` row vector to every row.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(bias);
-        out
-    }
-
-    /// In-place variant of [`Matrix::add_row_broadcast`].
+    /// Adds a `1 x cols` row vector to every row, in place.
     pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) {
         assert_eq!(bias.rows, 1, "add_row_broadcast: bias must have one row");
         assert_eq!(bias.cols, self.cols, "add_row_broadcast: column mismatch");
@@ -508,7 +454,7 @@ impl Matrix {
 
     /// [`Matrix::mean_pool_rows`] writing into a caller-provided output
     /// matrix (overwrites every entry; `out` need not be zeroed).
-    pub fn mean_pool_rows_into(&self, group: usize, out: &mut Matrix) {
+    pub(crate) fn mean_pool_rows_into(&self, group: usize, out: &mut Matrix) {
         assert!(group > 0 && self.rows.is_multiple_of(group), "mean_pool_rows_into: bad grouping");
         assert_eq!(
             out.shape(),
@@ -573,7 +519,7 @@ impl Matrix {
     }
 
     /// Mean of all entries (0 for an empty matrix).
-    pub fn mean(&self) -> f32 {
+    pub(crate) fn mean(&self) -> f32 {
         if self.data.is_empty() {
             0.0
         } else {
@@ -582,25 +528,8 @@ impl Matrix {
     }
 
     /// Sum of squared entries.
-    pub fn sum_squares(&self) -> f32 {
+    pub(crate) fn sum_squares(&self) -> f32 {
         self.data.iter().map(|a| a * a).sum()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.sum_squares().sqrt()
-    }
-
-    /// Index of the maximum entry in row `i`.
-    pub fn row_argmax(&self, i: usize) -> usize {
-        let row = self.row(i);
-        let mut best = 0;
-        for (j, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = j;
-            }
-        }
-        best
     }
 
     /// Squared Euclidean distance between row `i` of `self` and
@@ -941,7 +870,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let i = Matrix::identity(2);
+        let i = m(2, 2, &[1.0, 0.0, 0.0, 1.0]);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
     }
@@ -967,24 +896,14 @@ mod tests {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let b = m(2, 2, &[5.0, 6.0, 7.0, 8.0]);
         assert_eq!(a.add(&b).data(), &[6.0, 8.0, 10.0, 12.0]);
-        assert_eq!(b.sub(&a).data(), &[4.0, 4.0, 4.0, 4.0]);
-        assert_eq!(a.hadamard(&b).data(), &[5.0, 12.0, 21.0, 32.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]
-    fn axpy() {
-        let mut a = m(1, 3, &[1.0, 1.0, 1.0]);
-        let b = m(1, 3, &[1.0, 2.0, 3.0]);
-        a.scaled_add_assign(0.5, &b);
-        assert_eq!(a.data(), &[1.5, 2.0, 2.5]);
-    }
-
-    #[test]
     fn broadcast_bias() {
-        let a = m(2, 3, &[0.0; 6]);
+        let mut out = m(2, 3, &[0.0; 6]);
         let bias = Matrix::row_vector(&[1.0, 2.0, 3.0]);
-        let out = a.add_row_broadcast(&bias);
+        out.add_row_broadcast_assign(&bias);
         assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(out.row(1), &[1.0, 2.0, 3.0]);
     }
@@ -1041,13 +960,6 @@ mod tests {
         assert!((a.get(0, 0) - 0.6).abs() < 1e-6);
         assert!((a.get(0, 1) - 0.8).abs() < 1e-6);
         assert_eq!(a.row(1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn argmax_per_row() {
-        let a = m(2, 3, &[1.0, 9.0, 3.0, 7.0, 2.0, 5.0]);
-        assert_eq!(a.row_argmax(0), 1);
-        assert_eq!(a.row_argmax(1), 0);
     }
 
     #[test]
@@ -1184,17 +1096,12 @@ mod tests {
     #[test]
     fn owned_constructors_match_slice_constructors() {
         let v = vec![1.0f32, -2.0, 3.5];
-        assert_eq!(Matrix::row_from_vec(v.clone()), Matrix::row_vector(&v));
         assert_eq!(Matrix::column_from_vec(v.clone()), Matrix::column_vector(&v));
     }
 
     #[test]
     fn in_place_variants_match_allocating_ones() {
         let a = pseudo(5, 4, 55);
-        let bias = pseudo(1, 4, 66);
-        let mut b = a.clone();
-        b.add_row_broadcast_assign(&bias);
-        assert_bits_eq(&b, &a.add_row_broadcast(&bias), "bias");
         let mut c = a.clone();
         c.map_assign(|v| if v > 0.0 { v } else { 0.01 * v });
         assert_bits_eq(&c, &a.map(|v| if v > 0.0 { v } else { 0.01 * v }), "map");

@@ -42,7 +42,6 @@ pub struct Linear {
     w: ParamId,
     b: ParamId,
     in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -50,7 +49,7 @@ impl Linear {
     ///
     /// `activation` only selects the initialisation scheme (He for ReLU
     /// family, Xavier otherwise); the caller applies the activation itself.
-    pub fn new(
+    pub(crate) fn new(
         store: &mut ParamStore,
         name: &str,
         in_dim: usize,
@@ -64,11 +63,11 @@ impl Linear {
         };
         let w = store.add(format!("{name}.w"), w);
         let b = store.add(format!("{name}.b"), Matrix::zeros(1, out_dim));
-        Linear { w, b, in_dim, out_dim }
+        Linear { w, b, in_dim }
     }
 
     /// Applies the layer on a tape.
-    pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
+    pub(crate) fn forward(&self, tape: &mut Tape, x: Var) -> Var {
         assert_eq!(x.cols(), self.in_dim, "Linear: input dim mismatch");
         let w = tape.param(self.w);
         let b = tape.param(self.b);
@@ -77,7 +76,7 @@ impl Linear {
     }
 
     /// Tape-free inference.
-    pub fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+    pub(crate) fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
         let mut y = x.matmul(store.get(self.w));
         y.add_row_broadcast_assign(store.get(self.b));
         y
@@ -91,16 +90,6 @@ impl Linear {
     /// Bias parameter id.
     pub fn bias(&self) -> ParamId {
         self.b
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 }
 
@@ -193,30 +182,12 @@ impl Mlp {
     pub fn layers(&self) -> &[Linear] {
         &self.layers
     }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().unwrap().out_dim()
-    }
-
-    /// All parameter ids of the MLP (for targeted regularisation).
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        self.layers
-            .iter()
-            .flat_map(|l| [l.weight(), l.bias()])
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -276,8 +247,8 @@ mod tests {
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, "m", &[3, 5, 4, 1], Activation::Relu, &mut rng);
         assert_eq!(mlp.layers().len(), 3);
-        assert_eq!(mlp.param_ids().len(), 6);
-        assert_eq!(mlp.in_dim(), 3);
-        assert_eq!(mlp.out_dim(), 1);
+        assert_eq!(store.len(), 6);
+        assert_eq!(store.get(mlp.layers()[0].weight()).shape(), (3, 5));
+        assert_eq!(store.get(mlp.layers()[2].weight()).shape(), (4, 1));
     }
 }

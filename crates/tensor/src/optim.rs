@@ -1,86 +1,14 @@
-//! First-order optimizers.
+//! The optimizer.
 //!
 //! The paper trains every component with stochastic gradient descent
 //! (Section III.B) and its supervised predictor with standard
-//! deep-learning settings (lr 1e-3, batch 1024, L2 regularisation); we
-//! provide plain [`Sgd`] (with optional momentum) and [`Adam`]. Weight
-//! decay is applied decoupled from the gradient (AdamW-style) so the L2
-//! strength is independent of the loss scale.
+//! deep-learning settings (lr 1e-3, batch 1024, L2 regularisation);
+//! every trainer here steps [`Adam`]. Weight decay is applied decoupled
+//! from the gradient (AdamW-style) so the L2 strength is independent of
+//! the loss scale.
 
 use crate::param::{Gradients, ParamStore};
 use crate::Matrix;
-
-/// Common interface for optimizers.
-pub trait Optimizer {
-    /// Applies one update step given accumulated gradients.
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (e.g. for decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum and decoupled
-/// weight decay.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    /// Adds classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.momentum = momentum;
-        self
-    }
-
-    /// Adds decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        if self.velocity.len() < store.len() {
-            self.velocity.resize(store.len(), None);
-        }
-        for (id, g) in grads.iter() {
-            if self.weight_decay > 0.0 {
-                let decay = 1.0 - self.lr * self.weight_decay;
-                store.get_mut(id).scale_assign(decay);
-            }
-            if self.momentum > 0.0 {
-                let v = self.velocity[id.index()]
-                    .get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-                v.scale_assign(self.momentum);
-                v.add_assign(g);
-                store.get_mut(id).scaled_add_assign(-self.lr, v);
-            } else {
-                store.get_mut(id).scaled_add_assign(-self.lr, g);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction and decoupled weight decay.
 pub struct Adam {
@@ -109,22 +37,14 @@ impl Adam {
         }
     }
 
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Adds decoupled weight decay (AdamW).
     pub fn with_weight_decay(mut self, wd: f32) -> Self {
         self.weight_decay = wd;
         self
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
+    /// Applies one update step given accumulated gradients.
+    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
         self.t += 1;
         if self.m.len() < store.len() {
             self.m.resize(store.len(), None);
@@ -151,14 +71,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -168,33 +80,19 @@ mod tests {
     use crate::tape::Tape;
 
     /// Minimise f(p) = (p - 3)^2 and check convergence.
-    fn converges_to_three(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn converges_to_three(opt: &mut Adam, steps: usize) -> f32 {
         let mut store = ParamStore::new();
         let p = store.add("p", Matrix::from_vec(1, 1, vec![0.0]));
         for _ in 0..steps {
             let mut t = Tape::new(&store);
             let v = t.param(p);
-            let target = t.input(Matrix::from_vec(1, 1, vec![3.0]));
-            let diff = t.sub(v, target);
+            let minus_target = t.input(Matrix::from_vec(1, 1, vec![-3.0]));
+            let diff = t.add(v, minus_target);
             let loss = t.sum_squares(diff);
             let grads = t.backward(loss);
             opt.step(&mut store, &grads);
         }
         store.get(p).get(0, 0)
-    }
-
-    #[test]
-    fn sgd_converges() {
-        let mut opt = Sgd::new(0.1);
-        let p = converges_to_three(&mut opt, 100);
-        assert!((p - 3.0).abs() < 1e-3, "p = {p}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05).with_momentum(0.9);
-        let p = converges_to_three(&mut opt, 200);
-        assert!((p - 3.0).abs() < 1e-2, "p = {p}");
     }
 
     #[test]
@@ -209,22 +107,14 @@ mod tests {
         // With pure decay (zero gradient signal beyond decay), weights shrink.
         let mut store = ParamStore::new();
         let p = store.add("p", Matrix::from_vec(1, 1, vec![10.0]));
-        let mut opt = Sgd::new(0.1).with_weight_decay(1.0);
+        let mut opt = Adam::new(0.1).with_weight_decay(1.0);
         let mut grads = Gradients::new(&store);
-        grads.accumulate(p, &Matrix::zeros(1, 1));
+        grads.accumulate_owned(p, Matrix::zeros(1, 1));
         for _ in 0..10 {
             opt.step(&mut store, &grads);
         }
         let v = store.get(p).get(0, 0);
         assert!(v < 10.0 && v > 0.0, "v = {v}");
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]
@@ -237,9 +127,9 @@ mod tests {
         let mut opt = Adam::new(0.1);
         for step in 0..50 {
             let mut grads = Gradients::new(&store);
-            grads.accumulate(a, &Matrix::from_vec(1, 1, vec![1.0]));
+            grads.accumulate_owned(a, Matrix::from_vec(1, 1, vec![1.0]));
             if step % 2 == 0 {
-                grads.accumulate(b, &Matrix::from_vec(1, 1, vec![1.0]));
+                grads.accumulate_owned(b, Matrix::from_vec(1, 1, vec![1.0]));
             }
             opt.step(&mut store, &grads);
         }

@@ -180,7 +180,7 @@ pub const ROW_CHUNK: usize = 256;
 /// Chosen so the ~10–50µs of scoped-thread spawn/teardown per `map`
 /// call stays well under 10% of the kernel time it parallelises: at
 /// ~1ns per fused multiply-add, 256k elements ≈ 0.5–1ms of work.
-pub const MIN_PARALLEL_WORK: usize = 1 << 18;
+pub(crate) const MIN_PARALLEL_WORK: usize = 1 << 18;
 
 /// Reduces per-shard gradients by a fixed pairwise tree over shard
 /// indices: round one merges shard 1 into 0, 3 into 2, …; rounds repeat
@@ -285,9 +285,9 @@ mod tests {
             .map(|s| {
                 let mut g = Gradients::new(&store);
                 let v = (s + 1) as f32;
-                g.accumulate(a, &Matrix::row_vector(&[v, 0.1 * v, -v]));
+                g.accumulate_owned(a, Matrix::row_vector(&[v, 0.1 * v, -v]));
                 if s % 2 == 0 {
-                    g.accumulate(b, &Matrix::from_vec(2, 2, vec![v; 4]));
+                    g.accumulate_owned(b, Matrix::from_vec(2, 2, vec![v; 4]));
                 }
                 g
             })

@@ -20,7 +20,7 @@ pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
     /// The raw index of the parameter within its store.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -62,7 +62,7 @@ impl ParamStore {
     }
 
     /// The parameter's registered name.
-    pub fn name(&self, id: ParamId) -> &str {
+    pub(crate) fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
     }
 
@@ -72,18 +72,13 @@ impl ParamStore {
     }
 
     /// Mutably borrows a parameter value (used by optimizers).
-    pub fn get_mut(&mut self, id: ParamId) -> &mut Matrix {
+    pub(crate) fn get_mut(&mut self, id: ParamId) -> &mut Matrix {
         &mut self.values[id.0]
     }
 
     /// Number of registered parameters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// True when no parameters are registered.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Total number of trainable scalars.
@@ -92,7 +87,7 @@ impl ParamStore {
     }
 
     /// Iterates over `(id, name, value)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &str, &Matrix)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ParamId, &str, &Matrix)> {
         self.values
             .iter()
             .enumerate()
@@ -113,26 +108,15 @@ pub struct Gradients {
 
 impl Gradients {
     /// Creates an empty gradient set sized for `store`.
-    pub fn new(store: &ParamStore) -> Self {
+    pub(crate) fn new(store: &ParamStore) -> Self {
         Gradients { grads: vec![None; store.len()] }
-    }
-
-    /// Adds `g` into the slot for `id`.
-    pub fn accumulate(&mut self, id: ParamId, g: &Matrix) {
-        if id.0 >= self.grads.len() {
-            self.grads.resize(id.0 + 1, None);
-        }
-        match &mut self.grads[id.0] {
-            Some(existing) => existing.add_assign(g),
-            slot @ None => *slot = Some(g.clone()),
-        }
     }
 
     /// Adds an owned gradient buffer into the slot for `id` without
     /// copying: the first contribution is moved into the slot; later
     /// contributions are summed and the (now dead) buffer is handed back
     /// so the caller can recycle it.
-    pub fn accumulate_owned(&mut self, id: ParamId, g: Matrix) -> Option<Matrix> {
+    pub(crate) fn accumulate_owned(&mut self, id: ParamId, g: Matrix) -> Option<Matrix> {
         if id.0 >= self.grads.len() {
             self.grads.resize(id.0 + 1, None);
         }
@@ -153,26 +137,10 @@ impl Gradients {
         self.grads.get(id.0).and_then(Option::as_ref)
     }
 
-    /// Merges another gradient set into this one (summing overlaps).
-    pub fn merge(&mut self, other: &Gradients) {
-        if other.grads.len() > self.grads.len() {
-            self.grads.resize(other.grads.len(), None);
-        }
-        for (i, g) in other.grads.iter().enumerate() {
-            if let Some(g) = g {
-                match &mut self.grads[i] {
-                    Some(existing) => existing.add_assign(g),
-                    slot @ None => *slot = Some(g.clone()),
-                }
-            }
-        }
-    }
-
-    /// Move-based [`Gradients::merge`]: consumes `other`, summing
-    /// overlapping entries (same order as `merge`, so results are
-    /// bitwise identical) and **moving** entries that only exist in
-    /// `other` instead of cloning them.
-    pub fn merge_owned(&mut self, other: Gradients) {
+    /// Merges another gradient set into this one, consuming `other`:
+    /// overlapping entries are summed and entries that only exist in
+    /// `other` are moved, not cloned.
+    pub(crate) fn merge_owned(&mut self, other: Gradients) {
         if other.grads.len() > self.grads.len() {
             self.grads.resize(other.grads.len(), None);
         }
@@ -186,9 +154,10 @@ impl Gradients {
         }
     }
 
-    /// Consumes the gradient set, returning every buffer to `ws` for
-    /// reuse by the next minibatch's tape.
-    pub fn recycle_into(self, ws: &crate::workspace::Workspace) {
+    /// Consumes the gradient set, returning every buffer to `ws`, so a
+    /// test can measure the tape's own steady-state allocations.
+    #[cfg(test)]
+    pub(crate) fn recycle_into(self, ws: &crate::workspace::Workspace) {
         for g in self.grads.into_iter().flatten() {
             ws.reclaim(g.into_data());
         }
@@ -198,24 +167,6 @@ impl Gradients {
     pub fn scale(&mut self, alpha: f32) {
         for g in self.grads.iter_mut().flatten() {
             g.scale_assign(alpha);
-        }
-    }
-
-    /// Global L2 norm across all gradients.
-    pub fn global_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .flatten()
-            .map(Matrix::sum_squares)
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// Clips gradients so the global norm does not exceed `max_norm`.
-    pub fn clip_global_norm(&mut self, max_norm: f32) {
-        let norm = self.global_norm();
-        if norm > max_norm && norm > 0.0 {
-            self.scale(max_norm / norm);
         }
     }
 
@@ -259,25 +210,13 @@ mod tests {
         let a = s.add("a", Matrix::zeros(1, 2));
         let b = s.add("b", Matrix::zeros(1, 2));
         let mut g1 = Gradients::new(&s);
-        g1.accumulate(a, &Matrix::row_vector(&[1.0, 2.0]));
-        g1.accumulate(a, &Matrix::row_vector(&[1.0, 2.0]));
+        g1.accumulate_owned(a, Matrix::row_vector(&[1.0, 2.0]));
+        g1.accumulate_owned(a, Matrix::row_vector(&[1.0, 2.0]));
         let mut g2 = Gradients::new(&s);
-        g2.accumulate(a, &Matrix::row_vector(&[1.0, 0.0]));
-        g2.accumulate(b, &Matrix::row_vector(&[0.5, 0.5]));
-        g1.merge(&g2);
+        g2.accumulate_owned(a, Matrix::row_vector(&[1.0, 0.0]));
+        g2.accumulate_owned(b, Matrix::row_vector(&[0.5, 0.5]));
+        g1.merge_owned(g2);
         assert_eq!(g1.get(a).unwrap().data(), &[3.0, 4.0]);
         assert_eq!(g1.get(b).unwrap().data(), &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn clip_global_norm_shrinks() {
-        let mut s = ParamStore::new();
-        let a = s.add("a", Matrix::zeros(1, 2));
-        let mut g = Gradients::new(&s);
-        g.accumulate(a, &Matrix::row_vector(&[3.0, 4.0]));
-        g.clip_global_norm(1.0);
-        assert!((g.global_norm() - 1.0).abs() < 1e-6);
-        g.clip_global_norm(10.0); // no-op when already below
-        assert!((g.global_norm() - 1.0).abs() < 1e-6);
     }
 }

@@ -95,7 +95,11 @@ pub fn read_matrix<R: Read>(r: &mut R) -> io::Result<Matrix> {
 }
 
 /// Writes a parameter store (names + values) in the `HGPS` format.
-pub fn write_param_store<W: Write>(w: &mut W, store: &ParamStore) -> io::Result<()> {
+#[cfg_attr(
+    not(test),
+    expect(dead_code, reason = "HGHI 3 (ROADMAP item 22) stores each level's parameters with it")
+)]
+pub(crate) fn write_param_store<W: Write>(w: &mut W, store: &ParamStore) -> io::Result<()> {
     w.write_all(PARAMS_MAGIC)?;
     write_u32(w, VERSION)?;
     write_u64(w, store.len() as u64)?;
@@ -112,7 +116,11 @@ pub fn write_param_store<W: Write>(w: &mut W, store: &ParamStore) -> io::Result<
 /// assigned in file order, which matches the order they were registered
 /// when the store was written — so models reconstructed with the same
 /// code see the same ids.
-pub fn read_param_store<R: Read>(r: &mut R) -> io::Result<ParamStore> {
+#[cfg_attr(
+    not(test),
+    expect(dead_code, reason = "HGHI 3 (ROADMAP item 22) stores each level's parameters with it")
+)]
+pub(crate) fn read_param_store<R: Read>(r: &mut R) -> io::Result<ParamStore> {
     check_header(r, PARAMS_MAGIC, "param store")?;
     let count =
         read_u64(r).map_err(|_| bad_data("param store: truncated in `count` field"))? as usize;

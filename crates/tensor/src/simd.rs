@@ -32,7 +32,7 @@ use std::sync::OnceLock;
 /// Environment variable that pins the portable fallback even when the
 /// CPU supports the vector kernels (any value but `0`). Read once, at
 /// first kernel dispatch.
-pub const FORCE_PORTABLE_ENV: &str = "HIGNN_FORCE_PORTABLE_SIMD";
+pub(crate) const FORCE_PORTABLE_ENV: &str = "HIGNN_FORCE_PORTABLE_SIMD";
 
 /// Which implementation backs the kernels of this module in this process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +92,7 @@ pub fn backend() -> SimdBackend {
 ///
 /// # Panics
 /// Panics when a slice is shorter than its shape.
-pub fn mm_nn(
+pub(crate) fn mm_nn(
     a: &[f32],
     m: usize,
     kk: usize,
@@ -118,7 +118,7 @@ pub fn mm_nn(
 ///
 /// # Panics
 /// Panics when a slice is shorter than its shape.
-pub fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+pub(crate) fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
     assert!(a.len() >= kk * m && b.len() >= kk * n && out.len() >= m * n, "mm_tn: short slice");
     #[cfg(target_arch = "x86_64")]
     if backend() == SimdBackend::Avx2 {
@@ -140,7 +140,7 @@ pub fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32
 /// # Panics
 /// Panics on a zero `group`, an `idx` not a multiple of it, a short
 /// `out`, or an index past the last full `cols`-wide row of `src`.
-pub fn gather_mean_pool(src: &[f32], cols: usize, idx: &[usize], group: usize, out: &mut [f32]) {
+pub(crate) fn gather_mean_pool(src: &[f32], cols: usize, idx: &[usize], group: usize, out: &mut [f32]) {
     assert!(group > 0 && idx.len().is_multiple_of(group), "gather_mean_pool: bad grouping");
     assert!(out.len() >= (idx.len() / group) * cols, "gather_mean_pool: short output");
     if let Some(&bad) = idx.iter().find(|&&i| (i + 1) * cols > src.len()) {
@@ -415,7 +415,7 @@ mod avx2 {
     /// avx2 present; `a` is `m x kk`, `b` is `kk x n`, `out` holds
     /// `m * n` entries and `carry`, if any, `n`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mm_nn(
+    pub(crate) unsafe fn mm_nn(
         a: &[f32],
         m: usize,
         kk: usize,
@@ -432,7 +432,7 @@ mod avx2 {
     /// avx2 present; `a` is `kk x m`, `b` is `kk x n`, `out` holds
     /// `m * n` entries.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    pub(crate) unsafe fn mm_tn(a: &[f32], kk: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
         let a_at = |i: usize, ii: usize, t: usize| *a.get_unchecked(t * m + i + ii);
         cover(m, kk, b, n, None, out, a_at, |t| t * n);
     }
@@ -441,7 +441,7 @@ mod avx2 {
     /// avx2 present; every `idx` entry addresses a full `cols` row of
     /// `src`; `out` holds `(idx.len() / group) * cols` entries.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_mean_pool(
+    pub(crate) unsafe fn gather_mean_pool(
         src: &[f32],
         cols: usize,
         idx: &[usize],
@@ -475,7 +475,7 @@ mod avx2 {
     /// # Safety
     /// avx2 present.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn leaky_relu(x: &mut [f32], alpha: f32) {
+    pub(crate) unsafe fn leaky_relu(x: &mut [f32], alpha: f32) {
         let av = _mm256_set1_ps(alpha);
         let zero = _mm256_setzero_ps();
         let main = x.len() - x.len() % L;
@@ -497,7 +497,7 @@ mod avx2 {
     /// # Safety
     /// avx2 present; `g.len() == x.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn leaky_relu_bwd(g: &mut [f32], x: &[f32], alpha: f32) {
+    pub(crate) unsafe fn leaky_relu_bwd(g: &mut [f32], x: &[f32], alpha: f32) {
         let av = _mm256_set1_ps(alpha);
         let zero = _mm256_setzero_ps();
         let main = g.len() - g.len() % L;
@@ -551,7 +551,7 @@ mod avx2 {
     /// avx2 present; `packed.len() == out.len().div_ceil(L) *
     /// point.len() * L`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq_dists(packed: &[f32], point: &[f32], out: &mut [f32]) {
+    pub(crate) unsafe fn sq_dists(packed: &[f32], point: &[f32], out: &mut [f32]) {
         const NB: usize = 4;
         let stride = point.len() * L;
         let full_blocks = out.len() / L;

@@ -66,8 +66,6 @@ enum Op {
     Add(usize, usize),
     /// `X + bias` where `bias` is `1 x cols`, broadcast over rows.
     AddBias(usize, usize),
-    /// Elementwise `A - B`.
-    Sub(usize, usize),
     /// Elementwise `A * B`.
     Mul(usize, usize),
     /// Row-wise scaling: `out[i][j] = x[i][j] * col[i][0]`.
@@ -102,8 +100,8 @@ enum Op {
     /// Sum of squared entries, producing a `1 x 1` scalar (L2 penalty).
     SumSquares(usize),
     /// Mean binary cross entropy with logits against fixed targets;
-    /// produces a `1 x 1` scalar. `weights` optionally reweights samples.
-    BceWithLogits { logits: usize, targets: Vec<f32>, weights: Option<Vec<f32>> },
+    /// produces a `1 x 1` scalar.
+    BceWithLogits { logits: usize, targets: Vec<f32> },
 }
 
 /// Where a node's forward value lives: owned by the tape, or borrowed
@@ -179,16 +177,6 @@ impl<'s> Tape<'s> {
     pub fn scalar(&self, v: Var) -> f32 {
         assert_eq!((v.rows, v.cols), (1, 1), "scalar() on non-scalar var");
         self.nval(v.id).get(0, 0)
-    }
-
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     // ---- buffer management --------------------------------------------
@@ -292,12 +280,6 @@ impl<'s> Tape<'s> {
         let mut value = self.mat_copy(self.value(x));
         value.add_row_broadcast_assign(self.value(bias));
         self.push(Stored::Owned(value), Op::AddBias(x.id, bias.id))
-    }
-
-    /// Elementwise `a - b`.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.mat_zip(self.value(a), self.value(b), |x, y| x - y);
-        self.push(Stored::Owned(value), Op::Sub(a.id, b.id))
     }
 
     /// Elementwise `a * b`.
@@ -510,40 +492,20 @@ impl<'s> Tape<'s> {
     /// `logits` must be `n x 1` and `targets.len() == n`. Uses the
     /// numerically stable form `max(x,0) - x*t + ln(1 + e^{-|x|})`.
     pub fn bce_with_logits(&mut self, logits: Var, targets: &[f32]) -> Var {
-        self.bce_with_logits_weighted(logits, targets, None)
-    }
-
-    /// Weighted variant of [`Tape::bce_with_logits`]: each sample's loss is
-    /// multiplied by its weight before averaging (weights are normalised by
-    /// `n`, not by their sum, matching a per-sample importance weighting).
-    pub fn bce_with_logits_weighted(
-        &mut self,
-        logits: Var,
-        targets: &[f32],
-        weights: Option<&[f32]>,
-    ) -> Var {
         let lm = self.value(logits);
         assert_eq!(lm.cols(), 1, "bce_with_logits: logits must be n x 1");
         assert_eq!(lm.rows(), targets.len(), "bce_with_logits: target length mismatch");
-        if let Some(w) = weights {
-            assert_eq!(w.len(), targets.len(), "bce_with_logits: weight length mismatch");
-        }
         let n = targets.len().max(1) as f32;
         let mut total = 0.0f64;
         for (i, &t) in targets.iter().enumerate() {
             let x = lm.get(i, 0);
             let loss = x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln();
-            let w = weights.map_or(1.0, |w| w[i]);
-            total += (loss * w) as f64;
+            total += loss as f64;
         }
         let value = self.mat_full(1, 1, (total / n as f64) as f32);
         self.push(
             Stored::Owned(value),
-            Op::BceWithLogits {
-                logits: logits.id,
-                targets: targets.to_vec(),
-                weights: weights.map(|w| w.to_vec()),
-            },
+            Op::BceWithLogits { logits: logits.id, targets: targets.to_vec() },
         )
     }
 
@@ -601,13 +563,6 @@ impl<'s> Tape<'s> {
                     }
                     accum(&mut grads, *x, g, self.ws);
                     accum(&mut grads, *bias, gb, self.ws);
-                }
-                Op::Sub(a, b) => {
-                    let ga = self.mat_copy(&g);
-                    accum(&mut grads, *a, ga, self.ws);
-                    let mut gb = g;
-                    gb.scale_assign(-1.0);
-                    accum(&mut grads, *b, gb, self.ws);
                 }
                 Op::Mul(a, b) => {
                     let (av, bv) = (self.nval(*a), self.nval(*b));
@@ -769,15 +724,14 @@ impl<'s> Tape<'s> {
                     accum(&mut grads, *src, gs, self.ws);
                     self.reclaim_mat(g);
                 }
-                Op::BceWithLogits { logits, targets, weights } => {
+                Op::BceWithLogits { logits, targets } => {
                     let lm = self.nval(*logits);
                     let n = targets.len().max(1) as f32;
                     let scale = g.get(0, 0) / n;
                     let mut gl = self.mat_zeroed(lm.rows(), 1);
                     for (i, &t) in targets.iter().enumerate() {
                         let y = stable_sigmoid(lm.get(i, 0));
-                        let w = weights.as_ref().map_or(1.0, |w| w[i]);
-                        gl.set(i, 0, scale * w * (y - t));
+                        gl.set(i, 0, scale * (y - t));
                     }
                     accum(&mut grads, *logits, gl, self.ws);
                     self.reclaim_mat(g);
@@ -1062,7 +1016,7 @@ mod tests {
             let c = t.concat_cols(&[av, bv]);
             let d = t.tanh(c);
             let e = t.mul(d, c);
-            let f = t.sub(e, c);
+            let f = t.add(e, c);
             t.mean_all(f)
         });
     }
@@ -1109,22 +1063,6 @@ mod tests {
         let c = t.input(Matrix::column_vector(&[10.0, -1.0]));
         let y = t.mul_col_broadcast(x, c);
         assert_eq!(t.value(y).data(), &[10.0, 20.0, -3.0, -4.0]);
-    }
-
-    #[test]
-    fn weighted_bce_gradients_check() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let mut store = ParamStore::new();
-        let w = store.add("w", xavier_uniform(3, 1, &mut rng));
-        let x = xavier_uniform(5, 3, &mut rng);
-        let targets = vec![1.0, 0.0, 0.0, 1.0, 1.0];
-        let weights = vec![1.0, 2.0, 0.5, 1.5, 3.0];
-        check_param_grads(&store, &[w], 1e-2, 2e-2, move |t| {
-            let wv = t.param(w);
-            let xv = t.input(x.clone());
-            let logits = t.matmul(xv, wv);
-            t.bce_with_logits_weighted(logits, &targets, Some(&weights))
-        });
     }
 
     #[test]

@@ -21,12 +21,9 @@
 //!
 //! * [`Workspace::lease_zeroed`] / [`Workspace::lease_empty`] hand out a
 //!   buffer (reusing a recycled one when the bucket has stock);
-//! * [`Workspace::recycle`] returns a pool-shaped buffer — it panics on
-//!   buffers that cannot have come from a pool (wrong capacity class),
-//!   catching lease/recycle mismatches early;
-//! * [`Workspace::reclaim`] is the lenient variant used on tape drop,
-//!   where caller-provided input matrices of arbitrary capacity mix
-//!   with pooled ones: pool-shaped buffers are retained, others drop.
+//! * [`Workspace::reclaim`] returns a buffer; caller-provided input
+//!   matrices of arbitrary capacity mix with pooled ones on tape drop,
+//!   so pool-shaped buffers are retained and others drop.
 //!
 //! Buckets retain at most [`MAX_PER_BUCKET`] buffers; everything beyond
 //! that is freed, so the pool's footprint is bounded no matter how many
@@ -37,10 +34,10 @@
 use std::cell::{Cell, RefCell};
 
 /// Smallest bucket capacity handed out (tiny leases round up to this).
-pub const MIN_BUCKET: usize = 8;
+pub(crate) const MIN_BUCKET: usize = 8;
 
 /// Maximum buffers retained per capacity bucket.
-pub const MAX_PER_BUCKET: usize = 32;
+pub(crate) const MAX_PER_BUCKET: usize = 32;
 
 /// Maximum [`AlignedBuf`]s retained by [`Workspace::recycle_aligned`].
 const MAX_ALIGNED: usize = 8;
@@ -67,22 +64,12 @@ pub struct AlignedBuf {
 
 impl AlignedBuf {
     /// Creates an empty buffer (no allocation).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Current logical length in `f32` elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the logical length is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Allocated capacity in `f32` elements.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.chunks.len() * CHUNK_LANES
     }
 
@@ -90,7 +77,7 @@ impl AlignedBuf {
     /// Grown storage is zeroed once; **reused storage keeps stale
     /// contents** — this is for pack buffers that overwrite every
     /// element before reading any.
-    pub fn resize_for_overwrite(&mut self, len: usize) {
+    pub(crate) fn resize_for_overwrite(&mut self, len: usize) {
         let chunks = len.div_ceil(CHUNK_LANES);
         if chunks > self.chunks.len() {
             self.chunks.resize(chunks, AlignedChunk([0.0; CHUNK_LANES]));
@@ -99,14 +86,14 @@ impl AlignedBuf {
     }
 
     /// The buffer as a 64-byte-aligned `f32` slice.
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         // SAFETY: `chunks` is a contiguous array of `[f32; CHUNK_LANES]`
         // with size == alignment (no padding), and `len <= capacity`.
         unsafe { std::slice::from_raw_parts(self.chunks.as_ptr() as *const f32, self.len) }
     }
 
     /// The buffer as a mutable 64-byte-aligned `f32` slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         // SAFETY: as in `as_slice`, with unique access through `&mut`.
         unsafe { std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr() as *mut f32, self.len) }
     }
@@ -186,7 +173,7 @@ impl Workspace {
     }
 
     /// Leases a buffer of exactly `len` zeros.
-    pub fn lease_zeroed(&self, len: usize) -> Vec<f32> {
+    pub(crate) fn lease_zeroed(&self, len: usize) -> Vec<f32> {
         let mut v = self.lease_raw(len);
         v.resize(len, 0.0);
         v
@@ -195,30 +182,13 @@ impl Workspace {
     /// Leases an empty buffer with capacity for at least `min_capacity`
     /// elements (for `extend_from_slice`-style fills that overwrite
     /// everything anyway — skips the zero fill).
-    pub fn lease_empty(&self, min_capacity: usize) -> Vec<f32> {
+    pub(crate) fn lease_empty(&self, min_capacity: usize) -> Vec<f32> {
         self.lease_raw(min_capacity)
     }
 
-    /// Returns a leased buffer to the pool.
-    ///
-    /// # Panics
-    /// Panics when the buffer's capacity is not a pool capacity class —
-    /// a buffer that was never leased from a workspace (or whose
-    /// allocation was clobbered) cannot be recycled; use
-    /// [`Workspace::reclaim`] where foreign buffers are expected.
-    pub fn recycle(&self, v: Vec<f32>) {
-        assert!(
-            is_pool_shaped(v.capacity()),
-            "workspace: recycled buffer capacity {} is not a pool bucket \
-             (power of two >= {MIN_BUCKET}); was this buffer leased from a workspace?",
-            v.capacity(),
-        );
-        self.reclaim(v);
-    }
-
-    /// Lenient recycle: pool-shaped buffers are retained (up to
-    /// [`MAX_PER_BUCKET`] per bucket), anything else is simply dropped.
-    pub fn reclaim(&self, mut v: Vec<f32>) {
+    /// Returns a buffer to the pool: pool-shaped buffers are retained (up
+    /// to [`MAX_PER_BUCKET`] per bucket), anything else is simply dropped.
+    pub(crate) fn reclaim(&self, mut v: Vec<f32>) {
         let cap = v.capacity();
         if !is_pool_shaped(cap) {
             return;
@@ -237,7 +207,7 @@ impl Workspace {
     /// which always do). Best-fit reuse from the aligned pool keeps the
     /// steady state allocation-free even when several panel sizes
     /// interleave.
-    pub fn lease_aligned(&self, len: usize) -> AlignedBuf {
+    pub(crate) fn lease_aligned(&self, len: usize) -> AlignedBuf {
         self.leases.set(self.leases.get() + 1);
         let mut pool = self.aligned.borrow_mut();
         let pick = pool
@@ -260,7 +230,7 @@ impl Workspace {
 
     /// Returns an aligned buffer to the pool (retaining at most
     /// [`MAX_ALIGNED`]; overflow is simply dropped).
-    pub fn recycle_aligned(&self, buf: AlignedBuf) {
+    pub(crate) fn recycle_aligned(&self, buf: AlignedBuf) {
         let mut pool = self.aligned.borrow_mut();
         if pool.len() < MAX_ALIGNED {
             pool.push(buf);
@@ -268,24 +238,24 @@ impl Workspace {
     }
 
     /// Total leases served so far.
-    pub fn leases(&self) -> u64 {
+    pub(crate) fn leases(&self) -> u64 {
         self.leases.get()
     }
 
     /// Leases that had to allocate fresh memory (pool misses). Flat
     /// across minibatches once warmed up = zero steady-state allocation.
-    pub fn fresh_allocs(&self) -> u64 {
+    pub(crate) fn fresh_allocs(&self) -> u64 {
         self.fresh.get()
     }
 
     /// Number of buffers currently retained, across all buckets and the
     /// aligned pool.
-    pub fn retained_buffers(&self) -> usize {
+    pub(crate) fn retained_buffers(&self) -> usize {
         self.buckets.borrow().iter().map(Vec::len).sum::<usize>() + self.aligned.borrow().len()
     }
 
     /// Total capacity (in `f32` elements) currently retained.
-    pub fn retained_elems(&self) -> usize {
+    pub(crate) fn retained_elems(&self) -> usize {
         self.buckets.borrow().iter().flatten().map(Vec::capacity).sum::<usize>()
             + self.aligned.borrow().iter().map(AlignedBuf::capacity).sum::<usize>()
     }
@@ -337,7 +307,7 @@ mod tests {
         let ws = Workspace::new();
         let v = ws.lease_zeroed(100);
         let ptr = v.as_ptr();
-        ws.recycle(v);
+        ws.reclaim(v);
         let v2 = ws.lease_zeroed(100);
         assert_eq!(v2.as_ptr(), ptr, "recycled buffer was not reused");
         assert_eq!(v2.len(), 100);
@@ -350,7 +320,7 @@ mod tests {
     fn stats_snapshot_matches_getters_and_merges() {
         let ws = Workspace::new();
         let v = ws.lease_zeroed(100);
-        ws.recycle(v);
+        ws.reclaim(v);
         let s = ws.stats();
         assert_eq!(s.leases, ws.leases());
         assert_eq!(s.fresh_allocs, ws.fresh_allocs());
@@ -365,7 +335,7 @@ mod tests {
     fn different_sizes_share_a_bucket_by_capacity_class() {
         let ws = Workspace::new();
         let v = ws.lease_zeroed(100); // bucket 128
-        ws.recycle(v);
+        ws.reclaim(v);
         let v2 = ws.lease_zeroed(120); // same bucket
         assert_eq!(ws.fresh_allocs(), 1);
         assert_eq!(v2.len(), 120);
@@ -377,8 +347,8 @@ mod tests {
         for _ in 0..1000 {
             let a = ws.lease_zeroed(256);
             let b = ws.lease_empty(64);
-            ws.recycle(a);
-            ws.recycle(b);
+            ws.reclaim(a);
+            ws.reclaim(b);
         }
         assert!(ws.retained_buffers() <= 2, "pool grew: {}", ws.retained_buffers());
         assert_eq!(ws.fresh_allocs(), 2, "steady state must not allocate");
@@ -389,17 +359,9 @@ mod tests {
         let ws = Workspace::new();
         let many: Vec<_> = (0..2 * MAX_PER_BUCKET).map(|_| ws.lease_zeroed(64)).collect();
         for v in many {
-            ws.recycle(v);
+            ws.reclaim(v);
         }
         assert_eq!(ws.retained_buffers(), MAX_PER_BUCKET);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a pool bucket")]
-    fn recycling_a_foreign_buffer_panics() {
-        let ws = Workspace::new();
-        // 100-element exact allocation: not a power-of-two capacity class.
-        ws.recycle(vec![0.0f32; 100]);
     }
 
     #[test]
@@ -416,15 +378,15 @@ mod tests {
         let ws = Workspace::new();
         let v = ws.lease_zeroed(0);
         assert!(v.is_empty());
-        ws.recycle(v);
+        ws.reclaim(v);
     }
 
     #[test]
     fn aligned_buf_is_64_byte_aligned_and_grows() {
         let mut b = AlignedBuf::new();
-        assert!(b.is_empty());
+        assert!(b.as_slice().is_empty());
         b.resize_for_overwrite(37);
-        assert_eq!(b.len(), 37);
+        assert_eq!(b.as_slice().len(), 37);
         assert!(b.capacity() >= 37);
         assert_eq!(b.as_slice().as_ptr() as usize % 64, 0, "storage must be 64-byte aligned");
         b.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = i as f32);

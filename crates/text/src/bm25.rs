@@ -25,11 +25,6 @@ pub struct Bm25Index {
 impl Bm25Index {
     /// Builds an index with the standard parameters `k1 = 1.2`, `b = 0.75`.
     pub fn new(docs: &[Vec<u32>]) -> Self {
-        Self::with_params(docs, 1.2, 0.75)
-    }
-
-    /// Builds an index with explicit BM25 parameters.
-    pub fn with_params(docs: &[Vec<u32>], k1: f64, b: f64) -> Self {
         let mut term_freqs = Vec::with_capacity(docs.len());
         let mut doc_freq: HashMap<u32, u32> = HashMap::new();
         let mut doc_lens = Vec::with_capacity(docs.len());
@@ -49,11 +44,11 @@ impl Bm25Index {
         } else {
             doc_lens.iter().sum::<usize>() as f64 / docs.len() as f64
         };
-        Bm25Index { term_freqs, doc_lens, doc_freq, avg_len, k1, b }
+        Bm25Index { term_freqs, doc_lens, doc_freq, avg_len, k1: 1.2, b: 0.75 }
     }
 
     /// Number of indexed documents.
-    pub fn num_docs(&self) -> usize {
+    pub(crate) fn num_docs(&self) -> usize {
         self.term_freqs.len()
     }
 
@@ -81,20 +76,6 @@ impl Bm25Index {
     pub fn score_all(&self, query: &[u32]) -> Vec<f64> {
         (0..self.num_docs()).map(|d| self.score(query, d)).collect()
     }
-
-    /// The document with the highest score for `query` (`None` when the
-    /// index is empty).
-    ///
-    /// Scores are compared with [`f64::total_cmp`], so a NaN score
-    /// (reachable only with pathological `k1`/`b` parameters) cannot
-    /// panic the comparison: positive NaN orders above every finite
-    /// score and is selected deterministically. Exact ties keep the
-    /// later (highest-id) document, unchanged from before.
-    pub fn best_doc(&self, query: &[u32]) -> Option<(usize, f64)> {
-        (0..self.num_docs())
-            .map(|d| (d, self.score(query, d)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }
 
 #[cfg(test)]
@@ -113,10 +94,10 @@ mod tests {
     #[test]
     fn relevant_doc_scores_highest() {
         let idx = Bm25Index::new(&docs());
-        let (best, score) = idx.best_doc(&[3]).unwrap();
-        assert_eq!(best, 1);
-        assert!(score > 0.0);
-        assert_eq!(idx.best_doc(&[5, 5]).unwrap().0, 2);
+        let s = idx.score_all(&[3]);
+        assert!(s[1] > 0.0 && s[1] > s[0] && s[1] > s[2], "{s:?}");
+        let s = idx.score_all(&[5, 5]);
+        assert!(s[2] > s[0] && s[2] > s[1], "{s:?}");
     }
 
     #[test]
@@ -148,42 +129,19 @@ mod tests {
     fn empty_index() {
         let idx = Bm25Index::new(&[]);
         assert_eq!(idx.num_docs(), 0);
-        assert!(idx.best_doc(&[1]).is_none());
+        assert!(idx.score_all(&[1]).is_empty());
     }
 
     #[test]
     fn degenerate_queries_never_panic() {
         let idx = Bm25Index::new(&docs());
-        // Empty query: every document scores 0.0; ties resolve to the
-        // last document, exactly as with the old comparator.
-        assert_eq!(idx.best_doc(&[]), Some((2, 0.0)));
+        // Empty query: every document scores 0.0.
+        assert_eq!(idx.score_all(&[]), vec![0.0; 3]);
         // Query of only unseen (zero-tf) terms behaves the same.
-        assert_eq!(idx.best_doc(&[99, 100]), Some((2, 0.0)));
+        assert_eq!(idx.score_all(&[99, 100]), vec![0.0; 3]);
         // Index over empty documents, empty query.
         let empty_docs = Bm25Index::new(&[vec![], vec![]]);
-        assert_eq!(empty_docs.best_doc(&[]), Some((1, 0.0)));
-    }
-
-    #[test]
-    fn nan_scores_resolve_deterministically() {
-        // k1 = -1 makes `(k1 + 1) / (tf + norm)` a 0/0 for a tf=1 term in
-        // a doc where tf + norm == 0 — a real NaN through the public API.
-        // Pre-fix, best_doc's partial_cmp().unwrap() panicked on it.
-        let d = vec![vec![7], vec![8]];
-        let idx = Bm25Index::with_params(&d, -1.0, 0.0);
-        let nan = idx.score(&[7], 0);
-        assert!(nan.is_nan());
-        // The NaN's sign bit (and hence its total_cmp rank) is
-        // platform-defined for 0/0, so derive the expectation from the
-        // same total order best_doc uses.
-        let (best, score) = idx.best_doc(&[7]).unwrap();
-        if nan.total_cmp(&0.0).is_gt() {
-            assert_eq!(best, 0);
-            assert!(score.is_nan());
-        } else {
-            assert_eq!(best, 1);
-            assert_eq!(score, 0.0);
-        }
+        assert_eq!(empty_docs.score_all(&[]), vec![0.0; 2]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! let encoded: Vec<Vec<u32>> = docs.iter().map(|d| vocab.encode(d)).collect();
 //! let idx = Bm25Index::new(&encoded);
 //! let query = vocab.encode_text("beach dress");
-//! assert_eq!(idx.best_doc(&query).unwrap().0, 0);
+//! assert!(idx.score(&query, 0) > idx.score(&query, 1));
 //! ```
 
 #![warn(missing_docs)]

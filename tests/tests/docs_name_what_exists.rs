@@ -99,7 +99,7 @@ fn every_flag_the_docs_name_is_accepted_somewhere() {
         std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
     };
     let commands = read("crates/cli/src/commands.rs");
-    let usage_start = commands.find("pub const USAGE").expect("commands.rs defines USAGE");
+    let usage_start = commands.find("const USAGE").expect("commands.rs defines USAGE");
     let usage_len = commands[usage_start..].find("\";").expect("USAGE is one string literal");
     let usage = &commands[usage_start..usage_start + usage_len];
     let (bench_args, run_sh) = (read("crates/bench/src/args.rs"), read("benchmark/run.sh"));
