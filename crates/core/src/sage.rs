@@ -466,7 +466,9 @@ fn side_at(root_side: Side, l: usize) -> Side {
 
 /// Fanout-samples the next layer, treating the null sentinel
 /// (`graph.num_vertices(layer_side)`) as a vertex whose neighbours are
-/// all null.
+/// all null. Each run of consecutive real vertices is one
+/// `sample_neighbors` call, which draws exactly what per-vertex calls
+/// would, in the same order.
 fn sample_layer(
     graph: &BipartiteGraph,
     layer_side: Side,
@@ -478,14 +480,12 @@ fn sample_layer(
     let null_self = graph.num_vertices(layer_side);
     let null_next = graph.num_vertices(layer_side.opposite());
     let mut out = Vec::with_capacity(vertices.len() * fanout);
-    for &v in vertices {
-        if v == null_self {
+    for (k, run) in vertices.split(|&v| v == null_self).enumerate() {
+        // One null sentinel stood between this run and the previous one.
+        if k > 0 {
             out.extend(std::iter::repeat_n(null_next, fanout));
-            continue;
         }
-        let sampled =
-            hignn_graph::sample_neighbors(graph, layer_side, &[v], fanout, mode, rng);
-        out.extend(sampled);
+        out.extend(hignn_graph::sample_neighbors(graph, layer_side, run, fanout, mode, rng));
     }
     out
 }
@@ -568,6 +568,32 @@ mod tests {
             assert!(grads.get(p.w).is_some(), "missing user W grad");
         }
         assert!(grads.get(sage.item_steps[0].w).is_some(), "missing item W grad");
+    }
+
+    #[test]
+    fn sample_layer_draws_what_per_vertex_calls_draw() {
+        let g = toy_graph();
+        let null = g.num_vertices(Side::Left);
+        // Nulls first, last, back to back and between real vertices;
+        // user 3 is isolated.
+        let layer = [null, 0, 1, 3, null, null, 2, 0, null];
+        for mode in [SamplingMode::Uniform, SamplingMode::WeightBiased] {
+            let mut rng_runs = StdRng::seed_from_u64(8);
+            let runs = sample_layer(&g, Side::Left, &layer, 3, mode, &mut rng_runs);
+            let mut rng_each = StdRng::seed_from_u64(8);
+            let mut each = Vec::new();
+            for &v in &layer {
+                if v == null {
+                    each.extend([g.num_vertices(Side::Right); 3]);
+                } else {
+                    let rng = &mut rng_each;
+                    each.extend(hignn_graph::sample_neighbors(&g, Side::Left, &[v], 3, mode, rng));
+                }
+            }
+            assert_eq!(runs, each, "{mode:?}");
+            let (next_runs, next_each) = (rng_runs.gen::<u64>(), rng_each.gen::<u64>());
+            assert_eq!(next_runs, next_each, "{mode:?}: RNG streams diverged");
+        }
     }
 
     #[test]

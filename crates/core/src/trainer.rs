@@ -16,8 +16,12 @@
 //! pushed toward low scores — which is BCE with target 0.)
 //!
 //! Negative embeddings are computed once per shard as a shared pool and
-//! paired with positives by row gathering, which keeps the per-batch cost
-//! at ~2x the positive-only cost instead of `(Q_u + Q_i)`x.
+//! paired with positives by row gathering. A shard of `n` edges embeds
+//! its `n` users, its `n` items and a pool of `neg_pool` users and
+//! `neg_pool` items, i.e. `2 + 2·neg_pool/n` roots per edge: 6.0 at the
+//! defaults (256-edge batches in 8 shards of 32, pool 64), three times
+//! the positive-only cost, against `2 + Q_u + Q_i` = 8 if each edge
+//! embedded its own negatives (ROADMAP item 23).
 //!
 //! ## Data-parallel execution
 //!
@@ -28,11 +32,16 @@
 //! [`Tape`] with a shard-local RNG seeded from
 //! `(seed, epoch, batch, shard)`, and the per-shard gradients are
 //! combined by [`hignn_tensor::parallel::reduce_gradients`] in a fixed
-//! tree order before a single optimizer step. A shard's Eq. 5 pass draws
-//! only from its `(seed, epoch, batch, shard)` RNG and builds its tape
-//! ops in one fixed order. Because the decomposition and every RNG stream
-//! depend only on the configuration — never on the worker count — an
-//! N-thread run is bit-identical to a 1-thread run.
+//! tree order before a single optimizer step. Each worker owns one
+//! [`Workspace`] buffer pool for the whole run
+//! ([`ParallelExecutor::map_with`] runs shard `s` on worker `s % k`),
+//! and a shard's gradient buffers go back to its worker's pool after
+//! the step, so a warm minibatch leases every buffer from a pool. A
+//! shard's Eq. 5 pass draws only from its `(seed, epoch, batch, shard)`
+//! RNG and builds its tape ops in one fixed order. Because the
+//! decomposition and every RNG stream depend only on the configuration
+//! — never on the worker count — an N-thread run is bit-identical to a
+//! 1-thread run.
 //! There is one numeric tier: every kernel the tape and the optimizer
 //! call has the naive oracle's bits (no FMA; DESIGN.md §9).
 
@@ -42,11 +51,10 @@ use hignn_obs as obs;
 use hignn_tensor::nn::{Activation, Mlp};
 use hignn_tensor::optim::Adam;
 use hignn_tensor::parallel::{reduce_gradients, ParallelExecutor};
-use hignn_tensor::{Gradients, Matrix, ParamStore, Tape, Var, Workspace};
+use hignn_tensor::{Gradients, Matrix, ParamStore, Tape, Var, Workspace, WorkspaceStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Hyper-parameters for unsupervised GraphSAGE training.
 #[derive(Clone, Debug)]
@@ -70,7 +78,9 @@ pub struct SageTrainConfig {
     pub gamma: Option<f32>,
     /// Decoupled weight decay (the paper uses L2 regularisation).
     pub weight_decay: f32,
-    /// Size of the shared negative pool per batch.
+    /// Size of the shared negative pool, drawn per gradient shard: each
+    /// shard samples and embeds its own pool of this many users and this
+    /// many items (at least `max(neg_users, neg_items)`).
     pub neg_pool: usize,
     /// Hidden widths of the similarity MLP `f`.
     pub scorer_hidden: Vec<usize>,
@@ -422,14 +432,13 @@ pub fn train_unsupervised_checked(
     let mut order: Vec<usize> = (0..edges.len()).collect();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
 
-    // One buffer pool per logical shard, reused across every minibatch of
-    // the run. Shard `s` always leases from `workspaces[s]`, so after the
-    // first batch warms the pools the tape hot path stops allocating.
-    // The Mutex exists only to make the pools shareable across worker
-    // threads; shard indices are distinct per dispatch, so locks are
-    // uncontended.
-    let workspaces: Vec<Mutex<Workspace>> =
-        (0..cfg.grad_shards.max(1)).map(|_| Mutex::new(Workspace::new())).collect();
+    // One buffer pool per executor worker, reused across every minibatch
+    // of the run. `map_with` runs shard `s` on `workspaces[s % k]`, and
+    // after the optimizer step each shard's gradient buffers go back to
+    // that same pool, so once the first batch has warmed the pools a
+    // minibatch allocates nothing from them.
+    let mut workspaces: Vec<Workspace> =
+        (0..exec.workers().min(cfg.grad_shards.max(1))).map(|_| Workspace::new()).collect();
 
     for epoch in 0..cfg.epochs {
         let _epoch_span = obs::span("train.epoch");
@@ -473,32 +482,30 @@ pub fn train_unsupervised_checked(
                 weights: &weights,
                 gamma,
             };
-            let shard_results: Vec<(f32, Gradients)> = exec.map(num_shards, |s| {
-                let lo = s * shard_len;
-                let hi = (lo + shard_len).min(n);
-                let mut shard_rng = StdRng::seed_from_u64(shard_seed(
-                    seed,
-                    epoch as u64,
-                    batch_idx as u64,
-                    s as u64,
-                ));
-                let ws = workspaces[s].lock().expect("workspace lock poisoned");
-                shard_pass(&ctx, &ws, lo..hi, &mut shard_rng)
-            });
+            let (shard_losses, mut shard_grads): (Vec<f32>, Vec<Gradients>) = exec
+                .map_with(&mut workspaces, num_shards, |ws, s| {
+                    let lo = s * shard_len;
+                    let hi = (lo + shard_len).min(n);
+                    let mut shard_rng = StdRng::seed_from_u64(shard_seed(
+                        seed,
+                        epoch as u64,
+                        batch_idx as u64,
+                        s as u64,
+                    ));
+                    shard_pass(&ctx, ws, lo..hi, &mut shard_rng)
+                })
+                .into_iter()
+                .unzip();
 
-            // Losses sum in shard order; gradients reduce by a fixed
-            // pairwise tree — both independent of the worker count.
-            let mut shard_grads = Vec::with_capacity(shard_results.len());
-            let mut batch_loss = 0f64;
-            for (loss, g) in shard_results {
-                batch_loss += loss as f64;
-                shard_grads.push(g);
-            }
-            let grads = reduce_gradients(shard_grads);
+            // Losses sum in shard order; gradients reduce into shard 0 by
+            // a fixed pairwise tree — both independent of the worker count.
+            let batch_loss: f64 = shard_losses.iter().map(|&l| l as f64).sum();
+            reduce_gradients(&mut shard_grads);
+            let grads = &shard_grads[0];
 
             epoch_loss += batch_loss;
             batches += 1;
-            opt.step(&mut store, &grads);
+            opt.step(&mut store, grads);
 
             // Per-minibatch instrumentation: reads of already-computed
             // values only (plus the clock), gated so a metrics-off run
@@ -511,7 +518,7 @@ pub fn train_unsupervised_checked(
             if obs::enabled() {
                 let counters = [("train.batches", 1u64), ("train.edges", n as u64)];
                 if let Some(t0) = batch_start {
-                    let grad_norm = grad_l2_norm(&grads);
+                    let grad_norm = grad_l2_norm(grads);
                     obs::record_batch(
                         &counters,
                         &[
@@ -537,6 +544,13 @@ pub fn train_unsupervised_checked(
                         ("batch_loss", obs::LogValue::Float(batch_loss)),
                     ]
                 });
+            }
+            // Hand every shard's gradient buffers (the reduced total in
+            // shard 0, the partial sums in the rest) back to the pool of
+            // the worker that leased them.
+            let k = workspaces.len();
+            for (s, g) in shard_grads.into_iter().enumerate() {
+                g.recycle_into(&workspaces[s % k]);
             }
         }
         let mean_loss = (epoch_loss / batches.max(1) as f64) as f32;
@@ -569,15 +583,13 @@ pub fn train_unsupervised_checked(
         }
     }
 
-    // Surface the per-shard buffer-pool counters (leases served, pool
-    // misses, retained capacity) aggregated across shards. Counters
+    // Surface the buffer-pool counters (leases served, pool misses,
+    // retained capacity) summed over the workers' pools. Counters
     // accumulate across levels of a hierarchical run; the retained-*
     // figures are point-in-time, hence gauges.
     if obs::enabled() {
-        let total = workspaces.iter().fold(
-            hignn_tensor::WorkspaceStats::default(),
-            |acc, ws| acc.merge(&ws.lock().expect("workspace lock poisoned").stats()),
-        );
+        let total =
+            workspaces.iter().fold(WorkspaceStats::default(), |acc, ws| acc.merge(&ws.stats()));
         obs::counter_add("workspace.leases", total.leases);
         obs::counter_add("workspace.fresh_allocs", total.fresh_allocs);
         obs::gauge_set("workspace.retained_buffers", total.retained_buffers as f64);
@@ -755,6 +767,60 @@ mod tests {
             trained.store.all_finite(),
             "non-finite parameters on a degenerate-weight graph"
         );
+    }
+
+    /// Every parameter's bits, by name; panics unless the named
+    /// parameters cover the whole store.
+    fn param_bits(trained: &TrainedSage) -> Vec<(String, Vec<u32>)> {
+        let mut names = vec!["feat.user".to_string(), "feat.item".to_string()];
+        for side in ["user", "item"] {
+            for p in 1..=2 {
+                names.extend(["m", "w", "b"].map(|k| format!("sage.{side}.{k}{p}")));
+            }
+        }
+        for l in 0..2 {
+            names.extend(["w", "b"].map(|k| format!("scorer.l{l}.{k}")));
+        }
+        let bits: Vec<(String, Vec<u32>)> = names
+            .into_iter()
+            .map(|name| {
+                let id = trained.store.id(&name).unwrap_or_else(|| panic!("no parameter {name}"));
+                let m = trained.store.get(id);
+                (name, m.data().iter().map(|v| v.to_bits()).collect())
+            })
+            .collect();
+        let covered: usize = bits.iter().map(|(_, b)| b.len()).sum();
+        assert_eq!(covered, trained.store.num_scalars(), "a parameter is missing from the list");
+        bits
+    }
+
+    #[test]
+    fn eight_shards_train_the_same_bits_on_1_2_and_3_workers() {
+        // Three workers do not divide eight shards: worker 0 runs shards
+        // 0, 3, 6, worker 2 only 2 and 5.
+        let mut rng = StdRng::seed_from_u64(9);
+        let g = block_graph(&mut rng);
+        let uf = init::xavier_uniform(20, 8, &mut rng);
+        let if_ = init::xavier_uniform(20, 8, &mut rng);
+        let (scfg, mut tcfg) = small_cfg();
+        tcfg.epochs = 3;
+        tcfg.trainable_features = true;
+        assert_eq!(tcfg.grad_shards, 8);
+        let train = |workers: usize| {
+            let exec = ParallelExecutor::new(workers);
+            train_unsupervised_checked(&g, &uf, &if_, scfg.clone(), &tcfg, 54, &exec)
+                .expect("finite training")
+        };
+        let one = train(1);
+        let one_bits = param_bits(&one);
+        for workers in [2, 3] {
+            let other = train(workers);
+            assert_eq!(param_bits(&other), one_bits, "{workers} workers changed a parameter");
+            assert_eq!(
+                other.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                one.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+            );
+        }
     }
 
     #[test]

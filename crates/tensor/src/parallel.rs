@@ -29,8 +29,6 @@
 //! byte-identically at any other.
 
 use crate::param::Gradients;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A scoped-thread worker pool of fixed width.
 ///
@@ -94,11 +92,9 @@ impl ParallelExecutor {
     /// Runs `f(0), f(1), ..., f(n-1)` across the worker pool and
     /// returns the results **in index order**.
     ///
-    /// Work is distributed dynamically (an atomic cursor), so uneven
-    /// task costs balance automatically; determinism is unaffected
-    /// because results are keyed by index, not completion order. With
-    /// one worker (or one task) everything runs inline on the calling
-    /// thread.
+    /// Scheduling is [`ParallelExecutor::map_with`]'s: worker `w` runs
+    /// indices `w, w + k, w + 2k, …`. With one worker (or one task)
+    /// everything runs inline on the calling thread.
     ///
     /// # Panics
     /// If `f` panics: once every worker has stopped, a panicking
@@ -108,38 +104,56 @@ impl ParallelExecutor {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.workers == 1 || n <= 1 {
-            return (0..n).map(f).collect();
+        // Zero-sized states: a `Vec<()>` never allocates.
+        self.map_with(&mut vec![(); self.workers], n, |_, i| f(i))
+    }
+
+    /// [`ParallelExecutor::map`] where each worker owns one element of
+    /// `states` for the whole call: index `i` runs as
+    /// `f(&mut states[i % k], i)` with `k = min(workers, states.len())`,
+    /// and worker `w` takes its indices in ascending order. The mapping
+    /// depends only on `k`, never on timing, so a per-worker cache
+    /// (a training buffer pool) sees the same work on every run.
+    ///
+    /// Results come back **in index order**; they never depend on `k`
+    /// unless `f` lets a state change its result.
+    ///
+    /// # Panics
+    /// If `states` is empty while `n > 0`, or if `f` panics (re-raised
+    /// on the calling thread once every worker has stopped).
+    pub fn map_with<S, T, F>(&self, states: &mut [S], n: usize, f: F) -> Vec<T>
+    where
+        S: Send,
+        T: Send,
+        F: Fn(&mut S, usize) -> T + Sync,
+    {
+        if n == 0 {
+            return Vec::new();
         }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..self.workers.min(n))
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let value = f(i);
-                        *slots[i].lock().expect("a slot is locked only to store its value") =
-                            Some(value);
-                    })
+        assert!(!states.is_empty(), "map_with: no worker state for {n} tasks");
+        let k = self.workers.min(states.len());
+        if k == 1 || n == 1 {
+            let state = &mut states[0];
+            return (0..n).map(|i| f(state, i)).collect();
+        }
+        let f = &f;
+        let per_worker: Vec<Vec<T>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = states[..k]
+                .iter_mut()
+                .enumerate()
+                .map(|(w, state)| {
+                    scope.spawn(move || (w..n).step_by(k).map(|i| f(state, i)).collect())
                 })
                 .collect();
-            for worker in workers {
-                if let Err(payload) = worker.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            workers
+                .into_iter()
+                .map(|worker| worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("a slot is locked only to store its value")
-                    .expect("every index below n was claimed by a worker that returned")
-            })
+        // Interleave back: worker w's j-th result is index w + j*k.
+        let mut iters: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+        (0..n)
+            .map(|i| iters[i % k].next().expect("worker i % k ran index i"))
             .collect()
     }
 
@@ -183,8 +197,9 @@ pub const ROW_CHUNK: usize = 256;
 pub(crate) const MIN_PARALLEL_WORK: usize = 1 << 18;
 
 /// Reduces per-shard gradients by a fixed pairwise tree over shard
-/// indices: round one merges shard 1 into 0, 3 into 2, …; rounds repeat
-/// until one set remains. Returns an empty [`Gradients`] for no shards.
+/// indices, summing every shard into `shards[0]`: round one adds shard 1
+/// into 0, 3 into 2, …; round two adds 2 into 0, 6 into 4, …; rounds
+/// repeat until shard 0 holds the total. No-op for no shards.
 ///
 /// The tree shape — and therefore the f32 summation order — depends
 /// only on `shards.len()`, never on thread count or completion order,
@@ -192,26 +207,19 @@ pub(crate) const MIN_PARALLEL_WORK: usize = 1 << 18;
 /// training. (A left fold over shard indices would be equally
 /// deterministic; the tree keeps the reduction depth logarithmic so
 /// rounding error does not accumulate linearly in the shard count.)
-pub fn reduce_gradients(mut shards: Vec<Gradients>) -> Gradients {
-    if shards.is_empty() {
-        return Gradients::default();
-    }
-    let mut active = shards.len();
-    while active > 1 {
-        let half = active.div_ceil(2);
-        for i in 0..active / 2 {
-            // merge shard 2i+1 into 2i, compacting into slot i.
-            let hi = std::mem::take(&mut shards[2 * i + 1]);
-            shards[2 * i].merge_owned(hi);
-            shards.swap(i, 2 * i);
+///
+/// The other shards keep their (now partial-sum) buffers, so the caller
+/// can return every shard's buffers to the pool that leased them.
+pub fn reduce_gradients(shards: &mut [Gradients]) {
+    let n = shards.len();
+    let mut stride = 1;
+    while stride < n {
+        for lo in (0..n - stride).step_by(2 * stride) {
+            let (head, tail) = shards.split_at_mut(lo + stride);
+            head[lo].add_from(&mut tail[0]);
         }
-        if active % 2 == 1 {
-            shards.swap(half - 1, active - 1);
-        }
-        active = half;
-        shards.truncate(active);
+        stride *= 2;
     }
-    shards.pop().expect("at least one shard remains")
 }
 
 #[cfg(test)]
@@ -245,6 +253,24 @@ mod tests {
         assert_eq!(exec.throttle(MIN_PARALLEL_WORK - 1).workers(), 1);
         assert_eq!(exec.throttle(MIN_PARALLEL_WORK).workers(), 8);
         assert_eq!(exec.throttle(0).workers(), 1);
+    }
+
+    #[test]
+    fn map_with_gives_index_i_the_state_i_mod_k() {
+        for (workers, states) in [(1, 3), (2, 2), (3, 5), (4, 2)] {
+            let k = workers.min(states);
+            let mut seen: Vec<Vec<usize>> = vec![Vec::new(); states];
+            let got = ParallelExecutor::new(workers).map_with(&mut seen, 10, |s, i| {
+                s.push(i);
+                2 * i
+            });
+            assert_eq!(got, (0..10).map(|i| 2 * i).collect::<Vec<_>>());
+            for (w, s) in seen.iter().enumerate() {
+                let expected: Vec<usize> =
+                    if w < k { (w..10).step_by(k).collect() } else { Vec::new() };
+                assert_eq!(s, &expected, "workers {workers}, states {states}, state {w}");
+            }
+        }
     }
 
     #[test]
@@ -297,8 +323,9 @@ mod tests {
 
     #[test]
     fn tree_reduction_sums_all_shards() {
-        let (store, shards) = shard_gradients(5);
-        let total = reduce_gradients(shards);
+        let (store, mut shards) = shard_gradients(5);
+        reduce_gradients(&mut shards);
+        let total = &shards[0];
         let a = store.id("a").unwrap();
         let b = store.id("b").unwrap();
         // 1+2+3+4+5 = 15 on parameter a; shards 0, 2, 4 on b: 1+3+5 = 9.
@@ -312,11 +339,11 @@ mod tests {
     #[test]
     fn tree_reduction_is_deterministic_for_fixed_shard_count() {
         for n in [1usize, 2, 3, 7, 8] {
-            let (_, s1) = shard_gradients(n);
-            let (_, s2) = shard_gradients(n);
-            let a = reduce_gradients(s1);
-            let b = reduce_gradients(s2);
-            for ((_, ga), (_, gb)) in a.iter().zip(b.iter()) {
+            let (_, mut a) = shard_gradients(n);
+            let (_, mut b) = shard_gradients(n);
+            reduce_gradients(&mut a);
+            reduce_gradients(&mut b);
+            for ((_, ga), (_, gb)) in a[0].iter().zip(b[0].iter()) {
                 assert_eq!(ga.data(), gb.data(), "n = {n}");
             }
         }
@@ -324,8 +351,53 @@ mod tests {
 
     #[test]
     fn empty_reduction_is_empty() {
-        let total = reduce_gradients(Vec::new());
-        assert_eq!(total.iter().count(), 0);
+        reduce_gradients(&mut []);
+        let mut one = [Gradients::default()];
+        reduce_gradients(&mut one);
+        assert_eq!(one[0].iter().count(), 0);
+    }
+
+    /// The tree written as nested sums: halve the list, pairing
+    /// neighbours, until one entry is left.
+    fn nested_tree_sum(mut level: Vec<Vec<f32>>) -> Vec<f32> {
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [lo, hi] => lo.iter().zip(hi).map(|(a, b)| a + b).collect(),
+                    [odd] => odd.clone(),
+                    _ => unreachable!(),
+                })
+                .collect();
+        }
+        level.pop().unwrap_or_default()
+    }
+
+    #[test]
+    fn in_place_reduction_adds_in_the_nested_tree_order() {
+        // Values whose f32 sums depend on the grouping.
+        let value =
+            |s: usize, j: usize| ((s * 7 + j) as f32).sin() * 10f32.powi((s % 5) as i32 - 2);
+        let row = |s: usize| (0..4).map(|j| value(s, j)).collect::<Vec<f32>>();
+        for n in 1usize..=9 {
+            let mut store = ParamStore::new();
+            let a = store.add("a", Matrix::zeros(1, 4));
+            let mut shards: Vec<Gradients> = (0..n)
+                .map(|s| {
+                    let mut g = Gradients::new(&store);
+                    g.accumulate_owned(a, Matrix::row_vector(&row(s)));
+                    g
+                })
+                .collect();
+            let expected = nested_tree_sum((0..n).map(row).collect());
+            reduce_gradients(&mut shards);
+            let got = shards[0].get(a).unwrap().data();
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

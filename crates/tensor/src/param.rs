@@ -10,6 +10,8 @@
 //! batch, and their per-shard [`Gradients`] are combined by
 //! [`crate::parallel::reduce_gradients`] in a fixed tree order before a
 //! single optimizer step — so results do not depend on the worker count.
+//! [`Gradients::recycle_into`] then returns each shard's buffers to its
+//! worker's [`crate::Workspace`].
 
 use crate::matrix::Matrix;
 use std::collections::HashMap;
@@ -137,27 +139,26 @@ impl Gradients {
         self.grads.get(id.0).and_then(Option::as_ref)
     }
 
-    /// Merges another gradient set into this one, consuming `other`:
-    /// overlapping entries are summed and entries that only exist in
-    /// `other` are moved, not cloned.
-    pub(crate) fn merge_owned(&mut self, other: Gradients) {
+    /// Adds another gradient set into this one: overlapping entries
+    /// are summed (`self + other`, leaving `other`'s buffer in place) and
+    /// entries that only exist in `other` are moved, not cloned.
+    pub(crate) fn add_from(&mut self, other: &mut Gradients) {
         if other.grads.len() > self.grads.len() {
             self.grads.resize(other.grads.len(), None);
         }
-        for (i, g) in other.grads.into_iter().enumerate() {
-            if let Some(g) = g {
-                match &mut self.grads[i] {
-                    Some(existing) => existing.add_assign(&g),
-                    slot @ None => *slot = Some(g),
-                }
+        for (mine, theirs) in self.grads.iter_mut().zip(&mut other.grads) {
+            match (mine, theirs) {
+                (Some(existing), Some(g)) => existing.add_assign(g),
+                (slot @ None, theirs) => *slot = theirs.take(),
+                (Some(_), None) => {}
             }
         }
     }
 
-    /// Consumes the gradient set, returning every buffer to `ws`, so a
-    /// test can measure the tape's own steady-state allocations.
-    #[cfg(test)]
-    pub(crate) fn recycle_into(self, ws: &crate::workspace::Workspace) {
+    /// Consumes the gradient set, returning every buffer to `ws` — the
+    /// trainer hands each shard's gradients back to the pool that leased
+    /// them once the optimizer has stepped.
+    pub fn recycle_into(self, ws: &crate::workspace::Workspace) {
         for g in self.grads.into_iter().flatten() {
             ws.reclaim(g.into_data());
         }
@@ -215,8 +216,11 @@ mod tests {
         let mut g2 = Gradients::new(&s);
         g2.accumulate_owned(a, Matrix::row_vector(&[1.0, 0.0]));
         g2.accumulate_owned(b, Matrix::row_vector(&[0.5, 0.5]));
-        g1.merge_owned(g2);
+        g1.add_from(&mut g2);
         assert_eq!(g1.get(a).unwrap().data(), &[3.0, 4.0]);
         assert_eq!(g1.get(b).unwrap().data(), &[0.5, 0.5]);
+        // The summed entry stays with `g2`; the moved one left it.
+        assert_eq!(g2.get(a).unwrap().data(), &[1.0, 0.0]);
+        assert!(g2.get(b).is_none());
     }
 }

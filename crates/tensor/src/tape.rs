@@ -22,9 +22,9 @@
 //! a parameter never copies it. Intermediate buffers are heap-allocated
 //! per op by default ([`Tape::new`]); a tape built with
 //! [`Tape::with_workspace`] instead leases every forward and backward
-//! buffer from a [`Workspace`] pool and returns them on drop, so a
-//! steady-state training loop performs no per-minibatch allocation in
-//! the tape step. Pooling is bitwise-invisible: leased buffers are
+//! buffer from a [`Workspace`] pool and returns them in
+//! [`Tape::recycle`], so a steady-state training loop performs no
+//! per-minibatch allocation in the tape step. Pooling is bitwise-invisible: leased buffers are
 //! zero-filled or fully overwritten before use, so both modes produce
 //! identical bits (see DESIGN.md, "Performance & determinism contract").
 
@@ -114,6 +114,9 @@ enum Stored {
 struct Node {
     value: Stored,
     op: Op,
+    /// True when a [`Op::Param`] leaf lies under this node, so a
+    /// gradient flowing into it can reach a parameter.
+    needs_grad: bool,
 }
 
 /// One forward pass under construction.
@@ -141,9 +144,17 @@ impl<'s> Tape<'s> {
 
     /// Consumes the tape, returning every pooled node buffer to the
     /// attached workspace. No-op (plain drop) without a workspace.
+    ///
+    /// [`Tape::input`] values were allocated by the caller, not leased,
+    /// so they drop here: the pool then holds only buffers it allocated
+    /// itself, and its size follows the largest set of buffers a pass had
+    /// out at once instead of filling up with the caller's inputs.
     pub fn recycle(mut self) {
         if let Some(ws) = self.ws {
             for node in self.nodes.drain(..) {
+                if matches!(node.op, Op::Input) {
+                    continue;
+                }
                 if let Stored::Owned(m) = node.value {
                     ws.reclaim(m.into_data());
                 }
@@ -156,9 +167,37 @@ impl<'s> Tape<'s> {
             Stored::Owned(m) => m.shape(),
             Stored::Param(p) => self.store.get(*p).shape(),
         };
+        let needs_grad = match &op {
+            Op::Input => false,
+            Op::Param(_) => true,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddBias(a, b)
+            | Op::Mul(a, b)
+            | Op::MulColBroadcast(a, b) => self.needs(*a) || self.needs(*b),
+            Op::ConcatCols(parts) => parts.iter().any(|&p| self.needs(p)),
+            Op::Scale(src, _)
+            | Op::GatherRows { src, .. }
+            | Op::GatherMeanPoolRows { src, .. }
+            | Op::MeanPoolRows { src, .. }
+            | Op::SegmentMean { src, .. }
+            | Op::MaxPoolRows { src, .. }
+            | Op::LeakyRelu { src, .. }
+            | Op::Sigmoid(src)
+            | Op::Tanh(src)
+            | Op::MeanAll(src)
+            | Op::SumAll(src)
+            | Op::SumSquares(src)
+            | Op::BceWithLogits { logits: src, .. } => self.needs(*src),
+        };
         let id = self.nodes.len();
-        self.nodes.push(Node { value, op });
+        self.nodes.push(Node { value, op, needs_grad });
         Var { id, rows, cols }
+    }
+
+    /// Whether node `id` has a parameter under it (see [`Node::needs_grad`]).
+    fn needs(&self, id: usize) -> bool {
+        self.nodes[id].needs_grad
     }
 
     fn nval(&self, id: usize) -> &Matrix {
@@ -513,10 +552,18 @@ impl<'s> Tape<'s> {
 
     /// Runs reverse-mode differentiation from the scalar `loss`, returning
     /// gradients for every parameter leaf the loss depends on.
+    ///
+    /// A subtree with no parameter under it gets no gradient at all: a
+    /// binary op computes (and a concatenation copies out) only the
+    /// operand gradients that can reach a parameter, so constant inputs
+    /// — fixed features, weight columns — cost no backward work. Every
+    /// gradient that is computed has the same bits either way.
     pub fn backward(&self, loss: Var) -> Gradients {
         assert_eq!((loss.rows, loss.cols), (1, 1), "backward: loss must be scalar");
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.id] = Some(self.mat_full(1, 1, 1.0));
+        if self.needs(loss.id) {
+            grads[loss.id] = Some(self.mat_full(1, 1, 1.0));
+        }
         let mut out = Gradients::new(self.store);
 
         for id in (0..=loss.id).rev() {
@@ -530,64 +577,93 @@ impl<'s> Tape<'s> {
                 }
                 Op::MatMul(a, b) => {
                     let (av, bv) = (self.nval(*a), self.nval(*b));
-                    let mut ga = self.mat_zeroed(g.rows(), bv.rows());
-                    match self.ws {
-                        // Lease the nt pack panel from the workspace so
-                        // the backward step stays allocation-free.
-                        Some(ws) => {
-                            let mut scratch = ws.lease_aligned(g.cols() * bv.rows());
-                            g.matmul_nt_into_scratch(bv, &mut ga, &mut scratch);
-                            ws.recycle_aligned(scratch);
+                    if self.needs(*a) {
+                        let mut ga = self.mat_zeroed(g.rows(), bv.rows());
+                        match self.ws {
+                            // Lease the nt pack panel from the workspace so
+                            // the backward step stays allocation-free.
+                            Some(ws) => {
+                                let mut scratch = ws.lease_aligned(g.cols() * bv.rows());
+                                g.matmul_nt_into_scratch(bv, &mut ga, &mut scratch);
+                                ws.recycle_aligned(scratch);
+                            }
+                            None => g.matmul_nt_into(bv, &mut ga),
                         }
-                        None => g.matmul_nt_into(bv, &mut ga),
+                        accum(&mut grads, *a, ga, self.ws);
                     }
-                    let mut gb = self.mat_zeroed(av.cols(), g.cols());
-                    av.matmul_tn_into(&g, &mut gb);
-                    accum(&mut grads, *a, ga, self.ws);
-                    accum(&mut grads, *b, gb, self.ws);
+                    if self.needs(*b) {
+                        let mut gb = self.mat_zeroed(av.cols(), g.cols());
+                        av.matmul_tn_into(&g, &mut gb);
+                        accum(&mut grads, *b, gb, self.ws);
+                    }
                     self.reclaim_mat(g);
                 }
-                Op::Add(a, b) => {
-                    let ga = self.mat_copy(&g);
-                    accum(&mut grads, *a, ga, self.ws);
-                    accum(&mut grads, *b, g, self.ws);
-                }
+                Op::Add(a, b) => match (self.needs(*a), self.needs(*b)) {
+                    (true, true) => {
+                        let ga = self.mat_copy(&g);
+                        accum(&mut grads, *a, ga, self.ws);
+                        accum(&mut grads, *b, g, self.ws);
+                    }
+                    (true, false) => accum(&mut grads, *a, g, self.ws),
+                    (false, _) => accum(&mut grads, *b, g, self.ws),
+                },
                 Op::AddBias(x, bias) => {
                     // Bias gradient is the column-wise sum of g.
-                    let mut gb = self.mat_zeroed(1, g.cols());
-                    for i in 0..g.rows() {
-                        let row = g.row(i);
-                        for (o, &v) in gb.row_mut(0).iter_mut().zip(row) {
-                            *o += v;
+                    let gb = self.needs(*bias).then(|| {
+                        let mut gb = self.mat_zeroed(1, g.cols());
+                        for i in 0..g.rows() {
+                            let row = g.row(i);
+                            for (o, &v) in gb.row_mut(0).iter_mut().zip(row) {
+                                *o += v;
+                            }
                         }
+                        gb
+                    });
+                    if self.needs(*x) {
+                        accum(&mut grads, *x, g, self.ws);
+                    } else {
+                        self.reclaim_mat(g);
                     }
-                    accum(&mut grads, *x, g, self.ws);
-                    accum(&mut grads, *bias, gb, self.ws);
+                    if let Some(gb) = gb {
+                        accum(&mut grads, *bias, gb, self.ws);
+                    }
                 }
                 Op::Mul(a, b) => {
                     let (av, bv) = (self.nval(*a), self.nval(*b));
-                    let ga = self.mat_zip(&g, bv, |x, y| x * y);
-                    let gb = self.mat_zip(&g, av, |x, y| x * y);
-                    accum(&mut grads, *a, ga, self.ws);
-                    accum(&mut grads, *b, gb, self.ws);
+                    if self.needs(*a) {
+                        let ga = self.mat_zip(&g, bv, |x, y| x * y);
+                        accum(&mut grads, *a, ga, self.ws);
+                    }
+                    if self.needs(*b) {
+                        let gb = self.mat_zip(&g, av, |x, y| x * y);
+                        accum(&mut grads, *b, gb, self.ws);
+                    }
                     self.reclaim_mat(g);
                 }
                 Op::MulColBroadcast(x, col) => {
                     let (xm, cm) = (self.nval(*x), self.nval(*col));
-                    let mut gx = self.mat_copy(&g);
-                    let mut gc = self.mat_zeroed(cm.rows(), 1);
-                    for i in 0..xm.rows() {
-                        let c = cm.get(i, 0);
-                        let mut dot = 0f32;
-                        for (gv, &xv) in gx.row_mut(i).iter_mut().zip(xm.row(i)) {
-                            dot += *gv * xv;
-                            *gv *= c;
+                    let gc = self.needs(*col).then(|| {
+                        let mut gc = self.mat_zeroed(cm.rows(), 1);
+                        for i in 0..xm.rows() {
+                            let (gr, xr) = (g.row(i), xm.row(i));
+                            let dot = gr.iter().zip(xr).fold(0f32, |d, (&gv, &xv)| d + gv * xv);
+                            gc.set(i, 0, dot);
                         }
-                        gc.set(i, 0, dot);
+                        gc
+                    });
+                    if self.needs(*x) {
+                        let mut gx = g;
+                        for i in 0..xm.rows() {
+                            let c = cm.get(i, 0);
+                            gx.row_mut(i).iter_mut().for_each(|gv| *gv *= c);
+                        }
+                        accum(&mut grads, *x, gx, self.ws);
+                    } else {
+                        self.reclaim_mat(g);
                     }
-                    accum(&mut grads, *x, gx, self.ws);
-                    accum(&mut grads, *col, gc, self.ws);
-                    self.reclaim_mat(g);
+                    if let Some(gc) = gc {
+                        accum(&mut grads, *col, gc, self.ws);
+                    }
                 }
                 Op::Scale(a, alpha) => {
                     let mut ga = g;
@@ -598,12 +674,14 @@ impl<'s> Tape<'s> {
                     let mut offset = 0;
                     for &p in parts {
                         let pc = self.nval(p).cols();
-                        let mut gp = self.mat_zeroed(g.rows(), pc);
-                        for i in 0..g.rows() {
-                            gp.row_mut(i).copy_from_slice(&g.row(i)[offset..offset + pc]);
+                        if self.needs(p) {
+                            let mut gp = self.mat_zeroed(g.rows(), pc);
+                            for i in 0..g.rows() {
+                                gp.row_mut(i).copy_from_slice(&g.row(i)[offset..offset + pc]);
+                            }
+                            accum(&mut grads, p, gp, self.ws);
                         }
                         offset += pc;
-                        accum(&mut grads, p, gp, self.ws);
                     }
                     self.reclaim_mat(g);
                 }
@@ -976,6 +1054,67 @@ mod tests {
             ws.fresh_allocs() - warm
         );
         assert!(ws.retained_buffers() <= crate::workspace::MAX_PER_BUCKET * 8);
+    }
+
+    #[test]
+    fn constant_operands_get_no_gradient_and_lease_less() {
+        // The same graph twice: `x` once as an input, once as a
+        // parameter. It feeds every binary op and a concatenation.
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut store = ParamStore::new();
+        let x = xavier_uniform(5, 3, &mut rng);
+        let xp = store.add("x", x.clone());
+        let others = [
+            store.add("w1", xavier_uniform(3, 4, &mut rng)),
+            store.add("b1", xavier_uniform(1, 4, &mut rng)),
+            store.add("w2", xavier_uniform(7, 2, &mut rng)),
+            store.add("q", xavier_uniform(5, 3, &mut rng)),
+            store.add("col", xavier_uniform(5, 1, &mut rng)),
+            store.add("b3", xavier_uniform(1, 3, &mut rng)),
+        ];
+        let [w1, b1, w2, q, col, b3] = others;
+        let col_in = xavier_uniform(5, 1, &mut rng);
+        let run = |x_is_param: bool| {
+            let ws = Workspace::new();
+            let mut t = Tape::with_workspace(&store, &ws);
+            let xv = if x_is_param { t.param(xp) } else { t.input(x.clone()) };
+            let [w1, b1, w2, q, col, b3] = others.map(|p| t.param(p));
+            let h = t.matmul(xv, w1);
+            let h = t.add_bias(h, b1);
+            let c = t.concat_cols(&[xv, h]);
+            let y = t.matmul(c, w2);
+            let m = t.mul(xv, q);
+            let a = t.add(xv, q);
+            let s = t.mul_col_broadcast(xv, col);
+            let ci = t.input(col_in.clone());
+            let hs = t.mul_col_broadcast(h, ci);
+            let xb = t.add_bias(xv, b3);
+            let mut loss = t.sum_squares(y);
+            for v in [m, a, s, hs, xb] {
+                let sq = t.sum_squares(v);
+                loss = t.add(loss, sq);
+            }
+            let grads = t.backward(loss);
+            let leases = ws.leases();
+            (grads, leases)
+        };
+        let (with_input, input_leases) = run(false);
+        let (with_param, param_leases) = run(true);
+        assert!(with_input.get(xp).is_none(), "an input received a gradient");
+        assert!(with_param.get(xp).is_some());
+        for p in [w1, b1, w2, q, col, b3] {
+            let (a, b) = (with_input.get(p).unwrap(), with_param.get(p).unwrap());
+            assert_eq!(
+                a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "gradient of {} changed with x's role",
+                store.name(p)
+            );
+        }
+        assert!(
+            input_leases < param_leases,
+            "input tape leased {input_leases} buffers, param tape {param_leases}"
+        );
     }
 
     #[test]

@@ -29,15 +29,24 @@
 //! that is freed, so the pool's footprint is bounded no matter how many
 //! minibatches run through it. A workspace is single-threaded by design
 //! (`RefCell`, `Send` but not `Sync`); data-parallel training gives
-//! each gradient shard its own workspace.
+//! each executor worker its own workspace
+//! ([`crate::parallel::ParallelExecutor::map_with`]), and the shards a
+//! worker runs hand their gradient buffers back to it
+//! ([`crate::Gradients::recycle_into`]) once the optimizer has stepped.
 
 use std::cell::{Cell, RefCell};
 
 /// Smallest bucket capacity handed out (tiny leases round up to this).
 pub(crate) const MIN_BUCKET: usize = 8;
 
-/// Maximum buffers retained per capacity bucket.
-pub(crate) const MAX_PER_BUCKET: usize = 32;
+/// Maximum buffers retained per capacity bucket. A training pool holds
+/// only buffers it allocated itself (the tape drops its callers'
+/// inputs), so in steady state a bucket keeps what its worker had out
+/// at once and this cap costs nothing; it must clear that live set.
+/// A 1-thread worker at `--dim 8` has more than 64 buffers of the
+/// 64-element class out at once (all 8 shards' gradients plus its
+/// tape's), so 64 re-allocated every batch there.
+pub(crate) const MAX_PER_BUCKET: usize = 128;
 
 /// Maximum [`AlignedBuf`]s retained by [`Workspace::recycle_aligned`].
 const MAX_ALIGNED: usize = 8;

@@ -16,6 +16,7 @@ use hignn::prelude::*;
 use hignn_graph::{BipartiteGraph, SamplingMode};
 use hignn_integration_tests::crash_after_level;
 use hignn_obs::{LogFormat, MetricsSnapshot};
+use hignn_tensor::parallel::ParallelExecutor;
 use hignn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,5 +173,43 @@ fn logged_build_emits_json_heartbeats_and_level_events() {
         // event key first, balanced braces, no raw newlines.
         assert!(line.starts_with("{\"event\":\"") && line.ends_with('}'), "bad line: {line}");
         assert!(!line.contains('\n'));
+    }
+}
+
+/// `workspace.fresh_allocs` after one `train_unsupervised_checked` run of
+/// `epochs` epochs on [`small_setup`]'s graph (7 batches an epoch, the
+/// last one short).
+fn fresh_allocs_after(epochs: usize, trainable_features: bool, threads: usize) -> u64 {
+    let (g, uf, if_, cfg) = small_setup();
+    let train = SageTrainConfig { epochs, trainable_features, ..cfg.train };
+    hignn_obs::global().reset();
+    hignn_obs::set_enabled(true);
+    let exec = ParallelExecutor::new(threads);
+    let trained = train_unsupervised_checked(&g, &uf, &if_, cfg.sage, &train, 5, &exec);
+    hignn_obs::set_enabled(false);
+    assert!(trained.is_ok(), "training diverged");
+    hignn_obs::global().counter_get("workspace.fresh_allocs")
+}
+
+#[test]
+fn warm_training_leases_every_buffer_from_its_pool() {
+    // Each worker's buffer pool is warm after the first batches; from
+    // then on a minibatch — tape buffers and the gradients handed back
+    // after the optimizer step — allocates nothing, so two more epochs
+    // add no fresh allocation. Trainable features are level 1's
+    // table-sized gradients; fixed ones are a coarse level's.
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for trainable in [true, false] {
+        for threads in [1, 3] {
+            let two = fresh_allocs_after(2, trainable, threads);
+            let four = fresh_allocs_after(4, trainable, threads);
+            assert!(two > 0, "the counter was not recorded");
+            assert_eq!(
+                two, four,
+                "trainable features {trainable}, {threads} threads: {} fresh allocations \
+                 in epochs 3-4",
+                four.saturating_sub(two)
+            );
+        }
     }
 }
