@@ -41,11 +41,13 @@ fn main() {
     // neighbourhood features. This mirrors SHOAL's "well-defined metric"
     // embeddings — collaborative signal, but no trainable non-linear GNN.
     eprintln!("building SHOAL topics ({k} clusters) over fixed propagated features ...");
+    let one = hignn_tensor::parallel::ParallelExecutor::single();
     let prop1 = hignn::sage::neighborhood_mean(
         &ds.graph,
         hignn_graph::Side::Right,
         &ds.user_features,
         hignn::sage::Aggregator::Mean,
+        &one,
     );
     // Second hop: item <- users <- items, aggregating co-clicked items.
     let user_side = hignn::sage::neighborhood_mean(
@@ -53,12 +55,14 @@ fn main() {
         hignn_graph::Side::Left,
         &ds.item_features,
         hignn::sage::Aggregator::Mean,
+        &one,
     );
     let prop2 = hignn::sage::neighborhood_mean(
         &ds.graph,
         hignn_graph::Side::Right,
         &user_side,
         hignn::sage::Aggregator::Mean,
+        &one,
     );
     let shoal_feats =
         hignn_tensor::Matrix::concat_cols(&[&ds.item_features, &prop1, &prop2]);

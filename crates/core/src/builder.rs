@@ -1,13 +1,15 @@
 //! Builder-style configuration: one validated entry point for training.
 //!
-//! Historically four overlapping config surfaces fed a hierarchy build —
-//! [`SageTrainConfig`], [`BipartiteSageConfig`], [`HignnConfig`], and
-//! [`BuildOptions`] — each carrying its own defaults and no validation
-//! until deep inside the build. [`HignnBuilder`] collapses them: every
-//! knob (including the `threads` worker count, which appears here
-//! **exactly once**) is set through one chainable builder, and
+//! A hierarchy build reads [`HignnConfig`] (with its [`SageTrainConfig`]
+//! and [`BipartiteSageConfig`]) and [`BuildOptions`]. [`HignnBuilder`]
+//! sets every knob (including the `threads` worker count, which appears
+//! here **exactly once**) through one chainable builder, and
 //! [`HignnBuilder::build`] validates the whole configuration up front,
-//! returning a frozen [`TrainSpec`] that runs the build.
+//! before anything touches the filesystem, returning a frozen
+//! [`TrainSpec`] that runs the build. The checks themselves are
+//! [`HignnConfig::validate`], which [`build_hierarchy_with`] runs too, so
+//! a build that skips the builder refuses a bad configuration with the
+//! same [`HignnError::Config`] instead of panicking inside the trainer.
 //!
 //! ```
 //! use hignn::prelude::*;
@@ -206,56 +208,10 @@ impl HignnBuilder {
 
     // --- finalisation ----------------------------------------------------
 
-    /// Validates every knob at once and freezes the configuration.
+    /// Validates every knob at once ([`HignnConfig::validate`], the
+    /// check every build runs) and freezes the configuration.
     pub fn build(self) -> Result<TrainSpec, HignnError> {
-        let err = |msg: String| Err(HignnError::Config(msg));
-        if self.cfg.levels == 0 {
-            return err("levels must be at least 1".into());
-        }
-        if self.threads == 0 {
-            return err("threads must be at least 1 (0 workers cannot make progress)".into());
-        }
-        if self.cfg.sage.fanouts.is_empty() {
-            return err("fanouts must name at least one aggregation step".into());
-        }
-        if self.cfg.sage.fanouts.contains(&0) {
-            return err("every fanout must be at least 1".into());
-        }
-        if self.cfg.sage.input_dim == 0 || self.cfg.sage.dim == 0 {
-            return err("input_dim and embedding_dim must be positive".into());
-        }
-        if self.cfg.train.epochs == 0 {
-            return err("epochs must be at least 1".into());
-        }
-        if self.cfg.train.batch_edges == 0 {
-            return err("batch_edges must be at least 1".into());
-        }
-        if !(self.cfg.train.lr.is_finite() && self.cfg.train.lr > 0.0) {
-            return err(format!("learning rate must be finite and positive, got {}", self.cfg.train.lr));
-        }
-        if self.cfg.train.grad_shards == 0 {
-            return err("grad_shards must be at least 1".into());
-        }
-        match &self.cfg.cluster_counts {
-            ClusterCounts::AlphaDecay { alpha } => {
-                if !(alpha.is_finite() && *alpha > 1.0) {
-                    return err(format!("alpha decay factor must be > 1, got {alpha}"));
-                }
-            }
-            ClusterCounts::Fixed(counts) => {
-                if counts.is_empty() {
-                    return err("fixed cluster counts must name at least one level".into());
-                }
-            }
-            ClusterCounts::ChSelect { divisors } => {
-                if divisors.is_empty() {
-                    return err("CH selection needs at least one candidate divisor".into());
-                }
-            }
-        }
-        if self.resume && self.checkpoint_dir.is_none() {
-            return err("resume requires a checkpoint directory".into());
-        }
+        self.cfg.validate(self.threads, self.resume, self.checkpoint_dir.is_some())?;
         Ok(TrainSpec {
             cfg: self.cfg,
             threads: self.threads,
@@ -354,6 +310,10 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_knobs() {
+        // Every case is refused with the same `Config` error by the
+        // builder and by `build_hierarchy_with`, which is what
+        // `build_hierarchy`, `build_taxonomy` and `HignnModel` call.
+        let (g, uf, if_) = toy_inputs();
         // Knobs without a setter of their own are set on the config.
         let with = |set: fn(&mut HignnConfig)| {
             let mut b = small_builder();
@@ -376,14 +336,26 @@ mod tests {
             (with(|c| c.cluster_counts = ClusterCounts::ChSelect { divisors: vec![] }), "divisor"),
             (small_builder().resume(true), "checkpoint"),
         ];
-        for (builder, needle) in cases {
-            match builder.build() {
+        let expect_config = |result: Result<(), HignnError>, path: &str, needle: &str| {
+            match result {
                 Err(HignnError::Config(msg)) => {
-                    assert!(msg.contains(needle), "{msg:?} should mention {needle:?}")
+                    assert!(msg.contains(needle), "{path}: {msg:?} should mention {needle:?}")
                 }
-                other => panic!("expected Config error mentioning {needle:?}, got {other:?}"),
+                other => panic!("{path}: expected a Config error about {needle:?}, got {other:?}"),
             }
+        };
+        for (builder, needle) in cases {
+            let (resume, threads) = (builder.resume, builder.threads);
+            let opts = BuildOptions { checkpoint: None, resume, threads };
+            let direct = build_hierarchy_with(&g, &uf, &if_, &builder.cfg, &opts);
+            expect_config(direct.map(drop), "build_hierarchy_with", needle);
+            expect_config(builder.build().map(drop), "builder", needle);
         }
+        // One input_dim sizes both sides: 8-wide users, 6-wide items.
+        let narrow = init::xavier_uniform(24, 6, &mut StdRng::seed_from_u64(4));
+        let cfg = small_builder().build().unwrap().cfg;
+        let direct = build_hierarchy_with(&g, &uf, &narrow, &cfg, &BuildOptions::default());
+        expect_config(direct.map(drop), "build_hierarchy_with", "input_dim");
     }
 
     #[test]

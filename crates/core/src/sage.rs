@@ -286,21 +286,11 @@ impl BipartiteSage {
 
     /// Deterministic full-neighbourhood inference for every vertex of
     /// both sides (tape-free). Returns `(user_embeddings, item_embeddings)`.
+    /// Both the neighbourhood aggregation and the dense update are
+    /// embarrassingly row-parallel, so they run over fixed
+    /// [`ROW_CHUNK`]-row chunks merged in chunk order — bit-identical at
+    /// any worker count of `exec`.
     pub fn embed_all(
-        &self,
-        store: &ParamStore,
-        graph: &BipartiteGraph,
-        user_feats: &Matrix,
-        item_feats: &Matrix,
-    ) -> (Matrix, Matrix) {
-        self.embed_all_with(store, graph, user_feats, item_feats, &ParallelExecutor::single())
-    }
-
-    /// [`BipartiteSage::embed_all`] with an explicit executor. Both the
-    /// neighbourhood aggregation and the dense update are embarrassingly
-    /// row-parallel, so they run over fixed [`ROW_CHUNK`]-row chunks
-    /// merged in chunk order — bit-identical at any worker count.
-    pub(crate) fn embed_all_with(
         &self,
         store: &ParamStore,
         graph: &BipartiteGraph,
@@ -327,8 +317,8 @@ impl BipartiteSage {
         let mut hu = take(user_feats, graph.num_left());
         let mut hi = take(item_feats, graph.num_right());
         for p in 1..=self.num_steps() {
-            let agg_u = neighborhood_mean_with(graph, Side::Left, &hi, self.cfg.aggregator, exec);
-            let agg_i = neighborhood_mean_with(graph, Side::Right, &hu, self.cfg.aggregator, exec);
+            let agg_u = neighborhood_mean(graph, Side::Left, &hi, self.cfg.aggregator, exec);
+            let agg_i = neighborhood_mean(graph, Side::Right, &hu, self.cfg.aggregator, exec);
             let up = &self.user_steps[p - 1];
             let ip = &self.item_steps[p - 1];
             let new_hu = dense_step(store, &hu, &agg_u, up, self.cfg.activation, exec);
@@ -395,19 +385,10 @@ fn dense_step(
 
 /// Exact neighbourhood mean (or sum) for every vertex of `side`, given
 /// the opposite side's current embeddings. Isolated vertices get zeros.
+/// Vertices are aggregated in fixed [`ROW_CHUNK`]-sized chunks merged in
+/// chunk order, so the result is bit-identical at any worker count of
+/// `exec`.
 pub fn neighborhood_mean(
-    graph: &BipartiteGraph,
-    side: Side,
-    opposite_embeddings: &Matrix,
-    aggregator: Aggregator,
-) -> Matrix {
-    neighborhood_mean_with(graph, side, opposite_embeddings, aggregator, &ParallelExecutor::single())
-}
-
-/// [`neighborhood_mean`] with an explicit executor: vertices are
-/// aggregated in fixed [`ROW_CHUNK`]-sized chunks merged in chunk order,
-/// so the result is bit-identical at any worker count.
-pub(crate) fn neighborhood_mean_with(
     graph: &BipartiteGraph,
     side: Side,
     opposite_embeddings: &Matrix,
@@ -598,14 +579,15 @@ mod tests {
 
     #[test]
     fn embed_all_shapes_and_determinism() {
+        let one = ParallelExecutor::single();
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = ParamStore::new();
         let sage = BipartiteSage::new(&mut store, "sage", toy_cfg(), &mut rng);
         let g = toy_graph();
         let uf = feats(4, 4, 8);
         let if_ = feats(3, 4, 9);
-        let (zu1, zi1) = sage.embed_all(&store, &g, &uf, &if_);
-        let (zu2, zi2) = sage.embed_all(&store, &g, &uf, &if_);
+        let (zu1, zi1) = sage.embed_all(&store, &g, &uf, &if_, &one);
+        let (zu2, zi2) = sage.embed_all(&store, &g, &uf, &if_, &one);
         assert_eq!(zu1.shape(), (4, 6));
         assert_eq!(zi1.shape(), (3, 6));
         assert_eq!(zu1, zu2);
@@ -615,6 +597,7 @@ mod tests {
 
     #[test]
     fn embed_all_worker_count_does_not_change_bits() {
+        let one = ParallelExecutor::single();
         // > 2 chunks of ROW_CHUNK rows so the parallel path really splits.
         let n = 600u32;
         let mut edges = Vec::new();
@@ -629,10 +612,10 @@ mod tests {
         let sage = BipartiteSage::new(&mut store, "sage", toy_cfg(), &mut rng);
         let uf = feats(n as usize, 4, 15);
         let if_ = feats(n as usize, 4, 16);
-        let (zu1, zi1) = sage.embed_all(&store, &g, &uf, &if_);
+        let (zu1, zi1) = sage.embed_all(&store, &g, &uf, &if_, &one);
         for workers in [2, 4, 8] {
             let exec = ParallelExecutor::new(workers);
-            let (zu, zi) = sage.embed_all_with(&store, &g, &uf, &if_, &exec);
+            let (zu, zi) = sage.embed_all(&store, &g, &uf, &if_, &exec);
             assert_eq!(zu.data(), zu1.data(), "user side, workers = {workers}");
             assert_eq!(zi.data(), zi1.data(), "item side, workers = {workers}");
         }
@@ -640,14 +623,15 @@ mod tests {
 
     #[test]
     fn embed_all_accepts_null_row_features() {
+        let one = ParallelExecutor::single();
         let mut rng = StdRng::seed_from_u64(10);
         let mut store = ParamStore::new();
         let sage = BipartiteSage::new(&mut store, "sage", toy_cfg(), &mut rng);
         let g = toy_graph();
         let uf = feats(4, 4, 11);
         let if_ = feats(3, 4, 12);
-        let (a, _) = sage.embed_all(&store, &g, &uf, &if_);
-        let (b, _) = sage.embed_all(&store, &g, &with_null_row(&uf), &with_null_row(&if_));
+        let (a, _) = sage.embed_all(&store, &g, &uf, &if_, &one);
+        let (b, _) = sage.embed_all(&store, &g, &with_null_row(&uf), &with_null_row(&if_), &one);
         assert!(a.max_abs_diff(&b) < 1e-6);
     }
 
@@ -664,12 +648,13 @@ mod tests {
 
     #[test]
     fn neighborhood_mean_handles_isolated() {
+        let one = ParallelExecutor::single();
         let g = toy_graph();
         let emb = Matrix::from_vec(3, 2, vec![1.0, 0.0, 3.0, 0.0, 5.0, 6.0]);
-        let m = neighborhood_mean(&g, Side::Left, &emb, Aggregator::Mean);
+        let m = neighborhood_mean(&g, Side::Left, &emb, Aggregator::Mean, &one);
         assert_eq!(m.row(0), &[2.0, 0.0]); // mean of items 0, 1
         assert_eq!(m.row(3), &[0.0, 0.0]); // isolated user
-        let s = neighborhood_mean(&g, Side::Left, &emb, Aggregator::Sum);
+        let s = neighborhood_mean(&g, Side::Left, &emb, Aggregator::Sum, &one);
         assert_eq!(s.row(0), &[4.0, 0.0]);
     }
 
@@ -690,6 +675,7 @@ mod tests {
                 (2, 3, 5.0),
             ],
         );
+        let one = ParallelExecutor::single();
         let mut closer = 0;
         for seed in 0..5 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -697,7 +683,7 @@ mod tests {
             let sage = BipartiteSage::new(&mut store, "s", toy_cfg(), &mut rng);
             let uf = feats(3, 4, seed + 100);
             let if_ = feats(4, 4, seed + 200);
-            let (zu, _) = sage.embed_all(&store, &g, &uf, &if_);
+            let (zu, _) = sage.embed_all(&store, &g, &uf, &if_, &one);
             let d01 = zu.row_sq_dist(0, zu.row(1));
             let d02 = zu.row_sq_dist(0, zu.row(2));
             if d01 < d02 {

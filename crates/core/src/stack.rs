@@ -14,7 +14,7 @@
 use crate::checkpoint::{run_fingerprint, CheckpointMeta, CheckpointStore};
 use crate::error::HignnError;
 use crate::sage::BipartiteSageConfig;
-use crate::trainer::{train_unsupervised_checked, SageTrainConfig, TrainError};
+use crate::trainer::{train_unsupervised_checked, SageTrainConfig, TrainError, TrainedSage};
 use hignn_cluster::ch_index::select_k_by_ch;
 use hignn_cluster::kmeans::{kmeans_with, mean_by_cluster, KMeansConfig};
 use hignn_cluster::streaming::single_pass_kmeans;
@@ -85,6 +85,71 @@ impl Default for HignnConfig {
             normalize: true,
             seed: 0,
         }
+    }
+}
+
+impl HignnConfig {
+    /// Checks every knob of a build, plus the `threads` worker count and
+    /// the resume flag of the run that carries it, before anything is
+    /// trained or written. [`crate::builder::HignnBuilder::build`] calls
+    /// it (so the CLI exits 2 before it touches the filesystem), and so
+    /// does [`build_hierarchy_with`], which every other entry point goes
+    /// through.
+    pub(crate) fn validate(
+        &self,
+        threads: usize,
+        resume: bool,
+        checkpointed: bool,
+    ) -> Result<(), HignnError> {
+        let err = |msg: String| Err(HignnError::Config(msg));
+        if self.levels == 0 {
+            return err("levels must be at least 1".into());
+        }
+        if threads == 0 {
+            return err("threads must be at least 1 (0 workers cannot make progress)".into());
+        }
+        if self.sage.fanouts.is_empty() {
+            return err("fanouts must name at least one aggregation step".into());
+        }
+        if self.sage.fanouts.contains(&0) {
+            return err("every fanout must be at least 1".into());
+        }
+        if self.sage.input_dim == 0 || self.sage.dim == 0 {
+            return err("input_dim and embedding_dim must be positive".into());
+        }
+        if self.train.epochs == 0 {
+            return err("epochs must be at least 1".into());
+        }
+        if self.train.batch_edges == 0 {
+            return err("batch_edges must be at least 1".into());
+        }
+        if !(self.train.lr.is_finite() && self.train.lr > 0.0) {
+            return err(format!("learning rate must be finite and positive, got {}", self.train.lr));
+        }
+        if self.train.grad_shards == 0 {
+            return err("grad_shards must be at least 1".into());
+        }
+        match &self.cluster_counts {
+            ClusterCounts::AlphaDecay { alpha } => {
+                if !(alpha.is_finite() && *alpha > 1.0) {
+                    return err(format!("alpha decay factor must be > 1, got {alpha}"));
+                }
+            }
+            ClusterCounts::Fixed(counts) => {
+                if counts.is_empty() {
+                    return err("fixed cluster counts must name at least one level".into());
+                }
+            }
+            ClusterCounts::ChSelect { divisors } => {
+                if divisors.is_empty() {
+                    return err("CH selection needs at least one candidate divisor".into());
+                }
+            }
+        }
+        if resume && !checkpointed {
+            return err("resume requires a checkpoint directory".into());
+        }
+        Ok(())
     }
 }
 
@@ -366,9 +431,10 @@ fn level_rng_seed(base: u64, level: usize) -> u64 {
     (base ^ 0xC1A5).wrapping_add(((level - 1) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Trains, clusters, and coarsens one level. Returns the level plus the
-/// next level's input features. Pure function of its arguments —
-/// the determinism that makes checkpoint/resume byte-identical.
+/// Trains, clusters, and coarsens one level, handing its trained
+/// GraphSAGE to `keep` once the level's embeddings are checked. Pure
+/// function of its arguments — the determinism that makes
+/// checkpoint/resume byte-identical.
 fn build_one_level(
     g: &BipartiteGraph,
     xu: &Matrix,
@@ -376,7 +442,8 @@ fn build_one_level(
     cfg: &HignnConfig,
     level: usize,
     exec: &ParallelExecutor,
-) -> Result<(Level, Matrix, Matrix), HignnError> {
+    keep: &mut impl FnMut(TrainedSage),
+) -> Result<Level, HignnError> {
     let mut rng = StdRng::seed_from_u64(level_rng_seed(cfg.seed, level));
     // (Z_u^l, Z_i^l) <- BG(G^{l-1}, X_u^{l-1}, X_i^{l-1})
     let sage_cfg = BipartiteSageConfig { input_dim: xu.cols(), ..cfg.sage.clone() };
@@ -416,6 +483,8 @@ fn build_one_level(
             detail: "non-finite level embedding after inference".into(),
         });
     }
+    let epoch_losses = trained.epoch_losses.clone();
+    keep(trained);
 
     // C_u^l, C_i^l <- K_u(Z_u^l), K_i(Z_i^l)
     let (au, ai) = {
@@ -440,28 +509,32 @@ fn build_one_level(
         (Assignment::new(au_raw, num_ku), Assignment::new(ai_raw, num_ki))
     };
 
-    // (G^l, X_u^l, X_i^l) <- F(C_u^l, C_i^l, G^{l-1})
-    let (coarsened, new_xu, new_xi) = {
+    // G^l <- F(C_u^l, C_i^l, G^{l-1}); its features come from `next_inputs`.
+    let coarsened = {
         let _span = hignn_obs::span_owned(format!("level{level}.coarsen"));
-        (
-            coarsen(g, &au, &ai),
-            mean_by_cluster(&zu, au.as_slice(), au.num_clusters()),
-            mean_by_cluster(&zi, ai.as_slice(), ai.num_clusters()),
-        )
+        coarsen(g, &au, &ai)
     };
 
-    Ok((
-        Level {
-            user_embeddings: zu,
-            item_embeddings: zi,
-            user_assignment: au,
-            item_assignment: ai,
-            coarsened,
-            epoch_losses: trained.epoch_losses,
-        },
-        new_xu,
-        new_xi,
-    ))
+    Ok(Level {
+        user_embeddings: zu,
+        item_embeddings: zi,
+        user_assignment: au,
+        item_assignment: ai,
+        coarsened,
+        epoch_losses,
+    })
+}
+
+/// `(X_u^l, X_i^l)`: the input features of the level above a finished
+/// level — each cluster's mean member embedding. A deterministic
+/// function of the stored level, so a resumed build replays it from a
+/// checkpoint and persists nothing extra.
+fn next_inputs(level: &Level) -> (Matrix, Matrix) {
+    let side = |z: &Matrix, a: &Assignment| mean_by_cluster(z, a.as_slice(), a.num_clusters());
+    (
+        side(&level.user_embeddings, &level.user_assignment),
+        side(&level.item_embeddings, &level.item_assignment),
+    )
 }
 
 /// Builds the full HiGNN hierarchy over `graph` (Algorithm 1).
@@ -472,9 +545,9 @@ fn build_one_level(
 /// checkpointing).
 ///
 /// # Panics
-/// If training produces a non-finite loss, parameter or embedding
-/// ([`HignnError::Diverged`]); call [`build_hierarchy_with`] to get
-/// that as an error instead.
+/// If `cfg` is invalid ([`HignnError::Config`]) or training produces a
+/// non-finite loss, parameter or embedding ([`HignnError::Diverged`]);
+/// call [`build_hierarchy_with`] to get either as an error instead.
 pub fn build_hierarchy(
     graph: &BipartiteGraph,
     user_feats: &Matrix,
@@ -482,12 +555,14 @@ pub fn build_hierarchy(
     cfg: &HignnConfig,
 ) -> Hierarchy {
     build_hierarchy_with(graph, user_feats, item_feats, cfg, &BuildOptions::default())
-        .expect("build_hierarchy: training diverged")
+        .unwrap_or_else(|e| panic!("build_hierarchy: {e}"))
 }
 
 /// [`build_hierarchy`] with crash safety: per-level checkpointing and
-/// resume. Non-finite training is always checked and returned as
-/// [`HignnError::Diverged`].
+/// resume. A bad configuration is [`HignnError::Config`] before anything
+/// runs ([`HignnConfig::validate`], plus user and item features of one
+/// width, one row per vertex), and non-finite training is always checked
+/// and returned as [`HignnError::Diverged`].
 ///
 /// With `opts.checkpoint` set, every completed level is persisted
 /// atomically before the next begins, and `opts.resume` continues an
@@ -502,11 +577,29 @@ pub fn build_hierarchy_with(
     cfg: &HignnConfig,
     opts: &BuildOptions<'_>,
 ) -> Result<Hierarchy, HignnError> {
-    assert!(cfg.levels >= 1, "build_hierarchy: need at least one level");
-    assert_eq!(user_feats.rows(), graph.num_left(), "user feature rows");
-    assert_eq!(item_feats.rows(), graph.num_right(), "item feature rows");
-    if opts.resume && opts.checkpoint.is_none() {
-        return Err(HignnError::Config("resume requires a checkpoint directory".into()));
+    build_levels(graph, user_feats, item_feats, cfg, opts, drop)
+}
+
+/// The level loop of [`build_hierarchy_with`], the one code that trains
+/// a level. Each level's trained GraphSAGE goes to `keep` as soon as its
+/// embeddings are checked; levels restored from a checkpoint have none.
+pub(crate) fn build_levels(
+    graph: &BipartiteGraph,
+    user_feats: &Matrix,
+    item_feats: &Matrix,
+    cfg: &HignnConfig,
+    opts: &BuildOptions<'_>,
+    mut keep: impl FnMut(TrainedSage),
+) -> Result<Hierarchy, HignnError> {
+    cfg.validate(opts.threads, opts.resume, opts.checkpoint.is_some())?;
+    let (uf, itf) = (user_feats.shape(), item_feats.shape());
+    if uf.1 != itf.1 || (uf.0, itf.0) != (graph.num_left(), graph.num_right()) {
+        return Err(HignnError::Config(format!(
+            "user features {uf:?} and item features {itf:?} for {} users and {} items: one \
+             input_dim sizes both sides, one row per vertex",
+            graph.num_left(),
+            graph.num_right()
+        )));
     }
 
     let fingerprint = run_fingerprint(graph, user_feats, item_feats, cfg);
@@ -518,7 +611,7 @@ pub fn build_hierarchy_with(
             seed: cfg.seed,
             levels_total: cfg.levels as u64,
             levels_done: levels_done as u64,
-            threads: opts.threads.max(1) as u64,
+            threads: opts.threads as u64,
         };
         let snapshot = if hignn_obs::enabled() {
             hignn_obs::global().snapshot()
@@ -544,68 +637,47 @@ pub fn build_hierarchy_with(
         }
     }
 
-    // Replay the loop state up to the last completed level. The inputs
-    // of level l+1 are a deterministic function of level l's stored
-    // embeddings and assignments, so nothing extra needs persisting.
-    let mut g = graph.clone();
-    let mut xu = user_feats.clone();
-    let mut xi = item_feats.clone();
-    for level in &levels {
-        g = level.coarsened.clone();
-        xu = mean_by_cluster(
-            &level.user_embeddings,
-            level.user_assignment.as_slice(),
-            level.user_assignment.num_clusters(),
-        );
-        xi = mean_by_cluster(
-            &level.item_embeddings,
-            level.item_assignment.as_slice(),
-            level.item_assignment.num_clusters(),
-        );
-    }
-
-    let resumed_done = levels.last().is_some_and(|l| coarse_exhausted(&l.coarsened));
-    let start = levels.len() + 1;
     let exec = ParallelExecutor::new(opts.threads);
-
-    if !resumed_done {
-        for level in start..=cfg.levels {
-            let (built, new_xu, new_xi) = build_one_level(&g, &xu, &xi, cfg, level, &exec)?;
-
-            // Count the level before the meta commit point so the
-            // checkpointed counter snapshot includes it.
-            if hignn_obs::enabled() {
-                hignn_obs::counter_add("stack.levels_built", 1);
-            }
-            if let Some(store) = opts.checkpoint {
-                // Level record first, then the meta commit point: a
-                // crash in between leaves an orphan level file that a
-                // resumed run simply overwrites.
-                store.save_level(level, &built)?;
-                commit_meta(store, level)?;
-            }
-
-            if hignn_obs::log_enabled() {
-                use hignn_obs::LogValue;
-                hignn_obs::log_event(
-                    "level_done",
-                    &[
-                        ("level", LogValue::Uint(level as u64)),
-                        ("user_clusters", LogValue::Uint(built.user_assignment.num_clusters() as u64)),
-                        ("item_clusters", LogValue::Uint(built.item_assignment.num_clusters() as u64)),
-                        ("coarse_edges", LogValue::Uint(built.coarsened.num_edges() as u64)),
-                    ],
-                );
-            }
-            let done = coarse_exhausted(&built.coarsened);
-            g = built.coarsened.clone();
-            levels.push(built);
-            if done && level < cfg.levels {
-                break;
-            }
-            xu = new_xu;
-            xi = new_xi;
+    for level in levels.len() + 1..=cfg.levels {
+        let last = levels.last();
+        if last.is_some_and(|l| coarse_exhausted(&l.coarsened)) {
+            break;
         }
+        // Level l's inputs are a deterministic function of level l-1 as
+        // stored, so a resumed build replays them from its checkpoint.
+        let next = last.map(next_inputs);
+        let (g, xu, xi) = match (last, &next) {
+            (Some(last), Some((xu, xi))) => (&last.coarsened, xu, xi),
+            _ => (graph, user_feats, item_feats),
+        };
+        let built = build_one_level(g, xu, xi, cfg, level, &exec, &mut keep)?;
+
+        // Count the level before the meta commit point so the
+        // checkpointed counter snapshot includes it.
+        if hignn_obs::enabled() {
+            hignn_obs::counter_add("stack.levels_built", 1);
+        }
+        if let Some(store) = opts.checkpoint {
+            // Level record first, then the meta commit point: a
+            // crash in between leaves an orphan level file that a
+            // resumed run simply overwrites.
+            store.save_level(level, &built)?;
+            commit_meta(store, level)?;
+        }
+
+        if hignn_obs::log_enabled() {
+            use hignn_obs::LogValue;
+            hignn_obs::log_event(
+                "level_done",
+                &[
+                    ("level", LogValue::Uint(level as u64)),
+                    ("user_clusters", LogValue::Uint(built.user_assignment.num_clusters() as u64)),
+                    ("item_clusters", LogValue::Uint(built.item_assignment.num_clusters() as u64)),
+                    ("coarse_edges", LogValue::Uint(built.coarsened.num_edges() as u64)),
+                ],
+            );
+        }
+        levels.push(built);
     }
 
     Ok(Hierarchy { levels, num_users: graph.num_left(), num_items: graph.num_right() })

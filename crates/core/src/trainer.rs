@@ -187,14 +187,10 @@ impl TrainedSage {
         exec: &ParallelExecutor,
     ) -> (Matrix, Matrix) {
         match self.feature_params {
-            Some((u, i)) => self.sage.embed_all_with(
-                &self.store,
-                graph,
-                self.store.get(u),
-                self.store.get(i),
-                exec,
-            ),
-            None => self.sage.embed_all_with(&self.store, graph, user_feats, item_feats, exec),
+            Some((u, i)) => {
+                self.sage.embed_all(&self.store, graph, self.store.get(u), self.store.get(i), exec)
+            }
+            None => self.sage.embed_all(&self.store, graph, user_feats, item_feats, exec),
         }
     }
 
@@ -599,6 +595,39 @@ pub fn train_unsupervised_checked(
     Ok(TrainedSage { sage, scorer, store, feature_params, epoch_losses })
 }
 
+/// Every parameter of `trained` by name with its bits, in a fixed
+/// order; panics if the list misses one. For tests that compare two
+/// trained modules bit for bit.
+#[cfg(test)]
+pub(crate) fn param_bits(trained: &TrainedSage) -> Vec<(String, Vec<u32>)> {
+    let mut names = Vec::new();
+    if trained.feature_params.is_some() {
+        names.extend(["feat.user".to_string(), "feat.item".to_string()]);
+    }
+    for side in ["user", "item"] {
+        for p in 1..=trained.sage.num_steps() {
+            names.extend(["m", "w", "b"].map(|k| format!("sage.{side}.{k}{p}")));
+        }
+    }
+    for l in 0.. {
+        if trained.store.id(&format!("scorer.l{l}.w")).is_none() {
+            break;
+        }
+        names.extend(["w", "b"].map(|k| format!("scorer.l{l}.{k}")));
+    }
+    let bits: Vec<(String, Vec<u32>)> = names
+        .into_iter()
+        .map(|name| {
+            let id = trained.store.id(&name).unwrap_or_else(|| panic!("no parameter {name}"));
+            let m = trained.store.get(id);
+            (name, m.data().iter().map(|v| v.to_bits()).collect())
+        })
+        .collect();
+    let covered: usize = bits.iter().map(|(_, b)| b.len()).sum();
+    assert_eq!(covered, trained.store.num_scalars(), "a parameter is missing from the list");
+    bits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,31 +796,6 @@ mod tests {
             trained.store.all_finite(),
             "non-finite parameters on a degenerate-weight graph"
         );
-    }
-
-    /// Every parameter's bits, by name; panics unless the named
-    /// parameters cover the whole store.
-    fn param_bits(trained: &TrainedSage) -> Vec<(String, Vec<u32>)> {
-        let mut names = vec!["feat.user".to_string(), "feat.item".to_string()];
-        for side in ["user", "item"] {
-            for p in 1..=2 {
-                names.extend(["m", "w", "b"].map(|k| format!("sage.{side}.{k}{p}")));
-            }
-        }
-        for l in 0..2 {
-            names.extend(["w", "b"].map(|k| format!("scorer.l{l}.{k}")));
-        }
-        let bits: Vec<(String, Vec<u32>)> = names
-            .into_iter()
-            .map(|name| {
-                let id = trained.store.id(&name).unwrap_or_else(|| panic!("no parameter {name}"));
-                let m = trained.store.get(id);
-                (name, m.data().iter().map(|v| v.to_bits()).collect())
-            })
-            .collect();
-        let covered: usize = bits.iter().map(|(_, b)| b.len()).sum();
-        assert_eq!(covered, trained.store.num_scalars(), "a parameter is missing from the list");
-        bits
     }
 
     #[test]

@@ -32,7 +32,8 @@ fn main() {
         normalize: true,
         seed: 21,
     };
-    let model = HignnModel::train(&ds.graph, &ds.user_features, &ds.item_features, &cfg);
+    let model = HignnModel::train(&ds.graph, &ds.user_features, &ds.item_features, &cfg)
+        .expect("training failed");
     println!(
         "hierarchy: {} levels, hierarchical user dim {}",
         model.hierarchy.num_levels(),
@@ -63,7 +64,8 @@ fn main() {
     //    (no retraining) and look at where they land.
     let session_clicks = vec![(3u32, 2.0f32), (17, 1.0), (42, 1.0)];
     println!("\nnew visitor clicked items {:?}", session_clicks.iter().map(|c| c.0).collect::<Vec<_>>());
-    let folded = model.fold_in_users(std::slice::from_ref(&session_clicks));
+    let folded =
+        model.fold_in_users(std::slice::from_ref(&session_clicks)).expect("clicks on known items");
     println!("folded-in hierarchical embedding: 1 x {}", folded.cols());
 
     // 4. Recommend top-5 items for the new visitor by splicing its

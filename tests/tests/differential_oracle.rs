@@ -440,7 +440,7 @@ proptest! {
         let uf = hignn_tensor::init::xavier_uniform(nl, D, &mut frng);
         let if_ = hignn_tensor::init::xavier_uniform(nr, D, &mut frng);
 
-        let (zu, zi) = sage.embed_all(&store, &g, &uf, &if_);
+        let (zu, zi) = sage.embed_all(&store, &g, &uf, &if_, &ParallelExecutor::single());
         let (ozu, ozi) = oracle::sage::embed_all(
             &adjacency(&g, Side::Left),
             &adjacency(&g, Side::Right),

@@ -213,3 +213,24 @@ fn warm_training_leases_every_buffer_from_its_pool() {
         }
     }
 }
+
+#[test]
+fn hignn_model_trains_each_level_once() {
+    // `HignnModel::train` keeps the modules the stack's level loop
+    // trained, so it runs exactly the SGD and sampling of a plain build.
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (g, uf, if_, cfg) = small_setup();
+    let work = |run: &dyn Fn()| {
+        hignn_obs::global().reset();
+        hignn_obs::set_enabled(true);
+        run();
+        hignn_obs::set_enabled(false);
+        let registry = hignn_obs::global();
+        (registry.counter_get("train.epochs"), registry.counter_get("sage.embed_batch_rows"))
+    };
+    let plain = work(&|| drop(build_hierarchy(&g, &uf, &if_, &cfg)));
+    let model = work(&|| drop(HignnModel::train(&g, &uf, &if_, &cfg).unwrap()));
+    hignn_obs::global().reset();
+    assert!(plain.0 > 0 && plain.1 > 0, "the counters were not recorded: {plain:?}");
+    assert_eq!(model, plain, "(train.epochs, sage.embed_batch_rows) of HignnModel vs build");
+}
